@@ -1,10 +1,11 @@
 """Recognition and decomposition of cographs and series-parallel orders.
 
-Both structures admit the same style of divide and conquer: peel off
-connected components, then components of the complement (graphs) or of
-the incomparability relation (orders), and recurse.  Failure of either
-split at a nontrivial step pins down a four-element obstruction, which
-the engines return as a checkable certificate.
+An order is series-parallel exactly when its comparability graph is a
+cograph, and its tree is that graph's cotree with linear children sorted
+by the order.  So one split engine serves both: it peels off connected
+components and components of the complement, and a part that splits
+neither way yields a four-element certificate (an induced path, read as
+an N on the order side), the least labeling found.
 """
 
 from .cographs import (

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import oracles
@@ -24,7 +25,6 @@ from .cographs import (
     cotree_to_dot,
     cotree_to_graph,
     cotree_to_json,
-    is_cograph,
     join_witness,
     non_neighbor_components,
     neighbor_split,
@@ -49,8 +49,42 @@ EXIT_WITNESS = 1
 EXIT_ERROR = 2
 
 
+def _json_text(obj: dict | list) -> str:
+    """The text of ``json.dumps(obj)`` for a dict or list nested to any
+    depth: an explicit stack stands in for the encoder's recursion."""
+    out: list[str] = []
+    stack: list = [obj]  # containers still to expand, or finished text
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        is_dict = type(item) is dict
+        text, close = ("{", "}") if is_dict else ("[", "]")
+        parts: list = []
+        for i, (k, v) in enumerate(item.items() if is_dict else enumerate(item)):
+            if i:
+                text += ", "
+            if is_dict:
+                text += encode_basestring_ascii(k) + ": "
+            kind = type(v)
+            if kind is str:
+                text += encode_basestring_ascii(v)
+            elif kind is int:
+                text += repr(v)
+            elif kind is dict or kind is list:
+                parts.append(text)
+                parts.append(v)
+                text = ""
+            else:
+                text += json.dumps(v)
+        parts.append(text + close)
+        stack.extend(reversed(parts))
+    return "".join(out)
+
+
 def _emit(obj: object) -> None:
-    print(json.dumps(obj))
+    print(_json_text(obj))
 
 
 def _fail(message: str) -> int:
@@ -109,16 +143,7 @@ def cmd_check(args) -> int:
         if isinstance(result, P4Witness):
             _emit(_p4_json(result, labels))
             return EXIT_WITNESS
-    summary = _tree_summary(result)
-    _emit(
-        {
-            "cograph": True,
-            "order": g.order,
-            "series": summary["series"],
-            "parallel": summary["parallel"],
-            "depth": summary["depth"],
-        }
-    )
+    _emit({"cograph": True, "order": g.order, **_tree_summary(result)})
     return EXIT_OK
 
 
@@ -268,14 +293,6 @@ def cmd_gen(args) -> int:
 # === oracle comparison sweeps ===
 
 
-def _graph_payload(g: Graph) -> dict:
-    return {"n": g.order, "edges": [list(e) for e in g.edges()]}
-
-
-def _poset_payload(p: Poset) -> dict:
-    return {"n": p.order, "relations": [list(r) for r in p.relations()]}
-
-
 def check_graph_instance(g: Graph) -> str | None:
     """Compare every decomposition claim against the oracles on one graph.
     Returns a failure tag or None."""
@@ -353,6 +370,12 @@ def check_poset_instance(p: Poset) -> str | None:
     return None
 
 
+def _emit_mismatch(obj: Graph | Poset, tag: str) -> int:
+    kind, payload = oracles._fixture_payload(obj)
+    _emit({"ok": False, "kind": kind, "check": tag, "payload": payload})
+    return EXIT_WITNESS
+
+
 def cmd_oracle_compare(args) -> int:
     if args.max_graph_n > oracles.MAX_ENUM_GRAPH:
         return _fail(f"graph enumeration limited to order {oracles.MAX_ENUM_GRAPH}")
@@ -366,8 +389,7 @@ def cmd_oracle_compare(args) -> int:
             tag = check_graph_instance(g)
             graphs_checked += 1
             if tag is not None:
-                _emit({"ok": False, "kind": "graph", "check": tag, "payload": _graph_payload(g)})
-                return EXIT_WITNESS
+                return _emit_mismatch(g, tag)
         print(f"graphs on {n} vertices: ok", file=sys.stderr)
     posets_checked = 0
     for n in range(args.max_poset_n + 1):
@@ -375,8 +397,7 @@ def cmd_oracle_compare(args) -> int:
             tag = check_poset_instance(p)
             posets_checked += 1
             if tag is not None:
-                _emit({"ok": False, "kind": "poset", "check": tag, "payload": _poset_payload(p)})
-                return EXIT_WITNESS
+                return _emit_mismatch(p, tag)
         print(f"orders on {n} elements: ok", file=sys.stderr)
     _emit({"ok": True, "graphs_checked": graphs_checked, "posets_checked": posets_checked})
     return EXIT_OK

@@ -5,7 +5,14 @@ path.  Recognition proceeds by repeated splitting: a graph on two or
 more vertices either falls apart into connected components (parallel
 node) or its complement does (series node); when neither happens the
 graph contains an induced path on four vertices and that path is
-returned as a certificate instead of a tree.
+returned as a certificate instead of a tree.  This is the component /
+co-component scheme whose linear-time form is due to Corneil, Perl and
+Stewart (SIAM J. Comput. 14(4), 1985).
+
+The split loop, the path scan and the tree codec serve orders too
+(:mod:`cosp.spdecomp`): the helpers read the leaf field and kind names
+from the tree class, and none of them recurses, so trees of any depth
+work.
 
 Trees are kept canonical: no series child of a series node, no parallel
 child of a parallel node, at least two children per internal node, and
@@ -15,7 +22,6 @@ equality meaningful, so round trips through the graph are exact.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -32,11 +38,6 @@ from .graphs import (
 LEAF = "leaf"
 SERIES = "series"
 PARALLEL = "parallel"
-
-# The 12 orderings of a 4-set that name a path once reversals are merged.
-_PATH_ORDERS = tuple(
-    perm for perm in itertools.permutations(range(4)) if perm[0] < perm[3]
-)
 
 
 @dataclass(frozen=True)
@@ -126,14 +127,39 @@ class NeighborSplit:
         return True
 
 
-@dataclass(frozen=True)
-class Cotree:
+class _Tree:
+    """Equality and hashing of :class:`Cotree` and ``SPTree`` by flat
+    preorder signature.  A subclass names its leaf field, its two
+    internal kinds (join-like first) and the kinds whose children are
+    sorted by smallest leaf."""
+
+    def _signature(self) -> list[tuple]:
+        # Kind, leaf id and child count of every node in preorder: the
+        # counts fix the shape, so equal signatures mean equal trees.
+        key = self._leaf_key
+        return [(n.kind, getattr(n, key), len(n.children)) for n in _preorder(self)]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._signature() == other._signature()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._signature()))
+
+
+@dataclass(frozen=True, eq=False)
+class Cotree(_Tree):
     """Decomposition tree node; series means join, parallel means disjoint
     union, leaves carry vertex ids."""
 
     kind: str
     vertex: int | None = None
     children: tuple[Cotree, ...] = ()
+
+    _leaf_key = "vertex"
+    _kinds = (SERIES, PARALLEL)
+    _sorted_kinds = (SERIES, PARALLEL)
 
     @classmethod
     def leaf(cls, vertex: int) -> Cotree:
@@ -159,72 +185,89 @@ def _preorder(t: Cotree) -> list[Cotree]:
     return out
 
 
-def validate_cotree(t: Cotree) -> None:
-    """Raise ValueError unless the tree is canonical with distinct leaves."""
+def _leaf_masks(t: _Tree) -> tuple[list[_Tree], dict[int, int]]:
+    """Preorder of a tree and the leaf mask of every node, keyed by ``id``;
+    raises ValueError on a bad leaf id, an unknown kind, an internal node
+    with fewer than two children, or a repeated leaf."""
+    key = t._leaf_key
     order = _preorder(t)
-    min_leaf: dict[int, int] = {}
-    seen_leaves: set[int] = set()
+    mask: dict[int, int] = {}
     for node in reversed(order):
         if node.kind == LEAF:
-            if not isinstance(node.vertex, int) or node.vertex < 0:
-                raise ValueError(f"leaf vertex must be a non-negative int, got {node.vertex!r}")
+            value = getattr(node, key)
+            if not isinstance(value, int) or value < 0:
+                raise ValueError(f"leaf {key} must be a non-negative int, got {value!r}")
+            mask[id(node)] = 1 << value
+            continue
+        if node.kind not in t._kinds:
+            raise ValueError(f"unknown node kind {node.kind!r}")
+        if len(node.children) < 2:
+            raise ValueError(f"{node.kind} node with fewer than two children")
+        m = 0
+        total = 0
+        for child in node.children:
+            cm = mask[id(child)]
+            m |= cm
+            total += cm.bit_count()
+        if m.bit_count() != total:
+            raise ValueError("duplicate leaf ids")
+        mask[id(node)] = m
+    return order, mask
+
+
+def _dense_order(full: int) -> int:
+    n = full.bit_length()
+    if full != (1 << n) - 1:
+        raise ValueError("leaf ids must form a dense 0..n-1 range")
+    return n
+
+
+def _validate_tree(t: _Tree) -> None:
+    """Raise ValueError unless the tree is canonical with distinct leaves."""
+    key = t._leaf_key
+    order, mask = _leaf_masks(t)
+    for node in order:
+        if node.kind == LEAF:
             if node.children:
                 raise ValueError("leaf with children")
-            if node.vertex in seen_leaves:
-                raise ValueError(f"duplicate leaf id {node.vertex}")
-            seen_leaves.add(node.vertex)
-            min_leaf[id(node)] = node.vertex
-        elif node.kind in (SERIES, PARALLEL):
-            if node.vertex is not None:
-                raise ValueError("internal node with a vertex id")
-            if len(node.children) < 2:
-                raise ValueError(f"{node.kind} node with fewer than two children")
-            mins = []
-            for child in node.children:
-                if child.kind == node.kind:
-                    raise ValueError(f"{node.kind} child of {node.kind} node")
-                mins.append(min_leaf[id(child)])
-            if mins != sorted(mins):
-                raise ValueError("children not ordered by smallest leaf id")
-            min_leaf[id(node)] = mins[0]
-        else:
-            raise ValueError(f"unknown node kind {node.kind!r}")
+            continue
+        if getattr(node, key) is not None:
+            raise ValueError(f"internal node with {key} {getattr(node, key)!r}")
+        if any(child.kind == node.kind for child in node.children):
+            raise ValueError(f"{node.kind} child of {node.kind} node")
+        lows = [mask[id(child)] & -mask[id(child)] for child in node.children]
+        if node.kind in t._sorted_kinds and lows != sorted(lows):
+            raise ValueError(f"{node.kind} children not ordered by smallest leaf id")
 
 
-def cotree_leaves(t: Cotree) -> list[int]:
-    return sorted(n.vertex for n in _preorder(t) if n.kind == LEAF)
+validate_cotree = _validate_tree
 
 
-def _p4_within(adj: Sequence[int], sub: int) -> P4Witness | None:
-    # Lexicographic 4-subset scan with all 12 path labelings per subset.
-    vs = vertices_of(sub)
-    for quad in itertools.combinations(vs, 4):
-        for perm in _PATH_ORDERS:
-            a, b, c, d = (quad[i] for i in perm)
-            if (
-                (adj[a] >> b) & 1
-                and (adj[b] >> c) & 1
-                and (adj[c] >> d) & 1
-                and not (adj[a] >> c) & 1
-                and not (adj[a] >> d) & 1
-                and not (adj[b] >> d) & 1
-            ):
-                return P4Witness((a, b, c, d))
-    return None
+def _p4_within(adj: Sequence[int], sub: int) -> P4Witness:
+    """Least labeling (a, b, c, d) of an induced path inside ``sub``.
 
-
-def cotree(g: Graph) -> Cotree | P4Witness:
-    """Canonical decomposition tree of g, or an induced-path certificate.
-
-    The split alternates between connected components and components of
-    the complement; a part with neither split on two or more vertices
-    must contain an induced four-vertex path, found by brute force inside
-    that part.
+    Each loop states one path constraint, so the first hit is the least
+    tuple, and a < d because the reversed labeling is a path too.  Only
+    called on a part that splits neither way, which always holds a path.
     """
-    if g.order == 0:
-        raise ValueError("the decomposition needs at least one vertex")
-    adj = g.adj
-    sub_of = [g.full_mask()]
+    for a in iter_bits(sub):
+        na = adj[a]
+        for b in iter_bits(na & sub):
+            nb = adj[b]
+            for c in iter_bits(nb & sub & ~na & ~(1 << a)):
+                ds = adj[c] & sub & ~na & ~nb & ~(1 << b)
+                if ds:
+                    return P4Witness((a, b, c, (ds & -ds).bit_length() - 1))
+    raise AssertionError("undecomposable part without an induced path")
+
+
+def _decompose(adj: Sequence[int], full: int, series_key=None):
+    """Split the vertex mask ``full`` into components of ``adj`` (parallel
+    node) or of its complement (series node) until every part is one
+    vertex; children go by smallest member, or by ``series_key`` under a
+    series node.  Returns the node arrays ``(sub_of, kind_of,
+    child_ids)``, root first, or the first part that splits neither way."""
+    sub_of = [full]
     kind_of = [LEAF]
     child_ids: list[list[int]] = [[]]
     stack = [0]
@@ -232,63 +275,61 @@ def cotree(g: Graph) -> Cotree | P4Witness:
         tid = stack.pop()
         sub = sub_of[tid]
         if sub & (sub - 1) == 0:
-            kind_of[tid] = LEAF
             continue
         parts = mask_components(adj, sub)
         if len(parts) > 1:
             kind_of[tid] = PARALLEL
         else:
             parts = mask_co_components(adj, sub)
-            if len(parts) > 1:
-                kind_of[tid] = SERIES
-            else:
-                witness = _p4_within(adj, sub)
-                if witness is None:  # cannot happen: no split on >= 2 vertices forces a path
-                    raise AssertionError("undecomposable part without an induced path")
-                return witness
-        for part in parts:  # already ordered by smallest member
+            if len(parts) == 1:
+                return sub
+            kind_of[tid] = SERIES
+            if series_key is not None:
+                parts.sort(key=series_key)
+        for part in parts:
             cid = len(sub_of)
             sub_of.append(part)
             kind_of.append(LEAF)
             child_ids.append([])
             child_ids[tid].append(cid)
             stack.append(cid)
-    nodes: list[Cotree | None] = [None] * len(sub_of)
+    return sub_of, kind_of, child_ids
+
+
+def _build_tree(cls: type, sub_of: list[int], kind_of: list[str], child_ids: list[list[int]]):
+    """Nodes of ``cls`` from the arrays of :func:`_decompose`, with series
+    and parallel renamed to the class's own kinds."""
+    names = {SERIES: cls._kinds[0], PARALLEL: cls._kinds[1]}
+    nodes = [None] * len(sub_of)
     for tid in range(len(sub_of) - 1, -1, -1):
         if kind_of[tid] == LEAF:
-            nodes[tid] = Cotree.leaf(sub_of[tid].bit_length() - 1)
+            nodes[tid] = cls(LEAF, sub_of[tid].bit_length() - 1)
         else:
-            nodes[tid] = Cotree(kind_of[tid], children=tuple(nodes[c] for c in child_ids[tid]))
+            nodes[tid] = cls(names[kind_of[tid]], None, tuple(nodes[c] for c in child_ids[tid]))
     return nodes[0]
+
+
+def cotree(g: Graph) -> Cotree | P4Witness:
+    """Canonical decomposition tree of g, or an induced-path certificate.
+
+    The split alternates between connected components and components of
+    the complement; a part with neither split on two or more vertices
+    must contain an induced four-vertex path, and the least labeling of
+    one inside that part is returned.
+    """
+    if g.order == 0:
+        raise ValueError("the decomposition needs at least one vertex")
+    result = _decompose(g.adj, g.full_mask())
+    if isinstance(result, int):
+        return _p4_within(g.adj, result)
+    return _build_tree(Cotree, *result)
 
 
 def cotree_to_graph(t: Cotree) -> Graph:
     """Graph encoded by a tree: two leaves are adjacent exactly when their
     closest common ancestor is a series node.  Leaf ids must be 0..n-1."""
-    order = _preorder(t)
-    mask: dict[int, int] = {}
-    for node in reversed(order):
-        if node.kind == LEAF:
-            if not isinstance(node.vertex, int) or node.vertex < 0:
-                raise ValueError(f"leaf vertex must be a non-negative int, got {node.vertex!r}")
-            mask[id(node)] = 1 << node.vertex
-        else:
-            if len(node.children) < 2:
-                raise ValueError(f"{node.kind} node with fewer than two children")
-            m = 0
-            total = 0
-            for child in node.children:
-                cm = mask[id(child)]
-                m |= cm
-                total += cm.bit_count()
-            if m.bit_count() != total:
-                raise ValueError("duplicate leaf ids")
-            mask[id(node)] = m
-    full = mask[id(t)]
-    n = full.bit_length()
-    if full != (1 << n) - 1:
-        raise ValueError("leaf ids must form a dense 0..n-1 range")
-    adj = [0] * n
+    order, mask = _leaf_masks(t)
+    adj = [0] * _dense_order(mask[id(t)])
     for node in order:
         if node.kind == SERIES:
             m = mask[id(node)]
@@ -297,8 +338,6 @@ def cotree_to_graph(t: Cotree) -> Graph:
                 ext = m & ~cm
                 for v in iter_bits(cm):
                     adj[v] |= ext
-        elif node.kind not in (LEAF, PARALLEL):
-            raise ValueError(f"unknown node kind {node.kind!r}")
     return Graph(tuple(adj))
 
 
@@ -382,11 +421,7 @@ def join_witness(g: Graph) -> JoinWitness | None:
         raise DisconnectedError("input graph is not connected")
     full = g.full_mask()
     for x in range(g.order):
-        inc = full & ~g.adj[x] & ~(1 << x)
-        un = 0
-        for y in iter_bits(g.adj[x]):
-            if inc & ~g.adj[y] == 0:
-                un |= 1 << y
+        un = g._universal_mask(x)
         if un:
             rest = full & ~un
             return JoinWitness(
@@ -447,15 +482,16 @@ def parity_split_graph(n: int, offset: int = 0) -> Graph:
 # === serialization ===
 
 
-def cotree_to_json(t: Cotree, labels: Sequence[int] | None = None) -> dict:
-    """Nested dict form: leaves {"kind": "leaf", "vertex": k}, internal
-    nodes {"kind": kind, "children": [...]}."""
-    order = _preorder(t)
+def _tree_to_json(t: _Tree, labels: Sequence[int] | None = None) -> dict:
+    """Nested dict form: leaves {"kind": "leaf", <leaf field>: k}, internal
+    nodes {"kind": kind, "children": [...]}; the leaf field is "vertex"
+    for cotrees and "element" for series-parallel trees."""
+    key = t._leaf_key
     built: dict[int, dict] = {}
-    for node in reversed(order):
+    for node in reversed(_preorder(t)):
         if node.kind == LEAF:
-            v = node.vertex if labels is None else labels[node.vertex]
-            built[id(node)] = {"kind": LEAF, "vertex": v}
+            v = getattr(node, key)
+            built[id(node)] = {"kind": LEAF, key: v if labels is None else labels[v]}
         else:
             built[id(node)] = {
                 "kind": node.kind,
@@ -464,32 +500,60 @@ def cotree_to_json(t: Cotree, labels: Sequence[int] | None = None) -> dict:
     return built[id(t)]
 
 
+cotree_to_json = _tree_to_json
+
+
+def _tree_from_json(obj: object, cls: type):
+    """Inverse of :func:`_tree_to_json` for trees of class ``cls``; shape
+    errors raise ValueError, reported in preorder."""
+    key = cls._leaf_key
+    preorder: list[tuple[str, int | None, int]] = []  # (kind, leaf id, child count)
+    stack = [obj]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, dict):
+            raise ValueError(f"tree node must be an object, got {type(node).__name__}")
+        kind = node.get("kind")
+        if kind == LEAF:
+            v = node.get(key)
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                raise ValueError(f"leaf {key} must be a non-negative int, got {v!r}")
+            preorder.append((LEAF, v, 0))
+        elif kind in cls._kinds:
+            children = node.get("children")
+            if not isinstance(children, list) or len(children) < 2:
+                raise ValueError(f"{kind} node needs a list of at least two children")
+            preorder.append((kind, None, len(children)))
+            stack.extend(reversed(children))
+        else:
+            raise ValueError(f"unknown node kind {kind!r}")
+    # Reversed preorder meets every subtree's children last-first on top
+    # of the stack, right before their parent.
+    built: list = []
+    for kind, v, k in reversed(preorder):
+        if k == 0:
+            built.append(cls(LEAF, v))
+        else:
+            children = tuple(reversed(built[-k:]))
+            del built[-k:]
+            built.append(cls(kind, None, children))
+    return built[0]
+
+
 def cotree_from_json(obj: object) -> Cotree:
     """Inverse of :func:`cotree_to_json`; shape errors raise ValueError."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"tree node must be an object, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    if kind == LEAF:
-        vertex = obj.get("vertex")
-        if not isinstance(vertex, int) or isinstance(vertex, bool) or vertex < 0:
-            raise ValueError(f"leaf vertex must be a non-negative int, got {vertex!r}")
-        return Cotree.leaf(vertex)
-    if kind in (SERIES, PARALLEL):
-        children = obj.get("children")
-        if not isinstance(children, list) or len(children) < 2:
-            raise ValueError(f"{kind} node needs a list of at least two children")
-        return Cotree(kind, children=tuple(cotree_from_json(c) for c in children))
-    raise ValueError(f"unknown node kind {kind!r}")
+    return _tree_from_json(obj, Cotree)
 
 
 _DOT_LABELS = {SERIES: "×", PARALLEL: "∪"}
 
 
 def cotree_to_dot(t: Cotree, labels: Sequence[int] | None = None) -> str:
-    return _tree_dot("cotree", t, _DOT_LABELS, lambda n: n.vertex, labels)
+    return _tree_dot("cotree", t, _DOT_LABELS, labels)
 
 
-def _tree_dot(name, t, kind_labels, leaf_value, labels) -> str:
+def _tree_dot(name, t, kind_labels, labels) -> str:
+    key = t._leaf_key
     lines = [f"graph {name} {{"]
     stack = [(t, None)]
     counter = 0
@@ -498,7 +562,7 @@ def _tree_dot(name, t, kind_labels, leaf_value, labels) -> str:
         nid = counter
         counter += 1
         if node.kind == LEAF:
-            v = leaf_value(node)
+            v = getattr(node, key)
             lab = str(v if labels is None else labels[v])
         else:
             lab = kind_labels[node.kind]

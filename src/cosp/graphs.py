@@ -51,7 +51,9 @@ def vertices_of(mask: int) -> tuple[int, ...]:
 def mask_components(adj: Sequence[int], sub: int) -> list[int]:
     """Connected components of the graph restricted to the vertex mask ``sub``.
 
-    Returns component masks ordered by their smallest member.
+    Returns component masks ordered by their smallest member.  A search
+    that holds every vertex left stops without expanding it: on a tree of
+    depth n each level peels one vertex off a part reached in one step.
     """
     comps: list[int] = []
     remaining = sub
@@ -60,6 +62,8 @@ def mask_components(adj: Sequence[int], sub: int) -> list[int]:
         frontier = remaining & -remaining
         while frontier:
             comp |= frontier
+            if comp == remaining:
+                break
             nxt = 0
             f = frontier
             while f:
@@ -85,6 +89,8 @@ def mask_co_components(adj: Sequence[int], sub: int) -> list[int]:
         frontier = remaining & -remaining
         while frontier:
             comp |= frontier
+            if comp == remaining:
+                break
             nxt = 0
             f = frontier
             while f:
@@ -162,12 +168,15 @@ class Graph:
         the set, so the graph is a join and its complement is disconnected.
         """
         self._check_vertex(x)
+        return frozenset(iter_bits(self._universal_mask(x)))
+
+    def _universal_mask(self, x: int) -> int:
         inc = self.full_mask() & ~self.adj[x] & ~(1 << x)
         out = 0
         for y in iter_bits(self.adj[x]):
             if inc & ~self.adj[y] == 0:
                 out |= 1 << y
-        return frozenset(iter_bits(out))
+        return out
 
     def components(self) -> list[tuple[int, ...]]:
         return [vertices_of(m) for m in mask_components(self.adj, self.full_mask())]
@@ -214,18 +223,23 @@ class Graph:
         return Graph(tuple(full & ~m & ~(1 << v) for v, m in enumerate(self.adj)))
 
 
-def parse_graph(text: str) -> tuple[Graph, tuple[int, ...]]:
-    """Parse the edge-list text format.
+def _read_pairs(
+    text: str, noun: str, ordered: bool
+) -> tuple[int, list[tuple[int, int]], tuple[int, ...]]:
+    """Read the pair text format shared by graphs and orders.
 
     Lines starting with '#' and blank lines are skipped.  An optional
-    first significant line ``n <order>`` fixes the vertex set to
-    0..order-1; without it the vertex set is the labels that appear,
-    remapped to dense ids in sorted order.  Returns the graph and the
-    table mapping dense id to original label.
+    first significant line ``n <order>`` fixes the label set to
+    0..order-1; without it the label set is the labels that appear,
+    remapped to dense ids in sorted order.  Each other line holds two
+    labels; for orders (``ordered``) it may read ``u < v``, and ``u v``
+    and ``v u`` are different pairs.  Returns the order, the pairs over
+    dense ids and the table mapping dense id to original label.
     """
+    pair, sep = ("relation", " < ") if ordered else ("edge", " ")
     declared: int | None = None
-    saw_edge = False
-    raw_edges: list[tuple[int, int]] = []
+    saw_pair = False
+    raw_pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     labels_used: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -233,7 +247,7 @@ def parse_graph(text: str) -> tuple[Graph, tuple[int, ...]]:
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if tokens[0] == "n" and declared is None and not saw_edge:
+        if tokens[0] == "n" and declared is None and not saw_pair:
             if len(tokens) != 2:
                 raise ParseError(lineno, "malformed header, expected 'n <order>'")
             try:
@@ -243,32 +257,38 @@ def parse_graph(text: str) -> tuple[Graph, tuple[int, ...]]:
             if declared < 0:
                 raise ParseError(lineno, "declared order must be non-negative")
             continue
-        if len(tokens) != 2:
-            raise ParseError(lineno, f"expected two vertex labels, got {len(tokens)} tokens")
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            if len(tokens) != 2 and not (ordered and len(tokens) == 3 and tokens[1] == "<"):
+                raise ValueError
+            u, v = int(tokens[0]), int(tokens[-1])
         except ValueError:
-            raise ParseError(lineno, f"not a vertex label pair: {line!r}") from None
+            raise ParseError(lineno, f"expected two {noun} labels, got {line!r}") from None
         if u < 0 or v < 0:
-            raise ParseError(lineno, "vertex labels must be non-negative")
+            raise ParseError(lineno, f"{noun} labels must be non-negative")
         if u == v:
-            raise ParseError(lineno, f"self-loop {u} {v}")
-        key = (min(u, v), max(u, v))
+            raise ParseError(lineno, f"{'reflexive relation' if ordered else 'self-loop'} {u}{sep}{v}")
+        key = (u, v) if ordered or u < v else (v, u)
         if key in seen:
-            raise ParseError(lineno, f"duplicate edge {u} {v}")
+            raise ParseError(lineno, f"duplicate {pair} {u}{sep}{v}")
         seen.add(key)
         if declared is not None and (u >= declared or v >= declared):
-            raise ParseError(lineno, f"vertex {max(u, v)} outside declared order {declared}")
-        saw_edge = True
-        raw_edges.append((u, v))
+            raise ParseError(lineno, f"{noun} {max(u, v)} outside declared order {declared}")
+        saw_pair = True
+        raw_pairs.append((u, v))
         labels_used.add(u)
         labels_used.add(v)
     if declared is not None:
-        labels = tuple(range(declared))
-        return Graph.from_edges(declared, raw_edges), labels
+        return declared, raw_pairs, tuple(range(declared))
     labels = tuple(sorted(labels_used))
     index = {lab: i for i, lab in enumerate(labels)}
-    return Graph.from_edges(len(labels), [(index[u], index[v]) for u, v in raw_edges]), labels
+    return len(labels), [(index[u], index[v]) for u, v in raw_pairs], labels
+
+
+def parse_graph(text: str) -> tuple[Graph, tuple[int, ...]]:
+    """Parse the edge-list text format (see :func:`_read_pairs`).  Returns
+    the graph and the table mapping dense id to original label."""
+    order, edges, labels = _read_pairs(text, "vertex", ordered=False)
+    return Graph.from_edges(order, edges), labels
 
 
 def format_graph(g: Graph, labels: Sequence[int] | None = None) -> str:

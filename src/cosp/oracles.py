@@ -13,15 +13,20 @@ import itertools
 import json
 from typing import Iterator
 
-from .cographs import _PATH_ORDERS, LEAF, PARALLEL, SERIES, Cotree, P4Witness
+from .cographs import LEAF, Cotree, P4Witness, _preorder
 from .graphs import Graph, iter_bits, mask_co_components, mask_components, mask_of
 from .posets import NWitness, Poset
-from .spdecomp import DISJOINT, LINEAR, SPTree
+from .spdecomp import SPTree
 
 MAX_ENUM_GRAPH = 6
 MAX_ENUM_POSET = 4
 MAX_DEF_CHECK = 12
 MAX_MODULE_ENUM = 20
+
+# The 12 orderings of a 4-set that name a path once reversals are merged.
+_PATH_ORDERS = tuple(
+    perm for perm in itertools.permutations(range(4)) if perm[0] < perm[3]
+)
 
 
 # === brute-force scans ===
@@ -87,45 +92,31 @@ def brute_cograph_def(g: Graph) -> bool:
 # === module enumeration ===
 
 
-def graph_modules(g: Graph) -> list[tuple[int, ...]]:
-    """All modules of g, trivial ones included, by scanning every vertex
-    subset.  Guarded."""
-    n = g.order
+def _modules(n: int, relations: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+    # Subsets that every outside element meets all or nothing of under
+    # each relation (one mask per element).
     if n > MAX_MODULE_ENUM:
         raise ValueError(f"module enumeration limited to order {MAX_MODULE_ENUM}, got {n}")
     full = (1 << n) - 1
     out = []
     for a in range(1 << n):
-        ok = True
-        for v in iter_bits(full & ~a):
-            t = g.adj[v] & a
-            if t != 0 and t != a:
-                ok = False
-                break
-        if ok:
+        if all(
+            rel[v] & a in (0, a) for v in iter_bits(full & ~a) for rel in relations
+        ):
             out.append(tuple(iter_bits(a)))
     return out
+
+
+def graph_modules(g: Graph) -> list[tuple[int, ...]]:
+    """All modules of g, trivial ones included, by scanning every vertex
+    subset.  Guarded."""
+    return _modules(g.order, (g.adj,))
 
 
 def poset_modules(p: Poset) -> list[tuple[int, ...]]:
     """All order modules: subsets every outside element relates to
     uniformly (below all, above all, or incomparable to all).  Guarded."""
-    n = p.order
-    if n > MAX_MODULE_ENUM:
-        raise ValueError(f"module enumeration limited to order {MAX_MODULE_ENUM}, got {n}")
-    full = (1 << n) - 1
-    out = []
-    for a in range(1 << n):
-        ok = True
-        for v in iter_bits(full & ~a):
-            dn = p.below[v] & a
-            up = p.above[v] & a
-            if (dn != 0 and dn != a) or (up != 0 and up != a):
-                ok = False
-                break
-        if ok:
-            out.append(tuple(iter_bits(a)))
-    return out
+    return _modules(p.order, (p.below, p.above))
 
 
 def is_prime_graph(g: Graph) -> bool:
@@ -240,74 +231,45 @@ def _random_blocks(leaf_ids: list[int], rng: SplitMix64) -> list[list[int]]:
     return blocks
 
 
-def rand_cotree(n: int, seed: int) -> Cotree:
-    """Reproducible random canonical cotree on leaves 0..n-1."""
+def _rand_tree(cls: type, n: int, seed: int):
+    """Reproducible random canonical tree of class ``cls`` on leaves
+    0..n-1; children of the class's sorted kinds are sorted by smallest
+    leaf, the others keep their generated order."""
     if n < 1:
         raise ValueError("need at least one leaf")
     rng = SplitMix64(seed)
+    join, union = cls._kinds
 
-    def build(leaf_ids: list[int], kind: str, rng: SplitMix64) -> Cotree:
+    def build(leaf_ids: list[int], kind: str, rng: SplitMix64):
         if len(leaf_ids) == 1:
-            return Cotree.leaf(leaf_ids[0])
-        other = PARALLEL if kind == SERIES else SERIES
+            return cls(LEAF, leaf_ids[0])
+        other = union if kind == join else join
         children = [
             build(block, other, rng.split(i))
             for i, block in enumerate(_random_blocks(leaf_ids, rng))
         ]
-        children.sort(key=_tree_min_leaf)
-        return Cotree(kind, children=tuple(children))
+        if kind in cls._sorted_kinds:
+            children.sort(key=_tree_min_leaf)
+        return cls(kind, None, tuple(children))
 
-    root_kind = SERIES if rng.randrange(2) == 0 else PARALLEL
+    root_kind = join if rng.randrange(2) == 0 else union
     return build(list(range(n)), root_kind, rng)
+
+
+def rand_cotree(n: int, seed: int) -> Cotree:
+    """Reproducible random canonical cotree on leaves 0..n-1."""
+    return _rand_tree(Cotree, n, seed)
 
 
 def rand_sptree(n: int, seed: int) -> SPTree:
     """Reproducible random canonical series-parallel tree on 0..n-1; linear
     children keep their generated bottom-to-top order."""
-    if n < 1:
-        raise ValueError("need at least one leaf")
-    rng = SplitMix64(seed)
-
-    def build(leaf_ids: list[int], kind: str, rng: SplitMix64) -> SPTree:
-        if len(leaf_ids) == 1:
-            return SPTree.leaf(leaf_ids[0])
-        other = DISJOINT if kind == LINEAR else LINEAR
-        children = [
-            build(block, other, rng.split(i))
-            for i, block in enumerate(_random_blocks(leaf_ids, rng))
-        ]
-        if kind == DISJOINT:
-            children.sort(key=_sp_min_leaf)
-        return SPTree(kind, children=tuple(children))
-
-    root_kind = LINEAR if rng.randrange(2) == 0 else DISJOINT
-    return build(list(range(n)), root_kind, rng)
+    return _rand_tree(SPTree, n, seed)
 
 
-def _tree_min_leaf(t: Cotree) -> int:
-    best = None
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node.kind == LEAF:
-            if best is None or node.vertex < best:
-                best = node.vertex
-        else:
-            stack.extend(node.children)
-    return best
-
-
-def _sp_min_leaf(t: SPTree) -> int:
-    best = None
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node.kind == LEAF:
-            if best is None or node.element < best:
-                best = node.element
-        else:
-            stack.extend(node.children)
-    return best
+def _tree_min_leaf(t: Cotree | SPTree) -> int:
+    key = t._leaf_key
+    return min(getattr(n, key) for n in _preorder(t) if n.kind == LEAF)
 
 
 def rand_gnp(n: int, p_edge: float, seed: int) -> Graph:
@@ -338,16 +300,18 @@ def rand_poset(n: int, p_edge: float, seed: int) -> Poset:
 # === fixture records ===
 
 
+def _fixture_payload(obj: Graph | Poset) -> tuple[str, dict]:
+    """Record kind and JSON payload of a graph or an order."""
+    if isinstance(obj, Graph):
+        return "graph", {"n": obj.order, "edges": [list(e) for e in obj.edges()]}
+    if isinstance(obj, Poset):
+        return "poset", {"n": obj.order, "relations": [list(r) for r in obj.relations()]}
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
 def fixture_line(obj: Graph | Poset, seed: int) -> str:
     """One newline-delimited JSON record for a regression corpus."""
-    if isinstance(obj, Graph):
-        payload = {"n": obj.order, "edges": [list(e) for e in obj.edges()]}
-        kind = "graph"
-    elif isinstance(obj, Poset):
-        payload = {"n": obj.order, "relations": [list(r) for r in obj.relations()]}
-        kind = "poset"
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    kind, payload = _fixture_payload(obj)
     return json.dumps({"kind": kind, "seed": seed, "payload": payload})
 
 

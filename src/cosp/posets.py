@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .graphs import (
     Graph,
-    ParseError,
+    _read_pairs,
     iter_bits,
     mask_components,
     mask_of,
@@ -200,13 +200,7 @@ class Poset:
         return Graph(tuple(self.comparability_masks()))
 
     def incomparability_graph(self) -> Graph:
-        full = self.full_mask()
-        return Graph(
-            tuple(
-                full & ~(self.below[v] | self.above[v]) & ~(1 << v)
-                for v in range(self.order)
-            )
-        )
+        return self.comparability_graph().complement()
 
     def relations(self) -> list[tuple[int, int]]:
         """All closed pairs (u, v) with u < v, sorted."""
@@ -229,9 +223,7 @@ class Poset:
 
     def is_connected(self) -> bool:
         """Connectivity of the comparability graph."""
-        if self.order == 0:
-            return True
-        return len(mask_components(self.comparability_masks(), self.full_mask())) == 1
+        return self.comparability_graph().is_connected()
 
     def incomparables(self, x: int) -> frozenset[int]:
         self._check_element(x)
@@ -265,15 +257,15 @@ class Poset:
     def split_candidates(self, x: int) -> SplitCandidates:
         """Elements comparable to x and to every element incomparable to x."""
         self._check_element(x)
-        comp = self.comparability_masks()
-        inc = self.full_mask() & ~comp[x] & ~(1 << x)
+        below, above = self.below, self.above
+        inc = self.full_mask() & ~(below[x] | above[x]) & ~(1 << x)
         lower = 0
-        for y in iter_bits(self.below[x]):
-            if inc & ~comp[y] == 0:
+        for y in iter_bits(below[x]):
+            if inc & ~(below[y] | above[y]) == 0:
                 lower |= 1 << y
         upper = 0
-        for y in iter_bits(self.above[x]):
-            if inc & ~comp[y] == 0:
+        for y in iter_bits(above[x]):
+            if inc & ~(below[y] | above[y]) == 0:
                 upper |= 1 << y
         return SplitCandidates(lower=vertices_of(lower), upper=vertices_of(upper))
 
@@ -308,54 +300,8 @@ def parse_poset(text: str, mode: str = "covers") -> tuple[Poset, tuple[int, ...]
     Relation lines are ``u v`` or ``u < v``, both meaning u < v.  The
     optional header and label remapping follow the graph format rules.
     """
-    declared: int | None = None
-    saw_pair = False
-    raw_pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    labels_used: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "n" and declared is None and not saw_pair:
-            if len(tokens) != 2:
-                raise ParseError(lineno, "malformed header, expected 'n <order>'")
-            try:
-                declared = int(tokens[1])
-            except ValueError:
-                raise ParseError(lineno, f"malformed header order {tokens[1]!r}") from None
-            if declared < 0:
-                raise ParseError(lineno, "declared order must be non-negative")
-            continue
-        if len(tokens) == 3 and tokens[1] == "<":
-            tokens = [tokens[0], tokens[2]]
-        if len(tokens) != 2:
-            raise ParseError(lineno, f"expected 'u v' or 'u < v', got {line!r}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(lineno, f"not an element label pair: {line!r}") from None
-        if u < 0 or v < 0:
-            raise ParseError(lineno, "element labels must be non-negative")
-        if u == v:
-            raise ParseError(lineno, f"reflexive relation {u} < {v}")
-        if (u, v) in seen:
-            raise ParseError(lineno, f"duplicate relation {u} < {v}")
-        seen.add((u, v))
-        if declared is not None and (u >= declared or v >= declared):
-            raise ParseError(lineno, f"element {max(u, v)} outside declared order {declared}")
-        saw_pair = True
-        raw_pairs.append((u, v))
-        labels_used.add(u)
-        labels_used.add(v)
-    if declared is not None:
-        labels = tuple(range(declared))
-        return Poset.from_relations(declared, raw_pairs, mode=mode), labels
-    labels = tuple(sorted(labels_used))
-    index = {lab: i for i, lab in enumerate(labels)}
-    pairs = [(index[u], index[v]) for u, v in raw_pairs]
-    return Poset.from_relations(len(labels), pairs, mode=mode), labels
+    order, pairs, labels = _read_pairs(text, "element", ordered=True)
+    return Poset.from_relations(order, pairs, mode=mode), labels
 
 
 def format_poset(p: Poset, labels: Sequence[int] | None = None, mode: str = "covers") -> str:

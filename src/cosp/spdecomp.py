@@ -1,12 +1,15 @@
 """Series-parallel decomposition of partial orders.
 
 A finite order is series-parallel exactly when it avoids the four-element
-"N" pattern (a < b, c < b, c < d, nothing else comparable).  Recognition
-splits repeatedly: if the comparability graph is disconnected the order
-is a disjoint sum; if the incomparability graph is disconnected it is a
-linear sum of its blocks, which are always totally ordered against each
-other; when neither split exists the order contains an N, returned as a
-certificate.
+"N" pattern (a < b, c < b, c < d, nothing else comparable), that is,
+exactly when its comparability graph is a cograph.  So the sp-tree is
+the cotree of the comparability graph, oriented: a parallel node is a
+disjoint sum, and a series node is a linear sum whose children, which
+are uniformly comparable to each other, run bottom to top.  An induced
+path a-b-c-d of the comparability graph is an N, read from whichever end
+lies below its neighbor.  :func:`sp_tree` therefore runs the split loop
+and the path scan of :mod:`cosp.cographs` on comparability masks, and
+the trees share that module's codec.
 
 Tree canonical form: disjoint children sorted by smallest leaf id,
 linear children kept bottom to top (their order is meaning, not
@@ -20,28 +23,41 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from .cographs import LEAF, PARALLEL, SERIES, Cotree, _preorder, _tree_dot
-from .graphs import (
-    DisconnectedError,
-    iter_bits,
-    mask_co_components,
-    mask_components,
-    mask_of,
-    vertices_of,
+from .cographs import (
+    LEAF,
+    PARALLEL,
+    SERIES,
+    Cotree,
+    _build_tree,
+    _decompose,
+    _dense_order,
+    _leaf_masks,
+    _p4_within,
+    _preorder,
+    _Tree,
+    _tree_dot,
+    _tree_from_json,
+    _tree_to_json,
+    _validate_tree,
 )
+from .graphs import DisconnectedError, iter_bits, mask_of, vertices_of
 from .posets import NWitness, Poset
 
 LINEAR = "linear"
 DISJOINT = "disjoint"
 
 
-@dataclass(frozen=True)
-class SPTree:
+@dataclass(frozen=True, eq=False)
+class SPTree(_Tree):
     """Decomposition tree node; linear children run bottom to top."""
 
     kind: str
     element: int | None = None
     children: tuple[SPTree, ...] = ()
+
+    _leaf_key = "element"
+    _kinds = (LINEAR, DISJOINT)
+    _sorted_kinds = (DISJOINT,)
 
     @classmethod
     def leaf(cls, element: int) -> SPTree:
@@ -115,28 +131,15 @@ class NoEndpointError(ValueError):
         self.bottom_conflict = bottom_conflict
 
 
-def _n_within(below: Sequence[int], above: Sequence[int], dom: int) -> NWitness | None:
-    # Quadruple scan in lexicographic order; each loop states one pattern
-    # constraint, so the first hit is the least witness tuple.
-    comp = [below[v] | above[v] for v in range(len(below))]
-    for a in iter_bits(dom):
-        inc_a = dom & ~comp[a] & ~(1 << a)
-        for b in iter_bits(above[a] & dom):
-            for c in iter_bits(below[b] & inc_a):
-                ds = above[c] & inc_a & ~comp[b] & ~(1 << b)
-                if ds:
-                    d = (ds & -ds).bit_length() - 1
-                    return NWitness((a, b, c, d))
-    return None
-
-
 def sp_tree(p: Poset) -> SPTree | NWitness:
     """Canonical decomposition tree of p, or an N-pattern certificate.
 
-    Splitting alternates between components of the comparability graph
-    (disjoint sum) and blocks of the incomparability graph (linear sum);
-    a part admitting neither split on two or more elements contains an N,
-    found by brute force inside that part.
+    The cotree of the comparability graph with every series node's
+    children sorted bottom to top: splitting alternates between
+    components of the comparability graph (disjoint sum) and of the
+    incomparability graph (linear sum).  A part admitting neither split
+    on two or more elements holds an induced path of the comparability
+    graph, whose least labeling is returned oriented as an N.
     """
     if p.order == 0:
         raise ValueError("the decomposition needs at least one element")
@@ -150,74 +153,20 @@ def sp_tree(p: Poset) -> SPTree | NWitness:
         r2 = (m2 & -m2).bit_length() - 1
         return -1 if (below[r2] >> r1) & 1 else 1
 
-    sub_of = [p.full_mask()]
-    kind_of = [LEAF]
-    child_ids: list[list[int]] = [[]]
-    stack = [0]
-    while stack:
-        tid = stack.pop()
-        sub = sub_of[tid]
-        if sub & (sub - 1) == 0:
-            kind_of[tid] = LEAF
-            continue
-        parts = mask_components(comp, sub)
-        if len(parts) > 1:
-            kind_of[tid] = DISJOINT
-        else:
-            parts = mask_co_components(comp, sub)
-            if len(parts) > 1:
-                kind_of[tid] = LINEAR
-                parts.sort(key=cmp_to_key(block_order))
-            else:
-                witness = _n_within(below, p.above, sub)
-                if witness is None:  # cannot happen: an unsplittable part contains an N
-                    raise AssertionError("undecomposable part without an N pattern")
-                return witness
-        for part in parts:
-            cid = len(sub_of)
-            sub_of.append(part)
-            kind_of.append(LEAF)
-            child_ids.append([])
-            child_ids[tid].append(cid)
-            stack.append(cid)
-    nodes: list[SPTree | None] = [None] * len(sub_of)
-    for tid in range(len(sub_of) - 1, -1, -1):
-        if kind_of[tid] == LEAF:
-            nodes[tid] = SPTree.leaf(sub_of[tid].bit_length() - 1)
-        else:
-            nodes[tid] = SPTree(kind_of[tid], children=tuple(nodes[c] for c in child_ids[tid]))
-    return nodes[0]
+    result = _decompose(comp, p.full_mask(), cmp_to_key(block_order))
+    if isinstance(result, int):
+        a, b, c, d = _p4_within(comp, result).path
+        # a < b forces c < b and c < d; b < a forces the mirror image.
+        return NWitness((a, b, c, d) if (below[b] >> a) & 1 else (d, c, b, a))
+    return _build_tree(SPTree, *result)
 
 
 def sp_tree_to_poset(t: SPTree) -> Poset:
     """Order encoded by a tree: under a linear node every element of an
     earlier child lies below every element of a later child; disjoint
     children stay incomparable.  Leaf ids must be 0..n-1."""
-    order = _preorder(t)
-    mask: dict[int, int] = {}
-    for node in reversed(order):
-        if node.kind == LEAF:
-            if not isinstance(node.element, int) or node.element < 0:
-                raise ValueError(f"leaf element must be a non-negative int, got {node.element!r}")
-            mask[id(node)] = 1 << node.element
-        else:
-            if node.kind not in (LINEAR, DISJOINT):
-                raise ValueError(f"unknown node kind {node.kind!r}")
-            if len(node.children) < 2:
-                raise ValueError(f"{node.kind} node with fewer than two children")
-            m = 0
-            total = 0
-            for child in node.children:
-                cm = mask[id(child)]
-                m |= cm
-                total += cm.bit_count()
-            if m.bit_count() != total:
-                raise ValueError("duplicate leaf ids")
-            mask[id(node)] = m
-    full = mask[id(t)]
-    n = full.bit_length()
-    if full != (1 << n) - 1:
-        raise ValueError("leaf ids must form a dense 0..n-1 range")
+    order, mask = _leaf_masks(t)
+    n = _dense_order(mask[id(t)])
     below = [0] * n
     above = [0] * n
     for node in order:
@@ -239,36 +188,7 @@ def sp_tree_to_poset(t: SPTree) -> Poset:
     return Poset(tuple(below), tuple(above))
 
 
-def validate_sp_tree(t: SPTree) -> None:
-    """Raise ValueError unless the tree is canonical with distinct leaves."""
-    order = _preorder(t)
-    min_leaf: dict[int, int] = {}
-    seen: set[int] = set()
-    for node in reversed(order):
-        if node.kind == LEAF:
-            if not isinstance(node.element, int) or node.element < 0:
-                raise ValueError(f"leaf element must be a non-negative int, got {node.element!r}")
-            if node.children:
-                raise ValueError("leaf with children")
-            if node.element in seen:
-                raise ValueError(f"duplicate leaf id {node.element}")
-            seen.add(node.element)
-            min_leaf[id(node)] = node.element
-        elif node.kind in (LINEAR, DISJOINT):
-            if node.element is not None:
-                raise ValueError("internal node with an element id")
-            if len(node.children) < 2:
-                raise ValueError(f"{node.kind} node with fewer than two children")
-            mins = []
-            for child in node.children:
-                if child.kind == node.kind:
-                    raise ValueError(f"{node.kind} child of {node.kind} node")
-                mins.append(min_leaf[id(child)])
-            if node.kind == DISJOINT and mins != sorted(mins):
-                raise ValueError("disjoint children not ordered by smallest leaf id")
-            min_leaf[id(node)] = min(mins)
-        else:
-            raise ValueError(f"unknown node kind {node.kind!r}")
+validate_sp_tree = _validate_tree
 
 
 def is_nfree(p: Poset, method: str = "modules") -> bool:
@@ -279,7 +199,9 @@ def is_nfree(p: Poset, method: str = "modules") -> bool:
     quadruple scan.  The two routes agree on every input.
     """
     if method == "brute":
-        return _n_within(p.below, p.above, p.full_mask()) is None
+        from .oracles import brute_n  # oracles imports this module
+
+        return brute_n(p) is None
     if method != "modules":
         raise ValueError(f"unknown method {method!r}")
     for x in range(p.order):
@@ -304,37 +226,14 @@ def linear_split_witness(p: Poset) -> LinearSplit | None:
     if not p.is_connected():
         raise DisconnectedError("input order is not connected")
     full = p.full_mask()
-    comp = p.comparability_masks()
     for x in range(p.order):
-        inc = full & ~comp[x] & ~(1 << x)
-        lower = 0
-        for y in iter_bits(p.below[x]):
-            if inc & ~comp[y] == 0:
-                lower |= 1 << y
-        upper = 0
-        for y in iter_bits(p.above[x]):
-            if inc & ~comp[y] == 0:
-                upper |= 1 << y
-        if lower == 0 and upper == 0:
+        cand = p.split_candidates(x)
+        if not cand.lower and not cand.upper:
             continue
-        mid = full & ~lower & ~upper
-        ok = True
-        for v in iter_bits(mid):
-            if lower & ~p.below[v]:
-                ok = False
-                break
-        if ok:
-            for v in iter_bits(upper):
-                if (lower | mid) & ~p.below[v]:
-                    ok = False
-                    break
-        if ok:
-            return LinearSplit(
-                x=x,
-                lower=vertices_of(lower),
-                middle=vertices_of(mid),
-                upper=vertices_of(upper),
-            )
+        middle = vertices_of(full & ~mask_of(cand.lower) & ~mask_of(cand.upper))
+        w = LinearSplit(x=x, lower=cand.lower, middle=middle, upper=cand.upper)
+        if w.validate(p):
+            return w
     return None
 
 
@@ -388,40 +287,16 @@ def orient_cotree(t: Cotree) -> Poset:
 # === serialization ===
 
 
-def sp_tree_to_json(t: SPTree, labels: Sequence[int] | None = None) -> dict:
-    order = _preorder(t)
-    built: dict[int, dict] = {}
-    for node in reversed(order):
-        if node.kind == LEAF:
-            e = node.element if labels is None else labels[node.element]
-            built[id(node)] = {"kind": LEAF, "element": e}
-        else:
-            built[id(node)] = {
-                "kind": node.kind,
-                "children": [built[id(c)] for c in node.children],
-            }
-    return built[id(t)]
+sp_tree_to_json = _tree_to_json
 
 
 def sp_tree_from_json(obj: object) -> SPTree:
-    if not isinstance(obj, dict):
-        raise ValueError(f"tree node must be an object, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    if kind == LEAF:
-        element = obj.get("element")
-        if not isinstance(element, int) or isinstance(element, bool) or element < 0:
-            raise ValueError(f"leaf element must be a non-negative int, got {element!r}")
-        return SPTree.leaf(element)
-    if kind in (LINEAR, DISJOINT):
-        children = obj.get("children")
-        if not isinstance(children, list) or len(children) < 2:
-            raise ValueError(f"{kind} node needs a list of at least two children")
-        return SPTree(kind, children=tuple(sp_tree_from_json(c) for c in children))
-    raise ValueError(f"unknown node kind {kind!r}")
+    """Inverse of :func:`sp_tree_to_json`; shape errors raise ValueError."""
+    return _tree_from_json(obj, SPTree)
 
 
 _SP_DOT_LABELS = {LINEAR: "→", DISJOINT: "∪"}
 
 
 def sp_tree_to_dot(t: SPTree, labels: Sequence[int] | None = None) -> str:
-    return _tree_dot("sptree", t, _SP_DOT_LABELS, lambda n: n.element, labels)
+    return _tree_dot("sptree", t, _SP_DOT_LABELS, labels)

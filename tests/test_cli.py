@@ -102,6 +102,49 @@ def test_cotree_diamond_json(tmp_path, capsys):
     }
 
 
+def window_tree_json(n, offset, key, kinds):
+    """JSON line of the tree of parity_split_graph(n, offset) or of its
+    orientation: vertex i splits off the rest under kinds[0] when
+    offset + i is even, else under kinds[1], so the tree is n deep."""
+    opens = [
+        f'{{"kind": "{kinds[(offset + i) % 2]}", "children": [{{"kind": "leaf", "{key}": {i}}}, '
+        for i in range(n - 1)
+    ]
+    last = f'{{"kind": "leaf", "{key}": {n - 1}}}'
+    return "".join(opens) + last + "]}" * (n - 1) + "\n"
+
+
+def test_cotree_deep_window(tmp_path, capsys):
+    # Depth 1000, twice the depth at which the recursive encoder failed;
+    # a window n deep has n * n / 4 edges, so parsing bounds the size here.
+    from cosp import format_graph, parity_split_graph
+
+    n = 1000
+    f = write(tmp_path, "w.txt", format_graph(parity_split_graph(n, 1)))
+    code, out, err = run(capsys, "cotree", f)
+    assert (code, err) == (0, "")
+    assert out == window_tree_json(n, 1, "vertex", ("series", "parallel"))
+    # The writer alone, at depth 6000
+    from cosp import cotree, cotree_to_json
+    from cosp.cli import _json_text
+
+    t = cotree(parity_split_graph(6000, 1))
+    assert _json_text(cotree_to_json(t)) + "\n" == window_tree_json(
+        6000, 1, "vertex", ("series", "parallel")
+    )
+
+
+def test_poset_sptree_deep_orientation(tmp_path, capsys):
+    # The orientation of parity_split_graph(n): each even i is covered by
+    # i + 1 and i + 2.  Its sp-tree is n = 5000 deep.
+    n = 5000
+    covers = [f"{i} {j}" for i in range(0, n, 2) for j in (i + 1, i + 2) if j < n]
+    f = write(tmp_path, "o.txt", f"n {n}\n" + "\n".join(covers) + "\n")
+    code, out, err = run(capsys, "poset", f, "sptree")
+    assert (code, err) == (0, "")
+    assert out == window_tree_json(n, 0, "element", ("linear", "disjoint"))
+
+
 def test_cotree_p4_witness(tmp_path, capsys):
     f = write(tmp_path, "p4.txt", P4_TEXT)
     code, out, _ = run(capsys, "cotree", f)

@@ -1,6 +1,7 @@
 """Cograph recognition, cotrees, witnesses, and the neighborhood splits."""
 
 import json
+import time
 
 import pytest
 
@@ -15,13 +16,17 @@ from cosp import (
     cotree_to_dot,
     cotree_to_graph,
     cotree_to_json,
+    cotree_to_sptree,
     is_cograph,
     join_witness,
     neighbor_split,
     non_neighbor_components,
     parity_split_graph,
+    orient_cotree,
     select_universal_neighbor,
+    sp_tree,
 )
+from cosp.cli import _json_text
 from cosp.cographs import validate_cotree
 from cosp import oracles
 
@@ -73,11 +78,25 @@ def test_cotree_p4_yields_witness():
     assert w.validate(P4)
 
 
+def test_cotree_clique_p4_adversary():
+    # A P4 whose first vertex is replaced by a clique on 0..k-1: a scan of
+    # 4-subsets passes every clique quadruple before reaching the path.
+    k = 120
+    clique = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    g = Graph.from_edges(k + 3, clique + [(i, k) for i in range(k)] + [(k, k + 1), (k + 1, k + 2)])
+    t0 = time.perf_counter()
+    w = cotree(g)
+    assert time.perf_counter() - t0 < 1.0
+    assert w.path == (0, k, k + 1, k + 2)
+
+
 def test_cotree_canonical_form(connected_cographs_to_6):
     for g in connected_cographs_to_6[::7]:
         t = cotree(g)
         validate_cotree(t)
         assert cotree_to_graph(t) == g
+        # the sp-tree of the orientation is the cotree, oriented
+        assert sp_tree(orient_cotree(t)) == cotree_to_sptree(t)
 
 
 def test_cotree_to_graph_examples():
@@ -206,7 +225,22 @@ def test_json_round_trip():
     for g in (K2, K3, DIAMOND, C4, parity_split_graph(7)):
         t = cotree(g)
         blob = json.dumps(cotree_to_json(t))
+        assert _json_text(cotree_to_json(t)) == blob
         assert cotree_from_json(json.loads(blob)) == t
+    assert _json_text({"a": [True, None, "é", []], "b": {}}) == json.dumps(
+        {"a": [True, None, "é", []], "b": {}}
+    )
+
+
+def test_deep_trees_compare_hash_and_round_trip():
+    # 6000 levels, far past the interpreter's recursion limit
+    t = cotree(parity_split_graph(6000, 1))
+    back = cotree_from_json(cotree_to_json(t))
+    assert back is not t
+    assert back == t
+    assert hash(back) == hash(t)
+    assert cotree(parity_split_graph(6000, 0)) != t
+    validate_cotree(t)
 
 
 def test_json_rejects_malformed():

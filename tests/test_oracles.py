@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from cosp import Graph, Poset, cotree_to_graph, is_cograph, sp_tree_to_poset
+from cosp import (
+    Graph,
+    P4Witness,
+    Poset,
+    cotree,
+    cotree_to_graph,
+    is_cograph,
+    sp_tree_to_poset,
+)
 from cosp.cographs import validate_cotree
 from cosp.spdecomp import validate_sp_tree
 from cosp import oracles
@@ -199,3 +207,8 @@ def test_engines_vs_oracles_small(graphs_to_4):
     for g in graphs_to_4:
         assert is_cograph(g) == (oracles.brute_p4(g) is None)
         assert is_cograph(g) == oracles.brute_cograph_def(g)
+        w = cotree(g) if g.order else None
+        if isinstance(w, P4Witness):
+            # the least labeling of a path starts at its smaller end
+            assert w.path[0] < w.path[3]
+            assert w.validate(g)

@@ -1,6 +1,7 @@
 """Series-parallel decomposition, linear splits, and chain endpoints."""
 
 import json
+import time
 
 import pytest
 
@@ -24,6 +25,7 @@ from cosp import (
     sp_tree_to_json,
     sp_tree_to_poset,
 )
+from cosp.cographs import _preorder
 from cosp.spdecomp import validate_sp_tree
 from cosp import oracles
 
@@ -93,16 +95,52 @@ def test_sp_tree_to_poset_rejects_duplicates():
         sp_tree_to_poset(SPTree.disjoint((leaf(1), leaf(1))))
 
 
+def oriented_cotree(p):
+    """Cotree of the comparability graph, oriented by p: series children
+    bottom to top, a path a-b-c-d read as an N from its lower end."""
+    t = cotree(p.comparability_graph())
+    if not isinstance(t, Cotree):
+        a, b, c, d = t.path
+        return NWitness((a, b, c, d) if p.less(a, b) else (d, c, b, a))
+
+    def height(s):  # elements below any one leaf of s, higher up the order
+        while s.children:
+            s = s.children[0]
+        return p.below[s.element].bit_count()
+
+    built = {}
+    for node in reversed(_preorder(cotree_to_sptree(t))):
+        children = tuple(built[id(c)] for c in node.children)
+        if node.kind == "linear":
+            children = tuple(sorted(children, key=height))
+        built[id(node)] = SPTree(node.kind, node.element, children)
+    return built[id(node)]
+
+
 def test_sp_round_trip_enumerated(posets_to_4):
     for p in posets_to_4:
         if p.order == 0:
             continue
         t = sp_tree(p)
+        assert t == oriented_cotree(p)
         if isinstance(t, NWitness):
             assert t.validate(p)
             continue
         validate_sp_tree(t)
         assert sp_tree_to_poset(t) == p
+
+
+def test_sp_tree_chain_prefixed_n_adversary():
+    # The N with a chain 0 < ... < k-1 in place of its first element: the
+    # comparability graph is a P4 whose first vertex became a k-clique.
+    k = 120
+    chain = [(i, i + 1) for i in range(k - 1)]
+    p = Poset.from_relations(k + 3, chain + [(k - 1, k), (k + 1, k), (k + 1, k + 2)])
+    t0 = time.perf_counter()
+    w = sp_tree(p)
+    assert time.perf_counter() - t0 < 1.0
+    assert w.quad == (0, k, k + 1, k + 2)
+    assert w.validate(p)
 
 
 def test_is_nfree_methods_agree(posets_to_4):
