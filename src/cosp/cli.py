@@ -1,10 +1,15 @@
 """Command line front end.
 
-Exit protocol: 0 when the queried property holds, 1 when it fails (a
-machine-readable witness or report goes to standard output), 2 on input
-or usage errors.  All machine output is JSON on standard output; human
-diagnostics go to standard error.  Identical input and flags produce
-byte-identical output.
+Exit protocol: 0 when the queried property holds; 1 when it fails, with
+a certificate that passed its own ``validate`` (or a report of why none
+applies: ``join``'s ``{"witness": null}``, ``{"linear_split": null}``,
+an ``oracle-compare`` mismatch) on standard output; 2 on input or usage
+errors and, with one ``internal error: ...`` line on standard error and
+nothing on standard output, on any internal error.  Recognition is
+decided by ``cotree`` and ``sp_tree``; the brute-force oracles run only in
+``check --property p4free``, ``gen`` and ``oracle-compare``.  Machine
+output is JSON on standard output, diagnostics go to standard error, and
+identical input and flags produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from .cographs import (
     parity_split_graph,
     select_universal_neighbor,
 )
-from .graphs import DisconnectedError, Graph, ParseError, format_graph, parse_graph
-from .posets import CycleError, NWitness, Poset, format_poset, parse_poset
+from .graphs import Graph, format_graph, parse_graph
+from .posets import NWitness, Poset, format_poset, parse_poset
 from .spdecomp import (
     NoEndpointError,
     endpoint_witness,
@@ -101,12 +106,13 @@ def _relabel(ids, labels) -> list[int]:
     return [labels[i] for i in ids]
 
 
-def _p4_json(w: P4Witness, labels) -> dict:
-    return {"kind": "p4", "path": _relabel(w.path, labels)}
-
-
-def _n_json(w: NWitness, labels) -> dict:
-    return {"kind": "n", "quad": _relabel(w.quad, labels)}
+def _certificate(w: P4Witness | NWitness, obj: Graph | Poset, labels) -> int:
+    """Print a path or N certificate after checking it on its input."""
+    if not w.validate(obj):
+        raise RuntimeError(f"internal: {w} does not validate")
+    kind, key = ("p4", "path") if isinstance(w, P4Witness) else ("n", "quad")
+    _emit({"kind": kind, key: _relabel(getattr(w, key), labels)})
+    return EXIT_WITNESS
 
 
 def _tree_summary(t: Cotree) -> dict:
@@ -130,19 +136,14 @@ def cmd_check(args) -> int:
     if g.order == 0:
         _emit({"cograph": True, "order": 0, "series": 0, "parallel": 0, "depth": 0})
         return EXIT_OK
+    result = cotree(g)
     if args.property == "p4free":
         witness = oracles.brute_p4(g)
-        result = cotree(g)
         if (witness is None) != isinstance(result, Cotree):
             raise RuntimeError("internal: path scan disagrees with the decomposition")
-        if witness is not None:
-            _emit(_p4_json(witness, labels))
-            return EXIT_WITNESS
-    else:
-        result = cotree(g)
-        if isinstance(result, P4Witness):
-            _emit(_p4_json(result, labels))
-            return EXIT_WITNESS
+        result = witness or result
+    if isinstance(result, P4Witness):
+        return _certificate(result, g, labels)
     _emit({"cograph": True, "order": g.order, **_tree_summary(result)})
     return EXIT_OK
 
@@ -153,8 +154,7 @@ def cmd_cotree(args) -> int:
         return _fail("the decomposition needs at least one vertex")
     result = cotree(g)
     if isinstance(result, P4Witness):
-        _emit(_p4_json(result, labels))
-        return EXIT_WITNESS
+        return _certificate(result, g, labels)
     if args.dot:
         sys.stdout.write(cotree_to_dot(result, labels))
     else:
@@ -195,13 +195,10 @@ def cmd_poset(args) -> int:
     mode = "full" if args.full else "covers"
     p, labels = parse_poset(_read_file(args.file), mode=mode)
     if args.action == "nfree":
-        decision = is_nfree(p, method="modules")
-        w = oracles.brute_n(p)
-        if decision != (w is None):
-            raise RuntimeError("internal: module criterion disagrees with the quadruple scan")
-        if w is not None:
-            _emit(_n_json(w, labels))
-            return EXIT_WITNESS
+        # sp_tree needs an element; the empty order is N-free.
+        result = sp_tree(p) if p.order else None
+        if isinstance(result, NWitness):
+            return _certificate(result, p, labels)
         _emit({"nfree": True})
         return EXIT_OK
     if args.action == "sptree":
@@ -209,8 +206,7 @@ def cmd_poset(args) -> int:
             return _fail("the decomposition needs at least one element")
         result = sp_tree(p)
         if isinstance(result, NWitness):
-            _emit(_n_json(result, labels))
-            return EXIT_WITNESS
+            return _certificate(result, p, labels)
         if args.dot:
             sys.stdout.write(sp_tree_to_dot(result, labels))
         else:
@@ -230,10 +226,9 @@ def cmd_poset(args) -> int:
                 }
             )
             return EXIT_OK
-        nw = oracles.brute_n(p)
-        if nw is not None:
-            _emit(_n_json(nw, labels))
-            return EXIT_WITNESS
+        result = sp_tree(p)
+        if isinstance(result, NWitness):
+            return _certificate(result, p, labels)
         _emit({"linear_split": None})
         print("no element qualifies: the order is not a linear sum", file=sys.stderr)
         return EXIT_WITNESS
@@ -247,10 +242,9 @@ def cmd_poset(args) -> int:
         try:
             w = endpoint_witness(p, x)
         except NoEndpointError as exc:
-            nw = oracles.brute_n(p)
-            if nw is not None:
-                _emit(_n_json(nw, labels))
-                return EXIT_WITNESS
+            result = sp_tree(p)
+            if isinstance(result, NWitness):
+                return _certificate(result, p, labels)
             return _fail(f"{exc}; the order is not connected")
         _emit({"x": labels[w.x], "endpoint": labels[w.endpoint], "side": w.side})
         return EXIT_OK
@@ -471,16 +465,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
+    except (OSError, ValueError) as exc:  # parse, cycle and connectivity errors too
         return _fail(str(exc))
-    except CycleError as exc:
-        return _fail(str(exc))
-    except DisconnectedError as exc:
-        return _fail(str(exc))
-    except OSError as exc:
-        return _fail(str(exc))
-    except ValueError as exc:
-        return _fail(str(exc))
+    except Exception as exc:
+        return _fail(f"internal error: {exc!r}")
 
 
 def run() -> None:

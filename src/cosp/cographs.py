@@ -325,20 +325,38 @@ def cotree(g: Graph) -> Cotree | P4Witness:
     return _build_tree(Cotree, *result)
 
 
+def _leaf_sides(t: _Tree, joined: str) -> list[tuple[int, int]]:
+    """For each leaf id, the masks of the leaves that come before it and
+    after it under the ``joined`` nodes above it.  Leaf ids must be 0..n-1.
+
+    Each node's pair passes down in preorder: a child of a joined node adds
+    its earlier siblings' leaves to the first mask and its later siblings'
+    to the second, so no leaf is visited once per ancestor."""
+    order, mask = _leaf_masks(t)
+    sides = [(0, 0)] * _dense_order(mask[id(t)])
+    outside = {id(t): (0, 0)}
+    for node in order:
+        lo, hi = outside.pop(id(node))
+        if node.kind == LEAF:
+            sides[getattr(node, t._leaf_key)] = (lo, hi)
+        elif node.kind != joined:
+            for child in node.children:
+                outside[id(child)] = (lo, hi)
+        else:
+            highs = []
+            for child in reversed(node.children):
+                highs.append(hi)
+                hi |= mask[id(child)]
+            for child, child_hi in zip(node.children, reversed(highs)):
+                outside[id(child)] = (lo, child_hi)
+                lo |= mask[id(child)]
+    return sides
+
+
 def cotree_to_graph(t: Cotree) -> Graph:
     """Graph encoded by a tree: two leaves are adjacent exactly when their
     closest common ancestor is a series node.  Leaf ids must be 0..n-1."""
-    order, mask = _leaf_masks(t)
-    adj = [0] * _dense_order(mask[id(t)])
-    for node in order:
-        if node.kind == SERIES:
-            m = mask[id(node)]
-            for child in node.children:
-                cm = mask[id(child)]
-                ext = m & ~cm
-                for v in iter_bits(cm):
-                    adj[v] |= ext
-    return Graph(tuple(adj))
+    return Graph(tuple(lo | hi for lo, hi in _leaf_sides(t, SERIES)))
 
 
 def is_cograph(g: Graph) -> bool:

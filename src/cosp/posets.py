@@ -133,12 +133,7 @@ class Poset:
                 if inside:
                     raise CycleError((u, (inside & -inside).bit_length() - 1))
             raise CycleError((0, 0))  # unreachable: a cycle always has an internal edge
-        below = [0] * order
-        for v in topo:
-            acc = 0
-            for u in iter_bits(pred[v]):
-                acc |= below[u] | (1 << u)
-            below[v] = acc
+        below = _reach(topo, pred)
         if mode == "full":
             for v in range(order):
                 missing = below[v] & ~pred[v]
@@ -147,11 +142,7 @@ class Poset:
                     raise ValueError(
                         f"relation is not transitively closed: {u} < {v} is implied but absent"
                     )
-        above = [0] * order
-        for v in range(order):
-            for u in iter_bits(below[v]):
-                above[u] |= 1 << v
-        return cls(tuple(below), tuple(above))
+        return cls(tuple(below), tuple(_reach(reversed(topo), succ)))
 
     def validate(self) -> None:
         """Check irreflexivity, transitivity, and below/above duality."""
@@ -215,9 +206,15 @@ class Poset:
         """Pairs of the transitive reduction: u < v with nothing between."""
         out = []
         for v in range(self.order):
-            for u in iter_bits(self.below[v]):
-                if self.below[v] & self.above[u] == 0:
-                    out.append((u, v))
+            rest = self.below[v]
+            while rest:
+                # Climb to an element maximal in rest, a cover of v; what
+                # lies below it is not.
+                u = rest.bit_length() - 1
+                while up := self.above[u] & rest:
+                    u = up.bit_length() - 1
+                out.append((u, v))
+                rest &= ~(self.below[u] | (1 << u))
         out.sort()
         return out
 
@@ -292,6 +289,18 @@ class Poset:
             chain_mask |= 1 << pick
             cand &= comp[pick] & ~(1 << pick)
         return MaximalChain(tuple(members))
+
+
+def _reach(topo: Iterable[int], step: Sequence[int]) -> list[int]:
+    """Mask of everything reachable from each element along ``step`` edges;
+    ``topo`` must list every step target before its source."""
+    out = [0] * len(step)
+    for v in topo:
+        acc = 0
+        for u in iter_bits(step[v]):
+            acc |= out[u] | (1 << u)
+        out[v] = acc
+    return out
 
 
 def parse_poset(text: str, mode: str = "covers") -> tuple[Poset, tuple[int, ...]]:

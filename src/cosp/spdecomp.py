@@ -30,8 +30,7 @@ from .cographs import (
     Cotree,
     _build_tree,
     _decompose,
-    _dense_order,
-    _leaf_masks,
+    _leaf_sides,
     _p4_within,
     _preorder,
     _Tree,
@@ -165,27 +164,8 @@ def sp_tree_to_poset(t: SPTree) -> Poset:
     """Order encoded by a tree: under a linear node every element of an
     earlier child lies below every element of a later child; disjoint
     children stay incomparable.  Leaf ids must be 0..n-1."""
-    order, mask = _leaf_masks(t)
-    n = _dense_order(mask[id(t)])
-    below = [0] * n
-    above = [0] * n
-    for node in order:
-        if node.kind == LINEAR:
-            prefix = 0
-            for child in node.children:
-                cm = mask[id(child)]
-                if prefix:
-                    for v in iter_bits(cm):
-                        below[v] |= prefix
-                prefix |= cm
-            suffix = 0
-            for child in reversed(node.children):
-                cm = mask[id(child)]
-                if suffix:
-                    for v in iter_bits(cm):
-                        above[v] |= suffix
-                suffix |= cm
-    return Poset(tuple(below), tuple(above))
+    sides = _leaf_sides(t, LINEAR)
+    return Poset(tuple(lo for lo, _ in sides), tuple(hi for _, hi in sides))
 
 
 validate_sp_tree = _validate_tree

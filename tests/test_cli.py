@@ -137,12 +137,19 @@ def test_cotree_deep_window(tmp_path, capsys):
 def test_poset_sptree_deep_orientation(tmp_path, capsys):
     # The orientation of parity_split_graph(n): each even i is covered by
     # i + 1 and i + 2.  Its sp-tree is n = 5000 deep.
+    from cosp import format_poset, parse_poset
+
     n = 5000
     covers = [f"{i} {j}" for i in range(0, n, 2) for j in (i + 1, i + 2) if j < n]
-    f = write(tmp_path, "o.txt", f"n {n}\n" + "\n".join(covers) + "\n")
+    text = f"n {n}\n" + "\n".join(covers) + "\n"
+    f = write(tmp_path, "o.txt", text)
     code, out, err = run(capsys, "poset", f, "sptree")
     assert (code, err) == (0, "")
     assert out == window_tree_json(n, 0, "element", ("linear", "disjoint"))
+    # The closure and the cover reduction, both ways
+    p, labels = parse_poset(text)
+    assert format_poset(p) == text
+    assert parse_poset(format_poset(p)) == (p, labels)
 
 
 def test_cotree_p4_witness(tmp_path, capsys):
@@ -236,7 +243,7 @@ def test_poset_linear_split(tmp_path, capsys):
 
 def test_poset_linear_split_absent_on_n(tmp_path, capsys):
     # the N order is connected but no element yields a valid split;
-    # the fallback quadruple scan then explains the failure
+    # the N of the decomposition then explains the failure
     f = write(tmp_path, "n.txt", N_TEXT)
     code, out, _ = run(capsys, "poset", f, "linear-split")
     assert code == 1
@@ -275,6 +282,67 @@ def test_poset_labels_in_witness(tmp_path, capsys):
     code, out, _ = run(capsys, "poset", f, "nfree")
     assert code == 1
     assert json.loads(out)["quad"] == [10, 11, 12, 13]
+
+
+ORDER_ACTIONS = (("nfree",), ("sptree",), ("linear-split",), ("endpoint", "--x", "1"))
+
+
+def test_request_paths_avoid_the_oracles(tmp_path, capsys, monkeypatch):
+    import cosp.cli
+    from cosp import oracles
+
+    graphs = {"p4": P4_TEXT, "k3": K3_TEXT, "diamond": DIAMOND_TEXT}
+    orders = {"n": N_TEXT, "chain": CHAIN3_TEXT, "diamond-order": DIAMOND_POSET_TEXT}
+    files = {name: write(tmp_path, name, text) for name, text in {**graphs, **orders}.items()}
+    requests = [(cmd, name) for cmd in ("check", "cotree", "join") for name in graphs]
+    requests += [("poset", name, *action) for action in ORDER_ACTIONS for name in orders]
+
+    def answer(request):
+        return run(capsys, request[0], files[request[1]], *request[2:])
+
+    answers = {request: answer(request) for request in requests}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an oracle ran on a request path")
+
+    for name in ("brute_n", "brute_p4"):
+        monkeypatch.setattr(oracles, name, forbidden)
+    monkeypatch.setattr(cosp.cli, "is_nfree", forbidden)
+    assert {request: answer(request) for request in requests} == answers
+    # Each command fails on the P4 or the N and holds on the other two.
+    assert [code for code, _, _ in answers.values()] == [1, 0, 0] * 7
+    assert json.loads(answers["check", "p4"][1]) == {"kind": "p4", "path": [0, 1, 2, 3]}
+    assert json.loads(answers["poset", "n", "nfree"][1]) == {"kind": "n", "quad": [0, 1, 2, 3]}
+    assert json.loads(answers["poset", "chain", "nfree"][1]) == {"nfree": True}
+    endpoint = answers["poset", "diamond-order", "endpoint", "--x", "1"]
+    assert json.loads(endpoint[1]) == {"x": 1, "endpoint": 3, "side": "up"}
+
+
+def test_empty_order_is_nfree(tmp_path, capsys):
+    f = write(tmp_path, "empty.txt", "")
+    assert run(capsys, "poset", f, "nfree") == (0, '{"nfree": true}\n', "")
+
+
+def test_internal_errors_exit_2(tmp_path, capsys, monkeypatch):
+    import cosp.cli
+    from cosp import NWitness
+
+    n_file = write(tmp_path, "n.txt", N_TEXT)
+    monkeypatch.setattr(cosp.cli, "sp_tree", lambda p: NWitness((0, 1, 2, 2)))
+    for action in ORDER_ACTIONS:
+        code, out, err = run(capsys, "poset", n_file, *action)
+        assert (code, out) == (2, "")
+        assert err.startswith("internal error: RuntimeError(") and err.count("\n") == 1
+
+    def broken(g):
+        raise RuntimeError("broken engine")
+
+    monkeypatch.setattr(cosp.cli, "cotree", broken)
+    g_file = write(tmp_path, "k3.txt", K3_TEXT)
+    for cmd in ("check", "cotree"):
+        code, out, err = run(capsys, cmd, g_file)
+        assert (code, out) == (2, "")
+        assert err == "internal error: RuntimeError('broken engine')\n"
 
 
 def test_gen_parity_split(capsys):

@@ -234,13 +234,19 @@ def test_json_round_trip():
 
 def test_deep_trees_compare_hash_and_round_trip():
     # 6000 levels, far past the interpreter's recursion limit
-    t = cotree(parity_split_graph(6000, 1))
+    g = parity_split_graph(6000, 1)
+    t = cotree(g)
     back = cotree_from_json(cotree_to_json(t))
     assert back is not t
     assert back == t
     assert hash(back) == hash(t)
     assert cotree(parity_split_graph(6000, 0)) != t
     validate_cotree(t)
+    # Both rebuilds, in time linear in the tree's nodes times words per mask
+    t0 = time.perf_counter()
+    assert cotree_to_graph(t) == g
+    assert orient_cotree(t).comparability_graph() == g
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_json_rejects_malformed():
