@@ -128,8 +128,9 @@ class NeighborSplit:
 
 
 class _Tree:
-    """Equality and hashing of :class:`Cotree` and ``SPTree`` by flat
-    preorder signature.  A subclass names its leaf field, its two
+    """Equality, hashing and pickling of :class:`Cotree` and ``SPTree`` by
+    flat preorder signature, and their repr, all without recursion, so
+    trees of any depth work.  A subclass names its leaf field, its two
     internal kinds (join-like first) and the kinds whose children are
     sorted by smallest leaf."""
 
@@ -147,8 +148,46 @@ class _Tree:
     def __hash__(self) -> int:
         return hash(tuple(self._signature()))
 
+    def __reduce__(self):
+        return _from_signature, (type(self), self._signature())
 
-@dataclass(frozen=True, eq=False)
+    def __repr__(self) -> str:
+        # The dataclass repr, written from a stack of nodes and closing text.
+        key = self._leaf_key
+        out = []
+        stack: list = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                out.append(node)
+                continue
+            out.append(
+                f"{type(node).__qualname__}(kind={node.kind!r}, "
+                f"{key}={getattr(node, key)!r}, children=("
+            )
+            stack.append(",))" if len(node.children) == 1 else "))")
+            for k, child in enumerate(reversed(node.children)):
+                if k:
+                    stack.append(", ")
+                stack.append(child)
+        return "".join(out)
+
+
+def _from_signature(cls: type, signature: list[tuple]) -> _Tree:
+    """Inverse of ``_Tree._signature``.  Read backwards, the signature
+    builds every subtree before its parent, first child first (``_preorder``
+    lists a node's last subtree first), so a node's children are the top
+    of the stack in order."""
+    stack: list = []
+    for kind, leaf, count in reversed(signature):
+        cut = len(stack) - count
+        node = cls(kind, leaf, tuple(stack[cut:]))
+        del stack[cut:]
+        stack.append(node)
+    return stack[0]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Cotree(_Tree):
     """Decomposition tree node; series means join, parallel means disjoint
     union, leaves carry vertex ids."""

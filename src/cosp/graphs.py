@@ -14,6 +14,8 @@ derived witness reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -223,9 +225,7 @@ class Graph:
         return Graph(tuple(full & ~m & ~(1 << v) for v, m in enumerate(self.adj)))
 
 
-def _read_pairs(
-    text: str, noun: str, ordered: bool
-) -> tuple[int, list[tuple[int, int]], tuple[int, ...]]:
+def _read_pairs(text: str, noun: str, ordered: bool) -> tuple[int, list[int], tuple[int, ...]]:
     """Read the pair text format shared by graphs and orders.
 
     Lines starting with '#' and blank lines are skipped.  An optional
@@ -233,62 +233,129 @@ def _read_pairs(
     0..order-1; without it the label set is the labels that appear,
     remapped to dense ids in sorted order.  Each other line holds two
     labels; for orders (``ordered``) it may read ``u < v``, and ``u v``
-    and ``v u`` are different pairs.  Returns the order, the pairs over
-    dense ids and the table mapping dense id to original label.
+    and ``v u`` are different pairs.  Returns the order, the rows (bit j
+    of ``rows[i]`` is set for each line ``i j``, and for graphs also for
+    each line ``j i``) and the table mapping dense id to original label.
+
+    One pass: a token maps to its id through one dict keyed by the
+    canonical spelling ``str(label)``, and the row bit finds duplicates.
+    A line the dict does not decide (a label's first appearance, another
+    spelling of a label, a comment or an error) takes the checks in full
+    and enters its labels, so the dict holds only the labels in use,
+    however large the declared order.
     """
     pair, sep = ("relation", " < ") if ordered else ("edge", " ")
+    lines = text.splitlines()
     declared: int | None = None
-    saw_pair = False
-    raw_pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    labels_used: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    first = 0
+    for first, raw in enumerate(lines):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
-        if tokens[0] == "n" and declared is None and not saw_pair:
+        if tokens[0] == "n":
             if len(tokens) != 2:
-                raise ParseError(lineno, "malformed header, expected 'n <order>'")
+                raise ParseError(first + 1, "malformed header, expected 'n <order>'")
             try:
                 declared = int(tokens[1])
             except ValueError:
-                raise ParseError(lineno, f"malformed header order {tokens[1]!r}") from None
+                raise ParseError(first + 1, f"malformed header order {tokens[1]!r}") from None
             if declared < 0:
-                raise ParseError(lineno, "declared order must be non-negative")
+                raise ParseError(first + 1, "declared order must be non-negative")
+            first += 1
+        break
+    ids: dict[str, int] = {}
+    labels: list[int] = []
+    rows = [] if declared is None else [0] * declared
+    get = ids.get
+    for lineno, line in enumerate(islice(lines, first, None), first + 1):
+        tokens = line.split()
+        if len(tokens) == 2 or ordered and len(tokens) == 3 and tokens[1] == "<":
+            i = get(tokens[0])
+            j = get(tokens[-1])
+            if i is not None and j is not None and i != j and not rows[i] >> j & 1:
+                rows[i] |= 1 << j
+                if not ordered:
+                    rows[j] |= 1 << i
+                continue
+        if not tokens or tokens[0].startswith("#"):
             continue
         try:
             if len(tokens) != 2 and not (ordered and len(tokens) == 3 and tokens[1] == "<"):
                 raise ValueError
             u, v = int(tokens[0]), int(tokens[-1])
         except ValueError:
-            raise ParseError(lineno, f"expected two {noun} labels, got {line!r}") from None
+            raise ParseError(lineno, f"expected two {noun} labels, got {line.strip()!r}") from None
         if u < 0 or v < 0:
             raise ParseError(lineno, f"{noun} labels must be non-negative")
         if u == v:
             raise ParseError(lineno, f"{'reflexive relation' if ordered else 'self-loop'} {u}{sep}{v}")
-        key = (u, v) if ordered or u < v else (v, u)
-        if key in seen:
-            raise ParseError(lineno, f"duplicate {pair} {u}{sep}{v}")
-        seen.add(key)
-        if declared is not None and (u >= declared or v >= declared):
+        if declared is None:
+            i = _new_id(ids, labels, rows, u)
+            j = _new_id(ids, labels, rows, v)
+        elif u >= declared or v >= declared:
+            # No pair out of range ever entered a row, so this test may
+            # come before the duplicate test.
             raise ParseError(lineno, f"{noun} {max(u, v)} outside declared order {declared}")
-        saw_pair = True
-        raw_pairs.append((u, v))
-        labels_used.add(u)
-        labels_used.add(v)
+        else:
+            i, j = u, v
+            ids[str(u)] = u
+            ids[str(v)] = v
+        if rows[i] >> j & 1:
+            raise ParseError(lineno, f"duplicate {pair} {u}{sep}{v}")
+        rows[i] |= 1 << j
+        if not ordered:
+            rows[j] |= 1 << i
     if declared is not None:
-        return declared, raw_pairs, tuple(range(declared))
-    labels = tuple(sorted(labels_used))
-    index = {lab: i for i, lab in enumerate(labels)}
-    return len(labels), [(index[u], index[v]) for u, v in raw_pairs], labels
+        return declared, rows, tuple(range(declared))
+    return _sorted_ids(rows, labels)
+
+
+def _new_id(ids: dict[str, int], labels: list[int], rows: list[int], label: int) -> int:
+    """Id of ``label``, given the next free one on first appearance."""
+    key = str(label)
+    i = ids.get(key)
+    if i is None:
+        i = ids[key] = len(labels)
+        labels.append(label)
+        rows.append(0)
+    return i
+
+
+def _sorted_ids(rows: list[int], labels: list[int]) -> tuple[int, list[int], tuple[int, ...]]:
+    """Relabel ids given in order of first appearance to sorted-label order.
+
+    A row moves bit by bit when it is sparse, and as a string of binary
+    digits permuted in one C-level gather when it is dense.
+    """
+    n = len(labels)
+    order = sorted(range(n), key=labels.__getitem__)
+    if order != list(range(n)):
+        new = [0] * n
+        for i, old in enumerate(order):
+            new[old] = i
+        # Digit k of a row's n-digit binary string is bit n-1-k.
+        gather = itemgetter(*[n - 1 - order[n - 1 - k] for k in range(n)])
+        out = []
+        for old in order:
+            row = rows[old]
+            if row.bit_count() * 8 > n:
+                out.append(int("".join(gather(format(row, f"0{n}b"))), 2))
+                continue
+            m = 0
+            while row:
+                low = row & -row
+                m |= 1 << new[low.bit_length() - 1]
+                row ^= low
+            out.append(m)
+        rows = out
+    return n, rows, tuple(labels[old] for old in order)
 
 
 def parse_graph(text: str) -> tuple[Graph, tuple[int, ...]]:
     """Parse the edge-list text format (see :func:`_read_pairs`).  Returns
     the graph and the table mapping dense id to original label."""
-    order, edges, labels = _read_pairs(text, "vertex", ordered=False)
-    return Graph.from_edges(order, edges), labels
+    _, rows, labels = _read_pairs(text, "vertex", ordered=False)
+    return Graph(tuple(rows)), labels
 
 
 def format_graph(g: Graph, labels: Sequence[int] | None = None) -> str:

@@ -309,7 +309,8 @@ def parse_poset(text: str, mode: str = "covers") -> tuple[Poset, tuple[int, ...]
     Relation lines are ``u v`` or ``u < v``, both meaning u < v.  The
     optional header and label remapping follow the graph format rules.
     """
-    order, pairs, labels = _read_pairs(text, "element", ordered=True)
+    order, rows, labels = _read_pairs(text, "element", ordered=True)
+    pairs = [(u, v) for u, row in enumerate(rows) for v in iter_bits(row)]
     return Poset.from_relations(order, pairs, mode=mode), labels
 
 

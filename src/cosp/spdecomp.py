@@ -46,7 +46,7 @@ LINEAR = "linear"
 DISJOINT = "disjoint"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class SPTree(_Tree):
     """Decomposition tree node; linear children run bottom to top."""
 
@@ -200,11 +200,18 @@ def linear_split_witness(p: Poset) -> LinearSplit | None:
     certifies there is none.  Candidates whose layers fail the ordering
     checks (possible only when the input contains an N) are skipped.
     Disconnected input is rejected.
+
+    A valid split disconnects the incomparability graph (its outer layers
+    are comparable to everything else, and at least one is nonempty), so
+    a connected incomparability graph ends the search before any
+    candidate is tried.
     """
     if p.order == 0:
         raise ValueError("the split search needs at least one element")
     if not p.is_connected():
         raise DisconnectedError("input order is not connected")
+    if p.incomparability_graph().is_connected():
+        return None
     full = p.full_mask()
     for x in range(p.order):
         cand = p.split_candidates(x)

@@ -1,6 +1,7 @@
 """Cograph recognition, cotrees, witnesses, and the neighborhood splits."""
 
 import json
+import pickle
 import time
 
 import pytest
@@ -242,6 +243,20 @@ def test_deep_trees_compare_hash_and_round_trip():
     assert hash(back) == hash(t)
     assert cotree(parity_split_graph(6000, 0)) != t
     validate_cotree(t)
+    # pickle and repr, which the dataclass machinery would do recursively
+    assert pickle.loads(pickle.dumps(t)) == t
+    oriented = cotree_to_sptree(t)
+    assert pickle.loads(pickle.dumps(oriented)) == oriented
+    assert repr(t).count("Cotree(") == 2 * 6000 - 1  # 6000 leaves, 5999 binary nodes
+    assert repr(cotree(DIAMOND)) == (
+        "Cotree(kind='series', vertex=None, children=(Cotree(kind='parallel', vertex=None, "
+        "children=(Cotree(kind='leaf', vertex=0, children=()), Cotree(kind='leaf', vertex=3, "
+        "children=()))), Cotree(kind='leaf', vertex=1, children=()), Cotree(kind='leaf', "
+        "vertex=2, children=())))"
+    )
+    assert repr(Cotree.series([Cotree.leaf(3)])) == (
+        "Cotree(kind='series', vertex=None, children=(Cotree(kind='leaf', vertex=3, children=()),))"
+    )
     # Both rebuilds, in time linear in the tree's nodes times words per mask
     t0 = time.perf_counter()
     assert cotree_to_graph(t) == g

@@ -1,0 +1,201 @@
+"""The shared pair text format of graphs and orders: every rejected input
+with its exact message and line, the accepted oddities, and random
+well-formed files written in every accepted spelling."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cosp import CycleError, Graph, ParseError, Poset, parse_graph, parse_poset
+
+CYCLE = "cycle"
+
+# (text, graph outcome, order outcome); an outcome is (line, message) for a
+# ParseError, CYCLE for the order's CycleError, or None when accepted.
+REJECTED = [
+    # headers
+    ("n\n0 1\n", (1, "malformed header, expected 'n <order>'"), (1, "malformed header, expected 'n <order>'")),
+    ("n 3 4\n", (1, "malformed header, expected 'n <order>'"), (1, "malformed header, expected 'n <order>'")),
+    ("n x\n0 1\n", (1, "malformed header order 'x'"), (1, "malformed header order 'x'")),
+    ("# c\n\nn 2.5\n", (3, "malformed header order '2.5'"), (3, "malformed header order '2.5'")),
+    ("n -1\n", (1, "declared order must be non-negative"), (1, "declared order must be non-negative")),
+    (
+        "n 3\nn 4\n0 1\n",
+        (2, "expected two vertex labels, got 'n 4'"),
+        (2, "expected two element labels, got 'n 4'"),
+    ),
+    ("0 1\nn 3\n", (2, "expected two vertex labels, got 'n 3'"), (2, "expected two element labels, got 'n 3'")),
+    # line shapes
+    ("0 1 2\n", (1, "expected two vertex labels, got '0 1 2'"), (1, "expected two element labels, got '0 1 2'")),
+    ("0 < 1\n", (1, "expected two vertex labels, got '0 < 1'"), None),
+    ("0 > 1\n", (1, "expected two vertex labels, got '0 > 1'"), (1, "expected two element labels, got '0 > 1'")),
+    (
+        "0 < 1 < 2\n",
+        (1, "expected two vertex labels, got '0 < 1 < 2'"),
+        (1, "expected two element labels, got '0 < 1 < 2'"),
+    ),
+    ("0\n", (1, "expected two vertex labels, got '0'"), (1, "expected two element labels, got '0'")),
+    (
+        "n 2\n0 1\n  0 1 # x\t\n",
+        (3, "expected two vertex labels, got '0 1 # x'"),
+        (3, "expected two element labels, got '0 1 # x'"),
+    ),
+    # labels
+    ("a b\n", (1, "expected two vertex labels, got 'a b'"), (1, "expected two element labels, got 'a b'")),
+    ("0 1\n0 #\n", (2, "expected two vertex labels, got '0 #'"), (2, "expected two element labels, got '0 #'")),
+    ("n 3\n0 b\n", (2, "expected two vertex labels, got '0 b'"), (2, "expected two element labels, got '0 b'")),
+    ("-1 0\n", (1, "vertex labels must be non-negative"), (1, "element labels must be non-negative")),
+    ("n 3\n0 -2\n", (2, "vertex labels must be non-negative"), (2, "element labels must be non-negative")),
+    # self-loops and reflexive relations, also through other spellings and
+    # before the range check
+    ("2 2\n", (1, "self-loop 2 2"), (1, "reflexive relation 2 < 2")),
+    ("n 3\n5 5\n", (2, "self-loop 5 5"), (2, "reflexive relation 5 < 5")),
+    ("+5 5\n", (1, "self-loop 5 5"), (1, "reflexive relation 5 < 5")),
+    ("0 1\n007 7\n", (2, "self-loop 7 7"), (2, "reflexive relation 7 < 7")),
+    ("n 3\n1 +1\n", (2, "self-loop 1 1"), (2, "reflexive relation 1 < 1")),
+    ("0 1\n1 1\n", (2, "self-loop 1 1"), (2, "reflexive relation 1 < 1")),
+    ("n 3\n0 1\n0 < 0\n", (3, "expected two vertex labels, got '0 < 0'"), (3, "reflexive relation 0 < 0")),
+    # duplicates in both orientations and spellings
+    ("0 1\n0 1\n", (2, "duplicate edge 0 1"), (2, "duplicate relation 0 < 1")),
+    ("0 1\n1 0\n", (2, "duplicate edge 1 0"), CYCLE),
+    ("n 3\n0 1\n2 1\n1 2\n", (4, "duplicate edge 1 2"), CYCLE),
+    ("n 3\n0 1\r\n1 0\r\n", (3, "duplicate edge 1 0"), CYCLE),
+    ("1 2\n2 3\n01 2\n", (3, "duplicate edge 1 2"), (3, "duplicate relation 1 < 2")),
+    ("n 3\n01 2\n2 1\n", (3, "duplicate edge 2 1"), CYCLE),
+    ("n 3\n1 2\n1 +2\n", (3, "duplicate edge 1 2"), (3, "duplicate relation 1 < 2")),
+    ("0 < 1\n0 1\n", (1, "expected two vertex labels, got '0 < 1'"), (2, "duplicate relation 0 < 1")),
+    # labels outside the declared order
+    ("n 3\n0 5\n", (2, "vertex 5 outside declared order 3"), (2, "element 5 outside declared order 3")),
+    ("n 3\n0 1\n7 1\n", (3, "vertex 7 outside declared order 3"), (3, "element 7 outside declared order 3")),
+    ("n 0\n0 1\n", (2, "vertex 1 outside declared order 0"), (2, "element 1 outside declared order 0")),
+    ("n 3\n1 03\n", (2, "vertex 3 outside declared order 3"), (2, "element 3 outside declared order 3")),
+]
+
+
+@pytest.mark.parametrize("text, graph_outcome, order_outcome", REJECTED)
+def test_rejected_inputs(text, graph_outcome, order_outcome):
+    for parse, outcome in ((parse_graph, graph_outcome), (parse_poset, order_outcome)):
+        if outcome is None:
+            parse(text)
+        elif outcome == CYCLE:
+            with pytest.raises(CycleError):
+                parse(text)
+        else:
+            line, message = outcome
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert type(exc.value) is ParseError
+            assert str(exc.value) == f"line {line}: {message}"
+            assert exc.value.line == line
+
+
+def edges_by_label(text):
+    g, labels = parse_graph(text)
+    return labels, sorted(tuple(sorted((labels[u], labels[v]))) for u, v in g.edges())
+
+
+def relations_by_label(text):
+    p, labels = parse_poset(text)
+    return labels, sorted((labels[u], labels[v]) for u, v in p.relations())
+
+
+def test_accepted_oddities():
+    assert edges_by_label("n 3\r\n0 1\r\n1 2\r\n") == ((0, 1, 2), [(0, 1), (1, 2)])
+    assert edges_by_label("#one\n# two tokens\n\n  \t\nn 3\n#x y\n 2\t 0 \n\n") == (
+        (0, 1, 2),
+        [(0, 2)],
+    )
+    assert edges_by_label("n 03\n1 2\n") == ((0, 1, 2), [(1, 2)])
+    assert edges_by_label("+5 3\n007 3\n1_0 5\n") == ((3, 5, 7, 10), [(3, 5), (3, 7), (5, 10)])
+    assert edges_by_label("n 11\n+5 3\n007 3\n1_0 5\n") == (
+        tuple(range(11)),
+        [(3, 5), (3, 7), (5, 10)],
+    )
+    big = 2**64
+    assert edges_by_label(f"{big + 1} 3\n{big} {big + 1}\n") == (
+        (3, big, big + 1),
+        [(3, big + 1), (big, big + 1)],
+    )
+    assert relations_by_label("0 < 1\n1   <\t2\n") == ((0, 1, 2), [(0, 1), (0, 2), (1, 2)])
+    assert relations_by_label("\r\n# c\n+9 < 007\n7 2\n") == ((2, 7, 9), [(7, 2), (9, 2), (9, 7)])
+    assert relations_by_label(f"n 2\n# {big}\n1 0\n") == ((0, 1), [(1, 0)])
+    assert relations_by_label(f"{big} < 5\n") == ((5, big), [(big, 5)])
+    assert parse_graph("") == (Graph(()), ())
+    assert parse_poset("# nothing\n") == (Poset((), ()), ())
+
+
+MAX_ORDER = 14
+SETTINGS = settings(max_examples=200, derandomize=True, deadline=None)
+
+# Ways to write a label, and fillers that carry no pairs.
+SPELLINGS = (str, lambda x: f"+{x}", lambda x: f"00{x}")
+FILLERS = ("", "   ", "\t", "#", "# a comment", "#0 1", "  # 2 3 4")
+
+
+@st.composite
+def written(draw, ordered):
+    """A random graph or order over 0..n-1, and a file that writes it in
+    shuffled lines under sparse labels (or, with a header, dense ones) with
+    flipped edges, mixed spellings, comments, blank lines and extra
+    whitespace.  Returns the structure, the label of each id, whether the
+    file has a header, and the text."""
+    n = draw(st.integers(0, MAX_ORDER))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    if ordered:
+        perm = draw(st.permutations(range(n)))
+        chosen = [(perm[u], perm[v]) for u, v in chosen]
+        structure = Poset.from_relations(n, chosen)
+    else:
+        structure = Graph.from_edges(n, chosen)
+    header = draw(st.booleans())
+    if header:
+        label = list(range(n))
+    else:
+        big = st.integers(0, 2**70)
+        label = draw(st.lists(big, min_size=n, max_size=n, unique=True))
+    lines = []
+    for u, v in draw(st.permutations(chosen)):
+        if not ordered and draw(st.booleans()):
+            u, v = v, u
+        a, b = (draw(st.sampled_from(SPELLINGS))(label[x]) for x in (u, v))
+        sep = draw(st.sampled_from((" ", "\t", "  ", " < ", "\t<  ") if ordered else (" ", "\t", "  ")))
+        pad = draw(st.sampled_from(("", " ", "\t ")))
+        lines.append(f"{pad}{a}{sep}{b}{pad}")
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(FILLERS)))
+    if header:
+        lines[:0] = draw(st.lists(st.sampled_from(FILLERS), max_size=2)) + [f"n {n}"]
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return structure, label, header, end.join(lines) + end
+
+
+def expected_labels(masks, label, header):
+    """Every id under a header; else the labels of the ids in some pair, sorted."""
+    if header:
+        return tuple(label)
+    return tuple(sorted(label[v] for v, m in enumerate(masks) if m))
+
+
+@SETTINGS
+@given(written(ordered=False))
+def test_random_graph_files(case):
+    g, label, header, text = case
+    parsed, labels = parse_graph(text)
+    assert labels == expected_labels(g.adj, label, header)
+    vertex = {lab: v for v, lab in enumerate(label)}
+    back = [vertex[lab] for lab in labels]
+    for i in range(parsed.order):
+        for j in range(parsed.order):
+            assert parsed.adj[i] >> j & 1 == g.adj[back[i]] >> back[j] & 1
+
+
+@SETTINGS
+@given(written(ordered=True))
+def test_random_order_files(case):
+    p, label, header, text = case
+    parsed, labels = parse_poset(text)
+    assert labels == expected_labels(p.comparability_masks(), label, header)
+    element = {lab: v for v, lab in enumerate(label)}
+    back = [element[lab] for lab in labels]
+    for i in range(parsed.order):
+        assert parsed.below[i] == sum(1 << j for j in range(parsed.order) if p.less(back[j], back[i]))

@@ -176,6 +176,17 @@ def test_linear_split_absent_on_n():
     assert linear_split_witness(N_POSET) is None
 
 
+def test_linear_split_absent_on_long_n():
+    # Four 700-element chains joined as an N: connected, with a connected
+    # incomparability graph, so no element has a split.
+    k = 700
+    chains = [(i, i + 1) for c in range(4) for i in range(c * k, c * k + k - 1)]
+    p = Poset.from_relations(4 * k, chains + [(k - 1, k), (3 * k - 1, k), (3 * k - 1, 3 * k)])
+    t0 = time.perf_counter()
+    assert linear_split_witness(p) is None
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_linear_split_rejects_disconnected():
     with pytest.raises(DisconnectedError):
         linear_split_witness(Poset.from_relations(2, []))
