@@ -12,7 +12,8 @@ Stewart (SIAM J. Comput. 14(4), 1985).
 The split loop, the path scan and the tree codec serve orders too
 (:mod:`cosp.spdecomp`): the helpers read the leaf field and kind names
 from the tree class, and none of them recurses, so trees of any depth
-work.
+work.  Every tree (but those of the public node constructors) is built
+from its signature, the flat preorder list that also decides equality.
 
 Trees are kept canonical: no series child of a series node, no parallel
 child of a parallel node, at least two children per internal node, and
@@ -174,10 +175,12 @@ class _Tree:
 
 
 def _from_signature(cls: type, signature: list[tuple]) -> _Tree:
-    """Inverse of ``_Tree._signature``.  Read backwards, the signature
-    builds every subtree before its parent, first child first (``_preorder``
-    lists a node's last subtree first), so a node's children are the top
-    of the stack in order."""
+    """The tree of class ``cls`` with this signature: the inverse of
+    ``_Tree._signature`` and the one place that builds trees from a flat
+    form.  A signature lists ``(kind, leaf id, child count)`` in preorder,
+    a node's last child first.  Read backwards, it builds every subtree
+    before its parent, first child first, so a node's children are the
+    top of the stack in order."""
     stack: list = []
     for kind, leaf, count in reversed(signature):
         cut = len(stack) - count
@@ -300,52 +303,33 @@ def _p4_within(adj: Sequence[int], sub: int) -> P4Witness:
     raise AssertionError("undecomposable part without an induced path")
 
 
-def _decompose(adj: Sequence[int], full: int, series_key=None):
+def _decompose(cls: type, adj: Sequence[int], full: int, series_key=None):
     """Split the vertex mask ``full`` into components of ``adj`` (parallel
     node) or of its complement (series node) until every part is one
     vertex; children go by smallest member, or by ``series_key`` under a
-    series node.  Returns the node arrays ``(sub_of, kind_of,
-    child_ids)``, root first, or the first part that splits neither way."""
-    sub_of = [full]
-    kind_of = [LEAF]
-    child_ids: list[list[int]] = [[]]
-    stack = [0]
+    series node.  Returns the tree of class ``cls`` (whose ``_kinds``
+    name the nodes), built from the signature written as parts are popped,
+    or the first part that splits neither way."""
+    join, union = cls._kinds
+    signature = []
+    stack = [full]
     while stack:
-        tid = stack.pop()
-        sub = sub_of[tid]
+        sub = stack.pop()
         if sub & (sub - 1) == 0:
+            signature.append((LEAF, sub.bit_length() - 1, 0))
             continue
         parts = mask_components(adj, sub)
         if len(parts) > 1:
-            kind_of[tid] = PARALLEL
+            signature.append((union, None, len(parts)))
         else:
             parts = mask_co_components(adj, sub)
             if len(parts) == 1:
                 return sub
-            kind_of[tid] = SERIES
             if series_key is not None:
                 parts.sort(key=series_key)
-        for part in parts:
-            cid = len(sub_of)
-            sub_of.append(part)
-            kind_of.append(LEAF)
-            child_ids.append([])
-            child_ids[tid].append(cid)
-            stack.append(cid)
-    return sub_of, kind_of, child_ids
-
-
-def _build_tree(cls: type, sub_of: list[int], kind_of: list[str], child_ids: list[list[int]]):
-    """Nodes of ``cls`` from the arrays of :func:`_decompose`, with series
-    and parallel renamed to the class's own kinds."""
-    names = {SERIES: cls._kinds[0], PARALLEL: cls._kinds[1]}
-    nodes = [None] * len(sub_of)
-    for tid in range(len(sub_of) - 1, -1, -1):
-        if kind_of[tid] == LEAF:
-            nodes[tid] = cls(LEAF, sub_of[tid].bit_length() - 1)
-        else:
-            nodes[tid] = cls(names[kind_of[tid]], None, tuple(nodes[c] for c in child_ids[tid]))
-    return nodes[0]
+            signature.append((join, None, len(parts)))
+        stack.extend(parts)
+    return _from_signature(cls, signature)
 
 
 def cotree(g: Graph) -> Cotree | P4Witness:
@@ -358,10 +342,10 @@ def cotree(g: Graph) -> Cotree | P4Witness:
     """
     if g.order == 0:
         raise ValueError("the decomposition needs at least one vertex")
-    result = _decompose(g.adj, g.full_mask())
+    result = _decompose(Cotree, g.adj, g.full_mask())
     if isinstance(result, int):
         return _p4_within(g.adj, result)
-    return _build_tree(Cotree, *result)
+    return result
 
 
 def _leaf_sides(t: _Tree, joined: str) -> list[tuple[int, int]]:
@@ -562,9 +546,10 @@ cotree_to_json = _tree_to_json
 
 def _tree_from_json(obj: object, cls: type):
     """Inverse of :func:`_tree_to_json` for trees of class ``cls``; shape
-    errors raise ValueError, reported in preorder."""
+    errors raise ValueError, the first one met in the signature's order
+    (preorder, last child first)."""
     key = cls._leaf_key
-    preorder: list[tuple[str, int | None, int]] = []  # (kind, leaf id, child count)
+    signature: list[tuple[str, int | None, int]] = []
     stack = [obj]
     while stack:
         node = stack.pop()
@@ -575,26 +560,16 @@ def _tree_from_json(obj: object, cls: type):
             v = node.get(key)
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"leaf {key} must be a non-negative int, got {v!r}")
-            preorder.append((LEAF, v, 0))
+            signature.append((LEAF, v, 0))
         elif kind in cls._kinds:
             children = node.get("children")
             if not isinstance(children, list) or len(children) < 2:
                 raise ValueError(f"{kind} node needs a list of at least two children")
-            preorder.append((kind, None, len(children)))
-            stack.extend(reversed(children))
+            signature.append((kind, None, len(children)))
+            stack.extend(children)
         else:
             raise ValueError(f"unknown node kind {kind!r}")
-    # Reversed preorder meets every subtree's children last-first on top
-    # of the stack, right before their parent.
-    built: list = []
-    for kind, v, k in reversed(preorder):
-        if k == 0:
-            built.append(cls(LEAF, v))
-        else:
-            children = tuple(reversed(built[-k:]))
-            del built[-k:]
-            built.append(cls(kind, None, children))
-    return built[0]
+    return _from_signature(cls, signature)
 
 
 def cotree_from_json(obj: object) -> Cotree:

@@ -50,13 +50,16 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
-def mask_components(adj: Sequence[int], sub: int) -> list[int]:
-    """Connected components of the graph restricted to the vertex mask ``sub``.
+def mask_components(adj: Sequence[int], sub: int, co: bool = False) -> list[int]:
+    """Connected components of the graph restricted to the vertex mask ``sub``,
+    or with ``co`` of its complement, which is never built: a vertex's
+    neighbor mask XOR ``sub`` holds its non-neighbors inside ``sub``.
 
     Returns component masks ordered by their smallest member.  A search
     that holds every vertex left stops without expanding it: on a tree of
     depth n each level peels one vertex off a part reached in one step.
     """
+    flip = sub if co else 0
     comps: list[int] = []
     remaining = sub
     while remaining:
@@ -71,7 +74,7 @@ def mask_components(adj: Sequence[int], sub: int) -> list[int]:
             while f:
                 low = f & -f
                 f ^= low
-                nxt |= adj[low.bit_length() - 1]
+                nxt |= adj[low.bit_length() - 1] ^ flip
             frontier = nxt & sub & ~comp
         comps.append(comp)
         remaining &= ~comp
@@ -79,31 +82,8 @@ def mask_components(adj: Sequence[int], sub: int) -> list[int]:
 
 
 def mask_co_components(adj: Sequence[int], sub: int) -> list[int]:
-    """Components of the complement restricted to ``sub``, as masks.
-
-    Identical traversal to :func:`mask_components` except the frontier
-    expands through non-neighbors; the complement is never built.
-    """
-    comps: list[int] = []
-    remaining = sub
-    while remaining:
-        comp = 0
-        frontier = remaining & -remaining
-        while frontier:
-            comp |= frontier
-            if comp == remaining:
-                break
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                f ^= low
-                v = low.bit_length() - 1
-                nxt |= sub & ~adj[v] & ~low
-            frontier = nxt & ~comp
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
+    """Components of the complement restricted to ``sub``, as masks."""
+    return mask_components(adj, sub, co=True)
 
 
 @dataclass(frozen=True)
@@ -265,7 +245,10 @@ def _read_pairs(text: str, noun: str, ordered: bool) -> tuple[int, list[int], tu
         break
     ids: dict[str, int] = {}
     labels: list[int] = []
-    rows = [] if declared is None else [0] * declared
+    try:
+        rows = [] if declared is None else [0] * declared
+    except (OverflowError, MemoryError):
+        raise ParseError(first, f"declared order {declared} is too large") from None
     get = ids.get
     for lineno, line in enumerate(islice(lines, first, None), first + 1):
         tokens = line.split()

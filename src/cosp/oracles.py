@@ -13,7 +13,7 @@ import itertools
 import json
 from typing import Iterator
 
-from .cographs import LEAF, Cotree, P4Witness, _preorder
+from .cographs import LEAF, Cotree, P4Witness, _from_signature
 from .graphs import Graph, iter_bits, mask_co_components, mask_components, mask_of
 from .posets import NWitness, Poset
 from .spdecomp import SPTree
@@ -234,26 +234,29 @@ def _random_blocks(leaf_ids: list[int], rng: SplitMix64) -> list[list[int]]:
 def _rand_tree(cls: type, n: int, seed: int):
     """Reproducible random canonical tree of class ``cls`` on leaves
     0..n-1; children of the class's sorted kinds are sorted by smallest
-    leaf, the others keep their generated order."""
+    leaf, the others keep their generated order.  A node's stream serves
+    only its blocks and its children's streams, so the nodes can be
+    expanded in signature order."""
     if n < 1:
         raise ValueError("need at least one leaf")
     rng = SplitMix64(seed)
     join, union = cls._kinds
-
-    def build(leaf_ids: list[int], kind: str, rng: SplitMix64):
-        if len(leaf_ids) == 1:
-            return cls(LEAF, leaf_ids[0])
-        other = union if kind == join else join
-        children = [
-            build(block, other, rng.split(i))
-            for i, block in enumerate(_random_blocks(leaf_ids, rng))
-        ]
-        if kind in cls._sorted_kinds:
-            children.sort(key=_tree_min_leaf)
-        return cls(kind, None, tuple(children))
-
     root_kind = join if rng.randrange(2) == 0 else union
-    return build(list(range(n)), root_kind, rng)
+    signature = []
+    stack = [(list(range(n)), root_kind, rng)]
+    while stack:
+        leaf_ids, kind, rng = stack.pop()
+        if len(leaf_ids) == 1:
+            signature.append((LEAF, leaf_ids[0], 0))
+            continue
+        blocks = _random_blocks(leaf_ids, rng)
+        children = [(block, rng.split(i)) for i, block in enumerate(blocks)]
+        if kind in cls._sorted_kinds:
+            children.sort(key=lambda child: min(child[0]))
+        signature.append((kind, None, len(children)))
+        other = union if kind == join else join
+        stack.extend((block, other, stream) for block, stream in children)
+    return _from_signature(cls, signature)
 
 
 def rand_cotree(n: int, seed: int) -> Cotree:
@@ -265,11 +268,6 @@ def rand_sptree(n: int, seed: int) -> SPTree:
     """Reproducible random canonical series-parallel tree on 0..n-1; linear
     children keep their generated bottom-to-top order."""
     return _rand_tree(SPTree, n, seed)
-
-
-def _tree_min_leaf(t: Cotree | SPTree) -> int:
-    key = t._leaf_key
-    return min(getattr(n, key) for n in _preorder(t) if n.kind == LEAF)
 
 
 def rand_gnp(n: int, p_edge: float, seed: int) -> Graph:

@@ -254,17 +254,10 @@ class Poset:
     def split_candidates(self, x: int) -> SplitCandidates:
         """Elements comparable to x and to every element incomparable to x."""
         self._check_element(x)
-        below, above = self.below, self.above
-        inc = self.full_mask() & ~(below[x] | above[x]) & ~(1 << x)
-        lower = 0
-        for y in iter_bits(below[x]):
-            if inc & ~(below[y] | above[y]) == 0:
-                lower |= 1 << y
-        upper = 0
-        for y in iter_bits(above[x]):
-            if inc & ~(below[y] | above[y]) == 0:
-                upper |= 1 << y
-        return SplitCandidates(lower=vertices_of(lower), upper=vertices_of(upper))
+        un = self.comparability_graph()._universal_mask(x)
+        return SplitCandidates(
+            lower=vertices_of(un & self.below[x]), upper=vertices_of(un & self.above[x])
+        )
 
     def maximal_chain(self, x: int) -> MaximalChain:
         """Deterministic maximal chain through x.

@@ -28,11 +28,10 @@ from .cographs import (
     PARALLEL,
     SERIES,
     Cotree,
-    _build_tree,
     _decompose,
+    _from_signature,
     _leaf_sides,
     _p4_within,
-    _preorder,
     _Tree,
     _tree_dot,
     _tree_from_json,
@@ -152,12 +151,12 @@ def sp_tree(p: Poset) -> SPTree | NWitness:
         r2 = (m2 & -m2).bit_length() - 1
         return -1 if (below[r2] >> r1) & 1 else 1
 
-    result = _decompose(comp, p.full_mask(), cmp_to_key(block_order))
+    result = _decompose(SPTree, comp, p.full_mask(), cmp_to_key(block_order))
     if isinstance(result, int):
         a, b, c, d = _p4_within(comp, result).path
         # a < b forces c < b and c < d; b < a forces the mirror image.
         return NWitness((a, b, c, d) if (below[b] >> a) & 1 else (d, c, b, a))
-    return _build_tree(SPTree, *result)
+    return result
 
 
 def sp_tree_to_poset(t: SPTree) -> Poset:
@@ -208,17 +207,23 @@ def linear_split_witness(p: Poset) -> LinearSplit | None:
     """
     if p.order == 0:
         raise ValueError("the split search needs at least one element")
-    if not p.is_connected():
+    g = p.comparability_graph()
+    if not g.is_connected():
         raise DisconnectedError("input order is not connected")
-    if p.incomparability_graph().is_connected():
+    if len(g.co_components()) == 1:
         return None
     full = p.full_mask()
     for x in range(p.order):
-        cand = p.split_candidates(x)
-        if not cand.lower and not cand.upper:
+        # x's split candidates: its universal neighbors, split by side.
+        un = g._universal_mask(x)
+        if not un:
             continue
-        middle = vertices_of(full & ~mask_of(cand.lower) & ~mask_of(cand.upper))
-        w = LinearSplit(x=x, lower=cand.lower, middle=middle, upper=cand.upper)
+        w = LinearSplit(
+            x=x,
+            lower=vertices_of(un & p.below[x]),
+            middle=vertices_of(full & ~un),
+            upper=vertices_of(un & p.above[x]),
+        )
         if w.validate(p):
             return w
     return None
@@ -250,18 +255,13 @@ def endpoint_witness(p: Poset, x: int) -> EndpointWitness:
 def cotree_to_sptree(t: Cotree) -> SPTree:
     """Orient a cograph tree: parallel becomes disjoint, series becomes
     linear with the canonical child order read bottom to top."""
-    order = _preorder(t)
-    built: dict[int, SPTree] = {}
-    for node in reversed(order):
-        if node.kind == LEAF:
-            built[id(node)] = SPTree.leaf(node.vertex)
-        elif node.kind == SERIES:
-            built[id(node)] = SPTree.linear(built[id(c)] for c in node.children)
-        elif node.kind == PARALLEL:
-            built[id(node)] = SPTree.disjoint(built[id(c)] for c in node.children)
-        else:
-            raise ValueError(f"unknown node kind {node.kind!r}")
-    return built[id(t)]
+    names = {LEAF: LEAF, SERIES: LINEAR, PARALLEL: DISJOINT}
+    signature = []
+    for kind, vertex, count in t._signature():
+        if kind not in names:
+            raise ValueError(f"unknown node kind {kind!r}")
+        signature.append((names[kind], vertex, count))
+    return _from_signature(SPTree, signature)
 
 
 def orient_cotree(t: Cotree) -> Poset:

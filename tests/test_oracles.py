@@ -1,5 +1,6 @@
 """Brute-force ground truth, enumerators, and seeded generators."""
 
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,8 @@ from cosp import (
     Poset,
     cotree,
     cotree_to_graph,
+    format_graph,
+    format_poset,
     is_cograph,
     sp_tree_to_poset,
 )
@@ -152,6 +155,11 @@ def test_rand_cotree_deterministic_and_canonical():
 
     assert oracles.rand_cotree(1, 0) == Cotree.leaf(0)
     assert oracles.rand_cotree(1, 7) == Cotree.leaf(0)
+    # The benchmark's input digests depend on every generated tree.
+    text = format_graph(cotree_to_graph(oracles.rand_cotree(500, 1)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "421425042b8804e69453d0759d1f087385d4f10f0413a369914e124c2e017f9c"
+    )
 
 
 def test_rand_cotree_seed_changes_output():
@@ -164,6 +172,10 @@ def test_rand_sptree_deterministic_and_canonical():
     assert a == b
     validate_sp_tree(a)
     assert sp_tree_to_poset(a).order == 17
+    text = format_poset(sp_tree_to_poset(oracles.rand_sptree(500, 1)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7610ea55e319117a5a2c6db843aa88752432ea26bebde71bf0cbc5940376aa95"
+    )
 
 
 def test_rand_gnp_extremes():

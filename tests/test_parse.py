@@ -68,6 +68,18 @@ REJECTED = [
     ("n 3\n0 1\n7 1\n", (3, "vertex 7 outside declared order 3"), (3, "element 7 outside declared order 3")),
     ("n 0\n0 1\n", (2, "vertex 1 outside declared order 0"), (2, "element 1 outside declared order 0")),
     ("n 3\n1 03\n", (2, "vertex 3 outside declared order 3"), (2, "element 3 outside declared order 3")),
+    # declared orders whose rows cannot be allocated (kept last: the ids
+    # of the rows above carry their positions)
+    (
+        "n 18446744073709551616\n0 1\n",
+        (1, "declared order 18446744073709551616 is too large"),
+        (1, "declared order 18446744073709551616 is too large"),
+    ),
+    (
+        "n 9223372036854775807\n",
+        (1, "declared order 9223372036854775807 is too large"),
+        (1, "declared order 9223372036854775807 is too large"),
+    ),
 ]
 
 

@@ -247,6 +247,9 @@ def test_cotree_to_sptree_shape():
     assert isinstance(st, SPTree)
     validate_sp_tree(st)
     assert sp_tree_to_poset(st).comparability_graph() == g
+    odd = Cotree.series((Cotree.leaf(0), Cotree("join", None, (Cotree.leaf(1), Cotree.leaf(2)))))
+    with pytest.raises(ValueError, match="unknown node kind 'join'"):
+        cotree_to_sptree(odd)
 
 
 def test_orient_cotree_examples():
