@@ -6,8 +6,9 @@ applies: ``join``'s ``{"witness": null}``, ``{"linear_split": null}``,
 an ``oracle-compare`` mismatch) on standard output; 2 on input or usage
 errors and, with one ``internal error: ...`` line on standard error and
 nothing on standard output, on any internal error.  Recognition is
-decided by ``cotree`` and ``sp_tree``; the brute-force oracles run only in
-``check --property p4free``, ``gen`` and ``oracle-compare``.  Machine
+decided by ``cotree`` and ``sp_tree``; the brute-force oracles run, and
+their module is imported, only in ``check --property p4free``, ``gen`` and
+``oracle-compare``, so every other request starts without them.  Machine
 output is JSON on standard output, diagnostics go to standard error, and
 identical input and flags produce byte-identical output.
 """
@@ -17,10 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
 
-from . import oracles
 from .cographs import (
     PARALLEL,
     SERIES,
@@ -138,6 +138,8 @@ def cmd_check(args) -> int:
         return EXIT_OK
     result = cotree(g)
     if args.property == "p4free":
+        from . import oracles
+
         witness = oracles.brute_p4(g)
         if (witness is None) != isinstance(result, Cotree):
             raise RuntimeError("internal: path scan disagrees with the decomposition")
@@ -252,6 +254,8 @@ def cmd_poset(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import oracles
+
     seed = args.seed
     kind = args.kind
     if args.offset and kind != "parity-split":
@@ -290,6 +294,8 @@ def cmd_gen(args) -> int:
 def check_graph_instance(g: Graph) -> str | None:
     """Compare every decomposition claim against the oracles on one graph.
     Returns a failure tag or None."""
+    from . import oracles
+
     p4 = oracles.brute_p4(g)
     tree = cotree(g) if g.order else None
     recognized = g.order == 0 or isinstance(tree, Cotree)
@@ -327,6 +333,8 @@ def check_graph_instance(g: Graph) -> str | None:
 
 def check_poset_instance(p: Poset) -> str | None:
     """Compare every order-side claim against the oracles on one poset."""
+    from . import oracles
+
     nw = oracles.brute_n(p)
     free = nw is None
     if is_nfree(p, method="modules") != free:
@@ -365,12 +373,16 @@ def check_poset_instance(p: Poset) -> str | None:
 
 
 def _emit_mismatch(obj: Graph | Poset, tag: str) -> int:
+    from . import oracles
+
     kind, payload = oracles._fixture_payload(obj)
     _emit({"ok": False, "kind": kind, "check": tag, "payload": payload})
     return EXIT_WITNESS
 
 
 def cmd_oracle_compare(args) -> int:
+    from . import oracles
+
     if args.max_graph_n > oracles.MAX_ENUM_GRAPH:
         return _fail(f"graph enumeration limited to order {oracles.MAX_ENUM_GRAPH}")
     if args.max_poset_n > oracles.MAX_ENUM_POSET:

@@ -23,12 +23,12 @@ equality meaningful, so round trips through the graph are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .graphs import (
     DisconnectedError,
     Graph,
+    _Record,
     iter_bits,
     mask_co_components,
     mask_components,
@@ -41,11 +41,13 @@ SERIES = "series"
 PARALLEL = "parallel"
 
 
-@dataclass(frozen=True)
-class P4Witness:
+class P4Witness(_Record):
     """An induced path a-b-c-d: edges ab, bc, cd; non-edges ac, ad, bd."""
 
-    path: tuple[int, int, int, int]
+    _fields = ("path",)
+
+    def __init__(self, path: tuple[int, int, int, int]):
+        object.__setattr__(self, "path", path)
 
     def validate(self, g: Graph) -> bool:
         a, b, c, d = self.path
@@ -73,15 +75,22 @@ class P4Error(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class JoinWitness:
+class JoinWitness(_Record):
     """Certificate that a connected graph is a join: every member of
     ``universal_neighbors`` is adjacent to every vertex outside the set,
     so the complement is disconnected across ``split``."""
 
-    x: int
-    universal_neighbors: tuple[int, ...]
-    split: tuple[tuple[int, ...], tuple[int, ...]]
+    _fields = ("x", "universal_neighbors", "split")
+
+    def __init__(
+        self,
+        x: int,
+        universal_neighbors: tuple[int, ...],
+        split: tuple[tuple[int, ...], tuple[int, ...]],
+    ):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "universal_neighbors", universal_neighbors)
+        object.__setattr__(self, "split", split)
 
     def validate(self, g: Graph) -> bool:
         if not (0 <= self.x < g.order):
@@ -100,15 +109,22 @@ class JoinWitness:
         return True
 
 
-@dataclass(frozen=True)
-class NeighborSplit:
+class NeighborSplit(_Record):
     """Split of the neighbors of x against one connected block of its
     non-neighbors: ``adjacent_all`` sees the whole block, ``adjacent_none``
     sees none of it, and the two sides are completely joined to each other."""
 
-    component: tuple[int, ...]
-    adjacent_all: tuple[int, ...]
-    adjacent_none: tuple[int, ...]
+    _fields = ("component", "adjacent_all", "adjacent_none")
+
+    def __init__(
+        self,
+        component: tuple[int, ...],
+        adjacent_all: tuple[int, ...],
+        adjacent_none: tuple[int, ...],
+    ):
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "adjacent_all", adjacent_all)
+        object.__setattr__(self, "adjacent_none", adjacent_none)
 
     def validate(self, g: Graph, x: int) -> bool:
         cm = mask_of(self.component)
@@ -128,12 +144,12 @@ class NeighborSplit:
         return True
 
 
-class _Tree:
+class _Tree(_Record):
     """Equality, hashing and pickling of :class:`Cotree` and ``SPTree`` by
     flat preorder signature, and their repr, all without recursion, so
-    trees of any depth work.  A subclass names its leaf field, its two
-    internal kinds (join-like first) and the kinds whose children are
-    sorted by smallest leaf."""
+    trees of any depth work.  A subclass names its fields, its leaf field,
+    its two internal kinds (join-like first) and the kinds whose children
+    are sorted by smallest leaf."""
 
     def _signature(self) -> list[tuple]:
         # Kind, leaf id and child count of every node in preorder: the
@@ -153,7 +169,7 @@ class _Tree:
         return _from_signature, (type(self), self._signature())
 
     def __repr__(self) -> str:
-        # The dataclass repr, written from a stack of nodes and closing text.
+        # The record repr, written from a stack of nodes and closing text.
         key = self._leaf_key
         out = []
         stack: list = [self]
@@ -190,18 +206,19 @@ def _from_signature(cls: type, signature: list[tuple]) -> _Tree:
     return stack[0]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Cotree(_Tree):
     """Decomposition tree node; series means join, parallel means disjoint
     union, leaves carry vertex ids."""
 
-    kind: str
-    vertex: int | None = None
-    children: tuple[Cotree, ...] = ()
-
+    _fields = ("kind", "vertex", "children")
     _leaf_key = "vertex"
     _kinds = (SERIES, PARALLEL)
     _sorted_kinds = (SERIES, PARALLEL)
+
+    def __init__(self, kind: str, vertex: int | None = None, children: tuple[Cotree, ...] = ()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "children", children)
 
     @classmethod
     def leaf(cls, vertex: int) -> Cotree:

@@ -13,10 +13,9 @@ derived witness reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
 
 
 class ParseError(ValueError):
@@ -86,11 +85,46 @@ def mask_co_components(adj: Sequence[int], sub: int) -> list[int]:
     return mask_components(adj, sub, co=True)
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """Immutable record over the attributes named in ``_fields``, which
+    ``__init__`` sets with ``object.__setattr__``: equality (same class,
+    equal fields), hash and repr by those fields in order, ``match`` on
+    them by position, and no assignment or deletion afterwards."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls._fields
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Record):
     """Immutable simple graph; ``adj[v]`` is the neighbor mask of vertex v."""
 
-    adj: tuple[int, ...]
+    _fields = ("adj",)
+
+    def __init__(self, adj: tuple[int, ...]):
+        object.__setattr__(self, "adj", adj)
 
     @property
     def order(self) -> int:
@@ -205,7 +239,9 @@ class Graph:
         return Graph(tuple(full & ~m & ~(1 << v) for v, m in enumerate(self.adj)))
 
 
-def _read_pairs(text: str, noun: str, ordered: bool) -> tuple[int, list[int], tuple[int, ...]]:
+def _read_pairs(
+    text: str, noun: str, ordered: bool, build: Callable[[int, list[int]], object]
+) -> tuple[object, tuple[int, ...]]:
     """Read the pair text format shared by graphs and orders.
 
     Lines starting with '#' and blank lines are skipped.  An optional
@@ -213,9 +249,11 @@ def _read_pairs(text: str, noun: str, ordered: bool) -> tuple[int, list[int], tu
     0..order-1; without it the label set is the labels that appear,
     remapped to dense ids in sorted order.  Each other line holds two
     labels; for orders (``ordered``) it may read ``u < v``, and ``u v``
-    and ``v u`` are different pairs.  Returns the order, the rows (bit j
-    of ``rows[i]`` is set for each line ``i j``, and for graphs also for
+    and ``v u`` are different pairs.  Returns ``build(order, rows)`` (bit
+    j of ``rows[i]`` is set for each line ``i j``, and for graphs also for
     each line ``j i``) and the table mapping dense id to original label.
+    With a header, both are sized by the declared order, so running out
+    of memory while making them is a ParseError on the header line.
 
     One pass: a token maps to its id through one dict keyed by the
     canonical spelling ``str(label)``, and the row bit finds duplicates.
@@ -288,9 +326,13 @@ def _read_pairs(text: str, noun: str, ordered: bool) -> tuple[int, list[int], tu
         rows[i] |= 1 << j
         if not ordered:
             rows[j] |= 1 << i
-    if declared is not None:
-        return declared, rows, tuple(range(declared))
-    return _sorted_ids(rows, labels)
+    if declared is None:
+        order, rows, labels = _sorted_ids(rows, labels)
+        return build(order, rows), labels
+    try:
+        return build(declared, rows), tuple(range(declared))
+    except MemoryError:
+        raise ParseError(first, f"declared order {declared} is too large") from None
 
 
 def _new_id(ids: dict[str, int], labels: list[int], rows: list[int], label: int) -> int:
@@ -337,8 +379,7 @@ def _sorted_ids(rows: list[int], labels: list[int]) -> tuple[int, list[int], tup
 def parse_graph(text: str) -> tuple[Graph, tuple[int, ...]]:
     """Parse the edge-list text format (see :func:`_read_pairs`).  Returns
     the graph and the table mapping dense id to original label."""
-    _, rows, labels = _read_pairs(text, "vertex", ordered=False)
-    return Graph(tuple(rows)), labels
+    return _read_pairs(text, "vertex", False, lambda order, rows: Graph(tuple(rows)))
 
 
 def format_graph(g: Graph, labels: Sequence[int] | None = None) -> str:

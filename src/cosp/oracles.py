@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Iterator
+from collections.abc import Iterator
 
 from .cographs import LEAF, Cotree, P4Witness, _from_signature
 from .graphs import Graph, iter_bits, mask_co_components, mask_components, mask_of

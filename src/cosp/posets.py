@@ -8,11 +8,11 @@ mirroring the graph representation in :mod:`cosp.graphs`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .graphs import (
     Graph,
+    _Record,
     _read_pairs,
     iter_bits,
     mask_components,
@@ -30,13 +30,15 @@ class CycleError(ValueError):
         self.pair = pair
 
 
-@dataclass(frozen=True)
-class NWitness:
+class NWitness(_Record):
     """Four elements (a, b, c, d) with a < b, c < b, c < d and no other
     comparabilities.  A poset contains this pattern exactly when it is not
     series-parallel."""
 
-    quad: tuple[int, int, int, int]
+    _fields = ("quad",)
+
+    def __init__(self, quad: tuple[int, int, int, int]):
+        object.__setattr__(self, "quad", quad)
 
     def validate(self, p: Poset) -> bool:
         a, b, c, d = self.quad
@@ -55,21 +57,25 @@ class NWitness:
         )
 
 
-@dataclass(frozen=True)
-class SplitCandidates:
+class SplitCandidates(_Record):
     """Elements comparable to x and to every element incomparable to x,
     split by side.  Members can serve as outer layers of a linear split
     around x."""
 
-    lower: tuple[int, ...]
-    upper: tuple[int, ...]
+    _fields = ("lower", "upper")
+
+    def __init__(self, lower: tuple[int, ...], upper: tuple[int, ...]):
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
 
-@dataclass(frozen=True)
-class MaximalChain:
+class MaximalChain(_Record):
     """A maximal chain, listed bottom to top."""
 
-    elements: tuple[int, ...]
+    _fields = ("elements",)
+
+    def __init__(self, elements: tuple[int, ...]):
+        object.__setattr__(self, "elements", elements)
 
     @property
     def bottom(self) -> int:
@@ -80,13 +86,15 @@ class MaximalChain:
         return self.elements[-1]
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(_Record):
     """Immutable strict partial order; ``below[v]`` / ``above[v]`` are the
     masks of elements strictly less / greater than v in the closure."""
 
-    below: tuple[int, ...]
-    above: tuple[int, ...]
+    _fields = ("below", "above")
+
+    def __init__(self, below: tuple[int, ...], above: tuple[int, ...]):
+        object.__setattr__(self, "below", below)
+        object.__setattr__(self, "above", above)
 
     @property
     def order(self) -> int:
@@ -302,9 +310,12 @@ def parse_poset(text: str, mode: str = "covers") -> tuple[Poset, tuple[int, ...]
     Relation lines are ``u v`` or ``u < v``, both meaning u < v.  The
     optional header and label remapping follow the graph format rules.
     """
-    order, rows, labels = _read_pairs(text, "element", ordered=True)
-    pairs = [(u, v) for u, row in enumerate(rows) for v in iter_bits(row)]
-    return Poset.from_relations(order, pairs, mode=mode), labels
+
+    def build(order: int, rows: list[int]) -> Poset:
+        pairs = [(u, v) for u, row in enumerate(rows) for v in iter_bits(row)]
+        return Poset.from_relations(order, pairs, mode=mode)
+
+    return _read_pairs(text, "element", True, build)
 
 
 def format_poset(p: Poset, labels: Sequence[int] | None = None, mode: str = "covers") -> str:

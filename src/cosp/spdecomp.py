@@ -19,9 +19,8 @@ between the two internal kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cmp_to_key
-from typing import Iterable, Sequence
 
 from .cographs import (
     LEAF,
@@ -38,24 +37,25 @@ from .cographs import (
     _tree_to_json,
     _validate_tree,
 )
-from .graphs import DisconnectedError, iter_bits, mask_of, vertices_of
+from .graphs import DisconnectedError, _Record, iter_bits, mask_of, vertices_of
 from .posets import NWitness, Poset
 
 LINEAR = "linear"
 DISJOINT = "disjoint"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class SPTree(_Tree):
     """Decomposition tree node; linear children run bottom to top."""
 
-    kind: str
-    element: int | None = None
-    children: tuple[SPTree, ...] = ()
-
+    _fields = ("kind", "element", "children")
     _leaf_key = "element"
     _kinds = (LINEAR, DISJOINT)
     _sorted_kinds = (DISJOINT,)
+
+    def __init__(self, kind: str, element: int | None = None, children: tuple[SPTree, ...] = ()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "children", children)
 
     @classmethod
     def leaf(cls, element: int) -> SPTree:
@@ -70,16 +70,20 @@ class SPTree(_Tree):
         return cls(DISJOINT, children=tuple(children))
 
 
-@dataclass(frozen=True)
-class LinearSplit:
+class LinearSplit(_Record):
     """Three-layer split around x: everything in ``lower`` sits below
     everything else, everything in ``upper`` above everything else, and
     ``middle`` contains x.  Existence certifies the order is a linear sum."""
 
-    x: int
-    lower: tuple[int, ...]
-    middle: tuple[int, ...]
-    upper: tuple[int, ...]
+    _fields = ("x", "lower", "middle", "upper")
+
+    def __init__(
+        self, x: int, lower: tuple[int, ...], middle: tuple[int, ...], upper: tuple[int, ...]
+    ):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "middle", middle)
+        object.__setattr__(self, "upper", upper)
 
     def validate(self, p: Poset) -> bool:
         lo = mask_of(self.lower)
@@ -102,14 +106,17 @@ class LinearSplit:
         return True
 
 
-@dataclass(frozen=True)
-class EndpointWitness:
+class EndpointWitness(_Record):
     """A maximal chain endpoint comparable to every element incomparable
-    to x; side says which end of the chain qualified."""
+    to x; side says which end of the chain qualified: "up" for the top,
+    "down" for the bottom."""
 
-    x: int
-    endpoint: int
-    side: str  # "up" for the top of the chain, "down" for the bottom
+    _fields = ("x", "endpoint", "side")
+
+    def __init__(self, x: int, endpoint: int, side: str):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "endpoint", endpoint)
+        object.__setattr__(self, "side", side)
 
 
 class NoEndpointError(ValueError):

@@ -1,9 +1,13 @@
 """Command line surface: exit codes, JSON output, and byte stability."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cosp
 from cosp.cli import main
 
 P4_TEXT = "n 4\n0 1\n1 2\n2 3\n"
@@ -420,6 +424,20 @@ def test_witnesses_revalidate(tmp_path, capsys):
     path = json.loads(out)["path"]
     internal = tuple(labels.index(v) for v in path)
     assert P4Witness(internal).validate(g)
+
+
+def test_import_leaves_out_dataclasses_typing_and_the_oracles():
+    # -S keeps the interpreter's site hooks from importing modules of their own.
+    code = "import cosp.cli, sys; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    unwanted = ["dataclasses", "inspect", "typing", "cosp.oracles"]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *unwanted],
+        capture_output=True,
+        text=True,
+        cwd=Path(cosp.__file__).parents[1],
+        check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_oracle_compare_tiny(capsys):

@@ -2,9 +2,14 @@
 with its exact message and line, the accepted oddities, and random
 well-formed files written in every accepted spelling."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cosp
 from cosp import CycleError, Graph, ParseError, Poset, parse_graph, parse_poset
 
 CYCLE = "cycle"
@@ -98,6 +103,33 @@ def test_rejected_inputs(text, graph_outcome, order_outcome):
             assert type(exc.value) is ParseError
             assert str(exc.value) == f"line {line}: {message}"
             assert exc.value.line == line
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["check"], "n 30000000\n0 1\n"),
+        (["cotree"], "n 30000000\n0 1\n"),
+        (["poset", "nfree"], "n 30000000\n0 < 1\n"),
+    ],
+)
+def test_header_beyond_memory_is_a_parse_error(tmp_path, command, text):
+    # The rows a 30M header asks for fit in 500 MB, the arrays built from
+    # them do not: the failed allocation is reported against the header.
+    resource = pytest.importorskip("resource")
+    limit = 500 * 2**20
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cosp.cli", command[0], str(path), *command[1:]],
+        capture_output=True,
+        text=True,
+        cwd=Path(cosp.__file__).parents[1],
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "line 1: declared order 30000000 is too large\n"
 
 
 def edges_by_label(text):
