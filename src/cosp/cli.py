@@ -7,7 +7,8 @@ an ``oracle-compare`` mismatch) on standard output; 2 on input or usage
 errors and, with one ``internal error: ...`` line on standard error and
 nothing on standard output, on any internal error.  Recognition is
 decided by ``cotree`` and ``sp_tree``; the brute-force oracles run, and
-their module is imported, only in ``check --property p4free``, ``gen`` and
+their module (which also holds the ``oracle-compare`` sweep) is
+imported, only in ``check --property p4free``, ``gen`` and
 ``oracle-compare``, so every other request starts without them.  Machine
 output is JSON on standard output, diagnostics go to standard error, and
 identical input and flags produce byte-identical output.
@@ -31,17 +32,14 @@ from .cographs import (
     cotree_to_graph,
     cotree_to_json,
     join_witness,
-    non_neighbor_components,
-    neighbor_split,
     parity_split_graph,
-    select_universal_neighbor,
 )
 from .graphs import Graph, format_graph, parse_graph
 from .posets import NWitness, Poset, format_poset, parse_poset
 from .spdecomp import (
     NoEndpointError,
     endpoint_witness,
-    is_nfree,
+    is_nfree,  # unused here; bound so that tests and the tracer can patch it
     linear_split_witness,
     sp_tree,
     sp_tree_to_dot,
@@ -98,7 +96,7 @@ def _fail(message: str) -> int:
 
 
 def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
 
@@ -288,98 +286,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-# === oracle comparison sweeps ===
-
-
-def check_graph_instance(g: Graph) -> str | None:
-    """Compare every decomposition claim against the oracles on one graph.
-    Returns a failure tag or None."""
-    from . import oracles
-
-    p4 = oracles.brute_p4(g)
-    tree = cotree(g) if g.order else None
-    recognized = g.order == 0 or isinstance(tree, Cotree)
-    if recognized != (p4 is None):
-        return "recognition disagrees with the path scan"
-    if g.order <= oracles.MAX_DEF_CHECK and oracles.brute_cograph_def(g) != recognized:
-        return "recognition disagrees with the defining property"
-    if isinstance(tree, P4Witness) and not tree.validate(g):
-        return "path certificate does not validate"
-    if isinstance(tree, Cotree) and cotree_to_graph(tree) != g:
-        return "decomposition tree does not rebuild its graph"
-    if g.order == 0 or not g.is_connected():
-        return None
-    co_split = len(g.co_components()) > 1
-    if recognized:
-        w = join_witness(g)
-        if (w is not None) != co_split:
-            return "join witness existence disagrees with complement components"
-        if w is not None and not w.validate(g):
-            return "join witness does not validate"
-        for x in range(g.order):
-            for block in non_neighbor_components(g, x):
-                if not g.is_module(block):
-                    return "a non-neighbor block is not a module"
-                split = neighbor_split(g, x, block)
-                if not split.validate(g, x):
-                    return "a neighbor split does not validate"
-            if g.neighbors(x):
-                if select_universal_neighbor(g, x) not in g.universal_neighbors(x):
-                    return "selected neighbor is not universal"
-    if g.order >= 4 and oracles.is_prime_graph(g) and p4 is None:
-        return "a prime graph of order four or more has no induced path"
-    return None
-
-
-def check_poset_instance(p: Poset) -> str | None:
-    """Compare every order-side claim against the oracles on one poset."""
-    from . import oracles
-
-    nw = oracles.brute_n(p)
-    free = nw is None
-    if is_nfree(p, method="modules") != free:
-        return "module criterion disagrees with the quadruple scan"
-    if is_nfree(p, method="brute") != free:
-        return "brute route disagrees with the oracle scan"
-    if p.order:
-        tree = sp_tree(p)
-        if isinstance(tree, NWitness):
-            if free:
-                return "decomposition found an N in an N-free order"
-            if not tree.validate(p):
-                return "N certificate does not validate"
-        else:
-            if not free:
-                return "decomposition missed an N"
-            if sp_tree_to_poset(tree) != p:
-                return "decomposition tree does not rebuild its order"
-    cg = p.comparability_graph()
-    if p.order <= oracles.MAX_MODULE_ENUM:
-        if oracles.is_prime_poset(p) != oracles.is_prime_graph(cg):
-            return "order primality disagrees with comparability-graph primality"
-    if free and p.order >= 1 and p.is_connected():
-        w = linear_split_witness(p)
-        inc_split = len(p.incomparability_graph().components()) > 1
-        if (w is not None) != inc_split:
-            return "linear split existence disagrees with incomparability components"
-        if w is not None and not w.validate(p):
-            return "linear split does not validate"
-        for x in range(p.order):
-            ew = endpoint_witness(p, x)
-            cand = p.split_candidates(x)
-            if ew.endpoint != x and ew.endpoint not in cand.lower + cand.upper:
-                return "chain endpoint is not a split candidate"
-    return None
-
-
-def _emit_mismatch(obj: Graph | Poset, tag: str) -> int:
-    from . import oracles
-
-    kind, payload = oracles._fixture_payload(obj)
-    _emit({"ok": False, "kind": kind, "check": tag, "payload": payload})
-    return EXIT_WITNESS
-
-
 def cmd_oracle_compare(args) -> int:
     from . import oracles
 
@@ -392,18 +298,20 @@ def cmd_oracle_compare(args) -> int:
     graphs_checked = 0
     for n in range(args.max_graph_n + 1):
         for g in oracles.enumerate_graphs(n):
-            tag = check_graph_instance(g)
+            tag = oracles.check_graph_instance(g)
             graphs_checked += 1
             if tag is not None:
-                return _emit_mismatch(g, tag)
+                _emit(oracles.mismatch(g, tag))
+                return EXIT_WITNESS
         print(f"graphs on {n} vertices: ok", file=sys.stderr)
     posets_checked = 0
     for n in range(args.max_poset_n + 1):
         for p in oracles.enumerate_posets(n):
-            tag = check_poset_instance(p)
+            tag = oracles.check_poset_instance(p)
             posets_checked += 1
             if tag is not None:
-                return _emit_mismatch(p, tag)
+                _emit(oracles.mismatch(p, tag))
+                return EXIT_WITNESS
         print(f"orders on {n} elements: ok", file=sys.stderr)
     _emit({"ok": True, "graphs_checked": graphs_checked, "posets_checked": posets_checked})
     return EXIT_OK

@@ -13,9 +13,10 @@ derived witness reproducible.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice
-from operator import itemgetter
+from operator import eq, itemgetter
 
 
 class ParseError(ValueError):
@@ -255,13 +256,19 @@ def _read_pairs(
     With a header, both are sized by the declared order, so running out
     of memory while making them is a ParseError on the header line.
 
-    One pass: a token maps to its id through one dict keyed by the
-    canonical spelling ``str(label)``, and the row bit finds duplicates.
+    A plain text (see :func:`_read_plain`) is read in bulk; any other
+    text, and a plain one that fails a check, is read line by line, with
+    the same results and errors.  One pass: a token maps to its id
+    through one dict keyed by the canonical spelling ``str(label)``, and
+    the row bit finds duplicates.
     A line the dict does not decide (a label's first appearance, another
     spelling of a label, a comment or an error) takes the checks in full
     and enters its labels, so the dict holds only the labels in use,
     however large the declared order.
     """
+    rows = _read_plain(text, ordered)
+    if rows is not None:
+        return _built(build, rows, 1)
     pair, sep = ("relation", " < ") if ordered else ("edge", " ")
     lines = text.splitlines()
     declared: int | None = None
@@ -329,10 +336,78 @@ def _read_pairs(
     if declared is None:
         order, rows, labels = _sorted_ids(rows, labels)
         return build(order, rows), labels
+    return _built(build, rows, first)
+
+
+def _built(
+    build: Callable[[int, list[int]], object], rows: list[int], header: int
+) -> tuple[object, tuple[int, ...]]:
+    """``build`` of rows sized by a header, and the identity label table;
+    running out of memory while making them is a ParseError on the header."""
+    declared = len(rows)
     try:
         return build(declared, rows), tuple(range(declared))
     except MemoryError:
-        raise ParseError(first, f"declared order {declared} is too large") from None
+        raise ParseError(header, f"declared order {declared} is too large") from None
+
+
+_CHUNK = 1 << 16
+_NOT_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _read_plain(text: str, ordered: bool) -> list[int] | None:
+    """The rows of a plain text, or None for any other text.
+
+    A text is plain when line 1 is ``n <digits>`` and every later line is
+    ``<digits> <digits>`` ended by a newline, with ASCII digits and single
+    spaces, as :func:`format_graph` and :func:`format_poset` write it.  It
+    is read in chunks of about 64 KiB cut at newlines, each checked and
+    converted by C-level string operations (the digits deleted leave
+    exactly one space and one newline per line; ``json.loads`` turns the
+    labels into ints) and entered by one loop of row ORs.  A label out of
+    range, a self-loop, a label with leading zeros, or a duplicate (the
+    rows then hold fewer bits than the lines set) also gives None: the
+    line reader in :func:`_read_pairs` is the reference, and it finds and
+    reports every error.
+    """
+    nl = text.find("\n")
+    header = text[:nl]
+    if nl < 0 or header[:2] != "n " or not (header[2:].isdigit() and header.isascii()):
+        return None
+    try:
+        rows = [0] * int(header[2:])
+    except (ValueError, OverflowError, MemoryError):
+        return None
+    declared = len(rows)
+    lines = 0
+    pos = nl + 1
+    while pos < len(text):
+        end = text.rfind("\n", pos, pos + _CHUNK) + 1
+        if not end:
+            return None
+        chunk = text[pos:end]
+        count = chunk.count("\n")
+        if chunk.translate(_NOT_DIGITS) != " \n" * count:
+            return None
+        try:
+            labels = json.loads("[" + chunk[:-1].replace("\n", ",").replace(" ", ",") + "]")
+        except ValueError:
+            return None
+        us, vs = labels[::2], labels[1::2]
+        if max(labels) >= declared or any(map(eq, us, vs)):
+            return None
+        if ordered:
+            for u, v in zip(us, vs):
+                rows[u] |= 1 << v
+        else:
+            for u, v in zip(us, vs):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        lines += count
+        pos = end
+    if sum(map(int.bit_count, rows)) != (lines if ordered else 2 * lines):
+        return None
+    return rows
 
 
 def _new_id(ids: dict[str, int], labels: list[int], rows: list[int], label: int) -> int:

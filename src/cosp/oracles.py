@@ -13,10 +13,28 @@ import itertools
 import json
 from collections.abc import Iterator
 
-from .cographs import LEAF, Cotree, P4Witness, _from_signature
+from .cographs import (
+    LEAF,
+    Cotree,
+    P4Witness,
+    _from_signature,
+    cotree,
+    cotree_to_graph,
+    join_witness,
+    neighbor_split,
+    non_neighbor_components,
+    select_universal_neighbor,
+)
 from .graphs import Graph, iter_bits, mask_co_components, mask_components, mask_of
 from .posets import NWitness, Poset
-from .spdecomp import SPTree
+from .spdecomp import (
+    SPTree,
+    endpoint_witness,
+    is_nfree,
+    linear_split_witness,
+    sp_tree,
+    sp_tree_to_poset,
+)
 
 MAX_ENUM_GRAPH = 6
 MAX_ENUM_POSET = 4
@@ -326,3 +344,89 @@ def read_fixture_line(line: str) -> tuple[int, Graph | Poset]:
         pairs = [tuple(r) for r in payload["relations"]]
         return seed, Poset.from_relations(payload["n"], pairs, mode="full")
     raise ValueError(f"unknown fixture kind {kind!r}")
+
+
+# === oracle comparison sweeps ===
+
+
+def check_graph_instance(g: Graph) -> str | None:
+    """Compare every decomposition claim against the oracles on one graph.
+    Returns a failure tag or None."""
+    p4 = brute_p4(g)
+    tree = cotree(g) if g.order else None
+    recognized = g.order == 0 or isinstance(tree, Cotree)
+    if recognized != (p4 is None):
+        return "recognition disagrees with the path scan"
+    if g.order <= MAX_DEF_CHECK and brute_cograph_def(g) != recognized:
+        return "recognition disagrees with the defining property"
+    if isinstance(tree, P4Witness) and not tree.validate(g):
+        return "path certificate does not validate"
+    if isinstance(tree, Cotree) and cotree_to_graph(tree) != g:
+        return "decomposition tree does not rebuild its graph"
+    if g.order == 0 or not g.is_connected():
+        return None
+    co_split = len(g.co_components()) > 1
+    if recognized:
+        w = join_witness(g)
+        if (w is not None) != co_split:
+            return "join witness existence disagrees with complement components"
+        if w is not None and not w.validate(g):
+            return "join witness does not validate"
+        for x in range(g.order):
+            for block in non_neighbor_components(g, x):
+                if not g.is_module(block):
+                    return "a non-neighbor block is not a module"
+                split = neighbor_split(g, x, block)
+                if not split.validate(g, x):
+                    return "a neighbor split does not validate"
+            if g.neighbors(x):
+                if select_universal_neighbor(g, x) not in g.universal_neighbors(x):
+                    return "selected neighbor is not universal"
+    if g.order >= 4 and is_prime_graph(g) and p4 is None:
+        return "a prime graph of order four or more has no induced path"
+    return None
+
+
+def check_poset_instance(p: Poset) -> str | None:
+    """Compare every order-side claim against the oracles on one poset."""
+    nw = brute_n(p)
+    free = nw is None
+    if is_nfree(p, method="modules") != free:
+        return "module criterion disagrees with the quadruple scan"
+    if is_nfree(p, method="brute") != free:
+        return "brute route disagrees with the oracle scan"
+    if p.order:
+        tree = sp_tree(p)
+        if isinstance(tree, NWitness):
+            if free:
+                return "decomposition found an N in an N-free order"
+            if not tree.validate(p):
+                return "N certificate does not validate"
+        else:
+            if not free:
+                return "decomposition missed an N"
+            if sp_tree_to_poset(tree) != p:
+                return "decomposition tree does not rebuild its order"
+    cg = p.comparability_graph()
+    if p.order <= MAX_MODULE_ENUM:
+        if is_prime_poset(p) != is_prime_graph(cg):
+            return "order primality disagrees with comparability-graph primality"
+    if free and p.order >= 1 and p.is_connected():
+        w = linear_split_witness(p)
+        inc_split = len(p.incomparability_graph().components()) > 1
+        if (w is not None) != inc_split:
+            return "linear split existence disagrees with incomparability components"
+        if w is not None and not w.validate(p):
+            return "linear split does not validate"
+        for x in range(p.order):
+            ew = endpoint_witness(p, x)
+            cand = p.split_candidates(x)
+            if ew.endpoint != x and ew.endpoint not in cand.lower + cand.upper:
+                return "chain endpoint is not a split candidate"
+    return None
+
+
+def mismatch(obj: Graph | Poset, tag: str) -> dict:
+    """The ``oracle-compare`` report of an instance that failed check ``tag``."""
+    kind, payload = _fixture_payload(obj)
+    return {"ok": False, "kind": kind, "check": tag, "payload": payload}

@@ -115,14 +115,28 @@ class Poset(_Record):
         if order < 0:
             raise ValueError("order must be non-negative")
         succ = [0] * order
-        pred = [0] * order
         for u, v in pairs:
             if not (0 <= u < order and 0 <= v < order):
                 raise ValueError(f"relation ({u}, {v}) out of range for order {order}")
             if u == v:
                 raise ValueError(f"reflexive relation {u} < {u}")
             succ[u] |= 1 << v
-            pred[v] |= 1 << u
+        return cls._from_succ(succ, mode)
+
+    @classmethod
+    def _from_succ(cls, succ: list[int], mode: str) -> Poset:
+        """The order of :meth:`from_relations` from its successor masks:
+        bit v of ``succ[u]`` stands for the pair u < v."""
+        if mode not in ("covers", "full"):
+            raise ValueError(f"unknown mode {mode!r}")
+        order = len(succ)
+        pred = [0] * order
+        for u, row in enumerate(succ):
+            bit = row and 1 << u
+            while row:
+                low = row & -row
+                pred[low.bit_length() - 1] |= bit
+                row ^= low
         # Kahn's algorithm; leftovers witness a cycle.
         indeg = [pred[v].bit_count() for v in range(order)]
         queue = [v for v in range(order) if indeg[v] == 0]
@@ -141,7 +155,7 @@ class Poset(_Record):
                 if inside:
                     raise CycleError((u, (inside & -inside).bit_length() - 1))
             raise CycleError((0, 0))  # unreachable: a cycle always has an internal edge
-        below = _reach(topo, pred)
+        below = _reach(topo, pred, True)
         if mode == "full":
             for v in range(order):
                 missing = below[v] & ~pred[v]
@@ -150,7 +164,7 @@ class Poset(_Record):
                     raise ValueError(
                         f"relation is not transitively closed: {u} < {v} is implied but absent"
                     )
-        return cls(tuple(below), tuple(_reach(reversed(topo), succ)))
+        return cls(tuple(below), tuple(_reach(reversed(topo), succ, False)))
 
     def validate(self) -> None:
         """Check irreflexivity, transitivity, and below/above duality."""
@@ -292,14 +306,23 @@ class Poset(_Record):
         return MaximalChain(tuple(members))
 
 
-def _reach(topo: Iterable[int], step: Sequence[int]) -> list[int]:
+def _reach(topo: Iterable[int], step: Sequence[int], high: bool) -> list[int]:
     """Mask of everything reachable from each element along ``step`` edges;
-    ``topo`` must list every step target before its source."""
+    ``topo`` must list every step target before its source.
+
+    A target already reached through another one adds nothing and is
+    skipped.  Targets are taken from the highest id down when ``high``,
+    else from the lowest up, so that when ids follow the order the first
+    targets taken are the nearest ones (covers) and reach the rest.
+    """
     out = [0] * len(step)
     for v in topo:
         acc = 0
-        for u in iter_bits(step[v]):
+        rest = step[v]
+        while rest:
+            u = rest.bit_length() - 1 if high else (rest & -rest).bit_length() - 1
             acc |= out[u] | (1 << u)
+            rest &= ~acc
         out[v] = acc
     return out
 
@@ -311,11 +334,7 @@ def parse_poset(text: str, mode: str = "covers") -> tuple[Poset, tuple[int, ...]
     optional header and label remapping follow the graph format rules.
     """
 
-    def build(order: int, rows: list[int]) -> Poset:
-        pairs = [(u, v) for u, row in enumerate(rows) for v in iter_bits(row)]
-        return Poset.from_relations(order, pairs, mode=mode)
-
-    return _read_pairs(text, "element", True, build)
+    return _read_pairs(text, "element", True, lambda order, rows: Poset._from_succ(rows, mode))
 
 
 def format_poset(p: Poset, labels: Sequence[int] | None = None, mode: str = "covers") -> str:

@@ -56,6 +56,18 @@ def test_check_self_loop_rejected(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    # Both files hold the same text, one behind a UTF-8 byte-order mark;
+    # the plain P4 file is read in bulk, the header-less N line by line.
+    for name, text, args in (("p4", P4_TEXT, ["check"]), ("n", N_TEXT, ["poset", "nfree"])):
+        plain, marked = tmp_path / f"{name}.txt", tmp_path / f"{name}-bom.txt"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        expected = run(capsys, args[0], str(plain), *args[1:])
+        assert expected[0] == 1
+        assert run(capsys, args[0], str(marked), *args[1:]) == expected
+
+
 def test_check_missing_file(capsys):
     code, out, err = run(capsys, "check", "/nonexistent/g.txt")
     assert code == 2

@@ -1,6 +1,7 @@
 """The shared pair text format of graphs and orders: every rejected input
-with its exact message and line, the accepted oddities, and random
-well-formed files written in every accepted spelling."""
+with its exact message and line, the accepted oddities, random
+well-formed files written in every accepted spelling, and the bulk read
+of plain files against the line reader."""
 
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import cosp
 from cosp import CycleError, Graph, ParseError, Poset, parse_graph, parse_poset
+from cosp.graphs import _read_plain
 
 CYCLE = "cycle"
 
@@ -73,8 +75,7 @@ REJECTED = [
     ("n 3\n0 1\n7 1\n", (3, "vertex 7 outside declared order 3"), (3, "element 7 outside declared order 3")),
     ("n 0\n0 1\n", (2, "vertex 1 outside declared order 0"), (2, "element 1 outside declared order 0")),
     ("n 3\n1 03\n", (2, "vertex 3 outside declared order 3"), (2, "element 3 outside declared order 3")),
-    # declared orders whose rows cannot be allocated (kept last: the ids
-    # of the rows above carry their positions)
+    # declared orders whose rows cannot be allocated
     (
         "n 18446744073709551616\n0 1\n",
         (1, "declared order 18446744073709551616 is too large"),
@@ -85,6 +86,15 @@ REJECTED = [
         (1, "declared order 9223372036854775807 is too large"),
         (1, "declared order 9223372036854775807 is too large"),
     ),
+    # plain texts, which are read in bulk until a check fails (new rows go
+    # last: the id of each row's test carries its position)
+    ("n 3\n0 1\n2 2\n", (3, "self-loop 2 2"), (3, "reflexive relation 2 < 2")),
+    ("n 3\n0 1\n1 3\n", (3, "vertex 3 outside declared order 3"), (3, "element 3 outside declared order 3")),
+    ("n 3\n0 1\n2 1\n0 1\n", (4, "duplicate edge 0 1"), (4, "duplicate relation 0 < 1")),
+    ("n 3\n0 1\n2 1\n1 0\n", (4, "duplicate edge 1 0"), CYCLE),
+    ("n 3\n1 2\n01 2\n", (3, "duplicate edge 1 2"), (3, "duplicate relation 1 < 2")),
+    ("n 3\n0 1\n0 1", (3, "duplicate edge 0 1"), (3, "duplicate relation 0 < 1")),
+    ("n 3\n0 1\n1 2", None, None),
 ]
 
 
@@ -243,3 +253,122 @@ def test_random_order_files(case):
     back = [element[lab] for lab in labels]
     for i in range(parsed.order):
         assert parsed.below[i] == sum(1 << j for j in range(parsed.order) if p.less(back[j], back[i]))
+
+
+def test_far_apart_duplicate_names_its_line():
+    # The two copies of 0 1 sit in different 64 KiB chunks of a plain text:
+    # the bulk read sees too few row bits and the line reader names the line.
+    n = 300
+    middle = "".join(f"{u} {v}\n" for u in range(2, n) for v in range(u + 1, n))
+    clean = f"n {n}\n0 1\n{middle}"
+    assert len(middle) > 2 * 2**16
+    assert _read_plain(clean, False) is not None and _read_plain(clean, True) is not None
+    line = clean.count("\n") + 1
+    for parse, message in ((parse_graph, "duplicate edge 0 1"), (parse_poset, "duplicate relation 0 < 1")):
+        with pytest.raises(ParseError) as exc:
+            parse(clean + "0 1\n")
+        assert str(exc.value) == f"line {line}: {message}"
+
+
+PLAIN_ORDER = 40
+
+
+@st.composite
+def plain(draw, ordered):
+    """A random graph or order over 0..n-1 and its plain text: a header, then
+    one ``u v`` line per pair in shuffled order, graph edges flipped at
+    random."""
+    n = draw(st.integers(0, PLAIN_ORDER))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    if ordered:
+        perm = draw(st.permutations(range(n)))
+        chosen = [(perm[u], perm[v]) for u, v in chosen]
+        structure = Poset.from_relations(n, chosen)
+    else:
+        structure = Graph.from_edges(n, chosen)
+    lines = []
+    for u, v in draw(st.permutations(chosen)):
+        if not ordered and draw(st.booleans()):
+            u, v = v, u
+        lines.append(f"{u} {v}\n")
+    return structure, f"n {n}\n" + "".join(lines)
+
+
+# Edits of a plain text: each keeps it plain-looking or breaks one rule.
+FAULTS = (
+    "none",
+    "repeat a line",
+    "repeat a line flipped",
+    "self-loop",
+    "label out of range",
+    "leading zero",
+    "no final newline",
+    "tab",
+    "two spaces",
+    "carriage return",
+    "plus sign",
+    "comment line",
+    "blank line",
+    "one label",
+    "three labels",
+)
+
+
+def inject(draw, text, fault):
+    head, *lines = text.split("\n")[:-1]
+    n = int(head.split()[1])
+    at = draw(st.integers(0, len(lines)))
+    pick = lines[draw(st.integers(0, len(lines) - 1))] if lines else "0 1"
+    u, v = pick.split()
+    edits = {
+        "repeat a line": [pick],
+        "repeat a line flipped": [f"{v} {u}"],
+        "self-loop": [f"{u} {u}"],
+        "label out of range": [f"{u} {n + draw(st.integers(0, 2))}"],
+        "leading zero": [f"0{u} {v}"],
+        "tab": [f"{u}\t{v}"],
+        "two spaces": [f"{u}  {v}"],
+        "carriage return": [f"{u} {v}\r"],
+        "plus sign": [f"+{u} {v}"],
+        "comment line": ["# c"],
+        "blank line": [""],
+        "one label": [u],
+        "three labels": [f"{u} {v} {u}"],
+    }
+    lines[at:at] = edits.get(fault, [])
+    end = "" if fault == "no final newline" else "\n"
+    return "\n".join([head, *lines]) + end
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, CycleError) as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(plain(ordered=False))
+def test_plain_graph_files(case):
+    g, text = case
+    assert _read_plain(text, False) is not None
+    assert parse_graph(text) == (g, tuple(range(g.order)))
+
+
+@SETTINGS
+@given(plain(ordered=True))
+def test_plain_order_files(case):
+    p, text = case
+    assert _read_plain(text, True) is not None
+    assert parse_poset(text) == (p, tuple(range(p.order)))
+
+
+@SETTINGS
+@given(st.booleans(), st.sampled_from(FAULTS), st.data())
+def test_bulk_read_agrees_with_the_line_reader(ordered, fault, data):
+    # A last line '#' makes any text one that only the line reader reads.
+    _, text = data.draw(plain(ordered))
+    text = inject(data.draw, text, fault)
+    parse = parse_poset if ordered else parse_graph
+    assert outcome(parse, text) == outcome(parse, text + "\n#")
