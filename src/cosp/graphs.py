@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import islice
-from operator import eq, itemgetter
+from itertools import compress, islice
+from operator import itemgetter
 
 
 class ParseError(ValueError):
@@ -256,9 +256,13 @@ def _read_pairs(
     With a header, both are sized by the declared order, so running out
     of memory while making them is a ParseError on the header line.
 
-    A plain text (see :func:`_read_plain`) is read in bulk; any other
-    text, and a plain one that fails a check, is read line by line, with
-    the same results and errors.  One pass: a token maps to its id
+    A plain text (see :func:`_read_plain`) is read in bulk, one OR per
+    line into ``rows[u]``, a graph's mirror half then added by one
+    :func:`_transpose`; any other text, and a plain one that fails a
+    check, is read line by line, with the same results and errors.  The
+    line reader sets both halves of a graph as it goes, and drops its
+    split lines and token dict before ``build``, which for an order runs
+    the closure.  One pass: a token maps to its id
     through one dict keyed by the canonical spelling ``str(label)``, and
     the row bit finds duplicates.
     A line the dict does not decide (a label's first appearance, another
@@ -333,6 +337,7 @@ def _read_pairs(
         rows[i] |= 1 << j
         if not ordered:
             rows[j] |= 1 << i
+    del lines, ids, get
     if declared is None:
         order, rows, labels = _sorted_ids(rows, labels)
         return build(order, rows), labels
@@ -364,50 +369,96 @@ def _read_plain(text: str, ordered: bool) -> list[int] | None:
     is read in chunks of about 64 KiB cut at newlines, each checked and
     converted by C-level string operations (the digits deleted leave
     exactly one space and one newline per line; ``json.loads`` turns the
-    labels into ints) and entered by one loop of row ORs.  A label out of
-    range, a self-loop, a label with leading zeros, or a duplicate (the
-    rows then hold fewer bits than the lines set) also gives None: the
-    line reader in :func:`_read_pairs` is the reference, and it finds and
-    reports every error.
+    labels into ints).  Each line ``u v`` then sets bit v of ``rows[u]``
+    with one OR: the bit comes from a table of ``1 << v`` when the text
+    is at least n*n characters long, else from a shift, so the table,
+    about n*n/15 bytes, never outgrows the text.  A graph takes its other
+    half from :func:`_transpose`.
+
+    A label out of range is an index error in the table or the rows; a
+    chunk read with shifts has its largest label checked first.  The
+    finished rows are checked once: a self-loop (a bit on an order's
+    diagonal, or one bit short in a graph's rows), or a duplicate in
+    either orientation (the rows then hold fewer bits than the lines
+    set).  A failed check, a label with leading zeros, or running out of
+    memory gives None: the line reader in :func:`_read_pairs` is the
+    reference, and it finds and reports every error.
     """
     nl = text.find("\n")
     header = text[:nl]
     if nl < 0 or header[:2] != "n " or not (header[2:].isdigit() and header.isascii()):
         return None
     try:
-        rows = [0] * int(header[2:])
-    except (ValueError, OverflowError, MemoryError):
-        return None
-    declared = len(rows)
-    lines = 0
-    pos = nl + 1
-    while pos < len(text):
-        end = text.rfind("\n", pos, pos + _CHUNK) + 1
-        if not end:
-            return None
-        chunk = text[pos:end]
-        count = chunk.count("\n")
-        if chunk.translate(_NOT_DIGITS) != " \n" * count:
-            return None
-        try:
+        declared = int(header[2:])
+        rows = [0] * declared
+        bits = [1 << v for v in range(declared)] if declared * declared <= len(text) else None
+        lines = 0
+        pos = nl + 1
+        while pos < len(text):
+            end = text.rfind("\n", pos, pos + _CHUNK) + 1
+            if not end:
+                return None
+            chunk = text[pos:end]
+            count = chunk.count("\n")
+            if chunk.translate(_NOT_DIGITS) != " \n" * count:
+                return None
             labels = json.loads("[" + chunk[:-1].replace("\n", ",").replace(" ", ",") + "]")
-        except ValueError:
-            return None
-        us, vs = labels[::2], labels[1::2]
-        if max(labels) >= declared or any(map(eq, us, vs)):
-            return None
+            pairs = iter(labels)
+            if bits is None:
+                # A label far out of range would be a shift by gigabytes.
+                if max(labels) >= declared:
+                    return None
+                for u, v in zip(pairs, pairs):
+                    rows[u] |= 1 << v
+            else:
+                for u, v in zip(pairs, pairs):
+                    rows[u] |= bits[v]
+            lines += count
+            pos = end
         if ordered:
-            for u, v in zip(us, vs):
-                rows[u] |= 1 << v
+            if any(row >> i & 1 for i, row in enumerate(rows)):
+                return None
         else:
-            for u, v in zip(us, vs):
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        lines += count
-        pos = end
-    if sum(map(int.bit_count, rows)) != (lines if ordered else 2 * lines):
+            rows = [row | col for row, col in zip(rows, _transpose(rows, declared))]
+            lines *= 2
+    except (ValueError, IndexError, OverflowError, MemoryError):
+        return None
+    if sum(map(int.bit_count, rows)) != lines:
         return None
     return rows
+
+
+_DIGITS = 1 << 20
+
+
+def _transpose(rows: Sequence[int], n: int) -> list[int]:
+    """The transpose of n rows of n bits: bit i of ``out[j]`` is bit j of
+    ``rows[i]``.
+
+    Rows with more than one bit in eight set are written as binary digit
+    strings, at most about 1 MiB of digits at a time, and each column is
+    read back with one strided slice and ``int(..., 2)``; sparser rows
+    are walked bit by bit.
+    """
+    out = [0] * n
+    if sum(map(int.bit_count, rows)) * 8 <= n * n:
+        for i in compress(range(n), rows):
+            row = rows[i]
+            bit = 1 << i
+            while row:
+                low = row & -row
+                out[low.bit_length() - 1] |= bit
+                row ^= low
+        return out
+    spec = f"0{n}b"
+    step = max(1, _DIGITS // n)
+    for start in range(0, n, step):
+        # Digit k of a row's string is bit n-1-k.  The rows go in last
+        # first, so that row ``start`` is the lowest digit of each column.
+        digits = "".join([format(row, spec) for row in reversed(rows[start : start + step])])
+        for j in range(n):
+            out[j] |= int(digits[n - 1 - j :: n], 2) << start
+    return out
 
 
 def _new_id(ids: dict[str, int], labels: list[int], rows: list[int], label: int) -> int:

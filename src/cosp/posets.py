@@ -14,6 +14,7 @@ from .graphs import (
     Graph,
     _Record,
     _read_pairs,
+    _transpose,
     iter_bits,
     mask_components,
     mask_of,
@@ -130,13 +131,7 @@ class Poset(_Record):
         if mode not in ("covers", "full"):
             raise ValueError(f"unknown mode {mode!r}")
         order = len(succ)
-        pred = [0] * order
-        for u, row in enumerate(succ):
-            bit = row and 1 << u
-            while row:
-                low = row & -row
-                pred[low.bit_length() - 1] |= bit
-                row ^= low
+        pred = _transpose(succ, order)
         # Kahn's algorithm; leftovers witness a cycle.
         indeg = [pred[v].bit_count() for v in range(order)]
         queue = [v for v in range(order) if indeg[v] == 0]

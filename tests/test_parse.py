@@ -3,8 +3,10 @@ with its exact message and line, the accepted oddities, random
 well-formed files written in every accepted spelling, and the bulk read
 of plain files against the line reader."""
 
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import cosp
 from cosp import CycleError, Graph, ParseError, Poset, parse_graph, parse_poset
-from cosp.graphs import _read_plain
+from cosp import graphs
+from cosp.graphs import _read_plain, _transpose
 
 CYCLE = "cycle"
 
@@ -115,6 +118,23 @@ def test_rejected_inputs(text, graph_outcome, order_outcome):
             assert exc.value.line == line
 
 
+LIMIT = 500 * 2**20
+
+
+def run_limited(args, timeout=120):
+    """Run ``python *args`` from the source tree with at most LIMIT bytes of
+    address space."""
+    resource = pytest.importorskip("resource")
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        cwd=Path(cosp.__file__).parents[1],
+        timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (LIMIT, LIMIT)),
+    )
+
+
 @pytest.mark.parametrize(
     "command, text",
     [
@@ -126,20 +146,47 @@ def test_rejected_inputs(text, graph_outcome, order_outcome):
 def test_header_beyond_memory_is_a_parse_error(tmp_path, command, text):
     # The rows a 30M header asks for fit in 500 MB, the arrays built from
     # them do not: the failed allocation is reported against the header.
-    resource = pytest.importorskip("resource")
-    limit = 500 * 2**20
     path = tmp_path / "big.txt"
     path.write_text(text)
-    proc = subprocess.run(
-        [sys.executable, "-m", "cosp.cli", command[0], str(path), *command[1:]],
-        capture_output=True,
-        text=True,
-        cwd=Path(cosp.__file__).parents[1],
-        timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+    proc = run_limited(["-m", "cosp.cli", command[0], str(path), *command[1:]])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "line 1: declared order 30000000 is too large\n"
+
+
+def test_large_header_over_a_short_plain_text_keeps_the_shifts(tmp_path):
+    # A table of 1 << v for v < 200000 would take 2.5 GB: a plain text this
+    # short must be read with shifts.  The parsers run as check and
+    # poset ... nfree call them (both commands then run out of memory in the
+    # decomposition, whose 200000 singleton masks take as much).
+    path = tmp_path / "sparse.txt"
+    path.write_text("n 200000\n0 1\n2 3\n1 3\n")
+    script = (
+        "import sys\n"
+        "from cosp import parse_graph, parse_poset\n"
+        "from cosp.graphs import _read_plain\n"
+        "text = open(sys.argv[1]).read()\n"
+        "assert _read_plain(text, False) is not None\n"
+        "g, _ = parse_graph(text)\n"
+        "p, _ = parse_poset(text, mode='covers')\n"
+        "print(g.order, g.edge_count(), p.order, len(p.relations()))\n"
+    )
+    proc = run_limited(["-c", script, str(path)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "200000 3 200000 4\n", "")
+
+
+def test_label_far_out_of_range_is_never_shifted():
+    # Read with shifts, a label of 10**8 would make a 12 MB int before the
+    # rows could show it: the bulk read checks each chunk's largest label.
+    text = "n 300\n0 1\n0 100000000\n"
+    tracemalloc.start()
+    try:
+        assert _read_plain(text, False) is None and _read_plain(text, True) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(ParseError, match="^line 3: vertex 100000000 outside declared order 300$"):
+        parse_graph(text)
 
 
 def edges_by_label(text):
@@ -255,13 +302,26 @@ def test_random_order_files(case):
         assert parsed.below[i] == sum(1 << j for j in range(parsed.order) if p.less(back[j], back[i]))
 
 
+def dense(text):
+    """Whether the bulk read of a plain text takes its single-bit masks from
+    a table, which it does when the header's n squared is at most the
+    length of the text."""
+    n = int(text[2 : text.index("\n")])
+    return n * n <= len(text)
+
+
+def far_apart(declared):
+    """A plain text ``0 1``, then every pair of 2..299: more than 128 KiB
+    lies between its first line and a line appended to it."""
+    middle = "".join(f"{u} {v}\n" for u in range(2, 300) for v in range(u + 1, 300))
+    assert len(middle) > 2 * 2**16
+    return f"n {declared}\n0 1\n{middle}"
+
+
 def test_far_apart_duplicate_names_its_line():
     # The two copies of 0 1 sit in different 64 KiB chunks of a plain text:
     # the bulk read sees too few row bits and the line reader names the line.
-    n = 300
-    middle = "".join(f"{u} {v}\n" for u in range(2, n) for v in range(u + 1, n))
-    clean = f"n {n}\n0 1\n{middle}"
-    assert len(middle) > 2 * 2**16
+    clean = far_apart(300)
     assert _read_plain(clean, False) is not None and _read_plain(clean, True) is not None
     line = clean.count("\n") + 1
     for parse, message in ((parse_graph, "duplicate edge 0 1"), (parse_poset, "duplicate relation 0 < 1")):
@@ -270,29 +330,68 @@ def test_far_apart_duplicate_names_its_line():
         assert str(exc.value) == f"line {line}: {message}"
 
 
+@pytest.mark.parametrize("declared", [300, 1000], ids=["dense", "sparse"])
+def test_far_apart_flipped_duplicate(declared):
+    # 0 1, and 1 0 more than 128 KiB later: a graph's rows miss a bit only
+    # once the transpose is ORed in, and the line reader names the line; an
+    # order holds both pairs and has the cycle the line reader finds.
+    clean = far_apart(declared)
+    assert dense(clean) == (declared == 300)
+    assert _read_plain(clean, False) is not None and _read_plain(clean, True) is not None
+    text = clean + "1 0\n"
+    line = clean.count("\n") + 1
+    assert outcome(parse_graph, text) == (ParseError, f"line {line}: duplicate edge 1 0")
+    assert _read_plain(text, True) is not None
+    cycle = outcome(parse_poset, text)
+    assert cycle[0] is CycleError and cycle == outcome(parse_poset, text + "#\n")
+
+
+@pytest.mark.parametrize("n", [0, 1, 64, 65])
+@pytest.mark.parametrize("digits", [None, 200], ids=["one-block", "blocks-of-3"])
+def test_transpose(monkeypatch, n, digits):
+    # Dense rows (more than one bit in eight set) go through digit strings,
+    # in blocks of 200 // n rows when ``_DIGITS`` is 200; sparse ones are
+    # walked bit by bit.  Both must match the definition.
+    if digits is not None:
+        monkeypatch.setattr(graphs, "_DIGITS", digits)
+    rng = random.Random(n)
+    routes = set()
+    for _ in range(20):
+        density = rng.choice((0.02, 0.5))
+        rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+        routes.add(sum(map(int.bit_count, rows)) * 8 > n * n)
+        want = [sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n)]
+        assert _transpose(rows, n) == want
+    assert routes == ({False} if n == 0 else {False, True})
+
+
 PLAIN_ORDER = 40
 
 
 @st.composite
-def plain(draw, ordered):
-    """A random graph or order over 0..n-1 and its plain text: a header, then
-    one ``u v`` line per pair in shuffled order, graph edges flipped at
-    random."""
+def plain(draw, ordered, is_dense):
+    """A random graph or order and its plain text: a header, then one ``u v``
+    line per pair in shuffled order, graph edges flipped at random.  A
+    dense text holds at least three quarters of the pairs over 0..n-1,
+    enough for n*n to fit in its length; a sparse one holds any of them
+    under a header 100-199 larger than n."""
     n = draw(st.integers(0, PLAIN_ORDER))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
-    if ordered:
-        perm = draw(st.permutations(range(n)))
-        chosen = [(perm[u], perm[v]) for u, v in chosen]
-        structure = Poset.from_relations(n, chosen)
+    if is_dense:
+        chosen = rnd.sample(pairs, len(pairs) - rnd.randint(0, len(pairs) // 4))
+        declared = n
     else:
-        structure = Graph.from_edges(n, chosen)
-    lines = []
-    for u, v in draw(st.permutations(chosen)):
-        if not ordered and draw(st.booleans()):
-            u, v = v, u
-        lines.append(f"{u} {v}\n")
-    return structure, f"n {n}\n" + "".join(lines)
+        chosen = rnd.sample(pairs, rnd.randint(0, len(pairs)))
+        declared = n + rnd.randint(100, 199)
+    if ordered:
+        perm = rnd.sample(range(n), n)
+        chosen = [(perm[u], perm[v]) for u, v in chosen]
+        structure = Poset.from_relations(declared, chosen)
+    else:
+        chosen = [(v, u) if rnd.getrandbits(1) else (u, v) for u, v in chosen]
+        structure = Graph.from_edges(declared, chosen)
+    return structure, f"n {declared}\n" + "".join(f"{u} {v}\n" for u, v in chosen)
 
 
 # Edits of a plain text: each keeps it plain-looking or breaks one rule.
@@ -321,11 +420,12 @@ def inject(draw, text, fault):
     at = draw(st.integers(0, len(lines)))
     pick = lines[draw(st.integers(0, len(lines) - 1))] if lines else "0 1"
     u, v = pick.split()
+    big = n + draw(st.integers(0, 2))
     edits = {
         "repeat a line": [pick],
         "repeat a line flipped": [f"{v} {u}"],
         "self-loop": [f"{u} {u}"],
-        "label out of range": [f"{u} {n + draw(st.integers(0, 2))}"],
+        "label out of range": [draw(st.sampled_from((f"{u} {big}", f"{big} {v}")))],
         "leading zero": [f"0{u} {v}"],
         "tab": [f"{u}\t{v}"],
         "two spaces": [f"{u}  {v}"],
@@ -349,26 +449,30 @@ def outcome(parse, text):
 
 
 @SETTINGS
-@given(plain(ordered=False))
-def test_plain_graph_files(case):
-    g, text = case
-    assert _read_plain(text, False) is not None
-    assert parse_graph(text) == (g, tuple(range(g.order)))
+@given(plain(False, is_dense=True), plain(False, is_dense=False))
+def test_plain_graph_files(dense_case, sparse_case):
+    for is_dense, (g, text) in ((True, dense_case), (False, sparse_case)):
+        assert dense(text) == is_dense
+        assert _read_plain(text, False) is not None
+        assert parse_graph(text) == (g, tuple(range(g.order)))
 
 
 @SETTINGS
-@given(plain(ordered=True))
-def test_plain_order_files(case):
-    p, text = case
-    assert _read_plain(text, True) is not None
-    assert parse_poset(text) == (p, tuple(range(p.order)))
+@given(plain(True, is_dense=True), plain(True, is_dense=False))
+def test_plain_order_files(dense_case, sparse_case):
+    for is_dense, (p, text) in ((True, dense_case), (False, sparse_case)):
+        assert dense(text) == is_dense
+        assert _read_plain(text, True) is not None
+        assert parse_poset(text) == (p, tuple(range(p.order)))
 
 
 @SETTINGS
 @given(st.booleans(), st.sampled_from(FAULTS), st.data())
 def test_bulk_read_agrees_with_the_line_reader(ordered, fault, data):
-    # A last line '#' makes any text one that only the line reader reads.
-    _, text = data.draw(plain(ordered))
-    text = inject(data.draw, text, fault)
+    # Each fault goes into a dense and a sparse text.  A last line '#'
+    # makes any text one that only the line reader reads.
     parse = parse_poset if ordered else parse_graph
-    assert outcome(parse, text) == outcome(parse, text + "\n#")
+    for is_dense in (True, False):
+        _, text = data.draw(plain(ordered, is_dense))
+        text = inject(data.draw, text, fault)
+        assert outcome(parse, text) == outcome(parse, text + "\n#")
