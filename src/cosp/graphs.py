@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import compress, islice
-from operator import itemgetter
+from itertools import chain, islice
 
 
 class ParseError(ValueError):
@@ -256,23 +255,32 @@ def _read_pairs(
     With a header, both are sized by the declared order, so running out
     of memory while making them is a ParseError on the header line.
 
-    A plain text (see :func:`_read_plain`) is read in bulk, one OR per
-    line into ``rows[u]``, a graph's mirror half then added by one
-    :func:`_transpose`; any other text, and a plain one that fails a
-    check, is read line by line, with the same results and errors.  The
-    line reader sets both halves of a graph as it goes, and drops its
-    split lines and token dict before ``build``, which for an order runs
-    the closure.  One pass: a token maps to its id
-    through one dict keyed by the canonical spelling ``str(label)``, and
-    the row bit finds duplicates.
-    A line the dict does not decide (a label's first appearance, another
-    spelling of a label, a comment or an error) takes the checks in full
-    and enters its labels, so the dict holds only the labels in use,
-    however large the declared order.
+    One of two tokenizers turns the text into flat labels, and
+    :func:`_rows` builds the rows from them.  A plain text (see
+    :func:`_read_plain`) is tokenized in bulk; any other text, and a plain
+    one that fails a check, by :func:`_read_lines`, which finds and
+    reports every error.
     """
-    rows = _read_plain(text, ordered)
-    if rows is not None:
-        return _built(build, rows, 1)
+    rows, labels, header = _read_plain(text, ordered) or _read_lines(text, noun, ordered)
+    try:
+        return build(len(rows), rows), tuple(labels)
+    except MemoryError:
+        if header is None:
+            raise
+        raise ParseError(header, f"declared order {len(rows)} is too large") from None
+
+
+def _read_lines(text: str, noun: str, ordered: bool) -> tuple[list[int], Sequence[int], int | None]:
+    """The rows, the label table and the header's line number (None
+    without a header) of any text, read line by line.
+
+    Each line takes every check in turn: its shape, the signs of its
+    labels, a self-loop or reflexive pair, and the declared range.  The
+    tokenizer stops at the first line that fails one and hands the pairs
+    before it to :func:`_rows`.  When their bits come up short, one
+    ordered scan of the pairs names the first duplicate, whose line comes
+    earlier, and that error is raised ahead of the tokenizer's.
+    """
     pair, sep = ("relation", " < ") if ordered else ("edge", " ")
     lines = text.splitlines()
     declared: int | None = None
@@ -292,157 +300,189 @@ def _read_pairs(
                 raise ParseError(first + 1, "declared order must be non-negative")
             first += 1
         break
-    ids: dict[str, int] = {}
-    labels: list[int] = []
-    try:
-        rows = [] if declared is None else [0] * declared
-    except (OverflowError, MemoryError):
-        raise ParseError(first, f"declared order {declared} is too large") from None
-    get = ids.get
+    flat: list[int] = []
+    error = None
     for lineno, line in enumerate(islice(lines, first, None), first + 1):
         tokens = line.split()
-        if len(tokens) == 2 or ordered and len(tokens) == 3 and tokens[1] == "<":
-            i = get(tokens[0])
-            j = get(tokens[-1])
-            if i is not None and j is not None and i != j and not rows[i] >> j & 1:
-                rows[i] |= 1 << j
-                if not ordered:
-                    rows[j] |= 1 << i
-                continue
-        if not tokens or tokens[0].startswith("#"):
+        if not tokens or tokens[0][0] == "#":
             continue
         try:
             if len(tokens) != 2 and not (ordered and len(tokens) == 3 and tokens[1] == "<"):
                 raise ValueError
             u, v = int(tokens[0]), int(tokens[-1])
         except ValueError:
-            raise ParseError(lineno, f"expected two {noun} labels, got {line.strip()!r}") from None
+            error = f"expected two {noun} labels, got {line.strip()!r}"
+            break
         if u < 0 or v < 0:
-            raise ParseError(lineno, f"{noun} labels must be non-negative")
-        if u == v:
-            raise ParseError(lineno, f"{'reflexive relation' if ordered else 'self-loop'} {u}{sep}{v}")
-        if declared is None:
-            i = _new_id(ids, labels, rows, u)
-            j = _new_id(ids, labels, rows, v)
-        elif u >= declared or v >= declared:
-            # No pair out of range ever entered a row, so this test may
-            # come before the duplicate test.
-            raise ParseError(lineno, f"{noun} {max(u, v)} outside declared order {declared}")
+            error = f"{noun} labels must be non-negative"
+        elif u == v:
+            error = f"{'reflexive relation' if ordered else 'self-loop'} {u}{sep}{v}"
+        elif declared is not None and (u >= declared or v >= declared):
+            error = f"{noun} {max(u, v)} outside declared order {declared}"
         else:
-            i, j = u, v
-            ids[str(u)] = u
-            ids[str(v)] = v
-        if rows[i] >> j & 1:
-            raise ParseError(lineno, f"duplicate {pair} {u}{sep}{v}")
-        rows[i] |= 1 << j
-        if not ordered:
-            rows[j] |= 1 << i
-    del lines, ids, get
-    if declared is None:
-        order, rows, labels = _sorted_ids(rows, labels)
-        return build(order, rows), labels
-    return _built(build, rows, first)
-
-
-def _built(
-    build: Callable[[int, list[int]], object], rows: list[int], header: int
-) -> tuple[object, tuple[int, ...]]:
-    """``build`` of rows sized by a header, and the identity label table;
-    running out of memory while making them is a ParseError on the header."""
-    declared = len(rows)
+            flat += u, v
+            continue
+        break
+    del lines
     try:
-        return build(declared, rows), tuple(range(declared))
-    except MemoryError:
-        raise ParseError(header, f"declared order {declared} is too large") from None
+        read = _rows((flat,), declared, ordered, len(text))
+    except (OverflowError, MemoryError):
+        if declared is None:
+            raise
+        raise ParseError(first, f"declared order {declared} is too large") from None
+    if read is None:
+        seen = set()
+        pairs = iter(flat)
+        for k, (u, v) in enumerate(zip(pairs, pairs)):
+            key = (u, v) if ordered or u < v else (v, u)
+            if key in seen:
+                break
+            seen.add(key)
+        # The k-th line after the header that is neither blank nor a comment.
+        lines = enumerate(text.splitlines(), 1)
+        at = (i for i, line in lines if i > first and (t := line.split()) and t[0][0] != "#")
+        raise ParseError(next(islice(at, k, None)), f"duplicate {pair} {u}{sep}{v}")
+    if error is not None:
+        raise ParseError(lineno, error)
+    return (*read, None if declared is None else first)
 
 
 _CHUNK = 1 << 16
 _NOT_DIGITS = str.maketrans("", "", "0123456789")
 
 
-def _read_plain(text: str, ordered: bool) -> list[int] | None:
-    """The rows of a plain text, or None for any other text.
+def _read_plain(text: str, ordered: bool) -> tuple[list[int], Sequence[int], int | None] | None:
+    """The rows, the label table and the header's line number (None
+    without a header) of a plain text, or None for any other text.
 
-    A text is plain when line 1 is ``n <digits>`` and every later line is
-    ``<digits> <digits>`` ended by a newline, with ASCII digits and single
-    spaces, as :func:`format_graph` and :func:`format_poset` write it.  It
-    is read in chunks of about 64 KiB cut at newlines, each checked and
-    converted by C-level string operations (the digits deleted leave
-    exactly one space and one newline per line; ``json.loads`` turns the
-    labels into ints).  Each line ``u v`` then sets bit v of ``rows[u]``
-    with one OR: the bit comes from a table of ``1 << v`` when the text
-    is at least n*n characters long, else from a shift, so the table,
-    about n*n/15 bytes, never outgrows the text.  A graph takes its other
-    half from :func:`_transpose`.
+    A text is plain when every line is ``<digits> <digits>``, or for an
+    order also ``<digits> < <digits>``, ended by a newline, with ASCII
+    digits and single spaces, after an optional first line ``n <digits>``:
+    the form :func:`format_graph` and :func:`format_poset` write.  The
+    shape of the whole text is checked first by C-level string operations,
+    after an order's ``" < "`` become spaces, so that any other text costs
+    little here.  The labels are then
+    converted by one ``json.loads`` per chunk of at least 64 KiB cut at a
+    newline.  With a header the chunks stream into :func:`_rows` one by
+    one; without one all labels are held at once, to be relabelled.
 
-    A label out of range is an index error in the table or the rows; a
-    chunk read with shifts has its largest label checked first.  The
-    finished rows are checked once: a self-loop (a bit on an order's
-    diagonal, or one bit short in a graph's rows), or a duplicate in
-    either orientation (the rows then hold fewer bits than the lines
-    set).  A failed check, a label with leading zeros, or running out of
-    memory gives None: the line reader in :func:`_read_pairs` is the
-    reference, and it finds and reports every error.
+    A failed check, a label with leading zeros, any check of
+    :func:`_rows` that fails, or running out of memory gives None: the
+    line reader :func:`_read_lines` is the reference, and it finds and
+    reports every error.
     """
-    nl = text.find("\n")
-    header = text[:nl]
-    if nl < 0 or header[:2] != "n " or not (header[2:].isdigit() and header.isascii()):
+    if ordered:
+        text = text.replace(" < ", " ")
+    pos = text.find("\n") + 1 if text[:2] == "n " else 0
+    # Deleting the digits must leave one space and one newline per line,
+    # after the "n \n" of a header; the digits of a last line with no
+    # newline would not show.
+    shape = text.translate(_NOT_DIGITS)
+    head = "n \n" if pos else ""
+    if text[-1:] not in ("", "\n") or shape != head + " \n" * ((len(shape) - len(head)) // 2):
         return None
     try:
-        declared = int(header[2:])
-        rows = [0] * declared
-        bits = [1 << v for v in range(declared)] if declared * declared <= len(text) else None
-        lines = 0
-        pos = nl + 1
-        while pos < len(text):
-            end = text.rfind("\n", pos, pos + _CHUNK) + 1
-            if not end:
-                return None
-            chunk = text[pos:end]
-            count = chunk.count("\n")
-            if chunk.translate(_NOT_DIGITS) != " \n" * count:
-                return None
-            labels = json.loads("[" + chunk[:-1].replace("\n", ",").replace(" ", ",") + "]")
-            pairs = iter(labels)
-            if bits is None:
-                # A label far out of range would be a shift by gigabytes.
-                if max(labels) >= declared:
-                    return None
-                for u, v in zip(pairs, pairs):
-                    rows[u] |= 1 << v
-            else:
-                for u, v in zip(pairs, pairs):
-                    rows[u] |= bits[v]
-            lines += count
-            pos = end
-        if ordered:
-            if any(row >> i & 1 for i, row in enumerate(rows)):
-                return None
-        else:
-            rows = [row | col for row, col in zip(rows, _transpose(rows, declared))]
-            lines *= 2
+        declared = int(text[2 : pos - 1]) if pos else None
+        read = _rows(_chunks(text, pos), declared, ordered, len(text))
     except (ValueError, IndexError, OverflowError, MemoryError):
         return None
-    if sum(map(int.bit_count, rows)) != lines:
+    return read and (*read, 1 if pos else None)
+
+
+def _chunks(text: str, pos: int) -> Iterator[list[int]]:
+    """The labels of the plain lines from ``pos`` on, one flat list per
+    chunk of at least 64 KiB, or the rest, cut at a newline."""
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK) + 1 or len(text)
+        yield json.loads("[" + text[pos : end - 1].replace("\n", ",").replace(" ", ",") + "]")
+        pos = end
+
+
+def _rows(
+    chunks: Iterable[list[int]], declared: int | None, ordered: bool, size: int
+) -> tuple[list[int], Sequence[int]] | None:
+    """The rows and the label table of the pairs in ``chunks``, lists of
+    flat labels ``u, v, u, v, ...``, or None when a pair is a self-loop or
+    repeats another.
+
+    Without a header (``declared`` None) the labels are joined and mapped
+    to dense ids in sorted order by ``sorted(set(...))`` and one dict,
+    unless they are 0..k-1 already: no bit is ever set by a raw label.
+    Each pair u v then sets bit v of ``rows[u]`` with one OR: the bit
+    comes from a table of ``1 << v`` when ``size`` (the text's length) is
+    at least n*n, else from a shift, so the table, about n*n/15 bytes,
+    never outgrows the text.  A label outside the declared order is an
+    IndexError, found in each chunk read with shifts before any shift.  A
+    graph's pair also sets bit u of ``rows[v]`` when read with shifts;
+    with the table its mirror half comes from one :func:`_transpose`, an
+    n-long list that is no larger than the text.
+
+    The finished rows are checked once: a bit on an order's diagonal, or
+    fewer bits than the pairs set (a duplicate in either orientation, or
+    a graph's self-loop), gives None.
+    """
+    if declared is None:
+        flat = list(chain.from_iterable(chunks))
+        labels: Sequence[int] = sorted(set(flat))
+        declared = len(labels)
+        if labels and labels[-1] != declared - 1:
+            flat = list(map(dict(zip(labels, range(declared))).__getitem__, flat))
+        chunks = (flat,)
+    else:
+        labels = range(declared)
+    rows = [0] * declared
+    bits = [1 << v for v in range(declared)] if declared * declared <= size else None
+    count = 0
+    for chunk in chunks:
+        pairs = iter(chunk)
+        if bits is None:
+            # A label far out of range would be a shift by gigabytes.
+            if chunk and max(chunk) >= declared:
+                raise IndexError
+            for u, v in zip(pairs, pairs):
+                rows[u] |= 1 << v
+                if not ordered:
+                    rows[v] |= 1 << u
+        else:
+            for u, v in zip(pairs, pairs):
+                rows[u] |= bits[v]
+        count += len(chunk)
+    if ordered:
+        if any(rows[i] >> i & 1 for i in _nonzero(rows)):
+            return None
+        count //= 2
+    elif bits is not None:
+        rows = [row | col for row, col in zip(rows, _transpose(rows, declared))]
+    if sum(map(int.bit_count, filter(None, rows))) != count:
         return None
-    return rows
+    return rows, labels
+
+
+def _nonzero(rows: list[int]) -> Iterator[int]:
+    """The indices of the nonzero rows, in order, found by one ``filter``
+    and one ``list.index`` scan: no Python step and no int is spent on a
+    zero row."""
+    i = -1
+    for row in filter(None, rows):
+        i = rows.index(row, i + 1)
+        yield i
 
 
 _DIGITS = 1 << 20
 
 
-def _transpose(rows: Sequence[int], n: int) -> list[int]:
+def _transpose(rows: list[int], n: int) -> list[int]:
     """The transpose of n rows of n bits: bit i of ``out[j]`` is bit j of
     ``rows[i]``.
 
     Rows with more than one bit in eight set are written as binary digit
     strings, at most about 1 MiB of digits at a time, and each column is
     read back with one strided slice and ``int(..., 2)``; sparser rows
-    are walked bit by bit.
+    are walked bit by bit, and zero rows are skipped.
     """
     out = [0] * n
-    if sum(map(int.bit_count, rows)) * 8 <= n * n:
-        for i in compress(range(n), rows):
+    if sum(map(int.bit_count, filter(None, rows))) * 8 <= n * n:
+        for i in _nonzero(rows):
             row = rows[i]
             bit = 1 << i
             while row:
@@ -459,47 +499,6 @@ def _transpose(rows: Sequence[int], n: int) -> list[int]:
         for j in range(n):
             out[j] |= int(digits[n - 1 - j :: n], 2) << start
     return out
-
-
-def _new_id(ids: dict[str, int], labels: list[int], rows: list[int], label: int) -> int:
-    """Id of ``label``, given the next free one on first appearance."""
-    key = str(label)
-    i = ids.get(key)
-    if i is None:
-        i = ids[key] = len(labels)
-        labels.append(label)
-        rows.append(0)
-    return i
-
-
-def _sorted_ids(rows: list[int], labels: list[int]) -> tuple[int, list[int], tuple[int, ...]]:
-    """Relabel ids given in order of first appearance to sorted-label order.
-
-    A row moves bit by bit when it is sparse, and as a string of binary
-    digits permuted in one C-level gather when it is dense.
-    """
-    n = len(labels)
-    order = sorted(range(n), key=labels.__getitem__)
-    if order != list(range(n)):
-        new = [0] * n
-        for i, old in enumerate(order):
-            new[old] = i
-        # Digit k of a row's n-digit binary string is bit n-1-k.
-        gather = itemgetter(*[n - 1 - order[n - 1 - k] for k in range(n)])
-        out = []
-        for old in order:
-            row = rows[old]
-            if row.bit_count() * 8 > n:
-                out.append(int("".join(gather(format(row, f"0{n}b"))), 2))
-                continue
-            m = 0
-            while row:
-                low = row & -row
-                m |= 1 << new[low.bit_length() - 1]
-                row ^= low
-            out.append(m)
-        rows = out
-    return n, rows, tuple(labels[old] for old in order)
 
 
 def parse_graph(text: str) -> tuple[Graph, tuple[int, ...]]:

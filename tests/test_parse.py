@@ -98,6 +98,13 @@ REJECTED = [
     ("n 3\n1 2\n01 2\n", (3, "duplicate edge 1 2"), (3, "duplicate relation 1 < 2")),
     ("n 3\n0 1\n0 1", (3, "duplicate edge 0 1"), (3, "duplicate relation 0 < 1")),
     ("n 3\n0 1\n1 2", None, None),
+    # a duplicate comes before a later line's error, and header-less and
+    # ' < ' texts are read in bulk until a check fails
+    ("n 3\n0 1\n0 1\nx y\n", (3, "duplicate edge 0 1"), (3, "duplicate relation 0 < 1")),
+    ("n 3\n0 1\n0 1\n0 5\n", (3, "duplicate edge 0 1"), (3, "duplicate relation 0 < 1")),
+    ("1 2\n3 4\n2 1\n", (3, "duplicate edge 2 1"), CYCLE),
+    ("n 3\n0 < 1\n0 < 1\n", (2, "expected two vertex labels, got '0 < 1'"), (3, "duplicate relation 0 < 1")),
+    ("0 1\n23", (2, "expected two vertex labels, got '23'"), (2, "expected two element labels, got '23'")),
 ]
 
 
@@ -187,6 +194,24 @@ def test_label_far_out_of_range_is_never_shifted():
     assert peak < 2**20
     with pytest.raises(ParseError, match="^line 3: vertex 100000000 outside declared order 300$"):
         parse_graph(text)
+
+
+def test_header_less_labels_are_relabelled_before_any_shift():
+    # A shift by a raw label of 10**100 would not fit in memory: a
+    # header-less plain text maps its labels to 0..k-1 before any row bit.
+    big = 10**100
+    text = f"0 {big}\n3 {big}\n0 3\n3 7\n"
+    tracemalloc.start()
+    try:
+        assert _read_plain(text, False) is not None and _read_plain(text, True) is not None
+        graph, order = parse_graph(text), parse_poset(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    pairs = [(0, 3), (1, 3), (0, 1), (1, 2)]
+    assert graph == (Graph.from_edges(4, pairs), (0, 3, 7, big))
+    assert order == (Poset.from_relations(4, pairs), (0, 3, 7, big))
 
 
 def edges_by_label(text):
@@ -304,9 +329,10 @@ def test_random_order_files(case):
 
 def dense(text):
     """Whether the bulk read of a plain text takes its single-bit masks from
-    a table, which it does when the header's n squared is at most the
-    length of the text."""
-    n = int(text[2 : text.index("\n")])
+    a table, which it does when n squared is at most the length of the
+    text: n is the header's order, or else the number of labels."""
+    head = text[: text.find("\n")]
+    n = int(head[2:]) if head[:2] == "n " else len(set(text.replace("<", "").split()))
     return n * n <= len(text)
 
 
@@ -370,28 +396,49 @@ PLAIN_ORDER = 40
 
 @st.composite
 def plain(draw, ordered, is_dense):
-    """A random graph or order and its plain text: a header, then one ``u v``
-    line per pair in shuffled order, graph edges flipped at random.  A
+    """A random graph or order, its label table and its plain text: an
+    optional header, then one line per pair in shuffled order, graph edges
+    flipped at random, and in some order texts ``u < v`` on some lines.  A
     dense text holds at least three quarters of the pairs over 0..n-1,
-    enough for n*n to fit in its length; a sparse one holds any of them
-    under a header 100-199 larger than n."""
-    n = draw(st.integers(0, PLAIN_ORDER))
+    enough for n*n to fit in its length.  Under a header the labels are
+    the ids, and a sparse text holds any of the pairs under a header
+    100-199 larger than n.  Without one the labels are the ids, or 2v+1,
+    or (when dense) random labels up to 2**62, and a sparse text is a
+    matching of at least two pairs."""
+    header = draw(st.booleans())
+    less = ordered and draw(st.booleans())
+    n = draw(st.integers(0 if is_dense or header else 4, PLAIN_ORDER))
     rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if is_dense:
         chosen = rnd.sample(pairs, len(pairs) - rnd.randint(0, len(pairs) // 4))
-        declared = n
-    else:
+    elif header:
         chosen = rnd.sample(pairs, rnd.randint(0, len(pairs)))
-        declared = n + rnd.randint(100, 199)
+    else:
+        shuffled = rnd.sample(range(n), n)
+        chosen = list(zip(shuffled[::2], shuffled[1::2]))
     if ordered:
         perm = rnd.sample(range(n), n)
         chosen = [(perm[u], perm[v]) for u, v in chosen]
-        structure = Poset.from_relations(declared, chosen)
     else:
         chosen = [(v, u) if rnd.getrandbits(1) else (u, v) for u, v in chosen]
-        structure = Graph.from_edges(declared, chosen)
-    return structure, f"n {declared}\n" + "".join(f"{u} {v}\n" for u, v in chosen)
+    if header:
+        declared = n + (0 if is_dense else rnd.randint(100, 199))
+        label = used = range(declared)
+        text = f"n {declared}\n"
+    else:
+        labelings = [range(n), [2 * v + 1 for v in range(n)]]
+        if is_dense:
+            labelings.append(rnd.sample(range(2**62), n))
+        label = rnd.choice(labelings)
+        used = sorted({v for pair in chosen for v in pair}, key=label.__getitem__)
+        text = ""
+    for u, v in chosen:
+        text += f"{label[u]}{' < ' if less and rnd.getrandbits(1) else ' '}{label[v]}\n"
+    index = {v: i for i, v in enumerate(used)}
+    ids = [(index[u], index[v]) for u, v in chosen]
+    structure = Poset.from_relations(len(used), ids) if ordered else Graph.from_edges(len(used), ids)
+    return structure, tuple(label[v] for v in used), text
 
 
 # Edits of a plain text: each keeps it plain-looking or breaks one rule.
@@ -415,11 +462,14 @@ FAULTS = (
 
 
 def inject(draw, text, fault):
-    head, *lines = text.split("\n")[:-1]
-    n = int(head.split()[1])
+    lines = text.split("\n")[:-1]
+    head = lines[:1] if text[:2] == "n " else []
+    del lines[: len(head)]
+    # Past the header's order, or else past every label in use.
+    n = int(head[0][2:]) if head else max(map(int, text.replace("<", "").split()), default=-1) + 1
     at = draw(st.integers(0, len(lines)))
     pick = lines[draw(st.integers(0, len(lines) - 1))] if lines else "0 1"
-    u, v = pick.split()
+    u, *_, v = pick.split()
     big = n + draw(st.integers(0, 2))
     edits = {
         "repeat a line": [pick],
@@ -438,7 +488,7 @@ def inject(draw, text, fault):
     }
     lines[at:at] = edits.get(fault, [])
     end = "" if fault == "no final newline" else "\n"
-    return "\n".join([head, *lines]) + end
+    return "\n".join([*head, *lines]) + end
 
 
 def outcome(parse, text):
@@ -451,28 +501,29 @@ def outcome(parse, text):
 @SETTINGS
 @given(plain(False, is_dense=True), plain(False, is_dense=False))
 def test_plain_graph_files(dense_case, sparse_case):
-    for is_dense, (g, text) in ((True, dense_case), (False, sparse_case)):
+    for is_dense, (g, labels, text) in ((True, dense_case), (False, sparse_case)):
         assert dense(text) == is_dense
         assert _read_plain(text, False) is not None
-        assert parse_graph(text) == (g, tuple(range(g.order)))
+        assert parse_graph(text) == (g, labels)
 
 
 @SETTINGS
 @given(plain(True, is_dense=True), plain(True, is_dense=False))
 def test_plain_order_files(dense_case, sparse_case):
-    for is_dense, (p, text) in ((True, dense_case), (False, sparse_case)):
+    for is_dense, (p, labels, text) in ((True, dense_case), (False, sparse_case)):
         assert dense(text) == is_dense
         assert _read_plain(text, True) is not None
-        assert parse_poset(text) == (p, tuple(range(p.order)))
+        assert parse_poset(text) == (p, labels)
 
 
 @SETTINGS
 @given(st.booleans(), st.sampled_from(FAULTS), st.data())
 def test_bulk_read_agrees_with_the_line_reader(ordered, fault, data):
-    # Each fault goes into a dense and a sparse text.  A last line '#'
-    # makes any text one that only the line reader reads.
+    # Each fault goes into a dense and a sparse text, with or without a
+    # header.  A last line '#' makes any text one that only the line
+    # reader reads.
     parse = parse_poset if ordered else parse_graph
     for is_dense in (True, False):
-        _, text = data.draw(plain(ordered, is_dense))
+        _, _, text = data.draw(plain(ordered, is_dense))
         text = inject(data.draw, text, fault)
         assert outcome(parse, text) == outcome(parse, text + "\n#")
