@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain, islice
+from itertools import chain, compress, islice
 
 
 class ParseError(ValueError):
@@ -300,10 +300,19 @@ def _read_lines(text: str, noun: str, ordered: bool) -> tuple[list[int], Sequenc
                 raise ParseError(first + 1, "declared order must be non-negative")
             first += 1
         break
+    # A label's spellings on lines that passed map to one int, made once.
+    known: dict[str, int] = {}
+    get = known.get
     flat: list[int] = []
     error = None
     for lineno, line in enumerate(islice(lines, first, None), first + 1):
         tokens = line.split()
+        if len(tokens) == 2 or ordered and len(tokens) == 3 and tokens[1] == "<":
+            u = get(tokens[0])
+            v = get(tokens[-1])
+            if u is not None and v is not None and u != v:
+                flat += u, v
+                continue
         if not tokens or tokens[0][0] == "#":
             continue
         try:
@@ -320,10 +329,12 @@ def _read_lines(text: str, noun: str, ordered: bool) -> tuple[list[int], Sequenc
         elif declared is not None and (u >= declared or v >= declared):
             error = f"{noun} {max(u, v)} outside declared order {declared}"
         else:
+            known[tokens[0]] = u
+            known[tokens[-1]] = v
             flat += u, v
             continue
         break
-    del lines
+    del lines, known, get
     try:
         read = _rows((flat,), declared, ordered, len(text))
     except (OverflowError, MemoryError):
@@ -361,19 +372,19 @@ def _read_plain(text: str, ordered: bool) -> tuple[list[int], Sequence[int], int
     the form :func:`format_graph` and :func:`format_poset` write.  The
     shape of the whole text is checked first by C-level string operations,
     after an order's ``" < "`` become spaces, so that any other text costs
-    little here.  The labels are then
-    converted by one ``json.loads`` per chunk of at least 64 KiB cut at a
-    newline.  With a header the chunks stream into :func:`_rows` one by
-    one; without one all labels are held at once, to be relabelled.
+    little here.  The labels are then converted by one ``json.loads`` per
+    chunk of at least 64 KiB cut at a newline.  With a header the chunks
+    stream into :func:`_rows` one by one; without one all labels are held
+    at once, to be relabelled.
 
-    A failed check, a label with leading zeros, any check of
-    :func:`_rows` that fails, or running out of memory gives None: the
-    line reader :func:`_read_lines` is the reference, and it finds and
-    reports every error.
+    A failed check, a label with leading zeros, a failed check of
+    :func:`_rows` or running out of memory gives None.
     """
+    pos = text.find("\n") + 1 if text[:2] == "n " else 0
+    # Taken before the " < " go, which would make "n < 5" read "n 5".
+    header = text[2 : pos - 1]
     if ordered:
         text = text.replace(" < ", " ")
-    pos = text.find("\n") + 1 if text[:2] == "n " else 0
     # Deleting the digits must leave one space and one newline per line,
     # after the "n \n" of a header; the digits of a last line with no
     # newline would not show.
@@ -382,7 +393,7 @@ def _read_plain(text: str, ordered: bool) -> tuple[list[int], Sequence[int], int
     if text[-1:] not in ("", "\n") or shape != head + " \n" * ((len(shape) - len(head)) // 2):
         return None
     try:
-        declared = int(text[2 : pos - 1]) if pos else None
+        declared = int(header) if pos else None
         read = _rows(_chunks(text, pos), declared, ordered, len(text))
     except (ValueError, IndexError, OverflowError, MemoryError):
         return None
@@ -402,8 +413,7 @@ def _rows(
     chunks: Iterable[list[int]], declared: int | None, ordered: bool, size: int
 ) -> tuple[list[int], Sequence[int]] | None:
     """The rows and the label table of the pairs in ``chunks``, lists of
-    flat labels ``u, v, u, v, ...``, or None when a pair is a self-loop or
-    repeats another.
+    flat labels ``u, v, u, v, ...``, or None when the final check fails.
 
     Without a header (``declared`` None) the labels are joined and mapped
     to dense ids in sorted order by ``sorted(set(...))`` and one dict,
@@ -448,7 +458,7 @@ def _rows(
                 rows[u] |= bits[v]
         count += len(chunk)
     if ordered:
-        if any(rows[i] >> i & 1 for i in _nonzero(rows)):
+        if any(rows[i] >> i & 1 for i in compress(range(declared), rows)):
             return None
         count //= 2
     elif bits is not None:
@@ -456,16 +466,6 @@ def _rows(
     if sum(map(int.bit_count, filter(None, rows))) != count:
         return None
     return rows, labels
-
-
-def _nonzero(rows: list[int]) -> Iterator[int]:
-    """The indices of the nonzero rows, in order, found by one ``filter``
-    and one ``list.index`` scan: no Python step and no int is spent on a
-    zero row."""
-    i = -1
-    for row in filter(None, rows):
-        i = rows.index(row, i + 1)
-        yield i
 
 
 _DIGITS = 1 << 20
@@ -482,7 +482,7 @@ def _transpose(rows: list[int], n: int) -> list[int]:
     """
     out = [0] * n
     if sum(map(int.bit_count, filter(None, rows))) * 8 <= n * n:
-        for i in _nonzero(rows):
+        for i in compress(range(n), rows):
             row = rows[i]
             bit = 1 << i
             while row:

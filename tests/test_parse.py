@@ -105,6 +105,11 @@ REJECTED = [
     ("1 2\n3 4\n2 1\n", (3, "duplicate edge 2 1"), CYCLE),
     ("n 3\n0 < 1\n0 < 1\n", (2, "expected two vertex labels, got '0 < 1'"), (3, "duplicate relation 0 < 1")),
     ("0 1\n23", (2, "expected two vertex labels, got '23'"), (2, "expected two element labels, got '23'")),
+    # a ' < ' in a header is no header, and a pair of labels the line
+    # reader has seen, in two spellings, is still a self-loop
+    ("n < 5\n0 1\n", (1, "malformed header, expected 'n <order>'"), (1, "malformed header, expected 'n <order>'")),
+    ("n < 5\n0 < 1\n", (1, "malformed header, expected 'n <order>'"), (1, "malformed header, expected 'n <order>'")),
+    ("n 3\n0 1\n01 2\n1 01\n", (4, "self-loop 1 1"), (4, "reflexive relation 1 < 1")),
 ]
 
 
