@@ -11,7 +11,10 @@ their module (which also holds the ``oracle-compare`` sweep) is
 imported, only in ``check --property p4free``, ``gen`` and
 ``oracle-compare``, so every other request starts without them.  Machine
 output is JSON on standard output, diagnostics go to standard error, and
-identical input and flags produce byte-identical output.
+identical input and flags produce byte-identical output.  A tree's JSON
+text is written straight from the tree by the same walk as its ``repr``,
+so it works at any depth; every other answer is small and flat enough
+for ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -20,17 +23,16 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
-from json.encoder import encode_basestring_ascii
 
 from .cographs import (
     PARALLEL,
     SERIES,
     Cotree,
     P4Witness,
+    _tree_json_text,
     cotree,
     cotree_to_dot,
     cotree_to_graph,
-    cotree_to_json,
     join_witness,
     parity_split_graph,
 )
@@ -39,11 +41,9 @@ from .posets import NWitness, Poset, format_poset, parse_poset
 from .spdecomp import (
     NoEndpointError,
     endpoint_witness,
-    is_nfree,  # unused here; bound so that tests and the tracer can patch it
     linear_split_witness,
     sp_tree,
     sp_tree_to_dot,
-    sp_tree_to_json,
     sp_tree_to_poset,
 )
 
@@ -52,42 +52,8 @@ EXIT_WITNESS = 1
 EXIT_ERROR = 2
 
 
-def _json_text(obj: dict | list) -> str:
-    """The text of ``json.dumps(obj)`` for a dict or list nested to any
-    depth: an explicit stack stands in for the encoder's recursion."""
-    out: list[str] = []
-    stack: list = [obj]  # containers still to expand, or finished text
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        is_dict = type(item) is dict
-        text, close = ("{", "}") if is_dict else ("[", "]")
-        parts: list = []
-        for i, (k, v) in enumerate(item.items() if is_dict else enumerate(item)):
-            if i:
-                text += ", "
-            if is_dict:
-                text += encode_basestring_ascii(k) + ": "
-            kind = type(v)
-            if kind is str:
-                text += encode_basestring_ascii(v)
-            elif kind is int:
-                text += repr(v)
-            elif kind is dict or kind is list:
-                parts.append(text)
-                parts.append(v)
-                text = ""
-            else:
-                text += json.dumps(v)
-        parts.append(text + close)
-        stack.extend(reversed(parts))
-    return "".join(out)
-
-
 def _emit(obj: object) -> None:
-    print(_json_text(obj))
+    print(json.dumps(obj))
 
 
 def _fail(message: str) -> int:
@@ -158,7 +124,7 @@ def cmd_cotree(args) -> int:
     if args.dot:
         sys.stdout.write(cotree_to_dot(result, labels))
     else:
-        _emit(cotree_to_json(result, labels))
+        print(_tree_json_text(result, labels))
     return EXIT_OK
 
 
@@ -210,7 +176,7 @@ def cmd_poset(args) -> int:
         if args.dot:
             sys.stdout.write(sp_tree_to_dot(result, labels))
         else:
-            _emit(sp_tree_to_json(result, labels))
+            print(_tree_json_text(result, labels))
         return EXIT_OK
     if args.action == "linear-split":
         if p.order == 0:

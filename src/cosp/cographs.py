@@ -169,25 +169,14 @@ class _Tree(_Record):
         return _from_signature, (type(self), self._signature())
 
     def __repr__(self) -> str:
-        # The record repr, written from a stack of nodes and closing text.
         key = self._leaf_key
-        out = []
-        stack: list = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, str):
-                out.append(node)
-                continue
-            out.append(
-                f"{type(node).__qualname__}(kind={node.kind!r}, "
-                f"{key}={getattr(node, key)!r}, children=("
-            )
-            stack.append(",))" if len(node.children) == 1 else "))")
-            for k, child in enumerate(reversed(node.children)):
-                if k:
-                    stack.append(", ")
-                stack.append(child)
-        return "".join(out)
+
+        def text(node):
+            # The record repr; a one-tuple of children ends in ",)".
+            head = f"{type(node).__qualname__}(kind={node.kind!r}, {key}={getattr(node, key)!r}"
+            return f"{head}, children=(", ",))" if len(node.children) == 1 else "))"
+
+        return _tree_text(self, text)
 
 
 def _from_signature(cls: type, signature: list[tuple]) -> _Tree:
@@ -242,6 +231,30 @@ def _preorder(t: Cotree) -> list[Cotree]:
         out.append(node)
         stack.extend(node.children)
     return out
+
+
+def _tree_text(t: _Tree, text) -> str:
+    """The text of a tree, written in one walk in preorder, first child
+    first, without recursion: ``text(node)`` gives a node's opening and
+    closing text, and ``", "`` goes between siblings."""
+    out = []
+    stack: list = [t]  # nodes still to write, or text to copy out
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            out.append(node)
+            continue
+        opening, closing = text(node)
+        out.append(opening)
+        children = node.children
+        if children:
+            stack.append(closing)
+            for child in children[:0:-1]:
+                stack += child, ", "
+            stack.append(children[0])
+        else:
+            out.append(closing)
+    return "".join(out)
 
 
 def _leaf_masks(t: _Tree) -> tuple[list[_Tree], dict[int, int]]:
@@ -559,6 +572,20 @@ def _tree_to_json(t: _Tree, labels: Sequence[int] | None = None) -> dict:
 
 
 cotree_to_json = _tree_to_json
+
+
+def _tree_json_text(t: _Tree, labels: Sequence[int] | None = None) -> str:
+    """``json.dumps(_tree_to_json(t, labels))``, written from the tree."""
+    key = t._leaf_key
+    leaf = f'{{"kind": "{LEAF}", "{key}": '
+
+    def text(node):
+        if node.kind == LEAF:
+            v = getattr(node, key)
+            return f"{leaf}{v if labels is None else labels[v]}}}", ""
+        return f'{{"kind": "{node.kind}", "children": [', "]}"
+
+    return _tree_text(t, text)
 
 
 def _tree_from_json(obj: object, cls: type):

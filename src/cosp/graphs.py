@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, compress, islice
+from operator import eq
 
 
 class ParseError(ValueError):
@@ -270,6 +271,38 @@ def _read_pairs(
         raise ParseError(header, f"declared order {len(rows)} is too large") from None
 
 
+def _write_pairs(
+    order: int,
+    pairs: Iterable[tuple[int, int]],
+    labels: Sequence[int] | None,
+    linked: Iterable[int],
+    noun: str,
+    unpaired: str,
+) -> str:
+    """Write the pair text format read by :func:`_read_pairs`.
+
+    With the default dense labeling a header line declares the order, so
+    ids in no pair survive the round trip.  Other labels drop the header
+    (its count would clash with them); they must then be distinct, one
+    per id, and every id must occur in a pair, which it does when its
+    entry in ``linked`` is nonzero.
+    """
+    if labels is None or tuple(labels) == tuple(range(order)):
+        lines = [f"n {order}"]
+        labels = range(order)
+    else:
+        if len(set(labels)) != order:
+            raise ValueError(f"labels must be distinct, one per {noun}")
+        lines = []
+        for v, link in enumerate(linked):
+            if not link:
+                raise ValueError(f"{noun} {labels[v]} {unpaired} and no header can declare it")
+    for u, v in pairs:
+        lines.append(f"{labels[u]} {labels[v]}")
+    del pairs  # format_graph's edge list outweighs the text: free it before the join
+    return "\n".join(lines) + "\n"
+
+
 def _read_lines(text: str, noun: str, ordered: bool) -> tuple[list[int], Sequence[int], int | None]:
     """The rows, the label table and the header's line number (None
     without a header) of any text, read line by line.
@@ -427,9 +460,9 @@ def _rows(
     with the table its mirror half comes from one :func:`_transpose`, an
     n-long list that is no larger than the text.
 
-    The finished rows are checked once: a bit on an order's diagonal, or
-    fewer bits than the pairs set (a duplicate in either orientation, or
-    a graph's self-loop), gives None.
+    An order's pair u u gives None, and so do fewer bits in the finished
+    rows than the pairs set (a duplicate in either orientation, or a
+    graph's self-loop).
     """
     if declared is None:
         flat = list(chain.from_iterable(chunks))
@@ -444,6 +477,10 @@ def _rows(
     bits = [1 << v for v in range(declared)] if declared * declared <= size else None
     count = 0
     for chunk in chunks:
+        # Checked on the pairs, not the rows, which an absurd header makes
+        # far more numerous.
+        if ordered and any(map(eq, chunk[::2], chunk[1::2])):
+            return None
         pairs = iter(chunk)
         if bits is None:
             # A label far out of range would be a shift by gigabytes.
@@ -458,8 +495,6 @@ def _rows(
                 rows[u] |= bits[v]
         count += len(chunk)
     if ordered:
-        if any(rows[i] >> i & 1 for i in compress(range(declared), rows)):
-            return None
         count //= 2
     elif bits is not None:
         rows = [row | col for row, col in zip(rows, _transpose(rows, declared))]
@@ -508,25 +543,6 @@ def parse_graph(text: str) -> tuple[Graph, tuple[int, ...]]:
 
 
 def format_graph(g: Graph, labels: Sequence[int] | None = None) -> str:
-    """Serialize to the edge-list text format.
-
-    With the default dense labeling a header line declares the order, so
-    isolated vertices survive the round trip.  Custom labels drop the
-    header (its count would clash with relabeled ids); every vertex must
-    then appear in some edge, or the serialization would lose it.
-    """
-    if labels is None or tuple(labels) == tuple(range(g.order)):
-        lines = [f"n {g.order}"]
-        labels = range(g.order)
-    else:
-        if len(set(labels)) != g.order:
-            raise ValueError("labels must be distinct, one per vertex")
-        lines = []
-        for v in range(g.order):
-            if not g.adj[v]:
-                raise ValueError(
-                    f"vertex {labels[v]} has no edges and no header can declare it"
-                )
-    for u, v in g.edges():
-        lines.append(f"{labels[u]} {labels[v]}")
-    return "\n".join(lines) + "\n"
+    """Serialize to the edge-list text format (see :func:`_write_pairs`):
+    the header or the labels, then one line ``u v`` per edge, u < v."""
+    return _write_pairs(g.order, g.edges(), labels, g.adj, "vertex", "has no edges")

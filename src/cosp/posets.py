@@ -15,6 +15,7 @@ from .graphs import (
     _Record,
     _read_pairs,
     _transpose,
+    _write_pairs,
     iter_bits,
     mask_components,
     mask_of,
@@ -133,7 +134,7 @@ class Poset(_Record):
         order = len(succ)
         pred = _transpose(succ, order)
         # Kahn's algorithm; leftovers witness a cycle.
-        indeg = [pred[v].bit_count() for v in range(order)]
+        indeg = list(map(int.bit_count, pred))
         queue = [v for v in range(order) if indeg[v] == 0]
         topo: list[int] = []
         while queue:
@@ -333,7 +334,7 @@ def parse_poset(text: str, mode: str = "covers") -> tuple[Poset, tuple[int, ...]
 
 
 def format_poset(p: Poset, labels: Sequence[int] | None = None, mode: str = "covers") -> str:
-    """Serialize to the relation text format.
+    """Serialize to the relation text format (see :func:`_write_pairs`).
 
     mode="covers" writes the transitive reduction, mode="full" the whole
     closure; both round-trip through :func:`parse_poset`.
@@ -341,21 +342,6 @@ def format_poset(p: Poset, labels: Sequence[int] | None = None, mode: str = "cov
     if mode not in ("covers", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     pairs = p.covers() if mode == "covers" else p.relations()
-    if labels is None or tuple(labels) == tuple(range(p.order)):
-        lines = [f"n {p.order}"]
-        labels = range(p.order)
-    else:
-        # custom labels clash with the header's dense count, so drop it;
-        # every element must then occur in some relation
-        if len(set(labels)) != p.order:
-            raise ValueError("labels must be distinct, one per element")
-        lines = []
-        mentioned = {e for pair in pairs for e in pair}
-        for v in range(p.order):
-            if v not in mentioned:
-                raise ValueError(
-                    f"element {labels[v]} occurs in no relation and no header can declare it"
-                )
-    for u, v in pairs:
-        lines.append(f"{labels[u]} {labels[v]}")
-    return "\n".join(lines) + "\n"
+    # An element occurs in a cover exactly when it is comparable to another.
+    linked = map(int.__or__, p.below, p.above)
+    return _write_pairs(p.order, pairs, labels, linked, "element", "occurs in no relation")

@@ -141,11 +141,11 @@ def test_cotree_deep_window(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert out == window_tree_json(n, 1, "vertex", ("series", "parallel"))
     # The writer alone, at depth 6000
-    from cosp import cotree, cotree_to_json
-    from cosp.cli import _json_text
+    from cosp import cotree
+    from cosp.cographs import _tree_json_text
 
     t = cotree(parity_split_graph(6000, 1))
-    assert _json_text(cotree_to_json(t)) + "\n" == window_tree_json(
+    assert _tree_json_text(t) + "\n" == window_tree_json(
         6000, 1, "vertex", ("series", "parallel")
     )
 
@@ -304,7 +304,7 @@ ORDER_ACTIONS = (("nfree",), ("sptree",), ("linear-split",), ("endpoint", "--x",
 
 
 def test_request_paths_avoid_the_oracles(tmp_path, capsys, monkeypatch):
-    import cosp.cli
+    import cosp.spdecomp
     from cosp import oracles
 
     graphs = {"p4": P4_TEXT, "k3": K3_TEXT, "diamond": DIAMOND_TEXT}
@@ -323,7 +323,7 @@ def test_request_paths_avoid_the_oracles(tmp_path, capsys, monkeypatch):
 
     for name in ("brute_n", "brute_p4"):
         monkeypatch.setattr(oracles, name, forbidden)
-    monkeypatch.setattr(cosp.cli, "is_nfree", forbidden)
+    monkeypatch.setattr(cosp.spdecomp, "is_nfree", forbidden)
     assert {request: answer(request) for request in requests} == answers
     # Each command fails on the P4 or the N and holds on the other two.
     assert [code for code, _, _ in answers.values()] == [1, 0, 0] * 7

@@ -27,8 +27,7 @@ from cosp import (
     select_universal_neighbor,
     sp_tree,
 )
-from cosp.cli import _json_text
-from cosp.cographs import validate_cotree
+from cosp.cographs import _tree_json_text, validate_cotree
 from cosp import oracles
 
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -226,11 +225,20 @@ def test_json_round_trip():
     for g in (K2, K3, DIAMOND, C4, parity_split_graph(7)):
         t = cotree(g)
         blob = json.dumps(cotree_to_json(t))
-        assert _json_text(cotree_to_json(t)) == blob
+        assert _tree_json_text(t) == blob
         assert cotree_from_json(json.loads(blob)) == t
-    assert _json_text({"a": [True, None, "é", []], "b": {}}) == json.dumps(
-        {"a": [True, None, "é", []], "b": {}}
-    )
+
+
+def test_json_text_is_json_dumps_of_the_dicts():
+    # The CLI writes a tree's JSON text from the tree, not from the dicts.
+    trees = [oracles.rand_cotree(n, seed) for n in range(1, 61) for seed in range(4)]
+    trees += [oracles.rand_sptree(n, seed) for n in range(1, 61) for seed in range(4)]
+    # Public constructors allow nodes with one child or none.
+    trees.append(Cotree.series([Cotree.parallel([]), Cotree.parallel([Cotree.leaf(1)])]))
+    for t in trees:
+        n = len(t._signature())
+        for labels in (None, [2 * v + 1 for v in range(n)]):
+            assert _tree_json_text(t, labels) == json.dumps(cotree_to_json(t, labels))
 
 
 def test_deep_trees_compare_hash_and_round_trip():

@@ -13,7 +13,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cosp
-from cosp import CycleError, Graph, ParseError, Poset, parse_graph, parse_poset
+from cosp import (
+    CycleError,
+    Graph,
+    ParseError,
+    Poset,
+    format_graph,
+    format_poset,
+    parse_graph,
+    parse_poset,
+)
 from cosp import graphs
 from cosp.graphs import _read_plain, _transpose
 
@@ -217,6 +226,25 @@ def test_header_less_labels_are_relabelled_before_any_shift():
     pairs = [(0, 3), (1, 3), (0, 1), (1, 2)]
     assert graph == (Graph.from_edges(4, pairs), (0, 3, 7, big))
     assert order == (Poset.from_relations(4, pairs), (0, 3, 7, big))
+
+
+def test_written_labels_must_be_distinct_and_each_in_a_pair():
+    # Text with labels has no header, so a repeated label would merge two
+    # ids and an id in no pair would be lost.
+    graph = Graph.from_edges(3, [(0, 1)])
+    order = Poset.from_relations(3, [(0, 1)])
+    cases = [
+        (format_graph, graph, (7, 7, 9), "labels must be distinct, one per vertex"),
+        (format_graph, graph, (7, 8), "labels must be distinct, one per vertex"),
+        (format_graph, graph, (7, 8, 9), "vertex 9 has no edges and no header can declare it"),
+        (format_poset, order, (7, 7, 9), "labels must be distinct, one per element"),
+        (format_poset, order, (7, 8), "labels must be distinct, one per element"),
+        (format_poset, order, (7, 8, 9), "element 9 occurs in no relation and no header can declare it"),
+    ]
+    for write, obj, labels, message in cases:
+        with pytest.raises(ValueError) as info:
+            write(obj, labels)
+        assert str(info.value) == message
 
 
 def edges_by_label(text):
