@@ -5,7 +5,8 @@ cograph, and its tree is that graph's cotree with linear children sorted
 by the order.  So one split engine serves both: it peels off connected
 components and components of the complement, and a part that splits
 neither way yields a four-element certificate (an induced path, read as
-an N on the order side), the least labeling found.
+an N on the order side), found by the neighbor splits at the part's
+lowest vertex.
 """
 
 from .cographs import (

@@ -116,8 +116,6 @@ def cmd_check(args) -> int:
 
 def cmd_cotree(args) -> int:
     g, labels = parse_graph(_read_file(args.file))
-    if g.order == 0:
-        return _fail("the decomposition needs at least one vertex")
     result = cotree(g)
     if isinstance(result, P4Witness):
         return _certificate(result, g, labels)
@@ -130,8 +128,6 @@ def cmd_cotree(args) -> int:
 
 def cmd_join(args) -> int:
     g, labels = parse_graph(_read_file(args.file))
-    if g.order == 0:
-        return _fail("the witness search needs at least one vertex")
     if not g.is_connected():
         return _fail("input graph is not connected")
     # Decide by the complement, not by the neighbor scan: on inputs that are
@@ -168,8 +164,6 @@ def cmd_poset(args) -> int:
         _emit({"nfree": True})
         return EXIT_OK
     if args.action == "sptree":
-        if p.order == 0:
-            return _fail("the decomposition needs at least one element")
         result = sp_tree(p)
         if isinstance(result, NWitness):
             return _certificate(result, p, labels)
@@ -179,8 +173,6 @@ def cmd_poset(args) -> int:
             print(_tree_json_text(result, labels))
         return EXIT_OK
     if args.action == "linear-split":
-        if p.order == 0:
-            return _fail("the split search needs at least one element")
         w = linear_split_witness(p)
         if w is not None:
             _emit(

@@ -4,12 +4,13 @@ A finite graph is a cograph exactly when it has no induced four-vertex
 path.  Recognition proceeds by repeated splitting: a graph on two or
 more vertices either falls apart into connected components (parallel
 node) or its complement does (series node); when neither happens the
-graph contains an induced path on four vertices and that path is
+graph contains an induced path on four vertices, found by
+:func:`neighbor_split` at the part's lowest vertex, and that path is
 returned as a certificate instead of a tree.  This is the component /
 co-component scheme whose linear-time form is due to Corneil, Perl and
 Stewart (SIAM J. Comput. 14(4), 1985).
 
-The split loop, the path scan and the tree codec serve orders too
+The split loop, the certificate and the tree codec serve orders too
 (:mod:`cosp.spdecomp`): the helpers read the leaf field and kind names
 from the tree class, and none of them recurses, so trees of any depth
 work.  Every tree (but those of the public node constructors) is built
@@ -30,7 +31,6 @@ from .graphs import (
     Graph,
     _Record,
     iter_bits,
-    mask_co_components,
     mask_components,
     mask_of,
     vertices_of,
@@ -315,24 +315,6 @@ def _validate_tree(t: _Tree) -> None:
 validate_cotree = _validate_tree
 
 
-def _p4_within(adj: Sequence[int], sub: int) -> P4Witness:
-    """Least labeling (a, b, c, d) of an induced path inside ``sub``.
-
-    Each loop states one path constraint, so the first hit is the least
-    tuple, and a < d because the reversed labeling is a path too.  Only
-    called on a part that splits neither way, which always holds a path.
-    """
-    for a in iter_bits(sub):
-        na = adj[a]
-        for b in iter_bits(na & sub):
-            nb = adj[b]
-            for c in iter_bits(nb & sub & ~na & ~(1 << a)):
-                ds = adj[c] & sub & ~na & ~nb & ~(1 << b)
-                if ds:
-                    return P4Witness((a, b, c, (ds & -ds).bit_length() - 1))
-    raise AssertionError("undecomposable part without an induced path")
-
-
 def _decompose(cls: type, adj: Sequence[int], full: int, series_key=None):
     """Split the vertex mask ``full`` into components of ``adj`` (parallel
     node) or of its complement (series node) until every part is one
@@ -352,7 +334,7 @@ def _decompose(cls: type, adj: Sequence[int], full: int, series_key=None):
         if len(parts) > 1:
             signature.append((union, None, len(parts)))
         else:
-            parts = mask_co_components(adj, sub)
+            parts = mask_components(adj, sub, co=True)
             if len(parts) == 1:
                 return sub
             if series_key is not None:
@@ -367,15 +349,40 @@ def cotree(g: Graph) -> Cotree | P4Witness:
 
     The split alternates between connected components and components of
     the complement; a part with neither split on two or more vertices
-    must contain an induced four-vertex path, and the least labeling of
-    one inside that part is returned.
+    must contain an induced four-vertex path, and one inside that part,
+    found by the neighbor splits at its lowest vertex, is returned as
+    (a, b, c, d) with a < d.
     """
     if g.order == 0:
         raise ValueError("the decomposition needs at least one vertex")
     result = _decompose(Cotree, g.adj, g.full_mask())
     if isinstance(result, int):
-        return _p4_within(g.adj, result)
+        return _p4_in_part(g, result)
     return result
+
+
+def _p4_in_part(g: Graph, sub: int) -> P4Witness:
+    """An induced path (a, b, c, d), a < d, inside ``sub``, a part of g that
+    splits neither way, by the neighbor-split lemma at its lowest vertex
+    x.  :func:`neighbor_split` against each block of x's non-neighbors in
+    ``sub`` raises the path unless the block's neighbors split into sides
+    A (seeing it whole) and Z that are joined.  Then the smallest A is not
+    inside every other A', or the part would split in the complement, so
+    y in A - A' and z in A' - A give the path b, y, z, b'."""
+    x = (sub & -sub).bit_length() - 1
+    try:
+        sides = [
+            (mask_of(neighbor_split(g, x, vertices_of(block)).adjacent_all), block)
+            for block in mask_components(g.adj, sub & ~g.adj[x] & ~(1 << x))
+        ]
+    except P4Error as exc:
+        path = exc.witness.path
+    else:
+        low, block = min(sides, key=lambda side: side[0].bit_count())
+        high, other = next(side for side in sides if low & ~side[0])
+        ends = (block, low & ~high, high & ~low, other)
+        path = tuple((m & -m).bit_length() - 1 for m in ends)
+    return P4Witness(path if path[0] < path[3] else path[::-1])
 
 
 def _leaf_sides(t: _Tree, joined: str) -> list[tuple[int, int]]:

@@ -81,11 +81,6 @@ def mask_components(adj: Sequence[int], sub: int, co: bool = False) -> list[int]
     return comps
 
 
-def mask_co_components(adj: Sequence[int], sub: int) -> list[int]:
-    """Components of the complement restricted to ``sub``, as masks."""
-    return mask_components(adj, sub, co=True)
-
-
 class _Record:
     """Immutable record over the attributes named in ``_fields``, which
     ``__init__`` sets with ``object.__setattr__``: equality (same class,
@@ -200,7 +195,7 @@ class Graph(_Record):
 
     def co_components(self) -> list[tuple[int, ...]]:
         """Connected components of the complement graph."""
-        return [vertices_of(m) for m in mask_co_components(self.adj, self.full_mask())]
+        return [vertices_of(m) for m in mask_components(self.adj, self.full_mask(), co=True)]
 
     def is_connected(self) -> bool:
         return self.order == 0 or len(mask_components(self.adj, self.full_mask())) == 1

@@ -25,7 +25,7 @@ from .cographs import (
     non_neighbor_components,
     select_universal_neighbor,
 )
-from .graphs import Graph, iter_bits, mask_co_components, mask_components, mask_of
+from .graphs import Graph, iter_bits, mask_components, mask_of
 from .posets import NWitness, Poset
 from .spdecomp import (
     SPTree,
@@ -101,7 +101,7 @@ def brute_cograph_def(g: Graph) -> bool:
             continue
         if len(mask_components(g.adj, sub)) > 1:
             continue
-        if len(mask_co_components(g.adj, sub)) > 1:
+        if len(mask_components(g.adj, sub, co=True)) > 1:
             continue
         return False
     return True

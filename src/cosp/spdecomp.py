@@ -8,7 +8,7 @@ disjoint sum, and a series node is a linear sum whose children, which
 are uniformly comparable to each other, run bottom to top.  An induced
 path a-b-c-d of the comparability graph is an N, read from whichever end
 lies below its neighbor.  :func:`sp_tree` therefore runs the split loop
-and the path scan of :mod:`cosp.cographs` on comparability masks, and
+and the certificate of :mod:`cosp.cographs` on comparability masks, and
 the trees share that module's codec.
 
 Tree canonical form: disjoint children sorted by smallest leaf id,
@@ -30,14 +30,14 @@ from .cographs import (
     _decompose,
     _from_signature,
     _leaf_sides,
-    _p4_within,
+    _p4_in_part,
     _Tree,
     _tree_dot,
     _tree_from_json,
     _tree_to_json,
     _validate_tree,
 )
-from .graphs import DisconnectedError, _Record, iter_bits, mask_of, vertices_of
+from .graphs import DisconnectedError, Graph, _Record, iter_bits, mask_of, vertices_of
 from .posets import NWitness, Poset
 
 LINEAR = "linear"
@@ -144,7 +144,8 @@ def sp_tree(p: Poset) -> SPTree | NWitness:
     components of the comparability graph (disjoint sum) and of the
     incomparability graph (linear sum).  A part admitting neither split
     on two or more elements holds an induced path of the comparability
-    graph, whose least labeling is returned oriented as an N.
+    graph, found as :func:`cotree` finds one and returned oriented as
+    an N.
     """
     if p.order == 0:
         raise ValueError("the decomposition needs at least one element")
@@ -160,7 +161,7 @@ def sp_tree(p: Poset) -> SPTree | NWitness:
 
     result = _decompose(SPTree, comp, p.full_mask(), cmp_to_key(block_order))
     if isinstance(result, int):
-        a, b, c, d = _p4_within(comp, result).path
+        a, b, c, d = _p4_in_part(Graph(tuple(comp)), result).path
         # a < b forces c < b and c < d; b < a forces the mirror image.
         return NWitness((a, b, c, d) if (below[b] >> a) & 1 else (d, c, b, a))
     return result

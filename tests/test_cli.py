@@ -339,6 +339,20 @@ def test_empty_order_is_nfree(tmp_path, capsys):
     assert run(capsys, "poset", f, "nfree") == (0, '{"nfree": true}\n', "")
 
 
+def test_empty_input_errors(tmp_path, capsys):
+    # The library's ValueError reaches stderr through main, with exit 2.
+    requests = {
+        ("cotree",): "the decomposition needs at least one vertex",
+        ("join",): "the witness search needs at least one vertex",
+        ("poset", "sptree"): "the decomposition needs at least one element",
+        ("poset", "linear-split"): "the split search needs at least one element",
+    }
+    for text in ("", "n 0\n"):
+        f = write(tmp_path, "empty.txt", text)
+        for (command, *action), message in requests.items():
+            assert run(capsys, command, f, *action) == (2, "", message + "\n")
+
+
 def test_internal_errors_exit_2(tmp_path, capsys, monkeypatch):
     import cosp.cli
     from cosp import NWitness

@@ -2,9 +2,11 @@
 
 import json
 import pickle
+import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosp import (
     Cotree,
@@ -27,7 +29,8 @@ from cosp import (
     select_universal_neighbor,
     sp_tree,
 )
-from cosp.cographs import _tree_json_text, validate_cotree
+from cosp.cographs import _decompose, _tree_json_text, validate_cotree
+from cosp.graphs import iter_bits, mask_of
 from cosp import oracles
 
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -83,11 +86,92 @@ def test_cotree_clique_p4_adversary():
     # 4-subsets passes every clique quadruple before reaching the path.
     k = 120
     clique = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    g = Graph.from_edges(k + 3, clique + [(i, k) for i in range(k)] + [(k, k + 1), (k + 1, k + 2)])
+    edges = clique + [(i, k) for i in range(k)] + [(k, k + 1), (k + 1, k + 2)]
+    ids = list(range(k + 3))
+    random.Random(1).shuffle(ids)
+    for relabel in (list(range(k + 3)), ids):
+        g = Graph.from_edges(k + 3, [(relabel[u], relabel[v]) for u, v in edges])
+        t0 = time.perf_counter()
+        w = cotree(g)
+        assert time.perf_counter() - t0 < 0.01
+        assert w.validate(g) and w.path[0] < w.path[3]
+    assert cotree(Graph.from_edges(k + 3, edges)).path == (0, k, k + 1, k + 2)
+
+
+def thin_spider(k):
+    """A clique on 0..k-1 with a leg k+i at each clique vertex i: prime,
+    so the whole graph is the part that splits neither way."""
+    clique = (1 << k) - 1
+    feet = tuple(clique & ~(1 << i) | 1 << k + i for i in range(k))
+    return Graph(feet + tuple(1 << i for i in range(k)))
+
+
+@pytest.mark.parametrize(
+    "g, path",
+    [
+        # a neighbor of 0 sees part of a block
+        (P4, (0, 1, 2, 3)),
+        # the sides of the first block, {1} and {2, 3}, are not joined
+        (thin_spider(3), (3, 0, 1, 4)),
+        # the bull: every split holds, but the sides {2} and {1} of the
+        # blocks {3} and {4} do not nest
+        (Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 4), (2, 3)]), (3, 2, 1, 4)),
+    ],
+    ids=["partial-block", "sides-not-joined", "sides-not-nested"],
+)
+def test_certificate_each_lemma_case(g, path):
+    assert cotree(g).path == path
+
+
+def test_certificate_thin_spider_is_fast():
+    g = thin_spider(2000)
     t0 = time.perf_counter()
     w = cotree(g)
-    assert time.perf_counter() - t0 < 1.0
-    assert w.path == (0, k, k + 1, k + 2)
+    assert time.perf_counter() - t0 < 0.5
+    assert w.validate(g) and w.path[0] < w.path[3]
+
+
+@st.composite
+def flipped_cographs(draw):
+    """A random cograph with a few pairs flipped: the part that splits
+    neither way is often a proper piece of the graph."""
+    n = draw(st.integers(4, 40))
+    adj = list(cotree_to_graph(oracles.rand_cotree(n, draw(st.integers(0, 2**32)))).adj)
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    for u, v in draw(st.lists(pair, min_size=1, max_size=4)):
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+    return Graph(tuple(adj))
+
+
+@st.composite
+def clique_and_blocks(draw):
+    """Vertex 0, a clique of neighbors 1..m, and blocks of non-neighbors,
+    each a random cograph joined to a random set of clique vertices.  No
+    split at 0 fails, so any path comes from sides that do not nest."""
+    m = draw(st.integers(2, 8))
+    clique = (1 << m + 1) - 2
+    adj = [clique] + [clique & ~(1 << i) | 1 for i in range(1, m + 1)]
+    for _ in range(draw(st.integers(2, 5))):
+        size, seed = draw(st.integers(1, 6)), draw(st.integers(0, 2**32))
+        block = cotree_to_graph(oracles.rand_cotree(size, seed))
+        base = len(adj)
+        sides = mask_of(draw(st.sets(st.integers(1, m))))
+        for i in iter_bits(sides):
+            adj[i] |= block.full_mask() << base
+        adj += [row << base | sides for row in block.adj]
+    return Graph(tuple(adj))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.one_of(flipped_cographs(), clique_and_blocks()))
+def test_certificate_lies_in_the_stuck_part(g):
+    part = _decompose(Cotree, g.adj, g.full_mask())
+    w = cotree(g)
+    assert isinstance(part, int) == isinstance(w, P4Witness)
+    if isinstance(w, P4Witness):
+        assert w.validate(g) and w.path[0] < w.path[3]
+        assert all(part >> v & 1 for v in w.path)
 
 
 def test_cotree_canonical_form(connected_cographs_to_6):

@@ -3,7 +3,7 @@
 import pytest
 
 from cosp import Graph, ParseError, format_graph, parse_graph
-from cosp.graphs import iter_bits, mask_co_components, mask_components, mask_of, vertices_of
+from cosp.graphs import iter_bits, mask_components, mask_of, vertices_of
 
 PAW = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3)])
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -88,7 +88,7 @@ def test_co_components():
 def test_mask_component_sub_restriction():
     # components of a sub-mask ignore vertices outside it
     assert mask_components(P4.adj, mask_of([0, 1, 3])) == [mask_of([0, 1]), mask_of([3])]
-    assert mask_co_components(K3.adj, mask_of([0, 2])) == [mask_of([0]), mask_of([2])]
+    assert mask_components(K3.adj, mask_of([0, 2]), co=True) == [mask_of([0]), mask_of([2])]
 
 
 def test_is_connected():
