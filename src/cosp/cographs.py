@@ -380,8 +380,7 @@ def _p4_in_part(g: Graph, sub: int) -> P4Witness:
     else:
         low, block = min(sides, key=lambda side: side[0].bit_count())
         high, other = next(side for side in sides if low & ~side[0])
-        ends = (block, low & ~high, high & ~low, other)
-        path = tuple((m & -m).bit_length() - 1 for m in ends)
+        path = tuple((m & -m).bit_length() - 1 for m in (block, low & ~high, high & ~low, other))
     return P4Witness(path if path[0] < path[3] else path[::-1])
 
 
