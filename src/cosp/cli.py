@@ -156,22 +156,8 @@ def cmd_join(args) -> int:
 def cmd_poset(args) -> int:
     mode = "full" if args.full else "covers"
     p, labels = parse_poset(_read_file(args.file), mode=mode)
-    if args.action == "nfree":
-        # sp_tree needs an element; the empty order is N-free.
-        result = sp_tree(p) if p.order else None
-        if isinstance(result, NWitness):
-            return _certificate(result, p, labels)
-        _emit({"nfree": True})
-        return EXIT_OK
-    if args.action == "sptree":
-        result = sp_tree(p)
-        if isinstance(result, NWitness):
-            return _certificate(result, p, labels)
-        if args.dot:
-            sys.stdout.write(sp_tree_to_dot(result, labels))
-        else:
-            print(_tree_json_text(result, labels))
-        return EXIT_OK
+    # linear-split and endpoint print their own witness if there is one;
+    # every other answer, and the N behind a missing one, is the sp-tree's.
     if args.action == "linear-split":
         w = linear_split_witness(p)
         if w is not None:
@@ -184,13 +170,7 @@ def cmd_poset(args) -> int:
                 }
             )
             return EXIT_OK
-        result = sp_tree(p)
-        if isinstance(result, NWitness):
-            return _certificate(result, p, labels)
-        _emit({"linear_split": None})
-        print("no element qualifies: the order is not a linear sum", file=sys.stderr)
-        return EXIT_WITNESS
-    if args.action == "endpoint":
+    elif args.action == "endpoint":
         if args.x is None:
             return _fail("endpoint needs --x")
         try:
@@ -200,13 +180,29 @@ def cmd_poset(args) -> int:
         try:
             w = endpoint_witness(p, x)
         except NoEndpointError as exc:
-            result = sp_tree(p)
-            if isinstance(result, NWitness):
-                return _certificate(result, p, labels)
-            return _fail(f"{exc}; the order is not connected")
-        _emit({"x": labels[w.x], "endpoint": labels[w.endpoint], "side": w.side})
+            no_endpoint = exc
+        else:
+            _emit({"x": labels[w.x], "endpoint": labels[w.endpoint], "side": w.side})
+            return EXIT_OK
+    # sp_tree needs an element; the empty order is N-free.
+    result = sp_tree(p) if p.order or args.action != "nfree" else None
+    if isinstance(result, NWitness):
+        return _certificate(result, p, labels)
+    if args.action == "nfree":
+        _emit({"nfree": True})
         return EXIT_OK
-    raise AssertionError(f"unhandled action {args.action!r}")
+    if args.action == "sptree":
+        if args.dot:
+            sys.stdout.write(sp_tree_to_dot(result, labels))
+        else:
+            print(_tree_json_text(result, labels))
+        return EXIT_OK
+    if args.action == "linear-split":
+        _emit({"linear_split": None})
+        print("no element qualifies: the order is not a linear sum", file=sys.stderr)
+        return EXIT_WITNESS
+    # endpoint: no chain end qualifies, yet the order holds no N.
+    return _fail(f"{no_endpoint}; the order is not connected")
 
 
 def cmd_gen(args) -> int:
@@ -224,16 +220,10 @@ def cmd_gen(args) -> int:
     elif args.prob is not None:
         return _fail(f"{kind} takes no probability argument")
     if kind == "parity-split":
-        if args.size < 1:
-            return _fail("window size must be positive")
         sys.stdout.write(format_graph(parity_split_graph(args.size, args.offset)))
     elif kind == "cotree":
-        if args.size < 1:
-            return _fail("need at least one leaf")
         sys.stdout.write(format_graph(cotree_to_graph(oracles.rand_cotree(args.size, seed))))
     elif kind == "sptree":
-        if args.size < 1:
-            return _fail("need at least one leaf")
         sys.stdout.write(format_poset(sp_tree_to_poset(oracles.rand_sptree(args.size, seed))))
     elif kind == "gnp":
         sys.stdout.write(format_graph(oracles.rand_gnp(args.size, args.prob, seed)))

@@ -4,11 +4,12 @@ A finite graph is a cograph exactly when it has no induced four-vertex
 path.  Recognition proceeds by repeated splitting: a graph on two or
 more vertices either falls apart into connected components (parallel
 node) or its complement does (series node); when neither happens the
-graph contains an induced path on four vertices, found by
-:func:`neighbor_split` at the part's lowest vertex, and that path is
-returned as a certificate instead of a tree.  This is the component /
-co-component scheme whose linear-time form is due to Corneil, Perl and
-Stewart (SIAM J. Comput. 14(4), 1985).
+graph contains an induced path on four vertices, found by the
+neighbor-split lemma at the part's lowest vertex (the mask routine behind
+:func:`neighbor_split`), and that path is returned as a certificate
+instead of a tree.  This is the component / co-component scheme whose
+linear-time form is due to Corneil, Perl and Stewart (SIAM J. Comput.
+14(4), 1985).
 
 The split loop, the certificate and the tree codec serve orders too
 (:mod:`cosp.spdecomp`): the helpers read the leaf field and kind names
@@ -357,23 +358,24 @@ def cotree(g: Graph) -> Cotree | P4Witness:
         raise ValueError("the decomposition needs at least one vertex")
     result = _decompose(Cotree, g.adj, g.full_mask())
     if isinstance(result, int):
-        return _p4_in_part(g, result)
+        return _p4_in_part(g.adj, result)
     return result
 
 
-def _p4_in_part(g: Graph, sub: int) -> P4Witness:
-    """An induced path (a, b, c, d), a < d, inside ``sub``, a part of g that
-    splits neither way, by the neighbor-split lemma at its lowest vertex
-    x.  :func:`neighbor_split` against each block of x's non-neighbors in
-    ``sub`` raises the path unless the block's neighbors split into sides
-    A (seeing it whole) and Z that are joined.  Then the smallest A is not
-    inside every other A', or the part would split in the complement, so
-    y in A - A' and z in A' - A give the path b, y, z, b'."""
+def _p4_in_part(adj: Sequence[int], sub: int) -> P4Witness:
+    """An induced path (a, b, c, d), a < d, inside ``sub``, a part of the
+    graph with neighbor masks ``adj`` that splits neither way, by the
+    neighbor-split lemma at its lowest vertex x.  :func:`_sides` of each
+    block of x's non-neighbors in ``sub`` raises the path unless the
+    block's neighbors split into sides A (seeing it whole) and Z that are
+    joined.  Then the smallest A is not inside every other A', or the part
+    would split in the complement, so y in A - A' and z in A' - A give the
+    path b, y, z, b'."""
     x = (sub & -sub).bit_length() - 1
     try:
         sides = [
-            (mask_of(neighbor_split(g, x, vertices_of(block)).adjacent_all), block)
-            for block in mask_components(g.adj, sub & ~g.adj[x] & ~(1 << x))
+            (_sides(adj, x, block)[0], block)
+            for block in mask_components(adj, sub & ~adj[x] & ~(1 << x))
         ]
     except P4Error as exc:
         path = exc.witness.path
@@ -447,41 +449,49 @@ def neighbor_split(g: Graph, x: int, component: Iterable[int]) -> NeighborSplit:
         raise ValueError(f"member out of range for order {g.order}")
     if cm & (g.adj[x] | (1 << x)):
         raise ValueError(f"component members must be non-neighbors of {x}")
-    n1 = 0
-    n2 = 0
-    offender = None
-    for y in iter_bits(g.adj[x]):
-        t = g.adj[y] & cm
-        if t == cm:
-            n1 |= 1 << y
-        elif t == 0:
-            n2 |= 1 << y
-        else:
-            offender = y
-            break
-    if offender is not None:
-        # y sees part of the block: an edge a-b inside it with y-a but not
-        # y-b gives the induced path x, y, a, b.
-        for a in iter_bits(g.adj[offender] & cm):
-            bs = g.adj[a] & cm & ~g.adj[offender]
-            if bs:
-                b = (bs & -bs).bit_length() - 1
-                w = P4Witness((x, offender, a, b))
-                raise P4Error(w, f"vertex {offender} is adjacent to part of the block only")
-        raise ValueError("component is not connected")
-    if n1 and n2:
-        for y1 in iter_bits(n1):
-            missing = n2 & ~g.adj[y1]
-            if missing:
-                y2 = (missing & -missing).bit_length() - 1
-                c0 = (cm & -cm).bit_length() - 1
-                w = P4Witness((c0, y1, x, y2))
-                raise P4Error(w, f"neighbors {y1} and {y2} are not adjacent across the split")
+    n1, n2 = _sides(g.adj, x, cm)
     return NeighborSplit(
         component=vertices_of(cm),
         adjacent_all=vertices_of(n1),
         adjacent_none=vertices_of(n2),
     )
+
+
+def _sides(adj: Sequence[int], x: int, block: int) -> tuple[int, int]:
+    """The neighbor-split lemma on masks: the neighbors of x that see all
+    of ``block`` (a connected mask of non-neighbors of x) and those that
+    see none of it, read from the block's own rows.  A neighbor that sees
+    part of the block, or two sides not joined, pins an induced path,
+    raised as :class:`P4Error` from the lowest such vertices."""
+    n1 = adj[x]
+    seen = 0
+    for b in iter_bits(block):
+        n1 &= adj[b]
+        seen |= adj[b]
+    n2 = adj[x] & ~seen
+    partial = adj[x] & ~n1 & ~n2
+    if partial:
+        # y sees part of the block: an edge a-b inside it with y-a but not
+        # y-b gives the induced path x, y, a, b.
+        y = (partial & -partial).bit_length() - 1
+        for a in iter_bits(adj[y] & block):
+            bs = adj[a] & block & ~adj[y]
+            if bs:
+                b = (bs & -bs).bit_length() - 1
+                w = P4Witness((x, y, a, b))
+                raise P4Error(w, f"vertex {y} is adjacent to part of the block only")
+        raise ValueError("component is not connected")
+    unjoined = 0
+    for z in iter_bits(n2):
+        unjoined |= n1 & ~adj[z]
+    if unjoined:
+        y1 = (unjoined & -unjoined).bit_length() - 1
+        missing = n2 & ~adj[y1]
+        y2 = (missing & -missing).bit_length() - 1
+        c0 = (block & -block).bit_length() - 1
+        w = P4Witness((c0, y1, x, y2))
+        raise P4Error(w, f"neighbors {y1} and {y2} are not adjacent across the split")
+    return n1, n2
 
 
 def join_witness(g: Graph) -> JoinWitness | None:
@@ -526,8 +536,7 @@ def select_universal_neighbor(g: Graph, x: int) -> int:
         return (g.adj[x] & -g.adj[x]).bit_length() - 1
     best: tuple[int, tuple[int, ...]] | None = None
     for cm in mask_components(g.adj, inc):
-        split = neighbor_split(g, x, vertices_of(cm))
-        n1 = split.adjacent_all
+        n1 = vertices_of(_sides(g.adj, x, cm)[0])
         if not n1:
             raise DisconnectedError(
                 f"no neighbor of {x} reaches the block containing {cm.bit_length() - 1}"

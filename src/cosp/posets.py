@@ -4,12 +4,19 @@ Each element carries two bitmasks: the elements strictly below it and
 strictly above it.  Keeping the closure dense makes comparability tests,
 chain extension, and incomparability traversals single mask operations,
 mirroring the graph representation in :mod:`cosp.graphs`.
+
+What depends on comparability alone is asked of the comparability graph:
+the incomparables of an element and their blocks are its non-neighbors
+and their components, and an N is an induced four-vertex path of that
+graph (:class:`cosp.cographs.P4Witness`) with the orientation a < b,
+c < b, c < d.  This module adds only what the orientation decides.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+from .cographs import P4Witness, non_neighbor_components
 from .graphs import (
     Graph,
     _Record,
@@ -17,7 +24,6 @@ from .graphs import (
     _transpose,
     _write_pairs,
     iter_bits,
-    mask_components,
     mask_of,
     vertices_of,
 )
@@ -43,19 +49,13 @@ class NWitness(_Record):
         object.__setattr__(self, "quad", quad)
 
     def validate(self, p: Poset) -> bool:
+        # An induced path of the comparability graph, oriented as an N.
         a, b, c, d = self.quad
-        if len({a, b, c, d}) != 4:
-            return False
-        for x in self.quad:
-            if not (0 <= x < p.order):
-                return False
         return (
-            p.less(a, b)
+            P4Witness(self.quad).validate(p.comparability_graph())
+            and p.less(a, b)
             and p.less(c, b)
             and p.less(c, d)
-            and not p.comparable(a, c)
-            and not p.comparable(a, d)
-            and not p.comparable(b, d)
         )
 
 
@@ -242,17 +242,14 @@ class Poset(_Record):
 
     def incomparables(self, x: int) -> frozenset[int]:
         self._check_element(x)
-        inc = self.full_mask() & ~(self.below[x] | self.above[x]) & ~(1 << x)
-        return frozenset(iter_bits(inc))
+        return self.comparability_graph().non_neighbors(x)
 
     def incomparable_components(self, x: int) -> list[tuple[int, ...]]:
         """Blocks of the elements incomparable to x, connected through
         comparability: two incomparables land in one block when a chain of
         comparable pairs inside the set links them."""
         self._check_element(x)
-        comp = self.comparability_masks()
-        inc = self.full_mask() & ~comp[x] & ~(1 << x)
-        return [vertices_of(m) for m in mask_components(comp, inc)]
+        return non_neighbor_components(self.comparability_graph(), x)
 
     def is_module(self, elements: Iterable[int]) -> bool:
         """True when every outside element relates uniformly (below, above,

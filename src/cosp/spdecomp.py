@@ -5,11 +5,13 @@ A finite order is series-parallel exactly when it avoids the four-element
 exactly when its comparability graph is a cograph.  So the sp-tree is
 the cotree of the comparability graph, oriented: a parallel node is a
 disjoint sum, and a series node is a linear sum whose children, which
-are uniformly comparable to each other, run bottom to top.  An induced
-path a-b-c-d of the comparability graph is an N, read from whichever end
-lies below its neighbor.  :func:`sp_tree` therefore runs the split loop
-and the certificate of :mod:`cosp.cographs` on comparability masks, and
-the trees share that module's codec.
+are uniformly comparable to each other, run bottom to top, sorted by the
+number of elements below their lowest member.  An induced path a-b-c-d
+of the comparability graph is an N, read from whichever end lies below
+its neighbor, and an N is checked as that path plus its orientation.
+:func:`sp_tree` therefore runs the split loop and the certificate of
+:mod:`cosp.cographs` on comparability masks, and the trees share that
+module's codec.
 
 Tree canonical form: disjoint children sorted by smallest leaf id,
 linear children kept bottom to top (their order is meaning, not
@@ -20,7 +22,6 @@ between the two internal kinds.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import cmp_to_key
 
 from .cographs import (
     LEAF,
@@ -37,7 +38,7 @@ from .cographs import (
     _tree_to_json,
     _validate_tree,
 )
-from .graphs import DisconnectedError, Graph, _Record, iter_bits, mask_of, vertices_of
+from .graphs import DisconnectedError, _Record, iter_bits, mask_of, vertices_of
 from .posets import NWitness, Poset
 
 LINEAR = "linear"
@@ -142,26 +143,24 @@ def sp_tree(p: Poset) -> SPTree | NWitness:
     The cotree of the comparability graph with every series node's
     children sorted bottom to top: splitting alternates between
     components of the comparability graph (disjoint sum) and of the
-    incomparability graph (linear sum).  A part admitting neither split
-    on two or more elements holds an induced path of the comparability
-    graph, found as :func:`cotree` finds one and returned oriented as
-    an N.
+    incomparability graph (linear sum).  The blocks of a linear split
+    form a chain inside a part that is an order module, so the number of
+    elements below a block's lowest member rises strictly up the chain
+    and sorts them.  A part admitting neither split on two or more
+    elements holds an induced path of the comparability graph, found on
+    its masks as :func:`cotree` finds one and returned oriented as an N.
     """
     if p.order == 0:
         raise ValueError("the decomposition needs at least one element")
     comp = p.comparability_masks()
     below = p.below
 
-    def block_order(m1: int, m2: int) -> int:
-        # Any cross pair decides: blocks of the incomparability split are
-        # uniformly comparable.
-        r1 = (m1 & -m1).bit_length() - 1
-        r2 = (m2 & -m2).bit_length() - 1
-        return -1 if (below[r2] >> r1) & 1 else 1
+    def height(block: int) -> int:
+        return below[(block & -block).bit_length() - 1].bit_count()
 
-    result = _decompose(SPTree, comp, p.full_mask(), cmp_to_key(block_order))
+    result = _decompose(SPTree, comp, p.full_mask(), height)
     if isinstance(result, int):
-        a, b, c, d = _p4_in_part(Graph(tuple(comp)), result).path
+        a, b, c, d = _p4_in_part(comp, result).path
         # a < b forces c < b and c < d; b < a forces the mirror image.
         return NWitness((a, b, c, d) if (below[b] >> a) & 1 else (d, c, b, a))
     return result

@@ -106,6 +106,14 @@ def thin_spider(k):
     return Graph(feet + tuple(1 << i for i in range(k)))
 
 
+def two_unjoined():
+    """0 joined to a clique 1..5 less the edges 2-5 and 3-4, and 6 seeing
+    1, 2 and 3."""
+    clique = [(u, v) for u in range(1, 6) for v in range(u + 1, 6)]
+    edges = [(0, v) for v in range(1, 6)] + [e for e in clique if e not in ((2, 5), (3, 4))]
+    return Graph.from_edges(7, edges + [(1, 6), (2, 6), (3, 6)])
+
+
 @pytest.mark.parametrize(
     "g, path",
     [
@@ -116,11 +124,41 @@ def thin_spider(k):
         # the bull: every split holds, but the sides {2} and {1} of the
         # blocks {3} and {4} do not nest
         (Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 4), (2, 3)]), (3, 2, 1, 4)),
+        # C5: the neighbors 1 and 4 of 0 both see part of the block {2, 3};
+        # the lowest gives the path
+        (Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), (0, 1, 2, 3)),
+        # of the side {1, 2, 3} of the block {6}, both 2 and 3 miss a member
+        # of the other side {4, 5}; the lowest gives the path
+        (two_unjoined(), (5, 0, 2, 6)),
     ],
-    ids=["partial-block", "sides-not-joined", "sides-not-nested"],
+    ids=[
+        "partial-block",
+        "sides-not-joined",
+        "sides-not-nested",
+        "lowest-partial",
+        "lowest-unjoined",
+    ],
 )
 def test_certificate_each_lemma_case(g, path):
     assert cotree(g).path == path
+
+
+def test_certificate_all_blocks_split_is_fast():
+    # 0 joined to a clique 1..k, and a non-neighbor k+i of 0 seeing every
+    # clique vertex but i: every block passes its split, and the path comes
+    # from two blocks' sides.
+    k = 1000
+    clique = ((1 << k) - 1) << 1
+    legs = ((1 << k) - 1) << (k + 1)
+    g = Graph(
+        (clique,)
+        + tuple(1 | clique & ~(1 << i) | legs & ~(1 << (k + i)) for i in range(1, k + 1))
+        + tuple(clique & ~(1 << i) for i in range(1, k + 1))
+    )
+    t0 = time.perf_counter()
+    w = cotree(g)
+    assert time.perf_counter() - t0 < 0.1
+    assert w.path == (1001, 2, 1, 1002)
 
 
 def test_certificate_thin_spider_is_fast():

@@ -1,6 +1,8 @@
 """Series-parallel decomposition, linear splits, and chain endpoints."""
 
+import itertools
 import json
+import random
 import time
 
 import pytest
@@ -38,11 +40,32 @@ def leaf(v):
     return SPTree.leaf(v)
 
 
-def test_n_witness_validate():
+def test_n_witness_validate(posets_to_4):
     assert NWitness((0, 1, 2, 3)).validate(N_POSET)
     assert not NWitness((0, 1, 2, 3)).validate(DIAMOND4)
     assert not NWitness((1, 0, 2, 3)).validate(N_POSET)
     assert not NWitness((0, 1, 2, 2)).validate(N_POSET)
+    # Every quad of every small order, repeats and the out-of-range id n
+    # included, against the definition.
+    for p in posets_to_4:
+        n = p.order
+
+        def less(u, v):
+            return (p.below[v] >> u) & 1 == 1
+
+        for quad in itertools.product(range(n + 1), repeat=4):
+            a, b, c, d = quad
+            expected = (
+                len(set(quad)) == 4
+                and n not in quad
+                and less(a, b)
+                and less(c, b)
+                and less(c, d)
+                and not (less(a, c) or less(c, a))
+                and not (less(a, d) or less(d, a))
+                and not (less(b, d) or less(d, b))
+            )
+            assert NWitness(quad).validate(p) == expected, (p, quad)
 
 
 def test_sp_tree_antichain():
@@ -117,8 +140,20 @@ def oriented_cotree(p):
     return built[id(node)]
 
 
+def shuffled_sp_orders():
+    """Orders of random sp-trees of up to 60 elements with their ids
+    shuffled, so that the lowest ids of linear blocks do not follow the
+    order."""
+    rng = random.Random(1)
+    for n in range(1, 61):
+        p = sp_tree_to_poset(oracles.rand_sptree(n, n))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield Poset.from_relations(n, [(perm[u], perm[v]) for u, v in p.relations()])
+
+
 def test_sp_round_trip_enumerated(posets_to_4):
-    for p in posets_to_4:
+    for p in [*posets_to_4, *shuffled_sp_orders()]:
         if p.order == 0:
             continue
         t = sp_tree(p)
