@@ -49,7 +49,6 @@ class NWitness(_Record):
         object.__setattr__(self, "quad", quad)
 
     def validate(self, p: Poset) -> bool:
-        # An induced path of the comparability graph, oriented as an N.
         a, b, c, d = self.quad
         return (
             P4Witness(self.quad).validate(p.comparability_graph())
