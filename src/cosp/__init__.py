@@ -7,96 +7,69 @@ components and components of the complement, and a part that splits
 neither way yields a four-element certificate (an induced path, read as
 an N on the order side), found by the neighbor splits at the part's
 lowest vertex.
-"""
 
-from .cographs import (
-    Cotree,
-    JoinWitness,
-    NeighborSplit,
-    P4Error,
-    P4Witness,
-    cotree,
-    cotree_from_json,
-    cotree_to_dot,
-    cotree_to_graph,
-    cotree_to_json,
-    is_cograph,
-    join_witness,
-    neighbor_split,
-    non_neighbor_components,
-    parity_split_graph,
-    select_universal_neighbor,
-)
-from .graphs import DisconnectedError, Graph, ParseError, format_graph, parse_graph
-from .posets import (
-    CycleError,
-    MaximalChain,
-    NWitness,
-    Poset,
-    SplitCandidates,
-    format_poset,
-    parse_poset,
-)
-from .spdecomp import (
-    EndpointWitness,
-    LinearSplit,
-    NoEndpointError,
-    SPTree,
-    cotree_to_sptree,
-    endpoint_witness,
-    is_nfree,
-    linear_split_witness,
-    orient_cotree,
-    sp_tree,
-    sp_tree_from_json,
-    sp_tree_to_dot,
-    sp_tree_to_json,
-    sp_tree_to_poset,
-)
+The modules: :mod:`cosp.graphs` (graphs, masks, the bulk text reader),
+:mod:`cosp.cographs` (the split engine, cotrees, the path certificate),
+:mod:`cosp.posets` (orders and their closure), :mod:`cosp.spdecomp`
+(sp-trees), :mod:`cosp.lemmas` (the paper's lemmas as checkable API),
+:mod:`cosp.trees` (tree converters and the dict codec),
+:mod:`cosp.pairtext` (the line reader and the text writers) and
+:mod:`cosp.oracles` (brute-force ground truth).
+
+The package namespace is lazy (PEP 562): ``import cosp`` imports no
+module, and a public name imports its module on first access, so a CLI
+request compiles only the modules it runs.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Cotree",
-    "CycleError",
-    "DisconnectedError",
-    "EndpointWitness",
-    "Graph",
-    "JoinWitness",
-    "LinearSplit",
-    "MaximalChain",
-    "NWitness",
-    "NeighborSplit",
-    "NoEndpointError",
-    "P4Error",
-    "P4Witness",
-    "ParseError",
-    "Poset",
-    "SPTree",
-    "SplitCandidates",
-    "cotree",
-    "cotree_from_json",
-    "cotree_to_dot",
-    "cotree_to_graph",
-    "cotree_to_json",
-    "cotree_to_sptree",
-    "endpoint_witness",
-    "format_graph",
-    "format_poset",
-    "is_cograph",
-    "is_nfree",
-    "join_witness",
-    "linear_split_witness",
-    "neighbor_split",
-    "non_neighbor_components",
-    "orient_cotree",
-    "parity_split_graph",
-    "parse_graph",
-    "parse_poset",
-    "select_universal_neighbor",
-    "sp_tree",
-    "sp_tree_from_json",
-    "sp_tree_to_dot",
-    "sp_tree_to_json",
-    "sp_tree_to_poset",
-]
+_MODULES = {
+    "cographs": ("Cotree", "P4Error", "P4Witness", "cotree", "cotree_to_dot", "is_cograph"),
+    "graphs": ("DisconnectedError", "Graph", "ParseError", "parse_graph"),
+    "lemmas": (
+        "EndpointWitness",
+        "JoinWitness",
+        "LinearSplit",
+        "NeighborSplit",
+        "NoEndpointError",
+        "endpoint_witness",
+        "is_nfree",
+        "join_witness",
+        "linear_split_witness",
+        "neighbor_split",
+        "non_neighbor_components",
+        "select_universal_neighbor",
+    ),
+    "pairtext": ("format_graph", "format_poset"),
+    "posets": ("CycleError", "MaximalChain", "NWitness", "Poset", "SplitCandidates", "parse_poset"),
+    "spdecomp": ("SPTree", "sp_tree", "sp_tree_to_dot"),
+    "trees": (
+        "cotree_from_json",
+        "cotree_to_graph",
+        "cotree_to_json",
+        "cotree_to_sptree",
+        "orient_cotree",
+        "parity_split_graph",
+        "sp_tree_from_json",
+        "sp_tree_to_json",
+        "sp_tree_to_poset",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # The import statement's route, which ``python -X importtime`` reports.
+    __import__(f"{__name__}.{module}")
+    value = getattr(globals()[module], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

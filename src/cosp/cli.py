@@ -6,15 +6,23 @@ applies: ``join``'s ``{"witness": null}``, ``{"linear_split": null}``,
 an ``oracle-compare`` mismatch) on standard output; 2 on input or usage
 errors and, with one ``internal error: ...`` line on standard error and
 nothing on standard output, on any internal error.  Recognition is
-decided by ``cotree`` and ``sp_tree``; the brute-force oracles run, and
-their module (which also holds the ``oracle-compare`` sweep) is
-imported, only in ``check --property p4free``, ``gen`` and
-``oracle-compare``, so every other request starts without them.  Machine
-output is JSON on standard output, diagnostics go to standard error, and
-identical input and flags produce byte-identical output.  A tree's JSON
-text is written straight from the tree by the same walk as its ``repr``,
-so it works at any depth; every other answer is small and flat enough
-for ``json.dumps``.
+decided by ``cotree`` and ``sp_tree``.  Machine output is JSON on
+standard output, diagnostics go to standard error, and identical input
+and flags produce byte-identical output.  A tree's JSON text is written
+straight from the tree by the same walk as its ``repr``, so it works at
+any depth; every other answer is small and flat enough for
+``json.dumps``.
+
+Every request is a fresh interpreter that compiles the modules it
+imports, so each command imports only the modules it runs: ``check``
+and ``cotree`` load ``graphs`` and ``cographs``; ``poset`` adds
+``posets`` and ``spdecomp``, bound here on first use, and
+``linear-split`` and ``endpoint`` also ``lemmas``; ``join`` adds
+``lemmas`` once the complement splits.  The brute-force oracles (whose
+module also holds the ``oracle-compare`` sweep, and imports every other
+module but ``pairtext``) run only in ``check --property p4free``,
+``gen`` and ``oracle-compare``; ``gen`` also loads the text writers.  A
+text that is not plain loads the line reader.
 """
 
 from __future__ import annotations
@@ -24,32 +32,32 @@ import json
 import sys
 from collections.abc import Sequence
 
-from .cographs import (
-    PARALLEL,
-    SERIES,
-    Cotree,
-    P4Witness,
-    _tree_json_text,
-    cotree,
-    cotree_to_dot,
-    cotree_to_graph,
-    join_witness,
-    parity_split_graph,
-)
-from .graphs import Graph, format_graph, parse_graph
-from .posets import NWitness, Poset, format_poset, parse_poset
-from .spdecomp import (
-    NoEndpointError,
-    endpoint_witness,
-    linear_split_witness,
-    sp_tree,
-    sp_tree_to_dot,
-    sp_tree_to_poset,
-)
+from .cographs import PARALLEL, SERIES, Cotree, P4Witness, _tree_json_text, cotree, cotree_to_dot
+from .graphs import parse_graph
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
 EXIT_ERROR = 2
+
+# The order side's entry points.  ``cmd_poset`` reads them as globals of
+# this module, like the graph side's, so that a wrapper set on the module
+# takes effect; they are bound on first use, by ``cmd_poset`` or by an
+# attribute lookup, and a name already bound keeps its value.
+_ORDER_SIDE = ("parse_poset", "sp_tree", "sp_tree_to_dot")
+
+
+def _bind_order_side() -> None:
+    from . import posets, spdecomp
+
+    for name in _ORDER_SIDE:
+        globals().setdefault(name, getattr(posets if name == "parse_poset" else spdecomp, name))
+
+
+def __getattr__(name: str):
+    if name not in _ORDER_SIDE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_order_side()
+    return globals()[name]
 
 
 def _emit(obj: object) -> None:
@@ -140,6 +148,8 @@ def cmd_join(args) -> int:
             msg += "connected complement contains an induced four-vertex path"
         print(msg, file=sys.stderr)
         return EXIT_WITNESS
+    from .lemmas import join_witness
+
     w = join_witness(g)
     if w is None:
         raise RuntimeError("internal: split complement without a join witness")
@@ -154,11 +164,16 @@ def cmd_join(args) -> int:
 
 
 def cmd_poset(args) -> int:
+    from .posets import NWitness
+
+    _bind_order_side()
     mode = "full" if args.full else "covers"
     p, labels = parse_poset(_read_file(args.file), mode=mode)
     # linear-split and endpoint print their own witness if there is one;
     # every other answer, and the N behind a missing one, is the sp-tree's.
     if args.action == "linear-split":
+        from .lemmas import linear_split_witness
+
         w = linear_split_witness(p)
         if w is not None:
             _emit(
@@ -177,6 +192,8 @@ def cmd_poset(args) -> int:
             x = labels.index(args.x)
         except ValueError:
             return _fail(f"element {args.x} does not occur in the input")
+        from .lemmas import NoEndpointError, endpoint_witness
+
         try:
             w = endpoint_witness(p, x)
         except NoEndpointError as exc:
@@ -207,6 +224,8 @@ def cmd_poset(args) -> int:
 
 def cmd_gen(args) -> int:
     from . import oracles
+    from .pairtext import format_graph, format_poset
+    from .trees import cotree_to_graph, parity_split_graph, sp_tree_to_poset
 
     seed = args.seed
     kind = args.kind

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from operator import eq
 
 
@@ -254,136 +254,21 @@ def _read_pairs(
     One of two tokenizers turns the text into flat labels, and
     :func:`_rows` builds the rows from them.  A plain text (see
     :func:`_read_plain`) is tokenized in bulk; any other text, and a plain
-    one that fails a check, by :func:`_read_lines`, which finds and
-    reports every error.
+    one that fails a check, by :func:`cosp.pairtext._read_lines`, which
+    finds and reports every error.  Its module is imported only then.
     """
-    rows, labels, header = _read_plain(text, ordered) or _read_lines(text, noun, ordered)
+    read = _read_plain(text, ordered)
+    if read is None:
+        from .pairtext import _read_lines
+
+        read = _read_lines(text, noun, ordered)
+    rows, labels, header = read
     try:
         return build(len(rows), rows), tuple(labels)
     except MemoryError:
         if header is None:
             raise
         raise ParseError(header, f"declared order {len(rows)} is too large") from None
-
-
-def _write_pairs(
-    order: int,
-    pairs: Iterable[tuple[int, int]],
-    labels: Sequence[int] | None,
-    linked: Iterable[int],
-    noun: str,
-    unpaired: str,
-) -> str:
-    """Write the pair text format read by :func:`_read_pairs`.
-
-    With the default dense labeling a header line declares the order, so
-    ids in no pair survive the round trip.  Other labels drop the header
-    (its count would clash with them); they must then be distinct, one
-    per id, and every id must occur in a pair, which it does when its
-    entry in ``linked`` is nonzero.
-    """
-    if labels is None or tuple(labels) == tuple(range(order)):
-        lines = [f"n {order}"]
-        labels = range(order)
-    else:
-        if len(set(labels)) != order:
-            raise ValueError(f"labels must be distinct, one per {noun}")
-        lines = []
-        for v, link in enumerate(linked):
-            if not link:
-                raise ValueError(f"{noun} {labels[v]} {unpaired} and no header can declare it")
-    for u, v in pairs:
-        lines.append(f"{labels[u]} {labels[v]}")
-    del pairs  # format_graph's edge list outweighs the text: free it before the join
-    return "\n".join(lines) + "\n"
-
-
-def _read_lines(text: str, noun: str, ordered: bool) -> tuple[list[int], Sequence[int], int | None]:
-    """The rows, the label table and the header's line number (None
-    without a header) of any text, read line by line.
-
-    Each line takes every check in turn: its shape, the signs of its
-    labels, a self-loop or reflexive pair, and the declared range.  The
-    tokenizer stops at the first line that fails one and hands the pairs
-    before it to :func:`_rows`.  When their bits come up short, one
-    ordered scan of the pairs names the first duplicate, whose line comes
-    earlier, and that error is raised ahead of the tokenizer's.
-    """
-    pair, sep = ("relation", " < ") if ordered else ("edge", " ")
-    lines = text.splitlines()
-    declared: int | None = None
-    first = 0
-    for first, raw in enumerate(lines):
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if tokens[0] == "n":
-            if len(tokens) != 2:
-                raise ParseError(first + 1, "malformed header, expected 'n <order>'")
-            try:
-                declared = int(tokens[1])
-            except ValueError:
-                raise ParseError(first + 1, f"malformed header order {tokens[1]!r}") from None
-            if declared < 0:
-                raise ParseError(first + 1, "declared order must be non-negative")
-            first += 1
-        break
-    # A label's spellings on lines that passed map to one int, made once.
-    known: dict[str, int] = {}
-    get = known.get
-    flat: list[int] = []
-    error = None
-    for lineno, line in enumerate(islice(lines, first, None), first + 1):
-        tokens = line.split()
-        if len(tokens) == 2 or ordered and len(tokens) == 3 and tokens[1] == "<":
-            u = get(tokens[0])
-            v = get(tokens[-1])
-            if u is not None and v is not None and u != v:
-                flat += u, v
-                continue
-        if not tokens or tokens[0][0] == "#":
-            continue
-        try:
-            if len(tokens) != 2 and not (ordered and len(tokens) == 3 and tokens[1] == "<"):
-                raise ValueError
-            u, v = int(tokens[0]), int(tokens[-1])
-        except ValueError:
-            error = f"expected two {noun} labels, got {line.strip()!r}"
-            break
-        if u < 0 or v < 0:
-            error = f"{noun} labels must be non-negative"
-        elif u == v:
-            error = f"{'reflexive relation' if ordered else 'self-loop'} {u}{sep}{v}"
-        elif declared is not None and (u >= declared or v >= declared):
-            error = f"{noun} {max(u, v)} outside declared order {declared}"
-        else:
-            known[tokens[0]] = u
-            known[tokens[-1]] = v
-            flat += u, v
-            continue
-        break
-    del lines, known, get
-    try:
-        read = _rows((flat,), declared, ordered, len(text))
-    except (OverflowError, MemoryError):
-        if declared is None:
-            raise
-        raise ParseError(first, f"declared order {declared} is too large") from None
-    if read is None:
-        seen = set()
-        pairs = iter(flat)
-        for k, (u, v) in enumerate(zip(pairs, pairs)):
-            key = (u, v) if ordered or u < v else (v, u)
-            if key in seen:
-                break
-            seen.add(key)
-        # The k-th line after the header that is neither blank nor a comment.
-        lines = enumerate(text.splitlines(), 1)
-        at = (i for i, line in lines if i > first and (t := line.split()) and t[0][0] != "#")
-        raise ParseError(next(islice(at, k, None)), f"duplicate {pair} {u}{sep}{v}")
-    if error is not None:
-        raise ParseError(lineno, error)
-    return (*read, None if declared is None else first)
 
 
 _CHUNK = 1 << 16
@@ -397,7 +282,8 @@ def _read_plain(text: str, ordered: bool) -> tuple[list[int], Sequence[int], int
     A text is plain when every line is ``<digits> <digits>``, or for an
     order also ``<digits> < <digits>``, ended by a newline, with ASCII
     digits and single spaces, after an optional first line ``n <digits>``:
-    the form :func:`format_graph` and :func:`format_poset` write.  The
+    the form :func:`cosp.pairtext.format_graph` and
+    :func:`cosp.pairtext.format_poset` write.  The
     shape of the whole text is checked first by C-level string operations,
     after an order's ``" < "`` become spaces, so that any other text costs
     little here.  The labels are then converted by one ``json.loads`` per
@@ -537,7 +423,3 @@ def parse_graph(text: str) -> tuple[Graph, tuple[int, ...]]:
     return _read_pairs(text, "vertex", False, lambda order, rows: Graph(tuple(rows)))
 
 
-def format_graph(g: Graph, labels: Sequence[int] | None = None) -> str:
-    """Serialize to the edge-list text format (see :func:`_write_pairs`):
-    the header or the labels, then one line ``u v`` per edge, u < v."""
-    return _write_pairs(g.order, g.edges(), labels, g.adj, "vertex", "has no edges")

@@ -13,28 +13,20 @@ import itertools
 import json
 from collections.abc import Iterator
 
-from .cographs import (
-    LEAF,
-    Cotree,
-    P4Witness,
-    _from_signature,
-    cotree,
-    cotree_to_graph,
+from .cographs import LEAF, Cotree, P4Witness, _from_signature, cotree
+from .graphs import Graph, iter_bits, mask_components, mask_of
+from .lemmas import (
+    endpoint_witness,
+    is_nfree,
     join_witness,
+    linear_split_witness,
     neighbor_split,
     non_neighbor_components,
     select_universal_neighbor,
 )
-from .graphs import Graph, iter_bits, mask_components, mask_of
 from .posets import NWitness, Poset
-from .spdecomp import (
-    SPTree,
-    endpoint_witness,
-    is_nfree,
-    linear_split_witness,
-    sp_tree,
-    sp_tree_to_poset,
-)
+from .spdecomp import SPTree, sp_tree
+from .trees import cotree_to_graph, sp_tree_to_poset
 
 MAX_ENUM_GRAPH = 6
 MAX_ENUM_POSET = 4

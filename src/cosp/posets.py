@@ -16,17 +16,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .cographs import P4Witness, non_neighbor_components
-from .graphs import (
-    Graph,
-    _Record,
-    _read_pairs,
-    _transpose,
-    _write_pairs,
-    iter_bits,
-    mask_of,
-    vertices_of,
-)
+from .cographs import P4Witness
+from .graphs import Graph, _Record, _read_pairs, _transpose, iter_bits, mask_of, vertices_of
 
 
 class CycleError(ValueError):
@@ -247,6 +238,8 @@ class Poset(_Record):
         """Blocks of the elements incomparable to x, connected through
         comparability: two incomparables land in one block when a chain of
         comparable pairs inside the set links them."""
+        from .lemmas import non_neighbor_components
+
         self._check_element(x)
         return non_neighbor_components(self.comparability_graph(), x)
 
@@ -329,15 +322,3 @@ def parse_poset(text: str, mode: str = "covers") -> tuple[Poset, tuple[int, ...]
     return _read_pairs(text, "element", True, lambda order, rows: Poset._from_succ(rows, mode))
 
 
-def format_poset(p: Poset, labels: Sequence[int] | None = None, mode: str = "covers") -> str:
-    """Serialize to the relation text format (see :func:`_write_pairs`).
-
-    mode="covers" writes the transitive reduction, mode="full" the whole
-    closure; both round-trip through :func:`parse_poset`.
-    """
-    if mode not in ("covers", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
-    pairs = p.covers() if mode == "covers" else p.relations()
-    # An element occurs in a cover exactly when it is comparable to another.
-    linked = map(int.__or__, p.below, p.above)
-    return _write_pairs(p.order, pairs, labels, linked, "element", "occurs in no relation")

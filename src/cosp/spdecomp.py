@@ -11,7 +11,8 @@ of the comparability graph is an N, read from whichever end lies below
 its neighbor, and an N is checked as that path plus its orientation.
 :func:`sp_tree` therefore runs the split loop and the certificate of
 :mod:`cosp.cographs` on comparability masks, and the trees share that
-module's codec.
+module's text writers.  The order-side lemmas are in :mod:`cosp.lemmas`,
+and the tree converters in :mod:`cosp.trees`.
 
 Tree canonical form: disjoint children sorted by smallest leaf id,
 linear children kept bottom to top (their order is meaning, not
@@ -23,22 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .cographs import (
-    LEAF,
-    PARALLEL,
-    SERIES,
-    Cotree,
-    _decompose,
-    _from_signature,
-    _leaf_sides,
-    _p4_in_part,
-    _Tree,
-    _tree_dot,
-    _tree_from_json,
-    _tree_to_json,
-    _validate_tree,
-)
-from .graphs import DisconnectedError, _Record, iter_bits, mask_of, vertices_of
+from .cographs import LEAF, _decompose, _p4_in_part, _Tree, _tree_dot
 from .posets import NWitness, Poset
 
 LINEAR = "linear"
@@ -71,72 +57,6 @@ class SPTree(_Tree):
         return cls(DISJOINT, children=tuple(children))
 
 
-class LinearSplit(_Record):
-    """Three-layer split around x: everything in ``lower`` sits below
-    everything else, everything in ``upper`` above everything else, and
-    ``middle`` contains x.  Existence certifies the order is a linear sum."""
-
-    _fields = ("x", "lower", "middle", "upper")
-
-    def __init__(
-        self, x: int, lower: tuple[int, ...], middle: tuple[int, ...], upper: tuple[int, ...]
-    ):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "middle", middle)
-        object.__setattr__(self, "upper", upper)
-
-    def validate(self, p: Poset) -> bool:
-        lo = mask_of(self.lower)
-        mid = mask_of(self.middle)
-        up = mask_of(self.upper)
-        if lo & mid or lo & up or mid & up:
-            return False
-        if (lo | mid | up) != p.full_mask():
-            return False
-        if not (mid >> self.x) & 1:
-            return False
-        if lo == 0 and up == 0:
-            return False
-        for v in iter_bits(mid):
-            if lo & ~p.below[v]:
-                return False
-        for v in iter_bits(up):
-            if (lo | mid) & ~p.below[v]:
-                return False
-        return True
-
-
-class EndpointWitness(_Record):
-    """A maximal chain endpoint comparable to every element incomparable
-    to x; side says which end of the chain qualified: "up" for the top,
-    "down" for the bottom."""
-
-    _fields = ("x", "endpoint", "side")
-
-    def __init__(self, x: int, endpoint: int, side: str):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "endpoint", endpoint)
-        object.__setattr__(self, "side", side)
-
-
-class NoEndpointError(ValueError):
-    """Neither endpoint of the maximal chain through x is comparable to all
-    elements incomparable to x.  For a connected order this only happens
-    when the order contains an N pattern."""
-
-    def __init__(self, x: int, top_conflict: tuple[int, int], bottom_conflict: tuple[int, int]):
-        t, ty = top_conflict
-        b, by = bottom_conflict
-        super().__init__(
-            f"no chain endpoint through {x} qualifies: "
-            f"top {t} is incomparable to {ty}, bottom {b} is incomparable to {by}"
-        )
-        self.x = x
-        self.top_conflict = top_conflict
-        self.bottom_conflict = bottom_conflict
-
-
 def sp_tree(p: Poset) -> SPTree | NWitness:
     """Canonical decomposition tree of p, or an N-pattern certificate.
 
@@ -166,127 +86,7 @@ def sp_tree(p: Poset) -> SPTree | NWitness:
     return result
 
 
-def sp_tree_to_poset(t: SPTree) -> Poset:
-    """Order encoded by a tree: under a linear node every element of an
-    earlier child lies below every element of a later child; disjoint
-    children stay incomparable.  Leaf ids must be 0..n-1."""
-    sides = _leaf_sides(t, LINEAR)
-    return Poset(tuple(lo for lo, _ in sides), tuple(hi for _, hi in sides))
-
-
-validate_sp_tree = _validate_tree
-
-
-def is_nfree(p: Poset, method: str = "modules") -> bool:
-    """Decide absence of the N pattern.
-
-    method="modules" checks that every comparability-connected block of
-    every element's incomparables is a module; method="brute" runs the
-    quadruple scan.  The two routes agree on every input.
-    """
-    if method == "brute":
-        from .oracles import brute_n  # oracles imports this module
-
-        return brute_n(p) is None
-    if method != "modules":
-        raise ValueError(f"unknown method {method!r}")
-    for x in range(p.order):
-        for block in p.incomparable_components(x):
-            if not p.is_module(block):
-                return False
-    return True
-
-
-def linear_split_witness(p: Poset) -> LinearSplit | None:
-    """Find the first element (ascending id) whose split candidates are
-    nonempty and whose induced three-layer split is valid.
-
-    For a connected N-free order a candidate's split is always valid, so
-    the witness exists exactly when the order is a linear sum; absence
-    certifies there is none.  Candidates whose layers fail the ordering
-    checks (possible only when the input contains an N) are skipped.
-    Disconnected input is rejected.
-
-    A valid split disconnects the incomparability graph (its outer layers
-    are comparable to everything else, and at least one is nonempty), so
-    a connected incomparability graph ends the search before any
-    candidate is tried.
-    """
-    if p.order == 0:
-        raise ValueError("the split search needs at least one element")
-    g = p.comparability_graph()
-    if not g.is_connected():
-        raise DisconnectedError("input order is not connected")
-    if len(g.co_components()) == 1:
-        return None
-    full = p.full_mask()
-    for x in range(p.order):
-        # x's split candidates: its universal neighbors, split by side.
-        un = g._universal_mask(x)
-        if not un:
-            continue
-        w = LinearSplit(
-            x=x,
-            lower=vertices_of(un & p.below[x]),
-            middle=vertices_of(full & ~un),
-            upper=vertices_of(un & p.above[x]),
-        )
-        if w.validate(p):
-            return w
-    return None
-
-
-def endpoint_witness(p: Poset, x: int) -> EndpointWitness:
-    """One endpoint of the deterministic maximal chain through x is
-    comparable to every element incomparable to x; the top is preferred
-    on ties.  Failure of both endpoints raises :class:`NoEndpointError`,
-    which for connected input means an N pattern is present."""
-    p._check_element(x)
-    chain = p.maximal_chain(x)
-    comp = p.comparability_masks()
-    inc = p.full_mask() & ~comp[x] & ~(1 << x)
-    top, bottom = chain.top, chain.bottom
-    top_missing = inc & ~comp[top] & ~(1 << top)
-    if top_missing == 0:
-        return EndpointWitness(x=x, endpoint=top, side="up")
-    bottom_missing = inc & ~comp[bottom] & ~(1 << bottom)
-    if bottom_missing == 0:
-        return EndpointWitness(x=x, endpoint=bottom, side="down")
-    raise NoEndpointError(
-        x,
-        (top, (top_missing & -top_missing).bit_length() - 1),
-        (bottom, (bottom_missing & -bottom_missing).bit_length() - 1),
-    )
-
-
-def cotree_to_sptree(t: Cotree) -> SPTree:
-    """Orient a cograph tree: parallel becomes disjoint, series becomes
-    linear with the canonical child order read bottom to top."""
-    names = {LEAF: LEAF, SERIES: LINEAR, PARALLEL: DISJOINT}
-    signature = []
-    for kind, vertex, count in t._signature():
-        if kind not in names:
-            raise ValueError(f"unknown node kind {kind!r}")
-        signature.append((names[kind], vertex, count))
-    return _from_signature(SPTree, signature)
-
-
-def orient_cotree(t: Cotree) -> Poset:
-    """Order whose comparability graph is exactly the graph of the tree:
-    each series node turns into a linear sum of its children in canonical
-    order.  The result is always N-free."""
-    return sp_tree_to_poset(cotree_to_sptree(t))
-
-
-# === serialization ===
-
-
-sp_tree_to_json = _tree_to_json
-
-
-def sp_tree_from_json(obj: object) -> SPTree:
-    """Inverse of :func:`sp_tree_to_json`; shape errors raise ValueError."""
-    return _tree_from_json(obj, SPTree)
+# === text output ===
 
 
 _SP_DOT_LABELS = {LINEAR: "→", DISJOINT: "∪"}

@@ -304,7 +304,7 @@ ORDER_ACTIONS = (("nfree",), ("sptree",), ("linear-split",), ("endpoint", "--x",
 
 
 def test_request_paths_avoid_the_oracles(tmp_path, capsys, monkeypatch):
-    import cosp.spdecomp
+    import cosp.lemmas
     from cosp import oracles
 
     graphs = {"p4": P4_TEXT, "k3": K3_TEXT, "diamond": DIAMOND_TEXT}
@@ -323,7 +323,7 @@ def test_request_paths_avoid_the_oracles(tmp_path, capsys, monkeypatch):
 
     for name in ("brute_n", "brute_p4"):
         monkeypatch.setattr(oracles, name, forbidden)
-    monkeypatch.setattr(cosp.spdecomp, "is_nfree", forbidden)
+    monkeypatch.setattr(cosp.lemmas, "is_nfree", forbidden)
     assert {request: answer(request) for request in requests} == answers
     # Each command fails on the P4 or the N and holds on the other two.
     assert [code for code, _, _ in answers.values()] == [1, 0, 0] * 7
@@ -464,6 +464,74 @@ def test_import_leaves_out_dataclasses_typing_and_the_oracles():
         check=True,
     )
     assert proc.stdout == "[]\n"
+
+
+def cli_process(*args):
+    """Run ``python *args`` from the source tree in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        cwd=Path(cosp.__file__).parents[1],
+    )
+
+
+def cosp_imports(*argv):
+    """The cosp modules that ``python -m cosp.cli *argv`` imports, read from
+    the ``-X importtime`` report on standard error."""
+    stderr = cli_process("-X", "importtime", "-m", "cosp.cli", *argv).stderr
+    lines = [line for line in stderr.splitlines() if line.startswith("import time:")]
+    names = {line.rsplit("|", 1)[1].strip() for line in lines}
+    return sorted(name for name in names if name.split(".")[0] == "cosp")
+
+
+def test_requests_import_only_the_modules_they_run(tmp_path):
+    # On plain files the graph side alone answers check and cotree, and the
+    # order side adds two modules; no request loads the oracles, the lemmas,
+    # the tree converters or the line reader.
+    from cosp.graphs import _read_plain
+
+    assert _read_plain(DIAMOND_TEXT, False) and _read_plain(DIAMOND_POSET_TEXT, True)
+    graph = write(tmp_path, "diamond.txt", DIAMOND_TEXT)
+    order = write(tmp_path, "diamond-order.txt", DIAMOND_POSET_TEXT)
+    graph_side = ["cosp", "cosp.cographs", "cosp.graphs"]
+    order_side = ["cosp", "cosp.cographs", "cosp.graphs", "cosp.posets", "cosp.spdecomp"]
+    requests = {
+        ("check", graph): graph_side,
+        ("cotree", graph): graph_side,
+        ("cotree", graph, "--dot"): graph_side,
+        ("poset", order, "nfree"): order_side,
+        ("poset", order, "sptree"): order_side,
+        ("poset", order, "sptree", "--dot"): order_side,
+    }
+    for argv, modules in requests.items():
+        assert cosp_imports(*argv) == modules, argv
+
+
+def test_every_command_answers_alike_in_a_fresh_process(tmp_path, capsys):
+    # A fresh interpreter holds no module that an earlier request or test
+    # imported, so only there does a missing lazy import show.
+    graph = write(tmp_path, "diamond.txt", DIAMOND_TEXT)
+    commented = write(tmp_path, "p4-lines.txt", "# read line by line\n" + P4_TEXT)
+    order = write(tmp_path, "diamond-order.txt", DIAMOND_POSET_TEXT)
+    n_order = write(tmp_path, "n-lines.txt", "0 < 1\n2 < 1\n2 < 3\n")
+    requests = [
+        ("check", graph),
+        ("check", commented),
+        ("cotree", graph),
+        ("cotree", graph, "--dot"),
+        ("join", graph),
+        *(("poset", path, *action) for path in (order, n_order) for action in ORDER_ACTIONS),
+        ("gen", "parity-split", "6"),
+        ("gen", "cotree", "8", "--seed", "1"),
+        ("gen", "sptree", "8", "--seed", "1"),
+        ("gen", "gnp", "8", "0.5", "--seed", "1"),
+        ("gen", "poset", "8", "0.5", "--seed", "1"),
+        ("oracle-compare", "--max-graph-n", "3", "--max-poset-n", "2"),
+    ]
+    for argv in requests:
+        proc = cli_process("-m", "cosp.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv), argv
 
 
 def test_oracle_compare_tiny(capsys):

@@ -29,7 +29,8 @@ from cosp import (
     select_universal_neighbor,
     sp_tree,
 )
-from cosp.cographs import _decompose, _tree_json_text, validate_cotree
+from cosp.cographs import _decompose, _tree_json_text
+from cosp.trees import validate_cotree
 from cosp.graphs import iter_bits, mask_of
 from cosp import oracles
 

@@ -16,8 +16,7 @@ from cosp import (
     is_cograph,
     sp_tree_to_poset,
 )
-from cosp.cographs import validate_cotree
-from cosp.spdecomp import validate_sp_tree
+from cosp.trees import validate_cotree, validate_sp_tree
 from cosp import oracles
 
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])

@@ -23,7 +23,7 @@ from cosp import (
     parse_graph,
     parse_poset,
 )
-from cosp import graphs
+from cosp import graphs, pairtext
 from cosp.graphs import _read_plain, _transpose
 
 CYCLE = "cycle"
@@ -137,6 +137,36 @@ def test_rejected_inputs(text, graph_outcome, order_outcome):
             assert type(exc.value) is ParseError
             assert str(exc.value) == f"line {line}: {message}"
             assert exc.value.line == line
+
+
+def test_line_reader_pieces_read_as_the_whole_text(monkeypatch):
+    # The line reader splits the text a piece at a time, cut after a
+    # newline: with pieces of a few characters, every prefix of a text with
+    # each kind of line break splits as the whole, and every rejected input
+    # fails as before.
+    text = "n 3\r\n0 1\r\n\n# c\r1  2\x0b\x85 2 0\n\n\n0 1"
+    for chunk in (1, 2, 3, 5):
+        monkeypatch.setattr(pairtext, "_CHUNK", chunk)
+        for end in range(len(text) + 1):
+            assert list(pairtext._lines(text[:end])) == text[:end].splitlines()
+    for case in REJECTED:
+        test_rejected_inputs(*case)
+
+
+def test_line_reader_memory_follows_the_labels():
+    # One string per line of the whole text costs about eight times the
+    # text for lines of eight characters; the line reader holds the flat
+    # labels (two pointers a line) and one 64 KiB piece's lines.
+    n = 360
+    text = f"n {n}\n" + "".join(f"{u} {v}\n" for u in range(n) for v in range(u + 1, n)) + "#\n"
+    tracemalloc.start()
+    try:
+        g, _ = parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count() == n * (n - 1) // 2
+    assert peak < 5 * len(text)
 
 
 LIMIT = 500 * 2**20

@@ -28,7 +28,7 @@ from cosp import (
     sp_tree_to_poset,
 )
 from cosp.cographs import _preorder
-from cosp.spdecomp import validate_sp_tree
+from cosp.trees import validate_sp_tree
 from cosp import oracles
 
 N_POSET = Poset.from_relations(4, [(0, 1), (2, 1), (2, 3)])
