@@ -138,8 +138,8 @@ def cmd_join(args) -> int:
     g, labels = parse_graph(_read_file(args.file))
     if not g.is_connected():
         return _fail("input graph is not connected")
-    # Decide by the complement, not by the neighbor scan: on inputs that are
-    # not P4-free the scan can surface a set that fails the join invariant.
+    # Decide by the complement, not by the neighbor scan, so that a split
+    # complement with no witness that passes validate is an internal error.
     if len(g.co_components()) == 1:
         _emit({"witness": None, "reason": "complement connected"})
         msg = "no witness: complement connected"

@@ -6,8 +6,11 @@ neighbors against one block (:func:`neighbor_split`, whose mask routine
 neighbor joined to every non-neighbor, and the join witness of a graph
 whose complement splits.  On orders: the three-layer linear split, the
 chain endpoint comparable to an element's incomparables, and the
-module test for the N pattern.  Each witness is a record with a
-``validate`` that checks it on its input.
+paper's N-free criterion (:func:`is_nfree`).  Each witness is a record
+with a ``validate`` that checks it on its input, and the join and
+linear-split searches return only a witness that passed it.  The
+brute-force scans of :mod:`cosp.oracles` are the ground truth these
+are tested against; nothing here calls them.
 
 No CLI request that decides recognition imports this module: the
 engines (:func:`cosp.cographs.cotree`, :func:`cosp.spdecomp.sp_tree`)
@@ -17,7 +20,7 @@ answer those, and only ``join``, ``poset ... linear-split`` and
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .cographs import _sides
 from .graphs import (
@@ -134,29 +137,45 @@ def neighbor_split(g: Graph, x: int, component: Iterable[int]) -> NeighborSplit:
     )
 
 
-def join_witness(g: Graph) -> JoinWitness | None:
-    """Search a connected graph for a vertex whose universal neighbor set is
-    nonempty and return the resulting complement split.
+def _first_valid(
+    g: Graph, witness: Callable[[int, int], _Record], obj: Graph | Poset
+) -> _Record | None:
+    """The lowest x's ``witness(x, un)`` that passes ``validate`` on
+    ``obj``, where ``un`` is the mask of x's universal neighbors in g and
+    is nonempty, or None when no x qualifies."""
+    for x in range(g.order):
+        un = g._universal_mask(x)
+        if un:
+            w = witness(x, un)
+            if w.validate(obj):
+                return w
+    return None
 
-    For connected graphs with no induced four-vertex path the witness
-    exists exactly when the complement is disconnected; absence then
-    means the complement is connected.  Disconnected input is rejected.
+
+def join_witness(g: Graph) -> JoinWitness | None:
+    """Find the lowest vertex whose universal neighbor set is nonempty and
+    whose complement split passes :meth:`JoinWitness.validate`.
+
+    For connected graphs with no induced four-vertex path the first such
+    vertex always qualifies, and the witness exists exactly when the
+    complement is disconnected; absence then means the complement is
+    connected.  On other inputs a vertex whose set fails the join
+    invariant is skipped.  Disconnected input is rejected.
     """
     if g.order == 0:
         raise ValueError("the witness search needs at least one vertex")
     if not g.is_connected():
         raise DisconnectedError("input graph is not connected")
     full = g.full_mask()
-    for x in range(g.order):
-        un = g._universal_mask(x)
-        if un:
-            rest = full & ~un
-            return JoinWitness(
-                x=x,
-                universal_neighbors=vertices_of(un),
-                split=(vertices_of(rest), vertices_of(un)),
-            )
-    return None
+    return _first_valid(
+        g,
+        lambda x, un: JoinWitness(
+            x=x,
+            universal_neighbors=vertices_of(un),
+            split=(vertices_of(full & ~un), vertices_of(un)),
+        ),
+        g,
+    )
 
 
 def select_universal_neighbor(g: Graph, x: int) -> int:
@@ -253,19 +272,10 @@ class NoEndpointError(ValueError):
         self.bottom_conflict = bottom_conflict
 
 
-def is_nfree(p: Poset, method: str = "modules") -> bool:
-    """Decide absence of the N pattern.
-
-    method="modules" checks that every comparability-connected block of
-    every element's incomparables is a module; method="brute" runs the
-    quadruple scan.  The two routes agree on every input.
-    """
-    if method == "brute":
-        from .oracles import brute_n  # oracles imports this module
-
-        return brute_n(p) is None
-    if method != "modules":
-        raise ValueError(f"unknown method {method!r}")
+def is_nfree(p: Poset) -> bool:
+    """Decide absence of the N pattern by the paper's criterion: every
+    comparability-connected block of every element's incomparables is a
+    module."""
     for x in range(p.order):
         for block in p.incomparable_components(x):
             if not p.is_module(block):
@@ -296,20 +306,17 @@ def linear_split_witness(p: Poset) -> LinearSplit | None:
     if len(g.co_components()) == 1:
         return None
     full = p.full_mask()
-    for x in range(p.order):
-        # x's split candidates: its universal neighbors, split by side.
-        un = g._universal_mask(x)
-        if not un:
-            continue
-        w = LinearSplit(
+    # x's split candidates: its universal neighbors, split by side.
+    return _first_valid(
+        g,
+        lambda x, un: LinearSplit(
             x=x,
             lower=vertices_of(un & p.below[x]),
             middle=vertices_of(full & ~un),
             upper=vertices_of(un & p.above[x]),
-        )
-        if w.validate(p):
-            return w
-    return None
+        ),
+        p,
+    )
 
 
 def endpoint_witness(p: Poset, x: int) -> EndpointWitness:

@@ -10,11 +10,10 @@ enumerations are hard errors, not warnings.
 from __future__ import annotations
 
 import itertools
-import json
 from collections.abc import Iterator
 
 from .cographs import LEAF, Cotree, P4Witness, _from_signature, cotree
-from .graphs import Graph, iter_bits, mask_components, mask_of
+from .graphs import Graph, iter_bits, mask_components
 from .lemmas import (
     endpoint_witness,
     is_nfree,
@@ -42,12 +41,11 @@ _PATH_ORDERS = tuple(
 # === brute-force scans ===
 
 
-def brute_p4(g: Graph, within: tuple[int, ...] | None = None) -> P4Witness | None:
+def brute_p4(g: Graph) -> P4Witness | None:
     """Scan 4-subsets in lexicographic order, trying all 12 path labelings
     of each; return the first induced path found, or None."""
-    vs = sorted(range(g.order)) if within is None else sorted(within)
     adj = g.adj
-    for quad in itertools.combinations(vs, 4):
+    for quad in itertools.combinations(range(g.order), 4):
         for perm in _PATH_ORDERS:
             a, b, c, d = (quad[i] for i in perm)
             if (
@@ -62,17 +60,17 @@ def brute_p4(g: Graph, within: tuple[int, ...] | None = None) -> P4Witness | Non
     return None
 
 
-def brute_n(p: Poset, within: tuple[int, ...] | None = None) -> NWitness | None:
+def brute_n(p: Poset) -> NWitness | None:
     """Scan element quadruples (a, b, c, d) in lexicographic order for the
     exact pattern a < b, c < b, c < d with the other three pairs
     incomparable; first witness or None.  Each loop level enforces one
     constraint, so candidate sets shrink instead of being rescanned."""
-    dom = mask_of(range(p.order)) if within is None else mask_of(within)
+    dom = p.full_mask()
     below, above = p.below, p.above
     comp = [below[v] | above[v] for v in range(p.order)]
     for a in iter_bits(dom):
         inc_a = dom & ~comp[a] & ~(1 << a)
-        for b in iter_bits(above[a] & dom):
+        for b in iter_bits(above[a]):
             for c in iter_bits(below[b] & inc_a):
                 ds = above[c] & inc_a & ~comp[b] & ~(1 << b)
                 if ds:
@@ -305,39 +303,6 @@ def rand_poset(n: int, p_edge: float, seed: int) -> Poset:
     return Poset.from_relations(n, pairs, mode="covers")
 
 
-# === fixture records ===
-
-
-def _fixture_payload(obj: Graph | Poset) -> tuple[str, dict]:
-    """Record kind and JSON payload of a graph or an order."""
-    if isinstance(obj, Graph):
-        return "graph", {"n": obj.order, "edges": [list(e) for e in obj.edges()]}
-    if isinstance(obj, Poset):
-        return "poset", {"n": obj.order, "relations": [list(r) for r in obj.relations()]}
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def fixture_line(obj: Graph | Poset, seed: int) -> str:
-    """One newline-delimited JSON record for a regression corpus."""
-    kind, payload = _fixture_payload(obj)
-    return json.dumps({"kind": kind, "seed": seed, "payload": payload})
-
-
-def read_fixture_line(line: str) -> tuple[int, Graph | Poset]:
-    """Invert :func:`fixture_line`; poset payloads are revalidated as full
-    closures on the way in."""
-    record = json.loads(line)
-    kind = record["kind"]
-    seed = record["seed"]
-    payload = record["payload"]
-    if kind == "graph":
-        return seed, Graph.from_edges(payload["n"], [tuple(e) for e in payload["edges"]])
-    if kind == "poset":
-        pairs = [tuple(r) for r in payload["relations"]]
-        return seed, Poset.from_relations(payload["n"], pairs, mode="full")
-    raise ValueError(f"unknown fixture kind {kind!r}")
-
-
 # === oracle comparison sweeps ===
 
 
@@ -357,13 +322,12 @@ def check_graph_instance(g: Graph) -> str | None:
         return "decomposition tree does not rebuild its graph"
     if g.order == 0 or not g.is_connected():
         return None
-    co_split = len(g.co_components()) > 1
+    w = join_witness(g)
+    if (w is not None) != (len(g.co_components()) > 1):
+        return "join witness existence disagrees with complement components"
+    if w is not None and not w.validate(g):
+        return "join witness does not validate"
     if recognized:
-        w = join_witness(g)
-        if (w is not None) != co_split:
-            return "join witness existence disagrees with complement components"
-        if w is not None and not w.validate(g):
-            return "join witness does not validate"
         for x in range(g.order):
             for block in non_neighbor_components(g, x):
                 if not g.is_module(block):
@@ -383,10 +347,8 @@ def check_poset_instance(p: Poset) -> str | None:
     """Compare every order-side claim against the oracles on one poset."""
     nw = brute_n(p)
     free = nw is None
-    if is_nfree(p, method="modules") != free:
+    if is_nfree(p) != free:
         return "module criterion disagrees with the quadruple scan"
-    if is_nfree(p, method="brute") != free:
-        return "brute route disagrees with the oracle scan"
     if p.order:
         tree = sp_tree(p)
         if isinstance(tree, NWitness):
@@ -420,5 +382,8 @@ def check_poset_instance(p: Poset) -> str | None:
 
 def mismatch(obj: Graph | Poset, tag: str) -> dict:
     """The ``oracle-compare`` report of an instance that failed check ``tag``."""
-    kind, payload = _fixture_payload(obj)
+    if isinstance(obj, Graph):
+        kind, payload = "graph", {"n": obj.order, "edges": [list(e) for e in obj.edges()]}
+    else:
+        kind, payload = "poset", {"n": obj.order, "relations": [list(r) for r in obj.relations()]}
     return {"ok": False, "kind": kind, "check": tag, "payload": payload}

@@ -9,6 +9,7 @@ graphs and orders through :func:`_write_pairs`.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice
 
@@ -28,6 +29,19 @@ def _lines(text: str) -> Iterator[str]:
         end = end or len(text)
         yield from text[pos:end].splitlines()
         pos = end
+
+
+def _too_long(what: str, *tokens: str) -> str | None:
+    """The error for a token that ``int()`` refuses only for Python's limit
+    on the digits of an integer string, or None.  The limit is kept: it
+    guards against quadratic parsing, and lifting it would change the
+    whole process."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for token in tokens:
+        digits = token.lstrip("+-").replace("_", "")
+        if limit and len(digits) > limit and digits.isdecimal():
+            return f"{what} has more than {limit} digits"
+    return None
 
 
 def _read_lines(text: str, noun: str, ordered: bool) -> tuple[list[int], Sequence[int], int | None]:
@@ -55,7 +69,8 @@ def _read_lines(text: str, noun: str, ordered: bool) -> tuple[list[int], Sequenc
             try:
                 declared = int(tokens[1])
             except ValueError:
-                raise ParseError(lineno, f"malformed header order {tokens[1]!r}") from None
+                error = _too_long("declared order", tokens[1])
+                raise ParseError(lineno, error or f"malformed header order {tokens[1]!r}") from None
             if declared < 0:
                 raise ParseError(lineno, "declared order must be non-negative")
             first = lineno
@@ -77,12 +92,14 @@ def _read_lines(text: str, noun: str, ordered: bool) -> tuple[list[int], Sequenc
                 continue
         if not tokens or tokens[0][0] == "#":
             continue
+        if len(tokens) != 2 and not (ordered and len(tokens) == 3 and tokens[1] == "<"):
+            error = f"expected two {noun} labels, got {line.strip()!r}"
+            break
         try:
-            if len(tokens) != 2 and not (ordered and len(tokens) == 3 and tokens[1] == "<"):
-                raise ValueError
             u, v = int(tokens[0]), int(tokens[-1])
         except ValueError:
-            error = f"expected two {noun} labels, got {line.strip()!r}"
+            error = _too_long(f"{noun} label", tokens[0], tokens[-1])
+            error = error or f"expected two {noun} labels, got {line.strip()!r}"
             break
         if u < 0 or v < 0:
             error = f"{noun} labels must be non-negative"

@@ -117,7 +117,7 @@ def test_criterion_05_nfree_routes_agree(posets_to_4):
     bad = []
     for p in posets_to_4:
         a = oracles.brute_n(p) is None
-        b = is_nfree(p, method="modules")
+        b = is_nfree(p)
         c = p.order == 0 or not isinstance(sp_tree(p), NWitness)
         if not (a == b == c):
             bad.append((p, a, b, c))

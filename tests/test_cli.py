@@ -208,6 +208,24 @@ def test_join_disconnected(tmp_path, capsys):
     assert "connected" in err
 
 
+def test_join_skips_a_vertex_whose_split_fails(tmp_path, capsys):
+    # The complement splits off vertex 1, and the graph has the induced
+    # path 3-2-0-4.  Vertex 0's universal neighbors are 1 and 2, but 2 and
+    # 4 are not adjacent, so the witness is vertex 1's.
+    text = "n 5\n0 1\n0 2\n0 4\n1 2\n1 3\n1 4\n2 3\n"
+    f = write(tmp_path, "split.txt", text)
+    code, out, _ = run(capsys, "join", f)
+    assert code == 0
+    assert json.loads(out) == {
+        "x": 1,
+        "universal_neighbors": [0, 2, 3, 4],
+        "split": [[1], [0, 2, 3, 4]],
+    }
+    g, _ = cosp.parse_graph(text)
+    w = cosp.JoinWitness(**json.loads(out))
+    assert w.validate(g)
+
+
 def test_poset_nfree(tmp_path, capsys):
     f = write(tmp_path, "n.txt", N_TEXT)
     code, out, _ = run(capsys, "poset", f, "nfree")

@@ -14,6 +14,7 @@ from cosp import (
     Graph,
     P4Error,
     P4Witness,
+    SPTree,
     cotree,
     cotree_from_json,
     cotree_to_dot,
@@ -28,9 +29,10 @@ from cosp import (
     orient_cotree,
     select_universal_neighbor,
     sp_tree,
+    sp_tree_to_poset,
 )
 from cosp.cographs import _decompose, _tree_json_text
-from cosp.trees import validate_cotree
+from cosp.trees import validate_cotree, validate_sp_tree
 from cosp.graphs import iter_bits, mask_of
 from cosp import oracles
 
@@ -222,6 +224,52 @@ def test_cotree_canonical_form(connected_cographs_to_6):
         assert sp_tree(orient_cotree(t)) == cotree_to_sptree(t)
 
 
+L0, L1, L2 = (Cotree.leaf(v) for v in range(3))
+E0, E1, E2 = (SPTree.leaf(v) for v in range(3))
+
+
+@pytest.mark.parametrize(
+    "check, tree, message",
+    [
+        (validate_cotree, Cotree.leaf(-1), "leaf vertex must be a non-negative int, got -1"),
+        (validate_sp_tree, SPTree.leaf("0"), "leaf element must be a non-negative int, got '0'"),
+        (validate_cotree, Cotree("join", None, (L0, L1)), "unknown node kind 'join'"),
+        (validate_cotree, Cotree.series([L0]), "series node with fewer than two children"),
+        (validate_cotree, Cotree.parallel([L0, L0]), "duplicate leaf ids"),
+        (cotree_to_graph, Cotree.parallel([L0, L2]), "leaf ids must form a dense 0..n-1 range"),
+        (sp_tree_to_poset, SPTree.linear([E1, E2]), "leaf ids must form a dense 0..n-1 range"),
+        (validate_cotree, Cotree("leaf", 0, (L1,)), "leaf with children"),
+        (validate_cotree, Cotree("series", 2, (L0, L1)), "internal node with vertex 2"),
+        (
+            validate_cotree,
+            Cotree.series([Cotree.series([L0, L1]), L2]),
+            "series child of series node",
+        ),
+        (
+            validate_sp_tree,
+            SPTree.linear([SPTree.linear([E0, E1]), E2]),
+            "linear child of linear node",
+        ),
+        (
+            validate_cotree,
+            Cotree.parallel([L1, L0]),
+            "parallel children not ordered by smallest leaf id",
+        ),
+        (
+            validate_sp_tree,
+            SPTree.disjoint([E1, E0]),
+            "disjoint children not ordered by smallest leaf id",
+        ),
+    ],
+)
+def test_tree_checks_name_each_fault(check, tree, message):
+    # One malformed tree per rejection of trees._leaf_masks, _dense_order
+    # and _validate_tree.
+    with pytest.raises(ValueError) as exc:
+        check(tree)
+    assert str(exc.value) == message
+
+
 def test_cotree_to_graph_examples():
     assert cotree_to_graph(Cotree.series((leaf(0), leaf(1)))) == K2
     g = cotree_to_graph(Cotree.parallel((Cotree.series((leaf(0), leaf(1))), leaf(2))))
@@ -404,6 +452,8 @@ def test_json_rejects_malformed():
         cotree_from_json({"kind": "nope", "children": []})
     with pytest.raises(ValueError):
         cotree_from_json({"kind": "leaf", "vertex": True})
+    with pytest.raises(ValueError, match="^tree node must be an object, got list$"):
+        cotree_from_json({"kind": "series", "children": [[], {"kind": "leaf", "vertex": 0}]})
 
 
 def test_dot_output():

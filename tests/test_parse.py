@@ -139,6 +139,42 @@ def test_rejected_inputs(text, graph_outcome, order_outcome):
             assert exc.value.line == line
 
 
+LIMIT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" + "0" * LIMIT_DIGITS
+ZERO_LED = "0" + "1" * LIMIT_DIGITS
+
+
+@pytest.mark.skipif(not LIMIT_DIGITS, reason="int() has no limit on digits here")
+@pytest.mark.parametrize(
+    "text, line, what",
+    [
+        (f"n 5\n0 {LONG}\n", 2, "{noun} label"),
+        (f"0 1\n{LONG} 0\n", 2, "{noun} label"),
+        (f"{ZERO_LED} 1\n", 1, "{noun} label"),
+        (f"n 3\n# c\n0 {ZERO_LED}\n", 3, "{noun} label"),
+        (f"n {LONG}\n0 1\n", 1, "declared order"),
+        (f"\nn {ZERO_LED}\n", 2, "declared order"),
+    ],
+    ids=[
+        "header",
+        "no-header",
+        "leading-zero",
+        "leading-zero-header",
+        "order",
+        "leading-zero-order",
+    ],
+)
+def test_labels_beyond_the_digit_limit_name_it(text, line, what):
+    # Python refuses to convert more digits than its limit; the message
+    # names that limit, and a label at the limit is read.
+    for parse, noun in ((parse_graph, "vertex"), (parse_poset, "element")):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        message = what.format(noun=noun)
+        assert str(exc.value) == f"line {line}: {message} has more than {LIMIT_DIGITS} digits"
+        assert parse(f"0 {'9' * LIMIT_DIGITS}\n")[1] == (0, int("9" * LIMIT_DIGITS))
+
+
 def test_line_reader_pieces_read_as_the_whole_text(monkeypatch):
     # The line reader splits the text a piece at a time, cut after a
     # newline: with pieces of a few characters, every prefix of a text with

@@ -80,6 +80,25 @@ def test_validate_invariants():
         p.validate()
 
 
+@pytest.mark.parametrize(
+    "below, above, message",
+    [
+        ((0,), (), "below/above length mismatch"),
+        ((0b10,), (0,), "element mask of 0 out of range"),
+        ((0b1,), (0,), "reflexive entry at element 0"),
+        ((0b10, 0), (0b10, 0), "element 0 both below and above another"),
+        ((0, 0b1, 0b10), (0b10, 0b100, 0), "transitivity violated below 2"),
+        ((0, 0b1), (0, 0), "duality violated for 0 < 1"),
+        ((0, 0), (0b10, 0), "duality violated for 0 < 1"),
+    ],
+    ids=["length", "range", "reflexive", "both-sides", "transitivity", "below-dual", "above-dual"],
+)
+def test_validate_names_each_fault(below, above, message):
+    with pytest.raises(ValueError) as exc:
+        Poset(below, above).validate()
+    assert str(exc.value) == message
+
+
 def test_less_and_comparable():
     assert N_POSET.less(2, 3)
     assert not N_POSET.less(3, 2)

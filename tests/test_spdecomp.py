@@ -179,10 +179,9 @@ def test_sp_tree_chain_prefixed_n_adversary():
 
 
 def test_is_nfree_methods_agree(posets_to_4):
+    # The module criterion against the oracles' quadruple scan.
     for p in posets_to_4:
-        assert is_nfree(p, method="modules") == is_nfree(p, method="brute")
-    with pytest.raises(ValueError):
-        is_nfree(N_POSET, method="nope")
+        assert is_nfree(p) == (oracles.brute_n(p) is None)
 
 
 def test_is_nfree_examples():
