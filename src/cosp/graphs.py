@@ -9,6 +9,12 @@ complement never require materializing complement edges.
 Vertex sets returned to callers are frozensets; partitions are lists of
 ascending tuples ordered by their smallest member, which keeps every
 derived witness reproducible.
+
+:class:`Graph` and :class:`cosp.posets.Poset` are both row records
+(``_Rows``): each field is one family of n masks, ``adj`` for a graph,
+``below`` and ``above`` for an order.  That base alone states ``order``,
+``full_mask``, the id range check and ``is_module``: a set is a module
+when, in every family, each outside id's row holds all of it or none.
 """
 
 from __future__ import annotations
@@ -114,17 +120,53 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Graph(_Record):
-    """Immutable simple graph; ``adj[v]`` is the neighbor mask of vertex v."""
+class _Rows(_Record):
+    """A record whose ``_fields`` are n-long rows of masks over the ids
+    0..n-1, one family each: a graph's ``adj``, an order's ``below`` and
+    ``above``.  ``_noun`` names an id in messages."""
 
-    _fields = ("adj",)
-
-    def __init__(self, adj: tuple[int, ...]):
-        object.__setattr__(self, "adj", adj)
+    _noun: str
 
     @property
     def order(self) -> int:
-        return len(self.adj)
+        return len(getattr(self, self._fields[0]))
+
+    def full_mask(self) -> int:
+        return (1 << self.order) - 1
+
+    def _check(self, x: int) -> None:
+        if not (0 <= x < self.order):
+            raise ValueError(f"{self._noun} {x} out of range for order {self.order}")
+
+    def _members(self, ids: Iterable[int]) -> int:
+        """The mask of a set of ids, each of which must lie in 0..n-1."""
+        members = set(ids)
+        if members and not (0 <= min(members) and max(members) < self.order):
+            raise ValueError(f"member out of range for order {self.order}")
+        return mask_of(members)
+
+    def is_module(self, ids: Iterable[int]) -> bool:
+        """True when, in every row family, each outside id's row holds all
+        or none of the set: for a graph, adjacent to all or none; for an
+        order, below all or none and above all or none."""
+        a = self._members(ids)
+        outside = self.full_mask() & ~a
+        for rows in self._values():
+            for v in iter_bits(outside):
+                t = rows[v] & a
+                if t != 0 and t != a:
+                    return False
+        return True
+
+
+class Graph(_Rows):
+    """Immutable simple graph; ``adj[v]`` is the neighbor mask of vertex v."""
+
+    _fields = ("adj",)
+    _noun = "vertex"
+
+    def __init__(self, adj: tuple[int, ...]):
+        object.__setattr__(self, "adj", adj)
 
     @classmethod
     def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -140,16 +182,9 @@ class Graph(_Record):
             adj[v] |= 1 << u
         return cls(tuple(adj))
 
-    def _check_vertex(self, x: int) -> None:
-        if not (0 <= x < self.order):
-            raise ValueError(f"vertex {x} out of range for order {self.order}")
-
-    def full_mask(self) -> int:
-        return (1 << self.order) - 1
-
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        self._check(u)
+        self._check(v)
         return (self.adj[u] >> v) & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
@@ -164,12 +199,12 @@ class Graph(_Record):
         return sum(m.bit_count() for m in self.adj) // 2
 
     def neighbors(self, x: int) -> frozenset[int]:
-        self._check_vertex(x)
+        self._check(x)
         return frozenset(iter_bits(self.adj[x]))
 
     def non_neighbors(self, x: int) -> frozenset[int]:
         """Vertices other than x that are not adjacent to x."""
-        self._check_vertex(x)
+        self._check(x)
         return frozenset(iter_bits(self.full_mask() & ~self.adj[x] & ~(1 << x)))
 
     def universal_neighbors(self, x: int) -> frozenset[int]:
@@ -179,7 +214,7 @@ class Graph(_Record):
         four-vertex path, its members are adjacent to everything outside
         the set, so the graph is a join and its complement is disconnected.
         """
-        self._check_vertex(x)
+        self._check(x)
         return frozenset(iter_bits(self._universal_mask(x)))
 
     def _universal_mask(self, x: int) -> int:
@@ -208,7 +243,7 @@ class Graph(_Record):
         """
         keep = sorted(set(vertices))
         for v in keep:
-            self._check_vertex(v)
+            self._check(v)
         index = {v: i for i, v in enumerate(keep)}
         sub = mask_of(keep)
         adj = [0] * len(keep)
@@ -218,17 +253,6 @@ class Graph(_Record):
                 m |= 1 << index[w]
             adj[i] = m
         return Graph(tuple(adj)), tuple(keep)
-
-    def is_module(self, vertices: Iterable[int]) -> bool:
-        """True when every outside vertex is adjacent to all or none of the set."""
-        a = mask_of(set(vertices))
-        if a >> self.order:
-            raise ValueError(f"member out of range for order {self.order}")
-        for v in iter_bits(self.full_mask() & ~a):
-            t = self.adj[v] & a
-            if t != 0 and t != a:
-                return False
-        return True
 
     def complement(self) -> Graph:
         full = self.full_mask()

@@ -109,7 +109,7 @@ class NeighborSplit(_Record):
 def non_neighbor_components(g: Graph, x: int) -> list[tuple[int, ...]]:
     """Connected components of the non-neighbors of x.  In a graph with no
     induced four-vertex path every block is a module."""
-    g._check_vertex(x)
+    g._check(x)
     inc = g.full_mask() & ~g.adj[x] & ~(1 << x)
     return [vertices_of(m) for m in mask_components(g.adj, inc)]
 
@@ -121,12 +121,10 @@ def neighbor_split(g: Graph, x: int, component: Iterable[int]) -> NeighborSplit:
     sides must be completely joined; a violation of either property pins
     an induced four-vertex path, raised as :class:`cosp.cographs.P4Error`.
     """
-    g._check_vertex(x)
-    cm = mask_of(set(component))
+    g._check(x)
+    cm = g._members(component)
     if cm == 0:
         raise ValueError("component must be nonempty")
-    if cm >> g.order:
-        raise ValueError(f"member out of range for order {g.order}")
     if cm & (g.adj[x] | (1 << x)):
         raise ValueError(f"component members must be non-neighbors of {x}")
     n1, n2 = _sides(g.adj, x, cm)
@@ -187,7 +185,7 @@ def select_universal_neighbor(g: Graph, x: int) -> int:
     smallest neighbor is returned.  A four-vertex path met along the way
     surfaces as :class:`cosp.cographs.P4Error`.
     """
-    g._check_vertex(x)
+    g._check(x)
     if g.adj[x] == 0:
         raise ValueError(f"vertex {x} has no neighbors")
     inc = g.full_mask() & ~g.adj[x] & ~(1 << x)
@@ -324,7 +322,7 @@ def endpoint_witness(p: Poset, x: int) -> EndpointWitness:
     comparable to every element incomparable to x; the top is preferred
     on ties.  Failure of both endpoints raises :class:`NoEndpointError`,
     which for connected input means an N pattern is present."""
-    p._check_element(x)
+    p._check(x)
     chain = p.maximal_chain(x)
     comp = p.comparability_masks()
     inc = p.full_mask() & ~comp[x] & ~(1 << x)

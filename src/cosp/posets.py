@@ -10,6 +10,13 @@ the incomparables of an element and their blocks are its non-neighbors
 and their components, and an N is an induced four-vertex path of that
 graph (:class:`cosp.cographs.P4Witness`) with the orientation a < b,
 c < b, c < d.  This module adds only what the orientation decides.
+
+``order``, ``full_mask``, the id check and ``is_module`` come from the
+row record that :class:`Poset` shares with :class:`cosp.graphs.Graph`.
+Its module rule reads both families, so each outside element is below
+all or none of the set and above all or none.  That is stricter than a
+module of the comparability graph: in the chain 0 < 1 < 2, {0, 2} is one
+of those but not a module of the order.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .cographs import P4Witness
-from .graphs import Graph, _Record, _read_pairs, _transpose, iter_bits, mask_of, vertices_of
+from .graphs import Graph, _Record, _Rows, _read_pairs, _transpose, iter_bits, mask_of, vertices_of
 
 
 class CycleError(ValueError):
@@ -78,19 +85,16 @@ class MaximalChain(_Record):
         return self.elements[-1]
 
 
-class Poset(_Record):
+class Poset(_Rows):
     """Immutable strict partial order; ``below[v]`` / ``above[v]`` are the
     masks of elements strictly less / greater than v in the closure."""
 
     _fields = ("below", "above")
+    _noun = "element"
 
     def __init__(self, below: tuple[int, ...], above: tuple[int, ...]):
         object.__setattr__(self, "below", below)
         object.__setattr__(self, "above", above)
-
-    @property
-    def order(self) -> int:
-        return len(self.below)
 
     @classmethod
     def from_relations(
@@ -102,8 +106,6 @@ class Poset(_Record):
         the input already be its own transitive closure and rejects it
         otherwise.  Cycles raise :class:`CycleError` in both modes.
         """
-        if mode not in ("covers", "full"):
-            raise ValueError(f"unknown mode {mode!r}")
         if order < 0:
             raise ValueError("order must be non-negative")
         succ = [0] * order
@@ -174,21 +176,14 @@ class Poset(_Record):
                 if (self.below[u] >> v) & 1 == 0:
                     raise ValueError(f"duality violated for {v} < {u}")
 
-    def _check_element(self, x: int) -> None:
-        if not (0 <= x < self.order):
-            raise ValueError(f"element {x} out of range for order {self.order}")
-
-    def full_mask(self) -> int:
-        return (1 << self.order) - 1
-
     def less(self, u: int, v: int) -> bool:
-        self._check_element(u)
-        self._check_element(v)
+        self._check(u)
+        self._check(v)
         return (self.below[v] >> u) & 1 == 1
 
     def comparable(self, u: int, v: int) -> bool:
-        self._check_element(u)
-        self._check_element(v)
+        self._check(u)
+        self._check(v)
         return ((self.below[v] | self.above[v]) >> u) & 1 == 1
 
     def comparability_masks(self) -> list[int]:
@@ -203,12 +198,7 @@ class Poset(_Record):
 
     def relations(self) -> list[tuple[int, int]]:
         """All closed pairs (u, v) with u < v, sorted."""
-        out = []
-        for v in range(self.order):
-            for u in iter_bits(self.below[v]):
-                out.append((u, v))
-        out.sort()
-        return out
+        return [(u, v) for u in range(self.order) for v in iter_bits(self.above[u])]
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs of the transitive reduction: u < v with nothing between."""
@@ -231,7 +221,7 @@ class Poset(_Record):
         return self.comparability_graph().is_connected()
 
     def incomparables(self, x: int) -> frozenset[int]:
-        self._check_element(x)
+        self._check(x)
         return self.comparability_graph().non_neighbors(x)
 
     def incomparable_components(self, x: int) -> list[tuple[int, ...]]:
@@ -240,27 +230,12 @@ class Poset(_Record):
         comparable pairs inside the set links them."""
         from .lemmas import non_neighbor_components
 
-        self._check_element(x)
+        self._check(x)
         return non_neighbor_components(self.comparability_graph(), x)
-
-    def is_module(self, elements: Iterable[int]) -> bool:
-        """True when every outside element relates uniformly (below, above,
-        or incomparable) to all members of the set."""
-        a = mask_of(set(elements))
-        if a >> self.order:
-            raise ValueError(f"member out of range for order {self.order}")
-        for v in iter_bits(self.full_mask() & ~a):
-            dn = self.below[v] & a
-            if dn != 0 and dn != a:
-                return False
-            up = self.above[v] & a
-            if up != 0 and up != a:
-                return False
-        return True
 
     def split_candidates(self, x: int) -> SplitCandidates:
         """Elements comparable to x and to every element incomparable to x."""
-        self._check_element(x)
+        self._check(x)
         un = self.comparability_graph()._universal_mask(x)
         return SplitCandidates(
             lower=vertices_of(un & self.below[x]), upper=vertices_of(un & self.above[x])
@@ -274,7 +249,7 @@ class Poset(_Record):
         then above the current top, then interior insertions, until no
         element outside the chain is comparable to all of it.
         """
-        self._check_element(x)
+        self._check(x)
         comp = self.comparability_masks()
         members = [x]
         chain_mask = 1 << x

@@ -327,6 +327,9 @@ def test_neighbor_split_rejects_non_block():
         neighbor_split(PAW, 0, ())
     with pytest.raises(ValueError):
         neighbor_split(PAW, 0, (1,))
+    for component in ([-1], [3, 4], [-1, 3]):
+        with pytest.raises(ValueError, match=r"^member out of range for order 4$"):
+            neighbor_split(PAW, 0, component)
 
 
 def test_join_witness_k2():

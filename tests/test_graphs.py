@@ -123,8 +123,17 @@ def test_is_module():
     assert PAW.is_module([])
     assert PAW.is_module([2])
     assert PAW.is_module(range(4))
-    with pytest.raises(ValueError):
-        PAW.is_module([0, 9])
+    for members in ([0, 9], [-1], [4]):
+        with pytest.raises(ValueError, match=r"^member out of range for order 4$"):
+            PAW.is_module(members)
+
+
+def test_vertex_out_of_range():
+    for x in (9, -1, 4):
+        with pytest.raises(ValueError, match=rf"^vertex {x} out of range for order 4$"):
+            PAW.has_edge(0, x)
+        with pytest.raises(ValueError, match=rf"^vertex {x} out of range for order 4$"):
+            PAW.neighbors(x)
 
 
 def test_complement():

@@ -1,5 +1,6 @@
 """The package namespace: lazy (PEP 562), with the same public names."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -48,3 +49,17 @@ def test_import_cosp_imports_no_submodule():
         check=True,
     )
     assert proc.stdout == "[]\ncosp.oracles\n"
+
+
+def test_loc_counts_code_lines_and_nodes():
+    # tools/loc.py's code lines leave out blank, comment and docstring lines.
+    path = Path(__file__).parents[1] / "tools" / "loc.py"
+    spec = importlib.util.spec_from_file_location("loc", path)
+    loc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loc)
+    source = (
+        '"""Module\ndocstring."""\n\n# comment\nx = (\n    1)  # trailing\n\n\n'
+        'def f():\n    """Doc."""\n    return x\n'
+    )
+    # Code lines: "x = (", "1)", "def f():" and "return x".
+    assert loc.measure(source) == (11, 4, 14)

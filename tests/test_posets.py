@@ -157,6 +157,28 @@ def test_is_module():
     assert N_POSET.is_module(range(4))
     assert N_POSET.is_module([1])
     assert DIAMOND4.is_module([1, 2])
+    # 0 is below 1 but not below 3: only the rows of what lies above 0 show it
+    assert not N_POSET.is_module([1, 3])
+    # 1 is comparable to both 0 and 2, but lies above 0 and below 2
+    assert not CHAIN3.is_module([0, 2])
+    for members in ([-2], [0, 9], [4]):
+        with pytest.raises(ValueError, match=r"^member out of range for order 4$"):
+            N_POSET.is_module(members)
+
+
+def test_element_out_of_range():
+    for x in (9, -1, 3):
+        with pytest.raises(ValueError, match=rf"^element {x} out of range for order 3$"):
+            CHAIN3.less(0, x)
+        with pytest.raises(ValueError, match=rf"^element {x} out of range for order 3$"):
+            CHAIN3.incomparables(x)
+
+
+def test_unknown_mode():
+    with pytest.raises(ValueError, match=r"^unknown mode 'closed'$"):
+        Poset.from_relations(2, [(0, 1)], mode="closed")
+    with pytest.raises(ValueError, match=r"^unknown mode 'closed'$"):
+        parse_poset("0 1\n", mode="closed")
 
 
 def test_split_candidates():
