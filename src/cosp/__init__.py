@@ -8,17 +8,21 @@ neither way yields a four-element certificate (an induced path, read as
 an N on the order side), found by the neighbor splits at the part's
 lowest vertex.
 
-The modules: :mod:`cosp.graphs` (graphs, masks, the bulk text reader),
-:mod:`cosp.cographs` (the split engine, cotrees, the path certificate),
-:mod:`cosp.posets` (orders and their closure), :mod:`cosp.spdecomp`
-(sp-trees), :mod:`cosp.lemmas` (the paper's lemmas as checkable API),
+The modules: :mod:`cosp.rows` (rows of masks: the bulk text reader,
+the mask helpers, the closure), :mod:`cosp.engine` (the split engine on
+rows, the certificates and tree text), :mod:`cosp.graphs` (graphs),
+:mod:`cosp.cographs` (cotrees and the path certificate as records),
+:mod:`cosp.posets` (orders), :mod:`cosp.spdecomp` (sp-trees),
+:mod:`cosp.lemmas` (the paper's lemmas as checkable API),
 :mod:`cosp.trees` (tree converters and the dict codec),
-:mod:`cosp.pairtext` (the line reader and the text writers) and
-:mod:`cosp.oracles` (brute-force ground truth).
+:mod:`cosp.pairtext` (the line reader and the text writers),
+:mod:`cosp.oracles` (brute-force ground truth), and the command line,
+:mod:`cosp.cli` with :mod:`cosp.commands`.
 
 The package namespace is lazy (PEP 562): ``import cosp`` imports no
 module, and a public name imports its module on first access, so a CLI
-request compiles only the modules it runs.
+request compiles only the modules it runs: a recognition request only
+``rows`` and ``engine``.
 """
 
 __version__ = "0.1.0"

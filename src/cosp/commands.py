@@ -1,0 +1,235 @@
+"""The command line's argparse grammar and its tool commands.
+
+:func:`cosp.cli.main` reads a recognition request (``check``, ``cotree``,
+``poset``) from a table of its own and imports this module only for any
+other argument list: help, a usage error, an abbreviation or an ``=``
+form, which argparse answers from the grammar here, and the commands
+that are not recognition: ``join``, ``gen`` and ``oracle-compare``.
+``poset ... linear-split`` and ``endpoint`` also come here for their own
+witness (:func:`lemma_witness`), and back to the sp-tree without one,
+and ``check --property p4free`` for the brute-force path scan
+(:func:`brute_path`); these build the records they need.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from collections.abc import Callable
+
+from .cli import EXIT_OK, EXIT_WITNESS, _emit, _fail, _read_file, _relabel
+
+
+def build_parser(handlers: dict[str, Callable]) -> argparse.ArgumentParser:
+    """The grammar of every command; ``handlers`` gives the handlers of
+    check, cotree and poset, which :mod:`cosp.cli` holds."""
+    parser = argparse.ArgumentParser(
+        prog="cosp",
+        description="Cograph and series-parallel order decomposition with certificates.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("check", help="decide whether a graph file is a cograph")
+    p.add_argument("file")
+    p.add_argument(
+        "--property",
+        choices=("cograph", "p4free"),
+        default="cograph",
+        help="decision route: decomposition (cograph) or brute-force path scan (p4free)",
+    )
+    p.set_defaults(handler=handlers["check"])
+
+    p = sub.add_parser("cotree", help="print the decomposition tree of a graph file")
+    p.add_argument("file")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="JSON tree (default)")
+    fmt.add_argument("--dot", action="store_true", help="DOT graph")
+    p.set_defaults(handler=handlers["cotree"])
+
+    p = sub.add_parser("join", help="find a complement-split witness of a connected graph")
+    p.add_argument("file")
+    p.set_defaults(handler=cmd_join)
+
+    p = sub.add_parser("poset", help="order-side checks on a relation file")
+    p.add_argument("file")
+    p.add_argument(
+        "action",
+        choices=("nfree", "sptree", "linear-split", "endpoint"),
+    )
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--covers", action="store_true", help="close the input transitively (default)"
+    )
+    mode.add_argument(
+        "--full", action="store_true", help="require the input to be its own closure"
+    )
+    p.add_argument("--x", type=int, default=None, help="element for the endpoint action")
+    p.add_argument("--dot", action="store_true", help="DOT output for the sptree action")
+    p.set_defaults(handler=handlers["poset"])
+
+    p = sub.add_parser("gen", help="emit a generated instance in the text formats")
+    p.add_argument("kind", choices=("parity-split", "cotree", "sptree", "gnp", "poset"))
+    p.add_argument("size", type=int)
+    p.add_argument("prob", type=float, nargs="?", default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--offset", type=int, default=0, help="window start for parity-split")
+    p.set_defaults(handler=cmd_gen)
+
+    p = sub.add_parser("oracle-compare", help="exhaustively compare engines against oracles")
+    p.add_argument("--max-graph-n", type=int, default=5)
+    p.add_argument("--max-poset-n", type=int, default=4)
+    p.set_defaults(handler=cmd_oracle_compare)
+
+    return parser
+
+
+def cmd_join(args) -> int:
+    from .graphs import parse_graph
+
+    g, labels = parse_graph(_read_file(args.file))
+    if not g.is_connected():
+        return _fail("input graph is not connected")
+    # Decide by the complement, not by the neighbor scan, so that a split
+    # complement with no witness that passes validate is an internal error.
+    if len(g.co_components()) == 1:
+        _emit({"witness": None, "reason": "complement connected"})
+        msg = "no witness: complement connected"
+        if g.order >= 2:
+            msg += "; a finite connected graph of order two or more with "
+            msg += "connected complement contains an induced four-vertex path"
+        print(msg, file=sys.stderr)
+        return EXIT_WITNESS
+    from .lemmas import join_witness
+
+    w = join_witness(g)
+    if w is None:
+        raise RuntimeError("internal: split complement without a join witness")
+    _emit(
+        {
+            "x": labels[w.x],
+            "universal_neighbors": _relabel(w.universal_neighbors, labels),
+            "split": [_relabel(side, labels) for side in w.split],
+        }
+    )
+    return EXIT_OK
+
+
+def brute_path(adj, result):
+    """The decision of ``check --property p4free`` on the graph with rows
+    ``adj``: the brute-force scan's path, or the decomposition's
+    ``result`` (a signature) when there is none, after checking that the
+    two routes agree."""
+    from . import oracles
+    from .graphs import Graph
+
+    witness = oracles.brute_p4(Graph(adj))
+    if (witness is None) != (type(result) is list):
+        raise RuntimeError("internal: path scan disagrees with the decomposition")
+    return result if witness is None else witness.path
+
+
+def lemma_witness(args, below, above, labels):
+    """Answer ``poset ... linear-split`` or ``poset ... endpoint`` on the
+    order with rows ``below`` and ``above`` by its own witness: the exit
+    code once the witness is printed or the request failed, or else the
+    function that answers once the sp-tree shows that the order holds no N
+    either."""
+    from .lemmas import NoEndpointError, endpoint_witness, linear_split_witness
+    from .posets import Poset
+
+    p = Poset(below, above)
+    if args.action == "linear-split":
+        w = linear_split_witness(p)
+        if w is None:
+
+            def no_split() -> int:
+                _emit({"linear_split": None})
+                print("no element qualifies: the order is not a linear sum", file=sys.stderr)
+                return EXIT_WITNESS
+
+            return no_split
+        _emit(
+            {
+                "x": labels[w.x],
+                "lower": _relabel(w.lower, labels),
+                "middle": _relabel(w.middle, labels),
+                "upper": _relabel(w.upper, labels),
+            }
+        )
+        return EXIT_OK
+    if args.x is None:
+        return _fail("endpoint needs --x")
+    try:
+        x = labels.index(args.x)
+    except ValueError:
+        return _fail(f"element {args.x} does not occur in the input")
+    try:
+        w = endpoint_witness(p, x)
+    except NoEndpointError as exc:
+        # No chain end qualifies, yet the order holds no N.
+        message = f"{exc}; the order is not connected"
+        return lambda: _fail(message)
+    _emit({"x": labels[w.x], "endpoint": labels[w.endpoint], "side": w.side})
+    return EXIT_OK
+
+
+def cmd_gen(args) -> int:
+    from . import oracles
+    from .pairtext import format_graph, format_poset
+    from .trees import cotree_to_graph, parity_split_graph, sp_tree_to_poset
+
+    seed = args.seed
+    kind = args.kind
+    if args.offset and kind != "parity-split":
+        return _fail("--offset only applies to parity-split")
+    if kind in ("gnp", "poset"):
+        if args.prob is None:
+            return _fail(f"{kind} needs an edge probability argument")
+        if not 0.0 <= args.prob <= 1.0:
+            return _fail("edge probability must lie in [0, 1]")
+    elif args.prob is not None:
+        return _fail(f"{kind} takes no probability argument")
+    if kind == "parity-split":
+        sys.stdout.write(format_graph(parity_split_graph(args.size, args.offset)))
+    elif kind == "cotree":
+        sys.stdout.write(format_graph(cotree_to_graph(oracles.rand_cotree(args.size, seed))))
+    elif kind == "sptree":
+        sys.stdout.write(format_poset(sp_tree_to_poset(oracles.rand_sptree(args.size, seed))))
+    elif kind == "gnp":
+        sys.stdout.write(format_graph(oracles.rand_gnp(args.size, args.prob, seed)))
+    elif kind == "poset":
+        sys.stdout.write(format_poset(oracles.rand_poset(args.size, args.prob, seed)))
+    else:
+        raise AssertionError(f"unhandled kind {kind!r}")
+    return EXIT_OK
+
+
+def cmd_oracle_compare(args) -> int:
+    from . import oracles
+
+    if args.max_graph_n > oracles.MAX_ENUM_GRAPH:
+        return _fail(f"graph enumeration limited to order {oracles.MAX_ENUM_GRAPH}")
+    if args.max_poset_n > oracles.MAX_ENUM_POSET:
+        return _fail(f"poset enumeration limited to order {oracles.MAX_ENUM_POSET}")
+    if args.max_graph_n < 0 or args.max_poset_n < 0:
+        return _fail("bounds must be non-negative")
+    graphs_checked = 0
+    for n in range(args.max_graph_n + 1):
+        for g in oracles.enumerate_graphs(n):
+            tag = oracles.check_graph_instance(g)
+            graphs_checked += 1
+            if tag is not None:
+                _emit(oracles.mismatch(g, tag))
+                return EXIT_WITNESS
+        print(f"graphs on {n} vertices: ok", file=sys.stderr)
+    posets_checked = 0
+    for n in range(args.max_poset_n + 1):
+        for p in oracles.enumerate_posets(n):
+            tag = oracles.check_poset_instance(p)
+            posets_checked += 1
+            if tag is not None:
+                _emit(oracles.mismatch(p, tag))
+                return EXIT_WITNESS
+        print(f"orders on {n} elements: ok", file=sys.stderr)
+    _emit({"ok": True, "graphs_checked": graphs_checked, "posets_checked": posets_checked})
+    return EXIT_OK

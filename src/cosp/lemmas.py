@@ -2,27 +2,29 @@
 
 On graphs: the blocks of a vertex's non-neighbors, the split of its
 neighbors against one block (:func:`neighbor_split`, whose mask routine
-:func:`cosp.cographs._sides` also finds the engines' certificates), a
+:func:`cosp.engine._sides` also finds the engines' certificates), a
 neighbor joined to every non-neighbor, and the join witness of a graph
 whose complement splits.  On orders: the three-layer linear split, the
 chain endpoint comparable to an element's incomparables, and the
 paper's N-free criterion (:func:`is_nfree`).  Each witness is a record
 with a ``validate`` that checks it on its input, and the join and
-linear-split searches return only a witness that passed it.  The
+linear-split searches return only a witness that passed it.  Every
+``validate`` is False for a witness that names an id outside 0..n-1.  The
 brute-force scans of :mod:`cosp.oracles` are the ground truth these
 are tested against; nothing here calls them.
 
 No CLI request that decides recognition imports this module: the
-engines (:func:`cosp.cographs.cotree`, :func:`cosp.spdecomp.sp_tree`)
-answer those, and only ``join``, ``poset ... linear-split`` and
-``poset ... endpoint`` ask for a lemma's own witness.
+split engine (:mod:`cosp.engine`) answers those, and only ``join``,
+``poset ... linear-split`` and ``poset ... endpoint`` ask for a lemma's
+own witness.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from .cographs import _sides
+from .cographs import P4Error, P4Witness
+from .engine import InducedPath, _sides
 from .graphs import (
     DisconnectedError,
     Graph,
@@ -35,6 +37,19 @@ from .graphs import (
 
 # The order side's annotations name ``cosp.posets.Poset`` without importing
 # it, so that ``join`` does not compile that module.
+
+
+def _in_range(n: int, *groups: Iterable[int]) -> bool:
+    """True when every id of every group lies in 0..n-1."""
+    return all(0 <= v < n for group in groups for v in group)
+
+
+def _split(g: Graph, x: int, block: int) -> tuple[int, int]:
+    """:func:`cosp.engine._sides` on g, its path raised as :class:`P4Error`."""
+    try:
+        return _sides(g.adj, x, block)
+    except InducedPath as exc:
+        raise P4Error(P4Witness(exc.path), str(exc)) from None
 
 
 class JoinWitness(_Record):
@@ -55,7 +70,7 @@ class JoinWitness(_Record):
         object.__setattr__(self, "split", split)
 
     def validate(self, g: Graph) -> bool:
-        if not (0 <= self.x < g.order):
+        if not _in_range(g.order, (self.x,), self.universal_neighbors, *self.split):
             return False
         un = mask_of(self.universal_neighbors)
         rest = mask_of(self.split[0])
@@ -89,6 +104,8 @@ class NeighborSplit(_Record):
         object.__setattr__(self, "adjacent_none", adjacent_none)
 
     def validate(self, g: Graph, x: int) -> bool:
+        if not _in_range(g.order, (x,), self.component, self.adjacent_all, self.adjacent_none):
+            return False
         cm = mask_of(self.component)
         n1 = mask_of(self.adjacent_all)
         n2 = mask_of(self.adjacent_none)
@@ -127,7 +144,7 @@ def neighbor_split(g: Graph, x: int, component: Iterable[int]) -> NeighborSplit:
         raise ValueError("component must be nonempty")
     if cm & (g.adj[x] | (1 << x)):
         raise ValueError(f"component members must be non-neighbors of {x}")
-    n1, n2 = _sides(g.adj, x, cm)
+    n1, n2 = _split(g, x, cm)
     return NeighborSplit(
         component=vertices_of(cm),
         adjacent_all=vertices_of(n1),
@@ -193,7 +210,7 @@ def select_universal_neighbor(g: Graph, x: int) -> int:
         return (g.adj[x] & -g.adj[x]).bit_length() - 1
     best: tuple[int, tuple[int, ...]] | None = None
     for cm in mask_components(g.adj, inc):
-        n1 = vertices_of(_sides(g.adj, x, cm)[0])
+        n1 = vertices_of(_split(g, x, cm)[0])
         if not n1:
             raise DisconnectedError(
                 f"no neighbor of {x} reaches the block containing {cm.bit_length() - 1}"
@@ -220,6 +237,8 @@ class LinearSplit(_Record):
         object.__setattr__(self, "upper", upper)
 
     def validate(self, p: Poset) -> bool:
+        if not _in_range(p.order, (self.x,), self.lower, self.middle, self.upper):
+            return False
         lo = mask_of(self.lower)
         mid = mask_of(self.middle)
         up = mask_of(self.upper)

@@ -13,7 +13,8 @@ import itertools
 from collections.abc import Iterator
 
 from .cographs import LEAF, Cotree, P4Witness, _from_signature, cotree
-from .graphs import Graph, iter_bits, mask_components
+from .graphs import Graph
+from .rows import iter_bits, mask_components
 from .lemmas import (
     endpoint_witness,
     is_nfree,

@@ -1,6 +1,6 @@
 """The pair text format's line reader and its writers.
 
-:func:`cosp.graphs._read_pairs` reads a plain text (the form the writers
+:func:`cosp.rows._read_pairs` reads a plain text (the form the writers
 here produce) in bulk and imports this module only for any other text,
 or a plain one that fails a check: :func:`_read_lines` then finds and
 reports every error.  :func:`format_graph` and :func:`format_poset` write
@@ -13,10 +13,11 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice
 
-from .graphs import _CHUNK, Graph, ParseError, _rows
+from .rows import _CHUNK, ParseError, _rows
 
-# ``Poset`` annotations name ``cosp.posets.Poset`` without importing it, so
-# that a graph text read line by line does not compile that module.
+# The annotations name ``cosp.graphs.Graph`` and ``cosp.posets.Poset``
+# without importing them, so that a request whose text is read line by
+# line compiles neither module.
 
 
 def _lines(text: str) -> Iterator[str]:
@@ -51,7 +52,7 @@ def _read_lines(text: str, noun: str, ordered: bool) -> tuple[list[int], Sequenc
     Each line takes every check in turn: its shape, the signs of its
     labels, a self-loop or reflexive pair, and the declared range.  The
     tokenizer stops at the first line that fails one and hands the pairs
-    before it to :func:`cosp.graphs._rows`.  When their bits come up
+    before it to :func:`cosp.rows._rows`.  When their bits come up
     short, one ordered scan of the pairs names the first duplicate, whose
     line comes earlier, and that error is raised ahead of the tokenizer's.
     """
@@ -145,7 +146,7 @@ def _write_pairs(
     noun: str,
     unpaired: str,
 ) -> str:
-    """Write the pair text format read by :func:`cosp.graphs._read_pairs`.
+    """Write the pair text format read by :func:`cosp.rows._read_pairs`.
 
     With the default dense labeling a header line declares the order, so
     ids in no pair survive the round trip.  Other labels drop the header

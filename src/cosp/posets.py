@@ -8,8 +8,11 @@ mirroring the graph representation in :mod:`cosp.graphs`.
 What depends on comparability alone is asked of the comparability graph:
 the incomparables of an element and their blocks are its non-neighbors
 and their components, and an N is an induced four-vertex path of that
-graph (:class:`cosp.cographs.P4Witness`) with the orientation a < b,
-c < b, c < d.  This module adds only what the orientation decides.
+graph with the orientation a < b, c < b, c < d, which
+:func:`cosp.engine.witness_holds` checks.  This module adds only what
+the orientation decides.  The closure itself (:func:`cosp.rows._closure`)
+and :class:`CycleError`, public here, are in :mod:`cosp.rows`, which a
+CLI request runs without this module.
 
 ``order``, ``full_mask``, the id check and ``is_module`` come from the
 row record that :class:`Poset` shares with :class:`cosp.graphs.Graph`.
@@ -21,19 +24,12 @@ of those but not a module of the order.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
-from .cographs import P4Witness
-from .graphs import Graph, _Record, _Rows, _read_pairs, _transpose, iter_bits, mask_of, vertices_of
-
-
-class CycleError(ValueError):
-    """The input relation has a directed cycle; ``pair`` is one offending edge."""
-
-    def __init__(self, pair: tuple[int, int]):
-        u, v = pair
-        super().__init__(f"cycle error: the relation has a cycle through {u} < {v}")
-        self.pair = pair
+from .engine import witness_holds
+from .graphs import Graph, _Record, _Rows, vertices_of
+from .rows import CycleError  # noqa: F401 (public here)
+from .rows import _closure, _read_pairs, iter_bits
 
 
 class NWitness(_Record):
@@ -47,13 +43,7 @@ class NWitness(_Record):
         object.__setattr__(self, "quad", quad)
 
     def validate(self, p: Poset) -> bool:
-        a, b, c, d = self.quad
-        return (
-            P4Witness(self.quad).validate(p.comparability_graph())
-            and p.less(a, b)
-            and p.less(c, b)
-            and p.less(c, d)
-        )
+        return witness_holds(self.quad, p.comparability_masks(), p.below)
 
 
 class SplitCandidates(_Record):
@@ -115,44 +105,7 @@ class Poset(_Rows):
             if u == v:
                 raise ValueError(f"reflexive relation {u} < {u}")
             succ[u] |= 1 << v
-        return cls._from_succ(succ, mode)
-
-    @classmethod
-    def _from_succ(cls, succ: list[int], mode: str) -> Poset:
-        """The order of :meth:`from_relations` from its successor masks:
-        bit v of ``succ[u]`` stands for the pair u < v."""
-        if mode not in ("covers", "full"):
-            raise ValueError(f"unknown mode {mode!r}")
-        order = len(succ)
-        pred = _transpose(succ, order)
-        # Kahn's algorithm; leftovers witness a cycle.
-        indeg = list(map(int.bit_count, pred))
-        queue = [v for v in range(order) if indeg[v] == 0]
-        topo: list[int] = []
-        while queue:
-            v = queue.pop()
-            topo.append(v)
-            for w in iter_bits(succ[v]):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if len(topo) < order:
-            leftover = mask_of(v for v in range(order) if indeg[v] > 0)
-            for u in iter_bits(leftover):
-                inside = succ[u] & leftover
-                if inside:
-                    raise CycleError((u, (inside & -inside).bit_length() - 1))
-            raise CycleError((0, 0))  # unreachable: a cycle always has an internal edge
-        below = _reach(topo, pred, True)
-        if mode == "full":
-            for v in range(order):
-                missing = below[v] & ~pred[v]
-                if missing:
-                    u = (missing & -missing).bit_length() - 1
-                    raise ValueError(
-                        f"relation is not transitively closed: {u} < {v} is implied but absent"
-                    )
-        return cls(tuple(below), tuple(_reach(reversed(topo), succ, False)))
+        return cls(*_closure(succ, mode))
 
     def validate(self) -> None:
         """Check irreflexivity, transitivity, and below/above duality."""
@@ -266,27 +219,6 @@ class Poset(_Rows):
         return MaximalChain(tuple(members))
 
 
-def _reach(topo: Iterable[int], step: Sequence[int], high: bool) -> list[int]:
-    """Mask of everything reachable from each element along ``step`` edges;
-    ``topo`` must list every step target before its source.
-
-    A target already reached through another one adds nothing and is
-    skipped.  Targets are taken from the highest id down when ``high``,
-    else from the lowest up, so that when ids follow the order the first
-    targets taken are the nearest ones (covers) and reach the rest.
-    """
-    out = [0] * len(step)
-    for v in topo:
-        acc = 0
-        rest = step[v]
-        while rest:
-            u = rest.bit_length() - 1 if high else (rest & -rest).bit_length() - 1
-            acc |= out[u] | (1 << u)
-            rest &= ~acc
-        out[v] = acc
-    return out
-
-
 def parse_poset(text: str, mode: str = "covers") -> tuple[Poset, tuple[int, ...]]:
     """Parse the relation text format.
 
@@ -294,6 +226,6 @@ def parse_poset(text: str, mode: str = "covers") -> tuple[Poset, tuple[int, ...]
     optional header and label remapping follow the graph format rules.
     """
 
-    return _read_pairs(text, "element", True, lambda order, rows: Poset._from_succ(rows, mode))
+    return _read_pairs(text, "element", True, lambda rows: Poset(*_closure(rows, mode)))
 
 

@@ -10,9 +10,10 @@ number of elements below their lowest member.  An induced path a-b-c-d
 of the comparability graph is an N, read from whichever end lies below
 its neighbor, and an N is checked as that path plus its orientation.
 :func:`sp_tree` therefore runs the split loop and the certificate of
-:mod:`cosp.cographs` on comparability masks, and the trees share that
-module's text writers.  The order-side lemmas are in :mod:`cosp.lemmas`,
-and the tree converters in :mod:`cosp.trees`.
+:mod:`cosp.engine` on comparability masks, and the trees share the
+engine's text writers and :mod:`cosp.cographs`' tree base.  The
+order-side lemmas are in :mod:`cosp.lemmas`, and the tree converters in
+:mod:`cosp.trees`.
 
 Tree canonical form: disjoint children sorted by smallest leaf id,
 linear children kept bottom to top (their order is meaning, not
@@ -24,11 +25,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .cographs import LEAF, _decompose, _p4_in_part, _Tree, _tree_dot
+from .cographs import _from_signature, _Tree
+from .engine import DISJOINT, LEAF, LINEAR, dot_text, sp_tree_signature
 from .posets import NWitness, Poset
-
-LINEAR = "linear"
-DISJOINT = "disjoint"
 
 
 class SPTree(_Tree):
@@ -70,27 +69,11 @@ def sp_tree(p: Poset) -> SPTree | NWitness:
     elements holds an induced path of the comparability graph, found on
     its masks as :func:`cotree` finds one and returned oriented as an N.
     """
-    if p.order == 0:
-        raise ValueError("the decomposition needs at least one element")
-    comp = p.comparability_masks()
-    below = p.below
-
-    def height(block: int) -> int:
-        return below[(block & -block).bit_length() - 1].bit_count()
-
-    result = _decompose(SPTree, comp, p.full_mask(), height)
-    if isinstance(result, int):
-        a, b, c, d = _p4_in_part(comp, result).path
-        # a < b forces c < b and c < d; b < a forces the mirror image.
-        return NWitness((a, b, c, d) if (below[b] >> a) & 1 else (d, c, b, a))
-    return result
-
-
-# === text output ===
-
-
-_SP_DOT_LABELS = {LINEAR: "→", DISJOINT: "∪"}
+    result = sp_tree_signature(p.comparability_masks(), p.below)
+    if type(result) is tuple:
+        return NWitness(result)
+    return _from_signature(SPTree, result)
 
 
 def sp_tree_to_dot(t: SPTree, labels: Sequence[int] | None = None) -> str:
-    return _tree_dot("sptree", t, _SP_DOT_LABELS, labels)
+    return dot_text("sptree", t._signature(), labels)

@@ -2,9 +2,9 @@
 orientation of a cotree, validation of canonical form, the nested dict
 (JSON) codec, and the parity-split window generator.
 
-None of this runs on a CLI request but ``gen``: the engines build trees
-from their signatures, and the CLI writes a tree's JSON text straight
-from the tree (:func:`cosp.cographs._tree_json_text`).  Like the tree
+None of this runs on a CLI request but ``gen``: the engine writes a
+tree's signature, and the CLI writes its JSON text straight from the
+signature (:func:`cosp.engine.json_text`).  Like the tree
 classes, every helper here walks a tree without recursion, so trees of
 any depth work.
 """

@@ -142,10 +142,10 @@ def test_cotree_deep_window(tmp_path, capsys):
     assert out == window_tree_json(n, 1, "vertex", ("series", "parallel"))
     # The writer alone, at depth 6000
     from cosp import cotree
-    from cosp.cographs import _tree_json_text
+    from cosp.engine import json_text
 
     t = cotree(parity_split_graph(6000, 1))
-    assert _tree_json_text(t) + "\n" == window_tree_json(
+    assert json_text(t._signature(), "vertex") + "\n" == window_tree_json(
         6000, 1, "vertex", ("series", "parallel")
     )
 
@@ -372,20 +372,21 @@ def test_empty_input_errors(tmp_path, capsys):
 
 
 def test_internal_errors_exit_2(tmp_path, capsys, monkeypatch):
+    # The engine as the CLI calls it, on rows: an N that fails the check of
+    # certificates, and a crash.
     import cosp.cli
-    from cosp import NWitness
 
     n_file = write(tmp_path, "n.txt", N_TEXT)
-    monkeypatch.setattr(cosp.cli, "sp_tree", lambda p: NWitness((0, 1, 2, 2)))
+    monkeypatch.setattr(cosp.cli, "sp_tree_signature", lambda comp, below: (0, 1, 2, 2))
     for action in ORDER_ACTIONS:
         code, out, err = run(capsys, "poset", n_file, *action)
         assert (code, out) == (2, "")
         assert err.startswith("internal error: RuntimeError(") and err.count("\n") == 1
 
-    def broken(g):
+    def broken(adj):
         raise RuntimeError("broken engine")
 
-    monkeypatch.setattr(cosp.cli, "cotree", broken)
+    monkeypatch.setattr(cosp.cli, "cotree_signature", broken)
     g_file = write(tmp_path, "k3.txt", K3_TEXT)
     for cmd in ("check", "cotree"):
         code, out, err = run(capsys, cmd, g_file)
@@ -494,36 +495,79 @@ def cli_process(*args):
     )
 
 
-def cosp_imports(*argv):
-    """The cosp modules that ``python -m cosp.cli *argv`` imports, read from
-    the ``-X importtime`` report on standard error."""
-    stderr = cli_process("-X", "importtime", "-m", "cosp.cli", *argv).stderr
+def imported_modules(*argv):
+    """The modules that ``python -S -m cosp.cli *argv`` imports, read from
+    the ``-X importtime`` report on standard error; -S keeps the
+    interpreter's site hooks from importing modules of their own."""
+    stderr = cli_process("-X", "importtime", "-S", "-m", "cosp.cli", *argv).stderr
     lines = [line for line in stderr.splitlines() if line.startswith("import time:")]
-    names = {line.rsplit("|", 1)[1].strip() for line in lines}
-    return sorted(name for name in names if name.split(".")[0] == "cosp")
+    return {line.rsplit("|", 1)[1].strip() for line in lines}
 
 
 def test_requests_import_only_the_modules_they_run(tmp_path):
-    # On plain files the graph side alone answers check and cotree, and the
-    # order side adds two modules; no request loads the oracles, the lemmas,
-    # the tree converters or the line reader.
-    from cosp.graphs import _read_plain
+    # On plain files every recognition request reads rows and runs the split
+    # engine on them: it loads neither argparse (nor its gettext and locale)
+    # nor the modules of the Graph and Poset records, and no request loads
+    # the oracles, the lemmas, the tree converters or the line reader.
+    from cosp.rows import _read_plain
 
     assert _read_plain(DIAMOND_TEXT, False) and _read_plain(DIAMOND_POSET_TEXT, True)
     graph = write(tmp_path, "diamond.txt", DIAMOND_TEXT)
     order = write(tmp_path, "diamond-order.txt", DIAMOND_POSET_TEXT)
-    graph_side = ["cosp", "cosp.cographs", "cosp.graphs"]
-    order_side = ["cosp", "cosp.cographs", "cosp.graphs", "cosp.posets", "cosp.spdecomp"]
-    requests = {
-        ("check", graph): graph_side,
-        ("cotree", graph): graph_side,
-        ("cotree", graph, "--dot"): graph_side,
-        ("poset", order, "nfree"): order_side,
-        ("poset", order, "sptree"): order_side,
-        ("poset", order, "sptree", "--dot"): order_side,
-    }
-    for argv, modules in requests.items():
-        assert cosp_imports(*argv) == modules, argv
+    requests = [
+        ("check", graph),
+        ("cotree", graph),
+        ("cotree", graph, "--dot"),
+        ("poset", order, "nfree"),
+        ("poset", order, "sptree"),
+        ("poset", order, "sptree", "--dot"),
+    ]
+    for argv in requests:
+        names = imported_modules(*argv)
+        cosp_names = sorted(name for name in names if name.split(".")[0] == "cosp")
+        assert cosp_names == ["cosp", "cosp.engine", "cosp.rows"], argv
+        assert not names & {"argparse", "gettext", "locale"}, argv
+    # Help and the tool commands go to argparse.
+    assert {"argparse", "cosp.commands"} <= imported_modules("check", "-h")
+    assert {"argparse", "cosp.commands"} <= imported_modules("gen", "parity-split", "3")
+
+
+def test_read_args_agrees_with_argparse():
+    # Every list of up to four tokens after each command, over a vocabulary of
+    # a file name, the actions, every option with and without its value,
+    # ``=`` forms, abbreviations, -h and --.  Where the table reader returns a
+    # namespace, argparse must accept the list and return the same one; a None
+    # is always safe, since argparse then reads the list.
+    import itertools
+
+    from cosp.cli import _read_args, build_parser
+
+    parser = build_parser()
+    vocabulary = [
+        "F",
+        "",
+        *("nfree", "sptree", "linear-split", "endpoint", "bogus"),
+        *("--property", "cograph", "p4free", "--json", "--dot"),
+        *("--covers", "--full", "--x", "7", "-1", "x"),
+        *("--property=p4free", "--x=2", "--prop", "--d", "--f", "-h", "--"),
+    ]
+    accepted = 0
+    for command in ("check", "cotree", "poset"):
+        for size in range(5):
+            for tokens in itertools.product(vocabulary, repeat=size):
+                argv = [command, *tokens]
+                args = _read_args(argv)
+                if args is None:
+                    continue
+                accepted += 1
+                try:
+                    expected = parser.parse_args(argv)
+                except SystemExit:
+                    raise AssertionError(f"argparse refuses {argv}") from None
+                assert vars(args) == vars(expected), argv
+    assert accepted > 1000
+    for argv in ([], ["join", "F"], ["gen", "cotree", "4"], ["oracle-compare"], ["nope"]):
+        assert _read_args(argv) is None
 
 
 def test_every_command_answers_alike_in_a_fresh_process(tmp_path, capsys):

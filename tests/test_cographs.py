@@ -31,9 +31,10 @@ from cosp import (
     sp_tree,
     sp_tree_to_poset,
 )
-from cosp.cographs import _decompose, _tree_json_text
+from cosp.engine import _decompose, json_text
 from cosp.trees import validate_cotree, validate_sp_tree
-from cosp.graphs import iter_bits, mask_of
+from cosp.graphs import mask_of
+from cosp.rows import iter_bits
 from cosp import oracles
 
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -207,7 +208,7 @@ def clique_and_blocks(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.one_of(flipped_cographs(), clique_and_blocks()))
 def test_certificate_lies_in_the_stuck_part(g):
-    part = _decompose(Cotree, g.adj, g.full_mask())
+    part = _decompose(g.adj, Cotree._kinds)
     w = cotree(g)
     assert isinstance(part, int) == isinstance(w, P4Witness)
     if isinstance(w, P4Witness):
@@ -332,6 +333,24 @@ def test_neighbor_split_rejects_non_block():
             neighbor_split(PAW, 0, component)
 
 
+def test_lemma_witnesses_reject_ids_out_of_range():
+    # Each validate is False for an id outside 0..n-1, as P4Witness's is,
+    # and x = -1 does not read the last row.
+    from cosp import JoinWitness, NeighborSplit
+
+    assert not NeighborSplit((-1,), (1,), (2,)).validate(PAW, 0)
+    assert not JoinWitness(0, (-1,), ((0, 1, 2, 3), (-1,))).validate(PAW)
+    s = neighbor_split(PAW, 3, (0, 2))
+    assert s.validate(PAW, 3) and not s.validate(PAW, -1)
+    w = join_witness(DIAMOND)
+    assert w.validate(DIAMOND)
+    for bad in (-1, 4, 10**9):
+        assert not s.validate(PAW, bad)
+        assert not NeighborSplit((bad,), (1,), (2,)).validate(PAW, 0)
+        assert not JoinWitness(bad, w.universal_neighbors, w.split).validate(DIAMOND)
+        assert not JoinWitness(w.x, (bad,), (w.split[0], (bad,))).validate(DIAMOND)
+
+
 def test_join_witness_k2():
     w = join_witness(K2)
     assert w.x == 0
@@ -399,7 +418,7 @@ def test_json_round_trip():
     for g in (K2, K3, DIAMOND, C4, parity_split_graph(7)):
         t = cotree(g)
         blob = json.dumps(cotree_to_json(t))
-        assert _tree_json_text(t) == blob
+        assert json_text(t._signature(), "vertex") == blob
         assert cotree_from_json(json.loads(blob)) == t
 
 
@@ -412,7 +431,8 @@ def test_json_text_is_json_dumps_of_the_dicts():
     for t in trees:
         n = len(t._signature())
         for labels in (None, [2 * v + 1 for v in range(n)]):
-            assert _tree_json_text(t, labels) == json.dumps(cotree_to_json(t, labels))
+            text = json_text(t._signature(), t._leaf_key, labels)
+            assert text == json.dumps(cotree_to_json(t, labels))
 
 
 def test_deep_trees_compare_hash_and_round_trip():

@@ -3,7 +3,8 @@
 import pytest
 
 from cosp import Graph, ParseError, format_graph, parse_graph
-from cosp.graphs import iter_bits, mask_components, mask_of, vertices_of
+from cosp.graphs import mask_of, vertices_of
+from cosp.rows import iter_bits, mask_components
 
 PAW = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3)])
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])

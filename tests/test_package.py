@@ -51,7 +51,7 @@ def test_import_cosp_imports_no_submodule():
     assert proc.stdout == "[]\ncosp.oracles\n"
 
 
-def test_loc_counts_code_lines_and_nodes():
+def test_loc_counts_code_lines_and_nodes(tmp_path):
     # tools/loc.py's code lines leave out blank, comment and docstring lines.
     path = Path(__file__).parents[1] / "tools" / "loc.py"
     spec = importlib.util.spec_from_file_location("loc", path)
@@ -63,3 +63,11 @@ def test_loc_counts_code_lines_and_nodes():
     )
     # Code lines: "x = (", "1)", "def f():" and "return x".
     assert loc.measure(source) == (11, 4, 14)
+    # A request's nodes are counted over the modules it imports, and cli.
+    package = Path(cosp.__file__).parent
+    graph = tmp_path / "graph.txt"
+    graph.write_text(loc.GRAPH)
+    request = loc.request_modules(package, ["check", str(graph)])
+    assert request == ["__init__", "cli", "engine", "rows"]
+    tool = loc.request_modules(package, ["join", str(graph)])
+    assert {"commands", "graphs", "cographs"} <= set(tool)

@@ -23,8 +23,8 @@ from cosp import (
     parse_graph,
     parse_poset,
 )
-from cosp import graphs, pairtext
-from cosp.graphs import _read_plain, _transpose
+from cosp import pairtext
+from cosp.rows import _read_plain, _transpose
 
 CYCLE = "cycle"
 
@@ -250,7 +250,7 @@ def test_large_header_over_a_short_plain_text_keeps_the_shifts(tmp_path):
     script = (
         "import sys\n"
         "from cosp import parse_graph, parse_poset\n"
-        "from cosp.graphs import _read_plain\n"
+        "from cosp.rows import _read_plain\n"
         "text = open(sys.argv[1]).read()\n"
         "assert _read_plain(text, False) is not None\n"
         "g, _ = parse_graph(text)\n"
@@ -478,7 +478,7 @@ def test_transpose(monkeypatch, n, digits):
     # in blocks of 200 // n rows when ``_DIGITS`` is 200; sparse ones are
     # walked bit by bit.  Both must match the definition.
     if digits is not None:
-        monkeypatch.setattr(graphs, "_DIGITS", digits)
+        monkeypatch.setattr(cosp.rows, "_DIGITS", digits)
     rng = random.Random(n)
     routes = set()
     for _ in range(20):

@@ -1,6 +1,8 @@
 """Property tests through the command line on generated graphs and orders:
 decisions agree with the brute-force oracles, every printed certificate
-validates, and every printed tree rebuilds its input."""
+validates, and every printed tree rebuilds its input.  The CLI runs the
+split engine on rows, the library on records, so every printed tree and
+certificate must also be the one that ``cotree`` or ``sp_tree`` returns."""
 
 import contextlib
 import io
@@ -10,18 +12,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cosp import (
+    Cotree,
     Graph,
     NWitness,
     P4Witness,
+    cotree,
     cotree_from_json,
     cotree_to_graph,
     format_graph,
     format_poset,
     parse_graph,
     parse_poset,
+    sp_tree,
     sp_tree_from_json,
     sp_tree_to_poset,
 )
+from cosp.cographs import _preorder
 from cosp import oracles
 from cosp.cli import main
 
@@ -65,13 +71,33 @@ def test_graph_requests(path, case):
     with open(path, "w") as fh:
         fh.write(text)
     expected = 0 if oracles.brute_p4(g) is None else 1
+    result = cotree(g) if n else None
     for command in ("check", "cotree") if n else ("check",):
         code, out = cli(command, path)
         assert code == expected
         if code:
-            assert P4Witness(tuple(json.loads(out)["path"])).validate(g)
+            w = P4Witness(tuple(json.loads(out)["path"]))
+            assert w.validate(g) and w == result
         elif command == "cotree":
-            assert cotree_to_graph(cotree_from_json(json.loads(out))) == g
+            t = cotree_from_json(json.loads(out))
+            assert t == result and cotree_to_graph(t) == g
+        elif n:
+            assert json.loads(out) == {"cograph": True, "order": n, **summary(result)}
+
+
+def summary(t: Cotree) -> dict:
+    """The internal nodes by kind and the depth of a tree, from its nodes."""
+    nodes = _preorder(t)
+    depth = {id(t): 1}
+    for node in nodes:
+        for child in node.children:
+            depth[id(child)] = depth[id(node)] + 1
+    kinds = [node.kind for node in nodes]
+    return {
+        "series": kinds.count("series"),
+        "parallel": kinds.count("parallel"),
+        "depth": max(depth.values()),
+    }
 
 
 @SETTINGS
@@ -90,12 +116,15 @@ def test_order_requests(path, case):
     assert code == expected
     if not n:
         return
+    result = sp_tree(p)
     for action in (("nfree",), ("sptree",), ("linear-split",), ("endpoint", "--x", "0")):
         code, out = cli("poset", path, *action)
         if action[0] in ("nfree", "sptree"):
             assert code == expected
         if code == 1 and '"kind": "n"' in out:
             assert expected == 1
-            assert NWitness(tuple(json.loads(out)["quad"])).validate(p)
+            w = NWitness(tuple(json.loads(out)["quad"]))
+            assert w.validate(p) and w == result
         elif code == 0 and action[0] == "sptree":
-            assert sp_tree_to_poset(sp_tree_from_json(json.loads(out))) == p
+            t = sp_tree_from_json(json.loads(out))
+            assert t == result and sp_tree_to_poset(t) == p

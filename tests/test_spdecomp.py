@@ -205,6 +205,17 @@ def test_linear_split_diamond():
     assert w.validate(DIAMOND4)
 
 
+def test_linear_split_validate_rejects_ids_out_of_range():
+    from cosp import LinearSplit
+
+    assert not LinearSplit(0, (-1,), (0, 1, 2, 3), ()).validate(N_POSET)
+    w = linear_split_witness(DIAMOND4)
+    assert w.validate(DIAMOND4)
+    for bad in (-1, 4, 10**9):
+        assert not LinearSplit(bad, w.lower, w.middle, w.upper).validate(DIAMOND4)
+        assert not LinearSplit(w.x, w.lower, w.middle, w.upper + (bad,)).validate(DIAMOND4)
+
+
 def test_linear_split_absent_on_n():
     # both candidate sets of every element fail the layer conditions
     assert linear_split_witness(N_POSET) is None

@@ -5,25 +5,36 @@ Usage: ``python tools/loc.py [package directory]`` (default ``src/cosp``).
 For each module, and in total, it prints the lines and the code lines:
 lines that hold a token other than a comment, and are not part of a
 module, class or function docstring.  It then prints the syntax-tree
-nodes (``ast.walk`` over each module) that one CLI request compiles: a
-graph-side request (``check``, ``cotree``) runs ``__init__``, ``cli``,
-``graphs`` and ``cographs``, an order-side one (``poset ... nfree``,
-``poset ... sptree``) also ``posets`` and ``spdecomp``.  It only
-reports: the exit status is 0 whatever the counts are.
+nodes (``ast.walk`` over each module) that each recognition request
+compiles: the modules that a fresh ``python -X importtime -m cosp.cli``
+request on a small plain file imports from the package, read from the
+report on standard error, and ``cli``, which runs as ``__main__``.  The
+graph side is ``check`` and ``cotree``, the order side ``poset ...
+nfree`` and ``poset ... sptree``.  It only reports: the exit status is 0
+whatever the counts are.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import subprocess
 import sys
+import tempfile
 import tokenize
 from pathlib import Path
 
-REQUESTS = {
-    "graph-side request": ("__init__", "cli", "graphs", "cographs"),
-    "order-side request": ("__init__", "cli", "graphs", "cographs", "posets", "spdecomp"),
-}
+GRAPH = "n 4\n0 1\n0 2\n1 2\n1 3\n2 3\n"
+ORDER = "n 4\n0 1\n0 2\n1 3\n2 3\n"
+# Each recognition request, with the text it reads and its side.
+REQUESTS = (
+    (("check",), GRAPH, "graph"),
+    (("cotree",), GRAPH, "graph"),
+    (("cotree", "--dot"), GRAPH, "graph"),
+    (("poset", "nfree"), ORDER, "order"),
+    (("poset", "sptree"), ORDER, "order"),
+    (("poset", "sptree", "--dot"), ORDER, "order"),
+)
 _SKIP = {
     tokenize.COMMENT,
     tokenize.NL,
@@ -55,8 +66,35 @@ def measure(source: str) -> tuple[int, int, int]:
     return len(source.splitlines()), len(code - docstrings), sum(1 for _ in ast.walk(tree))
 
 
+def request_modules(package: Path, argv: list[str]) -> list[str]:
+    """The modules of ``package``, by file stem, that a fresh
+    ``python -X importtime -m <package>.cli *argv`` request compiles: the
+    ones it imports, and ``cli``.  -S keeps the interpreter's site hooks
+    from importing modules of their own."""
+    name = package.name
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-S", "-m", f"{name}.cli", *argv],
+        capture_output=True,
+        text=True,
+        cwd=package.parent,
+    )
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    stems = {"cli"}
+    for module in imported:
+        if module == name:
+            stems.add("__init__")
+        elif module.startswith(name + "."):
+            stems.add(module[len(name) + 1 :])
+    return sorted(stems)
+
+
 def main(argv: list[str]) -> None:
     package = Path(argv[1]) if len(argv) > 1 else Path(__file__).parents[1] / "src" / "cosp"
+    package = package.resolve()
     sizes = {
         path.stem: measure(path.read_text(encoding="utf-8"))
         for path in sorted(package.glob("*.py"))
@@ -66,8 +104,18 @@ def main(argv: list[str]) -> None:
         print(f"{name + '.py':<16}{lines:>8,}{code:>8,}{nodes:>8,}")
     total = [sum(column) for column in zip(*sizes.values())]
     print(f"{'total':<16}{total[0]:>8,}{total[1]:>8,}{total[2]:>8,}")
-    for request, modules in REQUESTS.items():
-        print(f"{request}: {sum(sizes[name][2] for name in modules):,} nodes ({', '.join(modules)})")
+    sides: dict[str, int] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, text, side in REQUESTS:
+            path = Path(tmp) / f"{side}.txt"
+            path.write_text(text, encoding="utf-8")
+            argv = [command[0], str(path), *command[1:]]
+            modules = request_modules(package, argv)
+            nodes = sum(sizes[name][2] for name in modules)
+            sides[side] = max(sides.get(side, 0), nodes)
+            print(f"{' '.join(command) + ':':<20}{nodes:>6,} nodes ({', '.join(modules)})")
+    for side, nodes in sides.items():
+        print(f"{side}-side request: {nodes:,} nodes at most")
 
 
 if __name__ == "__main__":
