@@ -18,10 +18,12 @@ Every request is a fresh interpreter that compiles the modules it
 imports, so a recognition request (``check``, ``cotree``, ``poset ...
 nfree|sptree``) imports only :mod:`cosp.rows` and :mod:`cosp.engine`:
 it reads its text into rows, runs the engine on them and prints from
-the tree's signature, without the ``Graph`` and ``Poset`` records, and
-:func:`_read_args` reads its arguments from a table.  Any other argument
-list (help, an error, an abbreviation, an ``=`` form, ``join``, ``gen``
-or ``oracle-compare``) goes to argparse, whose grammar is in
+the tree's signature, without the ``Graph`` and ``Poset`` records.
+``_GRAMMAR`` is the one statement of the recognition commands' grammar:
+:func:`_read_args` reads their arguments from it, and
+:func:`cosp.commands.build_parser` builds their argparse subparsers from
+it.  Any other argument list (help, an error, an abbreviation, an ``=``
+form, ``join``, ``gen`` or ``oracle-compare``) goes to argparse, in
 :mod:`cosp.commands` with the tool commands; the table gives exactly
 argparse's namespace or nothing.  ``check --property p4free`` (through
 the brute-force oracles) and ``poset ... linear-split`` and ``endpoint``
@@ -29,8 +31,6 @@ the brute-force oracles) and ``poset ... linear-split`` and ``endpoint``
 :mod:`cosp.commands`, and a text that is not plain loads the line
 reader.
 """
-
-from __future__ import annotations
 
 import json
 import sys
@@ -130,14 +130,10 @@ def cmd_poset(args) -> int:
     mode = "full" if args.full else "covers"
     text = _read_file(args.file)
     (below, above), labels = _read_pairs(text, "element", True, lambda rows: _closure(rows, mode))
-    # linear-split and endpoint print their own witness if there is one;
-    # every other answer, and the N behind a missing one, is the sp-tree's.
     if args.action in ("linear-split", "endpoint"):
-        from .commands import lemma_witness
+        from .commands import cmd_lemma
 
-        no_witness = lemma_witness(args, below, above, labels)
-        if type(no_witness) is int:
-            return no_witness
+        return cmd_lemma(args, below, above, labels)
     comp = list(map(int.__or__, below, above))
     # The decomposition needs an element; the empty order is N-free.
     result = sp_tree_signature(comp, below) if comp or args.action != "nfree" else None
@@ -146,48 +142,46 @@ def cmd_poset(args) -> int:
     if args.action == "nfree":
         _emit({"nfree": True})
         return EXIT_OK
-    if args.action == "sptree":
-        if args.dot:
-            sys.stdout.write(dot_text("sptree", result, labels))
-        else:
-            print(json_text(result, "element", labels))
-        return EXIT_OK
-    # linear-split or endpoint: no witness, yet the order holds no N.
-    return no_witness()
+    if args.dot:
+        sys.stdout.write(dot_text("sptree", result, labels))
+    else:
+        print(json_text(result, "element", labels))
+    return EXIT_OK
 
 
 # === argument reading ===
 
-_ACTIONS = ("nfree", "sptree", "linear-split", "endpoint")
-
-# The recognition commands as :func:`cosp.commands.build_parser` states
-# them: each command's handler, its positionals with their choices (None
-# for any), and its options, each with its dest, its values (choices,
-# ``int``, or None for a flag, which stores True) and its default.
+# The recognition commands, which :func:`cosp.commands.build_parser`
+# builds its subparsers from: each command's handler, its positionals with
+# their choices (None for any), its options in the order of their help,
+# each with its dest, its values (choices, ``int``, or None for a flag,
+# which stores True) and its default, and the dests of the flags of which
+# it takes at most one (argparse's mutually exclusive group).
 _GRAMMAR = {
     "check": (
         cmd_check,
         (("file", None),),
         {"--property": ("property", ("cograph", "p4free"), "cograph")},
+        (),
     ),
     "cotree": (
         cmd_cotree,
         (("file", None),),
         {"--json": ("json", None, False), "--dot": ("dot", None, False)},
+        ("json", "dot"),
     ),
     "poset": (
         cmd_poset,
-        (("file", None), ("action", _ACTIONS)),
+        (("file", None), ("action", ("nfree", "sptree", "linear-split", "endpoint"))),
         {
             "--covers": ("covers", None, False),
             "--full": ("full", None, False),
             "--x": ("x", int, None),
             "--dot": ("dot", None, False),
         },
+        ("covers", "full"),
     ),
 }
-# Options of which argparse takes at most one.
-_EXCLUSIVE = (("json", "dot"), ("covers", "full"))
 
 
 def _read_args(argv: Sequence[str]) -> SimpleNamespace | None:
@@ -204,7 +198,7 @@ def _read_args(argv: Sequence[str]) -> SimpleNamespace | None:
     """
     if not argv or argv[0] not in _GRAMMAR:
         return None
-    handler, positionals, options = _GRAMMAR[argv[0]]
+    handler, positionals, options, exclusive = _GRAMMAR[argv[0]]
     args = {"command": argv[0], "handler": handler}
     for dest, _, default in options.values():
         args[dest] = default
@@ -237,21 +231,16 @@ def _read_args(argv: Sequence[str]) -> SimpleNamespace | None:
         if choices is not None and value not in choices:
             return None
         args[name] = value
-    if any(args.get(a) and args.get(b) for a, b in _EXCLUSIVE):
+    if sum(args[dest] for dest in exclusive) > 1:
         return None
     return SimpleNamespace(**args)
-
-
-def build_parser():
-    """The argparse grammar of every command (see :mod:`cosp.commands`)."""
-    from .commands import build_parser
-
-    return build_parser({name: entry[0] for name, entry in _GRAMMAR.items()})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _read_args(sys.argv[1:] if argv is None else argv)
     if args is None:
+        from .commands import build_parser
+
         args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
@@ -266,4 +255,7 @@ def run() -> None:
 
 
 if __name__ == "__main__":
+    # Modules that import this one (commands) then find it running, and
+    # compile no second copy.
+    sys.modules[__spec__.name] = sys.modules[__name__]
     run()

@@ -1,73 +1,75 @@
-"""The command line's argparse grammar and its tool commands.
+"""The command line's argparse parser and its tool commands.
 
 :func:`cosp.cli.main` reads a recognition request (``check``, ``cotree``,
-``poset``) from a table of its own and imports this module only for any
-other argument list: help, a usage error, an abbreviation or an ``=``
-form, which argparse answers from the grammar here, and the commands
-that are not recognition: ``join``, ``gen`` and ``oracle-compare``.
-``poset ... linear-split`` and ``endpoint`` also come here for their own
-witness (:func:`lemma_witness`), and back to the sp-tree without one,
-and ``check --property p4free`` for the brute-force path scan
-(:func:`brute_path`); these build the records they need.
+``poset``) from its table, ``cosp.cli._GRAMMAR``, and imports this module
+only for any other argument list: help, a usage error, an abbreviation or
+an ``=`` form, which argparse answers from the parser that
+:func:`build_parser` builds from that same table, and the commands that
+are not recognition: ``join``, ``gen`` and ``oracle-compare``, whose
+grammar is stated here.  ``poset ... linear-split`` and ``endpoint`` also
+come here (:func:`cmd_lemma`), and ``check --property p4free`` for the
+brute-force path scan (:func:`brute_path`); these build the records they
+need.
 """
-
-from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Callable
 
-from .cli import EXIT_OK, EXIT_WITNESS, _emit, _fail, _read_file, _relabel
+from .cli import _GRAMMAR, EXIT_OK, EXIT_WITNESS, _certificate, _emit, _fail, _read_file, _relabel
+
+# The help of each command, in the order that ``cosp -h`` lists them.
+_COMMAND_HELP = {
+    "check": "decide whether a graph file is a cograph",
+    "cotree": "print the decomposition tree of a graph file",
+    "join": "find a complement-split witness of a connected graph",
+    "poset": "order-side checks on a relation file",
+    "gen": "emit a generated instance in the text formats",
+    "oracle-compare": "exhaustively compare engines against oracles",
+}
+# The help of each option of the recognition commands, by command and dest.
+_OPTION_HELP = {
+    ("check", "property"): (
+        "decision route: decomposition (cograph) or brute-force path scan (p4free)"
+    ),
+    ("cotree", "json"): "JSON tree (default)",
+    ("cotree", "dot"): "DOT graph",
+    ("poset", "covers"): "close the input transitively (default)",
+    ("poset", "full"): "require the input to be its own closure",
+    ("poset", "x"): "element for the endpoint action",
+    ("poset", "dot"): "DOT output for the sptree action",
+}
 
 
-def build_parser(handlers: dict[str, Callable]) -> argparse.ArgumentParser:
-    """The grammar of every command; ``handlers`` gives the handlers of
-    check, cotree and poset, which :mod:`cosp.cli` holds."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command: the recognition commands' subparsers
+    built from their table in :mod:`cosp.cli`, the others stated here."""
     parser = argparse.ArgumentParser(
         prog="cosp",
         description="Cograph and series-parallel order decomposition with certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {name: sub.add_parser(name, help=text) for name, text in _COMMAND_HELP.items()}
 
-    p = sub.add_parser("check", help="decide whether a graph file is a cograph")
-    p.add_argument("file")
-    p.add_argument(
-        "--property",
-        choices=("cograph", "p4free"),
-        default="cograph",
-        help="decision route: decomposition (cograph) or brute-force path scan (p4free)",
-    )
-    p.set_defaults(handler=handlers["check"])
+    for name, (handler, positionals, options, exclusive) in _GRAMMAR.items():
+        p = parsers[name]
+        for dest, choices in positionals:
+            p.add_argument(dest, choices=choices)
+        group = p.add_mutually_exclusive_group() if exclusive else p
+        for option, (dest, values, default) in options.items():
+            if values is None:
+                kind = {"action": "store_true"}
+            else:
+                kind = {"type": int} if values is int else {"choices": values}
+            (group if dest in exclusive else p).add_argument(
+                option, dest=dest, default=default, help=_OPTION_HELP[name, dest], **kind
+            )
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("cotree", help="print the decomposition tree of a graph file")
-    p.add_argument("file")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON tree (default)")
-    fmt.add_argument("--dot", action="store_true", help="DOT graph")
-    p.set_defaults(handler=handlers["cotree"])
-
-    p = sub.add_parser("join", help="find a complement-split witness of a connected graph")
+    p = parsers["join"]
     p.add_argument("file")
     p.set_defaults(handler=cmd_join)
 
-    p = sub.add_parser("poset", help="order-side checks on a relation file")
-    p.add_argument("file")
-    p.add_argument(
-        "action",
-        choices=("nfree", "sptree", "linear-split", "endpoint"),
-    )
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--covers", action="store_true", help="close the input transitively (default)"
-    )
-    mode.add_argument(
-        "--full", action="store_true", help="require the input to be its own closure"
-    )
-    p.add_argument("--x", type=int, default=None, help="element for the endpoint action")
-    p.add_argument("--dot", action="store_true", help="DOT output for the sptree action")
-    p.set_defaults(handler=handlers["poset"])
-
-    p = sub.add_parser("gen", help="emit a generated instance in the text formats")
+    p = parsers["gen"]
     p.add_argument("kind", choices=("parity-split", "cotree", "sptree", "gnp", "poset"))
     p.add_argument("size", type=int)
     p.add_argument("prob", type=float, nargs="?", default=None)
@@ -75,7 +77,7 @@ def build_parser(handlers: dict[str, Callable]) -> argparse.ArgumentParser:
     p.add_argument("--offset", type=int, default=0, help="window start for parity-split")
     p.set_defaults(handler=cmd_gen)
 
-    p = sub.add_parser("oracle-compare", help="exhaustively compare engines against oracles")
+    p = parsers["oracle-compare"]
     p.add_argument("--max-graph-n", type=int, default=5)
     p.add_argument("--max-poset-n", type=int, default=4)
     p.set_defaults(handler=cmd_oracle_compare)
@@ -128,49 +130,47 @@ def brute_path(adj, result):
     return result if witness is None else witness.path
 
 
-def lemma_witness(args, below, above, labels):
+def cmd_lemma(args, below, above, labels) -> int:
     """Answer ``poset ... linear-split`` or ``poset ... endpoint`` on the
-    order with rows ``below`` and ``above`` by its own witness: the exit
-    code once the witness is printed or the request failed, or else the
-    function that answers once the sp-tree shows that the order holds no N
-    either."""
+    order with rows ``below`` and ``above``: by its own witness if there is
+    one, else by the sp-tree's N, else by why the order has neither."""
+    # Looked up in cosp.cli when called, as cmd_poset's own call is, so
+    # that a wrapper of that name (a test's, a tracer's) sees every call.
+    from .cli import sp_tree_signature
     from .lemmas import NoEndpointError, endpoint_witness, linear_split_witness
     from .posets import Poset
 
     p = Poset(below, above)
     if args.action == "linear-split":
         w = linear_split_witness(p)
-        if w is None:
-
-            def no_split() -> int:
-                _emit({"linear_split": None})
-                print("no element qualifies: the order is not a linear sum", file=sys.stderr)
-                return EXIT_WITNESS
-
-            return no_split
-        _emit(
-            {
-                "x": labels[w.x],
-                "lower": _relabel(w.lower, labels),
-                "middle": _relabel(w.middle, labels),
-                "upper": _relabel(w.upper, labels),
-            }
-        )
-        return EXIT_OK
-    if args.x is None:
-        return _fail("endpoint needs --x")
-    try:
-        x = labels.index(args.x)
-    except ValueError:
-        return _fail(f"element {args.x} does not occur in the input")
-    try:
-        w = endpoint_witness(p, x)
-    except NoEndpointError as exc:
-        # No chain end qualifies, yet the order holds no N.
-        message = f"{exc}; the order is not connected"
-        return lambda: _fail(message)
-    _emit({"x": labels[w.x], "endpoint": labels[w.endpoint], "side": w.side})
-    return EXIT_OK
+        if w is not None:
+            lower, middle, upper = (_relabel(side, labels) for side in (w.lower, w.middle, w.upper))
+            _emit({"x": labels[w.x], "lower": lower, "middle": middle, "upper": upper})
+            return EXIT_OK
+    else:
+        if args.x is None:
+            return _fail("endpoint needs --x")
+        try:
+            x = labels.index(args.x)
+        except ValueError:
+            return _fail(f"element {args.x} does not occur in the input")
+        try:
+            w = endpoint_witness(p, x)
+        except NoEndpointError as exc:
+            message = f"{exc}; the order is not connected"
+        else:
+            _emit({"x": labels[w.x], "endpoint": labels[w.endpoint], "side": w.side})
+            return EXIT_OK
+    comp = list(map(int.__or__, below, above))
+    n = sp_tree_signature(comp, below)
+    if type(n) is tuple:
+        return _certificate(n, labels, comp, below)
+    # No witness, yet the order holds no N.
+    if args.action == "endpoint":
+        return _fail(message)
+    _emit({"linear_split": None})
+    print("no element qualifies: the order is not a linear sum", file=sys.stderr)
+    return EXIT_WITNESS
 
 
 def cmd_gen(args) -> int:

@@ -23,8 +23,6 @@ module and :mod:`cosp.rows` alone; :func:`cosp.cographs.cotree`,
 classes' text wrap these functions for the records.
 """
 
-from __future__ import annotations
-
 from collections.abc import Callable, Sequence
 
 from .rows import iter_bits, mask_components

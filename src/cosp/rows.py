@@ -11,8 +11,6 @@ query API are not loaded by a request, and nothing here serves only
 them.
 """
 
-from __future__ import annotations
-
 import json
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, compress

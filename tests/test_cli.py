@@ -526,10 +526,13 @@ def test_requests_import_only_the_modules_they_run(tmp_path):
         names = imported_modules(*argv)
         cosp_names = sorted(name for name in names if name.split(".")[0] == "cosp")
         assert cosp_names == ["cosp", "cosp.engine", "cosp.rows"], argv
-        assert not names & {"argparse", "gettext", "locale"}, argv
-    # Help and the tool commands go to argparse.
-    assert {"argparse", "cosp.commands"} <= imported_modules("check", "-h")
-    assert {"argparse", "cosp.commands"} <= imported_modules("gen", "parity-split", "3")
+        assert not names & {"argparse", "gettext", "locale", "__future__"}, argv
+    # Help and the tool commands go to argparse.  Their commands module binds
+    # to the cli running as __main__, so cosp.cli is not compiled again.
+    for argv in (("check", "-h"), ("gen", "parity-split", "3")):
+        names = imported_modules(*argv)
+        assert {"argparse", "cosp.commands"} <= names, argv
+        assert "cosp.cli" not in names, argv
 
 
 def test_read_args_agrees_with_argparse():
@@ -540,7 +543,8 @@ def test_read_args_agrees_with_argparse():
     # is always safe, since argparse then reads the list.
     import itertools
 
-    from cosp.cli import _read_args, build_parser
+    from cosp.cli import _read_args
+    from cosp.commands import build_parser
 
     parser = build_parser()
     vocabulary = [
@@ -568,6 +572,41 @@ def test_read_args_agrees_with_argparse():
     assert accepted > 1000
     for argv in ([], ["join", "F"], ["gen", "cotree", "4"], ["oracle-compare"], ["nope"]):
         assert _read_args(argv) is None
+
+
+def test_help_lists_every_command_and_option():
+    # What holds of argparse's help on every supported Python: the commands in
+    # order, each option's help (rewrapped to one line) and the exclusive
+    # groups in the usage lines.
+    import os
+
+    from cosp.commands import _COMMAND_HELP, _OPTION_HELP
+
+    def help_text(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cosp.cli", *argv, "-h"],
+            capture_output=True,
+            text=True,
+            cwd=Path(cosp.__file__).parents[1],
+            env={**os.environ, "COLUMNS": "80"},
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        return proc.stdout
+
+    top = help_text()
+    assert "{check,cotree,join,poset,gen,oracle-compare}" in top
+    assert all(text in top for text in _COMMAND_HELP.values())
+    usages = {}
+    for command in ("check", "cotree", "poset"):
+        text = help_text(command)
+        usages[command] = text.split("\n\n")[0]
+        flat = " ".join(text.split())
+        for (name, _), help_ in _OPTION_HELP.items():
+            if name == command:
+                assert help_ in flat, (command, help_)
+    assert "[--json | --dot]" in usages["cotree"]
+    assert "[--covers | --full]" in usages["poset"]
+    assert "--property {cograph,p4free}" in usages["check"]
 
 
 def test_every_command_answers_alike_in_a_fresh_process(tmp_path, capsys):

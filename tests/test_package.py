@@ -71,3 +71,5 @@ def test_loc_counts_code_lines_and_nodes(tmp_path):
     assert request == ["__init__", "cli", "engine", "rows"]
     tool = loc.request_modules(package, ["join", str(graph)])
     assert {"commands", "graphs", "cographs"} <= set(tool)
+    # cli counts once more only if commands compiled a second copy of it.
+    assert tool.count("cli") == 1

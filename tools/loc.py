@@ -5,13 +5,15 @@ Usage: ``python tools/loc.py [package directory]`` (default ``src/cosp``).
 For each module, and in total, it prints the lines and the code lines:
 lines that hold a token other than a comment, and are not part of a
 module, class or function docstring.  It then prints the syntax-tree
-nodes (``ast.walk`` over each module) that each recognition request
-compiles: the modules that a fresh ``python -X importtime -m cosp.cli``
-request on a small plain file imports from the package, read from the
-report on standard error, and ``cli``, which runs as ``__main__``.  The
-graph side is ``check`` and ``cotree``, the order side ``poset ...
-nfree`` and ``poset ... sptree``.  It only reports: the exit status is 0
-whatever the counts are.
+nodes (``ast.walk`` over each module) that each request compiles: the
+modules that a fresh ``python -X importtime -m cosp.cli`` request imports
+from the package, read from the report on standard error, and ``cli``,
+which runs as ``__main__`` and counts twice if the report shows
+``cosp.cli`` imported as well.  The requests are the recognition requests
+on a small plain file, whose graph side is ``check`` and ``cotree`` and
+whose order side is ``poset ... nfree`` and ``poset ... sptree``, and
+three that argparse reads: ``check -h``, ``gen parity-split 3`` and
+``join``.  It only reports: the exit status is 0 whatever the counts are.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 
 GRAPH = "n 4\n0 1\n0 2\n1 2\n1 3\n2 3\n"
 ORDER = "n 4\n0 1\n0 2\n1 3\n2 3\n"
-# Each recognition request, with the text it reads and its side.
+# Each request, with the text it reads (None for none) and its side.
 REQUESTS = (
     (("check",), GRAPH, "graph"),
     (("cotree",), GRAPH, "graph"),
@@ -34,6 +36,9 @@ REQUESTS = (
     (("poset", "nfree"), ORDER, "order"),
     (("poset", "sptree"), ORDER, "order"),
     (("poset", "sptree", "--dot"), ORDER, "order"),
+    (("check", "-h"), None, "argparse"),
+    (("gen", "parity-split", "3"), None, "argparse"),
+    (("join",), GRAPH, "argparse"),
 )
 _SKIP = {
     tokenize.COMMENT,
@@ -69,8 +74,8 @@ def measure(source: str) -> tuple[int, int, int]:
 def request_modules(package: Path, argv: list[str]) -> list[str]:
     """The modules of ``package``, by file stem, that a fresh
     ``python -X importtime -m <package>.cli *argv`` request compiles: the
-    ones it imports, and ``cli``.  -S keeps the interpreter's site hooks
-    from importing modules of their own."""
+    ones it imports, and ``cli`` once more for ``__main__``.  -S keeps the
+    interpreter's site hooks from importing modules of their own."""
     name = package.name
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-S", "-m", f"{name}.cli", *argv],
@@ -83,12 +88,12 @@ def request_modules(package: Path, argv: list[str]) -> list[str]:
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
-    stems = {"cli"}
+    stems = ["cli"]
     for module in imported:
         if module == name:
-            stems.add("__init__")
+            stems.append("__init__")
         elif module.startswith(name + "."):
-            stems.add(module[len(name) + 1 :])
+            stems.append(module[len(name) + 1 :])
     return sorted(stems)
 
 
@@ -107,13 +112,15 @@ def main(argv: list[str]) -> None:
     sides: dict[str, int] = {}
     with tempfile.TemporaryDirectory() as tmp:
         for command, text, side in REQUESTS:
-            path = Path(tmp) / f"{side}.txt"
-            path.write_text(text, encoding="utf-8")
-            argv = [command[0], str(path), *command[1:]]
+            argv = list(command)
+            if text is not None:
+                path = Path(tmp) / f"{side}.txt"
+                path.write_text(text, encoding="utf-8")
+                argv.insert(1, str(path))
             modules = request_modules(package, argv)
             nodes = sum(sizes[name][2] for name in modules)
             sides[side] = max(sides.get(side, 0), nodes)
-            print(f"{' '.join(command) + ':':<20}{nodes:>6,} nodes ({', '.join(modules)})")
+            print(f"{' '.join(command) + ':':<22}{nodes:>6,} nodes ({', '.join(modules)})")
     for side, nodes in sides.items():
         print(f"{side}-side request: {nodes:,} nodes at most")
 
