@@ -1,18 +1,22 @@
 """Command line front end.
 
-Exit protocol: 0 when the queried property holds; 1 when it fails, with
-a certificate that passed the one check of certificates
-(:func:`cosp.engine.witness_holds`, which the witnesses' ``validate``
-run too) or a report of why none applies (``join``'s
+Exit protocol: 0 when the queried property holds, with a tree, or its
+summary, printed only after the one check of trees
+(:func:`cosp.engine.tree_holds`) found that it rebuilds the input; 1
+when it fails, with a certificate that passed the one check of
+certificates (:func:`cosp.engine.witness_holds`, which the witnesses'
+``validate`` run too) or a report of why none applies (``join``'s
 ``{"witness": null}``, ``{"linear_split": null}``, an
 ``oracle-compare`` mismatch) on standard output; 2 on input or usage
 errors and, with one ``internal error: ...`` line on standard error and
-nothing on standard output, on any internal error.  Recognition is
-decided by the split engine.  Machine output is JSON on standard output,
-diagnostics go to standard error, and identical input and flags produce
-byte-identical output.  A tree's JSON text is written straight from its
-signature, so it works at any depth; every other answer is small and
-flat enough for ``json.dumps``.
+nothing on standard output, on any internal error, a tree or certificate
+that fails its check included.  Recognition is decided by the split
+engine, ``check --property p4free`` too: a finite graph has no induced
+four-vertex path exactly when it is a cograph.  Machine output is JSON
+on standard output, diagnostics go to standard error, and identical
+input and flags produce byte-identical output.  A tree's JSON text is
+written straight from its signature, so it works at any depth; every
+other answer is small and flat enough for ``json.dumps``.
 
 Every request is a fresh interpreter that compiles the modules it
 imports, so a recognition request (``check``, ``cotree``, ``poset ...
@@ -25,9 +29,8 @@ the tree's signature, without the ``Graph`` and ``Poset`` records.
 it.  Any other argument list (help, an error, an abbreviation, an ``=``
 form, ``join``, ``gen`` or ``oracle-compare``) goes to argparse, in
 :mod:`cosp.commands` with the tool commands; the table gives exactly
-argparse's namespace or nothing.  ``check --property p4free`` (through
-the brute-force oracles) and ``poset ... linear-split`` and ``endpoint``
-(through ``lemmas``) build the records they need, from
+argparse's namespace or nothing.  ``poset ... linear-split`` and
+``endpoint`` (through ``lemmas``) build the records they need, from
 :mod:`cosp.commands`, and a text that is not plain loads the line
 reader.
 """
@@ -44,6 +47,7 @@ from .engine import (
     dot_text,
     json_text,
     sp_tree_signature,
+    tree_holds,
     witness_holds,
 )
 from .rows import _closure, _read_pairs
@@ -81,17 +85,21 @@ def _certificate(ids, labels, adj, below=None) -> int:
     return EXIT_WITNESS
 
 
+def _check_tree(signature: list[tuple], rows, linear: bool = False) -> None:
+    """Raise unless the tree rebuilds the rows it was decomposed from:
+    a graph's ``adj``, or with ``linear`` an order's ``below``."""
+    if not tree_holds(signature, rows, linear):
+        raise RuntimeError("internal: tree does not rebuild its input")
+
+
 def _tree_summary(signature: list[tuple]) -> dict:
-    heights: list[int] = []  # of the subtrees not yet given to their parent
-    for _, _, count in reversed(signature):
-        if count:
-            height = max(heights[-count:]) + 1
-            del heights[-count:]
-            heights.append(height)
-        else:
-            heights.append(1)
+    depth, depths = 0, [1]  # the deepest node met, and the depths of the nodes to come
+    for _, _, count in signature:
+        node = depths.pop()
+        depths += [node + 1] * count
+        depth = max(depth, node)
     kinds = [kind for kind, _, _ in signature]
-    return {"series": kinds.count(SERIES), "parallel": kinds.count(PARALLEL), "depth": heights[0]}
+    return {"series": kinds.count(SERIES), "parallel": kinds.count(PARALLEL), "depth": depth}
 
 
 def _read_graph(path: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -103,13 +111,12 @@ def cmd_check(args) -> int:
     if not adj:
         _emit({"cograph": True, "order": 0, "series": 0, "parallel": 0, "depth": 0})
         return EXIT_OK
+    # --property p4free asks the same: a finite graph has no induced P4
+    # exactly when it is a cograph.
     result = cotree_signature(adj)
-    if args.property == "p4free":
-        from .commands import brute_path
-
-        result = brute_path(adj, result)
     if type(result) is tuple:
         return _certificate(result, labels, adj)
+    _check_tree(result, adj)
     _emit({"cograph": True, "order": len(adj), **_tree_summary(result)})
     return EXIT_OK
 
@@ -119,6 +126,7 @@ def cmd_cotree(args) -> int:
     result = cotree_signature(adj)
     if type(result) is tuple:
         return _certificate(result, labels, adj)
+    _check_tree(result, adj)
     if args.dot:
         sys.stdout.write(dot_text("cotree", result, labels))
     else:
@@ -139,6 +147,8 @@ def cmd_poset(args) -> int:
     result = sp_tree_signature(comp, below) if comp or args.action != "nfree" else None
     if type(result) is tuple:
         return _certificate(result, labels, comp, below)
+    if comp:
+        _check_tree(result, below, linear=True)
     if args.action == "nfree":
         _emit({"nfree": True})
         return EXIT_OK

@@ -24,7 +24,7 @@ equality meaningful, so round trips through the graph are exact.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .engine import LEAF, PARALLEL, SERIES, cotree_signature, dot_text, tree_text, witness_holds
 from .graphs import Graph, _Record
@@ -87,20 +87,26 @@ class _Tree(_Record):
         return tree_text(self._signature(), text)
 
 
-def _from_signature(cls: type, signature: list[tuple]) -> _Tree:
-    """The tree of class ``cls`` with this signature: the inverse of
-    ``_Tree._signature`` and the one place that builds trees from a flat
-    form.  A signature lists ``(kind, leaf id, child count)`` in preorder,
-    a node's last child first.  Read backwards, it builds every subtree
-    before its parent, first child first, so a node's children are the
-    top of the stack in order."""
+def _fold(signature: list[tuple], node: Callable) -> object:
+    """The value of a tree from its signature, built bottom-up by
+    ``node(kind, leaf, children)`` from the values of the node's children,
+    first child first: the one place that builds trees and their dicts
+    from a flat form.  A
+    signature lists ``(kind, leaf id, child count)`` in preorder, a node's
+    last child first.  Read backwards, it builds every subtree before its
+    parent, first child first, so a node's children are the top of the
+    stack in order."""
     stack: list = []
     for kind, leaf, count in reversed(signature):
         cut = len(stack) - count
-        node = cls(kind, leaf, tuple(stack[cut:]))
-        del stack[cut:]
-        stack.append(node)
+        stack[cut:] = [node(kind, leaf, stack[cut:])]
     return stack[0]
+
+
+def _from_signature(cls: type, signature: list[tuple]) -> _Tree:
+    """The tree of class ``cls`` with this signature: the inverse of
+    ``_Tree._signature``."""
+    return _fold(signature, lambda kind, leaf, children: cls(kind, leaf, tuple(children)))
 
 
 class Cotree(_Tree):

@@ -7,9 +7,7 @@ an ``=`` form, which argparse answers from the parser that
 :func:`build_parser` builds from that same table, and the commands that
 are not recognition: ``join``, ``gen`` and ``oracle-compare``, whose
 grammar is stated here.  ``poset ... linear-split`` and ``endpoint`` also
-come here (:func:`cmd_lemma`), and ``check --property p4free`` for the
-brute-force path scan (:func:`brute_path`); these build the records they
-need.
+come here (:func:`cmd_lemma`), and build the records they need.
 """
 
 import argparse
@@ -29,7 +27,8 @@ _COMMAND_HELP = {
 # The help of each option of the recognition commands, by command and dest.
 _OPTION_HELP = {
     ("check", "property"): (
-        "decision route: decomposition (cograph) or brute-force path scan (p4free)"
+        "property to decide: cograph, or p4free (no induced four-vertex path), "
+        "which holds exactly when cograph does; both are decided by the decomposition"
     ),
     ("cotree", "json"): "JSON tree (default)",
     ("cotree", "dot"): "DOT graph",
@@ -114,20 +113,6 @@ def cmd_join(args) -> int:
         }
     )
     return EXIT_OK
-
-
-def brute_path(adj, result):
-    """The decision of ``check --property p4free`` on the graph with rows
-    ``adj``: the brute-force scan's path, or the decomposition's
-    ``result`` (a signature) when there is none, after checking that the
-    two routes agree."""
-    from . import oracles
-    from .graphs import Graph
-
-    witness = oracles.brute_p4(Graph(adj))
-    if (witness is None) != (type(result) is list):
-        raise RuntimeError("internal: path scan disagrees with the decomposition")
-    return result if witness is None else witness.path
 
 
 def cmd_lemma(args, below, above, labels) -> int:

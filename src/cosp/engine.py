@@ -17,13 +17,20 @@ values, and nothing recurses.  A tree is its signature: the list of
 ``(kind, leaf id, child count)`` of its nodes in preorder, a node's last
 child first, which is also what decides tree equality.  The writers turn
 a signature into JSON, DOT or ``repr`` text in one pass, and one check
-on masks decides every certificate.  A recognition request runs this
-module and :mod:`cosp.rows` alone; :func:`cosp.cographs.cotree`,
-:func:`cosp.spdecomp.sp_tree`, the witnesses' ``validate`` and the tree
-classes' text wrap these functions for the records.
+on masks decides every certificate.  What a tree means is stated here
+once, by two passes over its signature: :func:`tree_masks` from the
+leaves up (each internal node's leaves, and its canonical form), then
+:func:`leaf_rows` from the root down (the row each leaf must have).
+:func:`tree_holds` checks a tree against the rows it came from before
+the CLI prints it, and :mod:`cosp.trees` validates trees and rebuilds
+their graphs and orders with the same two passes.  A recognition
+request runs this module and :mod:`cosp.rows` alone;
+:func:`cosp.cographs.cotree`, :func:`cosp.spdecomp.sp_tree`, the
+witnesses' ``validate`` and the tree classes' text wrap these functions
+for the records.
 """
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .rows import iter_bits, mask_components
 
@@ -185,6 +192,105 @@ def witness_holds(
     if [adj[u] >> v & 1 for u, v in pairs] != [1, 1, 1, 0, 0, 0]:
         return False
     return below is None or all(below[v] >> u & 1 for u, v in ((a, b), (c, b), (c, d)))
+
+
+# === what a tree means ===
+
+
+def tree_masks(signature: list[tuple], linear: bool = False) -> tuple[list[int], int, str | None]:
+    """The leaf masks of a tree's internal nodes, by one pass over its
+    signature from the leaves up: a cotree's, or with ``linear`` an
+    sp-tree's.  Returns the masks, the last node in preorder first, the
+    root's mask, and the first fault of canonical form in preorder or
+    None: an internal node with a leaf id, a child of its parent's kind,
+    or children of a kind other than linear not ordered by smallest leaf.
+    A tree that encodes nothing (a leaf id that is not a non-negative int,
+    a leaf with children, an unknown kind, fewer than two children, a
+    repeated leaf) raises ValueError.  Leaves get no mask."""
+    kinds, key = ((LINEAR, DISJOINT), "element") if linear else ((SERIES, PARALLEL), "vertex")
+    masks = []
+    done = []  # (kind, lowest leaf, mask or 0) of each subtree whose parent is to come
+    fault = None
+    for kind, leaf, count in reversed(signature):
+        if kind == LEAF:
+            if not isinstance(leaf, int) or leaf < 0:
+                raise ValueError(f"leaf {key} must be a non-negative int, got {leaf!r}")
+            if count:
+                raise ValueError("leaf with children")
+            done.append((LEAF, leaf, 0))
+            continue
+        if kind not in kinds:
+            raise ValueError(f"unknown node kind {kind!r}")
+        if count < 2:
+            raise ValueError(f"{kind} node with fewer than two children")
+        children = done[-count:]  # first child first
+        if count == 2:  # every node of a path-like tree, on a short path
+            (first_kind, low, first_mask), (last_kind, last_low, last_mask) = children
+            mask = (first_mask or 1 << low) | (last_mask or 1 << last_low)
+            ordered = low < last_low
+            same = first_kind == kind or last_kind == kind
+            if not ordered:
+                low = last_low
+        else:  # the sum is the union unless a leaf repeats, which the root's count catches
+            mask = sum(own or 1 << child_low for _, child_low, own in children)
+            lows = [child[1] for child in children]
+            ordered, same, low = lows == sorted(lows), kind in [c[0] for c in children], min(lows)
+        if leaf is not None:
+            fault = f"internal node with {key} {leaf!r}"
+        elif same:
+            fault = f"{kind} child of {kind} node"
+        elif not ordered and kind != LINEAR:
+            fault = f"{kind} children not ordered by smallest leaf id"
+        masks.append(mask)
+        done[-count:] = [(kind, low, mask)]
+    root = done[0][2] or 1 << done[0][1]
+    if root.bit_count() != len(signature) - len(masks):
+        raise ValueError("duplicate leaf ids")
+    return masks, root, fault
+
+
+def leaf_rows(
+    signature: list[tuple], masks: list[int], linear: bool = False, rows: Sequence[int] | None = None
+) -> Iterator[tuple[int, int]]:
+    """``(v, row)`` for every leaf v of a tree, in signature order, by one
+    pass from the root down that uses up :func:`tree_masks`' ``masks``:
+    v's row of the cotree's graph, the leaves of its series ancestors'
+    other children, or with ``linear`` its row of the elements below v in
+    the sp-tree's order, the leaves of its linear ancestors' earlier
+    children.  Given ``rows``, only the leaves whose row is not theirs.
+    A node's mask is let go once its children no longer need it."""
+    joined = LINEAR if linear else SERIES
+    parents = [[False, 0, 0]]  # per child to come: its parent's [joined, row, leaves]
+    for kind, leaf, count in signature:
+        join, row, rest = entry = parents.pop()
+        mask = masks.pop() if count else 0
+        if join:
+            own = mask or 1 << leaf
+            if linear:
+                rest ^= own  # the leaves of the earlier siblings, met after this one
+                entry[2] = rest
+                row |= rest
+            else:
+                row |= rest ^ own
+        if count:
+            join = kind == joined
+            parents += [[join, row, mask if join else 0]] * count
+        elif rows is None or row != rows[leaf]:
+            yield leaf, row
+
+
+def tree_holds(signature: list[tuple], rows: Sequence[int], linear: bool = False) -> bool:
+    """True when the signature is a canonical tree on the ids of ``rows``
+    that rebuilds them: a graph's neighbor rows, or with ``linear`` an
+    order's rows of the elements below each.  This is the one check of a
+    tree, run before the CLI prints one."""
+    try:
+        masks, root, fault = tree_masks(signature, linear)
+    except ValueError:
+        return False
+    if fault is not None or root != (1 << len(rows)) - 1:
+        return False
+    return next(leaf_rows(signature, masks, linear, rows=rows), None) is None
 
 
 # === text output ===

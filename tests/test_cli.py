@@ -329,6 +329,7 @@ def test_request_paths_avoid_the_oracles(tmp_path, capsys, monkeypatch):
     orders = {"n": N_TEXT, "chain": CHAIN3_TEXT, "diamond-order": DIAMOND_POSET_TEXT}
     files = {name: write(tmp_path, name, text) for name, text in {**graphs, **orders}.items()}
     requests = [(cmd, name) for cmd in ("check", "cotree", "join") for name in graphs]
+    requests += [("check", name, "--property", "p4free") for name in graphs]
     requests += [("poset", name, *action) for action in ORDER_ACTIONS for name in orders]
 
     def answer(request):
@@ -344,7 +345,7 @@ def test_request_paths_avoid_the_oracles(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cosp.lemmas, "is_nfree", forbidden)
     assert {request: answer(request) for request in requests} == answers
     # Each command fails on the P4 or the N and holds on the other two.
-    assert [code for code, _, _ in answers.values()] == [1, 0, 0] * 7
+    assert [code for code, _, _ in answers.values()] == [1, 0, 0] * 8
     assert json.loads(answers["check", "p4"][1]) == {"kind": "p4", "path": [0, 1, 2, 3]}
     assert json.loads(answers["poset", "n", "nfree"][1]) == {"kind": "n", "quad": [0, 1, 2, 3]}
     assert json.loads(answers["poset", "chain", "nfree"][1]) == {"nfree": True}
@@ -392,6 +393,50 @@ def test_internal_errors_exit_2(tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, cmd, g_file)
         assert (code, out) == (2, "")
         assert err == "internal error: RuntimeError('broken engine')\n"
+
+
+def swap_leaves(signature):
+    # The ids of the first two leaves in the signature trade places.
+    i, j = [k for k, (kind, _, _) in enumerate(signature) if kind == "leaf"][:2]
+    out = list(signature)
+    out[i], out[j] = ("leaf", signature[j][1], 0), ("leaf", signature[i][1], 0)
+    return out
+
+
+def flip_root(signature):
+    flipped = {"series": "parallel", "parallel": "series", "linear": "disjoint", "disjoint": "linear"}
+    kind, leaf, count = signature[0]
+    return [(flipped[kind], leaf, count), *signature[1:]]
+
+
+def swap_linear_children(signature):
+    from cosp.cographs import _from_signature
+    from cosp.spdecomp import SPTree
+
+    t = _from_signature(SPTree, signature)
+    first, second, *rest = t.children
+    return SPTree(t.kind, None, (second, first, *rest))._signature()
+
+
+@pytest.mark.parametrize("fault", [swap_leaves, flip_root, swap_linear_children])
+def test_a_wrong_tree_is_an_internal_error(tmp_path, capsys, monkeypatch, fault):
+    # The engine's own tree with one fault, on the path 0-1-2 and the chain
+    # 0 < 1 < 2: every request checks a tree against its input before it
+    # prints the tree or its summary.  Only the flipped path's root breaks
+    # canonical form; each other fault gives a canonical tree of other rows.
+    import cosp.cli
+    from cosp.engine import cotree_signature, sp_tree_signature
+
+    f = write(tmp_path, "three.txt", CHAIN3_TEXT)
+    requests = [("poset", f, "nfree"), ("poset", f, "sptree"), ("poset", f, "sptree", "--dot")]
+    monkeypatch.setattr(cosp.cli, "sp_tree_signature", lambda *rows: fault(sp_tree_signature(*rows)))
+    if fault is not swap_linear_children:
+        requests += [("check", f), ("cotree", f), ("cotree", f, "--dot")]
+        monkeypatch.setattr(cosp.cli, "cotree_signature", lambda adj: fault(cotree_signature(adj)))
+    for request in requests:
+        code, out, err = run(capsys, *request)
+        assert (code, out) == (2, ""), request
+        assert err.startswith("internal error: RuntimeError(") and err.count("\n") == 1, request
 
 
 def test_gen_parity_split(capsys):
@@ -516,6 +561,7 @@ def test_requests_import_only_the_modules_they_run(tmp_path):
     order = write(tmp_path, "diamond-order.txt", DIAMOND_POSET_TEXT)
     requests = [
         ("check", graph),
+        ("check", graph, "--property", "p4free"),
         ("cotree", graph),
         ("cotree", graph, "--dot"),
         ("poset", order, "nfree"),

@@ -1,5 +1,6 @@
 """Cograph recognition, cotrees, witnesses, and the neighborhood splits."""
 
+import itertools
 import json
 import pickle
 import random
@@ -22,6 +23,7 @@ from cosp import (
     cotree_to_json,
     cotree_to_sptree,
     is_cograph,
+    is_nfree,
     join_witness,
     neighbor_split,
     non_neighbor_components,
@@ -31,7 +33,7 @@ from cosp import (
     sp_tree,
     sp_tree_to_poset,
 )
-from cosp.engine import _decompose, json_text
+from cosp.engine import _decompose, cotree_signature, json_text, sp_tree_signature, tree_holds
 from cosp.trees import validate_cotree, validate_sp_tree
 from cosp.graphs import mask_of
 from cosp.rows import iter_bits
@@ -225,6 +227,32 @@ def test_cotree_canonical_form(connected_cographs_to_6):
         assert sp_tree(orient_cotree(t)) == cotree_to_sptree(t)
 
 
+def test_tree_holds_on_its_input_only(graphs_to_4, connected_cographs_to_6, posets_to_4):
+    # The engine's tree of every cograph and N-free order of the fixtures
+    # rebuilds its rows, and no longer does once one edge or relation flips.
+    checked = 0
+    for g in [g for g in graphs_to_4 if g.order and is_cograph(g)] + connected_cographs_to_6:
+        signature = cotree_signature(g.adj)
+        assert tree_holds(signature, g.adj)
+        for u, v in itertools.combinations(range(g.order), 2):
+            adj = list(g.adj)
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            assert not tree_holds(signature, adj)
+        checked += 1
+    for p in posets_to_4:
+        if not p.order or not is_nfree(p):
+            continue
+        signature = sp_tree_signature(p.comparability_masks(), p.below)
+        assert tree_holds(signature, p.below, linear=True)
+        for u, v in itertools.permutations(range(p.order), 2):
+            below = list(p.below)
+            below[v] ^= 1 << u
+            assert not tree_holds(signature, below, linear=True)
+        checked += 1
+    assert checked == 3301
+
+
 L0, L1, L2 = (Cotree.leaf(v) for v in range(3))
 E0, E1, E2 = (SPTree.leaf(v) for v in range(3))
 
@@ -264,8 +292,9 @@ E0, E1, E2 = (SPTree.leaf(v) for v in range(3))
     ],
 )
 def test_tree_checks_name_each_fault(check, tree, message):
-    # One malformed tree per rejection of trees._leaf_masks, _dense_order
-    # and _validate_tree.
+    # One malformed tree per rejection of engine.tree_masks, of the validators
+    # (its faults of canonical form) and of the converters (leaf ids not
+    # 0..n-1).
     with pytest.raises(ValueError) as exc:
         check(tree)
     assert str(exc.value) == message
