@@ -33,9 +33,21 @@ argparse's namespace or nothing.  ``poset ... linear-split`` and
 ``endpoint`` (through ``lemmas``) build the records they need, from
 :mod:`cosp.commands`, and a text that is not plain loads the line
 reader.
+
+A request ends as soon as its answer is out: :func:`run`, the entry of
+``python -m cosp.cli`` and of the ``cosp`` script, runs the exit hooks
+(:mod:`atexit`), flushes standard output and standard error and leaves
+with ``os._exit``, so the interpreter's teardown (clearing modules, a
+last collection, freeing every object) is skipped.  When a flush fails
+(a reader closed the pipe) or under ``python -i``, it exits the normal
+way, which reports the failure as always.  :func:`main` itself returns
+the exit code to its callers, and argparse's help and usage errors
+raise ``SystemExit`` from it.
 """
 
+import atexit
 import json
+import os
 import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
@@ -261,7 +273,20 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Run :func:`main` and end the process with its exit code, without
+    the interpreter's teardown (see the module's docstring)."""
+    code = main()
+    if not sys.flags.inspect:
+        atexit._run_exitfuncs()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except OSError:  # a reader closed the pipe: the normal exit reports it
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from .spdecomp import SPTree, sp_tree
 from .trees import cotree_to_graph, sp_tree_to_poset
 
 MAX_ENUM_GRAPH = 6
-MAX_ENUM_POSET = 4
+MAX_ENUM_POSET = 5
 MAX_DEF_CHECK = 12
 MAX_MODULE_ENUM = 20
 

@@ -1,6 +1,7 @@
 """Command line surface: exit codes, JSON output, and byte stability."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -530,13 +531,17 @@ def test_import_leaves_out_dataclasses_typing_and_the_oracles():
     assert proc.stdout == "[]\n"
 
 
-def cli_process(*args):
-    """Run ``python *args`` from the source tree in a fresh interpreter."""
+# A fresh interpreter's environment, without PYTHONUNBUFFERED: its output to
+# a pipe is then buffered, as by default, so an unflushed answer would show.
+BUFFERED = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+
+
+def cli_process(*args, **options):
+    """Run ``python *args`` from the source tree in a fresh interpreter;
+    ``options`` go to :func:`subprocess.run`."""
+    options = {"capture_output": True, "text": True, **options}
     return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        cwd=Path(cosp.__file__).parents[1],
+        [sys.executable, *args], cwd=Path(cosp.__file__).parents[1], env=BUFFERED, **options
     )
 
 
@@ -624,8 +629,6 @@ def test_help_lists_every_command_and_option():
     # What holds of argparse's help on every supported Python: the commands in
     # order, each option's help (rewrapped to one line) and the exclusive
     # groups in the usage lines.
-    import os
-
     from cosp.commands import _COMMAND_HELP, _OPTION_HELP
 
     def help_text(*argv):
@@ -681,6 +684,96 @@ def test_every_command_answers_alike_in_a_fresh_process(tmp_path, capsys):
         assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv), argv
 
 
+# A request ends without the interpreter's teardown once its answer is out;
+# the exit hooks still run, and the streams are flushed first.
+
+
+def test_exit_hooks_run_after_the_answer(tmp_path, capsys):
+    graph = write(tmp_path, "k3.txt", K3_TEXT)
+    script = (
+        "import atexit, runpy, sys; atexit.register(print, 'hook ran'); "
+        f"sys.argv[1:] = ['check', {graph!r}]; "
+        "runpy.run_module('cosp.cli', run_name='__main__', alter_sys=True)"
+    )
+    proc = cli_process("-c", script)
+    code, out, err = run(capsys, "check", graph)
+    assert code == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out + "hook ran\n", err)
+
+
+def test_python_i_still_reaches_its_prompt(tmp_path):
+    # Under python -i the request exits the normal way: SystemExit reaches
+    # the interactive prompt, which then reads the end of its input.
+    graph = write(tmp_path, "k3.txt", K3_TEXT)
+    proc = cli_process("-i", "-m", "cosp.cli", "check", graph, stdin=subprocess.DEVNULL)
+    assert proc.returncode == 0
+    assert "SystemExit: 0\n>>> " in proc.stderr
+
+
+def orient_file(tmp_path):
+    """The orientation of the parity-split window of 20,000 elements, given
+    by its covers: its sp-tree is 20,000 deep and its JSON text 1.4 MB."""
+    n = 20000
+    covers = [f"{i} {j}\n" for i in range(0, n, 2) for j in (i + 1, i + 2) if j < n]
+    return write(tmp_path, "orient-20000.txt", f"n {n}\n" + "".join(covers))
+
+
+def test_a_large_answer_arrives_whole_through_a_pipe(tmp_path):
+    from cosp.engine import json_text, sp_tree_signature
+    from cosp.rows import _closure, _read_pairs
+
+    order = orient_file(tmp_path)
+    with open(order) as fh:
+        rows, labels = _read_pairs(fh.read(), "element", True, lambda r: _closure(r, "covers"))
+    below, above = rows
+    signature = sp_tree_signature(list(map(int.__or__, below, above)), below)
+    proc = cli_process("-m", "cosp.cli", "poset", order, "sptree")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout) > 1_400_000
+    assert proc.stdout == json_text(signature, "element", labels) + "\n"
+
+
+def test_a_reader_that_closes_the_pipe_gets_exit_2(tmp_path):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cosp.cli", "poset", orient_file(tmp_path), "sptree"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=Path(cosp.__file__).parents[1],
+        env=BUFFERED,
+    )
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (2, b"[Errno 32] Broken pipe\n")
+
+
+def test_an_output_that_fails_or_is_missing_ends_as_at_a_normal_exit(tmp_path):
+    # Nobody reads the pipe, and the answer is still buffered when the request
+    # ends: the flush fails, and the interpreter's own exit reports it with
+    # its exit code 120.
+    graph = write(tmp_path, "k3.txt", K3_TEXT)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = cli_process(
+            "-m", "cosp.cli", "check", graph,
+            capture_output=False, stdout=write_end, stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    assert "BrokenPipeError: [Errno 32] Broken pipe" in proc.stderr
+    # With standard output closed, Python has no sys.stdout: the answer goes
+    # nowhere and the request exits 0.
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m cosp.cli check "$1" >&-', sys.executable, graph],
+        capture_output=True,
+        cwd=Path(cosp.__file__).parents[1],
+        env=BUFFERED,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_oracle_compare_tiny(capsys):
     code, out, err = run(capsys, "oracle-compare", "--max-graph-n", "3", "--max-poset-n", "2")
     assert code == 0
@@ -693,7 +786,7 @@ def test_oracle_compare_tiny(capsys):
 def test_oracle_compare_guard(capsys):
     code, _, err = run(capsys, "oracle-compare", "--max-graph-n", "7")
     assert code == 2
-    code, _, err = run(capsys, "oracle-compare", "--max-poset-n", "5")
+    code, _, err = run(capsys, "oracle-compare", "--max-poset-n", "6")
     assert code == 2
 
 

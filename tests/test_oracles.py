@@ -92,8 +92,16 @@ def test_enumerate_posets_counts():
     assert sum(1 for _ in oracles.enumerate_posets(2)) == 3
     assert sum(1 for _ in oracles.enumerate_posets(3)) == 19
     assert sum(1 for _ in oracles.enumerate_posets(4)) == 219
+    assert sum(1 for _ in oracles.enumerate_posets(5)) == 4231
     with pytest.raises(ValueError):
-        next(oracles.enumerate_posets(5))
+        next(oracles.enumerate_posets(6))
+
+
+def test_every_order_of_five_elements_agrees_with_the_oracles():
+    # One element past the N itself: every order-side claim on each of the
+    # 4,231 labeled orders, as oracle-compare --max-poset-n 5 checks them.
+    for p in oracles.enumerate_posets(5):
+        assert oracles.check_poset_instance(p) is None, p
 
 
 def test_enumerate_posets_all_valid():

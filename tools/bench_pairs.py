@@ -13,7 +13,9 @@ for every workload, the parent first in the first pair, the change first
 in the second, and so on, every process under
 ``PYTHONDONTWRITEBYTECODE=1``.  Each run's
 metrics are read from the last line of its output.  Beside each pair it
-times, on each side, the interpreter floor (``python -c pass``) and the
+times, on each side, the interpreter floor (``python -c pass``), the
+floor without the interpreter's teardown (``python -c "import os;
+os._exit(0)"``, so their difference is what teardown costs) and the
 trivial request (``check`` on a one-vertex file), five times each, and
 keeps their medians.
 
@@ -74,13 +76,15 @@ def bench(copy: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def start_up(copy: Path, trivial: Path) -> dict[str, float]:
-    """Median wall times of ``python -c pass`` and of the trivial request."""
+    """Median wall times of ``python -c pass``, of the same without
+    teardown, and of the trivial request."""
     env = environment()
-    times: dict[str, list[float]] = {"floor_s": [], "trivial_s": []}
     commands = {
         "floor_s": [sys.executable, "-c", "pass"],
+        "floor_no_teardown_s": [sys.executable, "-c", "import os; os._exit(0)"],
         "trivial_s": [sys.executable, "-m", "cosp.cli", "check", str(trivial)],
     }
+    times: dict[str, list[float]] = {name: [] for name in commands}
     for _ in range(SAMPLES):
         for name, command in commands.items():
             start = time.perf_counter()
@@ -153,7 +157,7 @@ def main(argv: list[str]) -> int:
             name: summary(
                 [s[name] for s in starts["parent"]], [s[name] for s in starts["change"]], "lower"
             )
-            for name in ("floor_s", "trivial_s")
+            for name in starts["parent"][0]
         },
         "workloads": {},
     }
