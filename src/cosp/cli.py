@@ -114,32 +114,19 @@ def _tree_summary(signature: list[tuple]) -> dict:
     return {"series": kinds.count(SERIES), "parallel": kinds.count(PARALLEL), "depth": depth}
 
 
-def _read_graph(path: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return _read_pairs(_read_file(path), "vertex", False, tuple)
-
-
-def cmd_check(args) -> int:
-    adj, labels = _read_graph(args.file)
-    if not adj:
-        _emit({"cograph": True, "order": 0, "series": 0, "parallel": 0, "depth": 0})
-        return EXIT_OK
+def cmd_graph(args) -> int:
+    adj, labels = _read_pairs(_read_file(args.file), "vertex", False, tuple)
+    # The decomposition needs a vertex; the empty graph is a cograph.
     # --property p4free asks the same: a finite graph has no induced P4
     # exactly when it is a cograph.
-    result = cotree_signature(adj)
+    result = cotree_signature(adj) if adj or args.command != "check" else []
     if type(result) is tuple:
         return _certificate(result, labels, adj)
-    _check_tree(result, adj)
-    _emit({"cograph": True, "order": len(adj), **_tree_summary(result)})
-    return EXIT_OK
-
-
-def cmd_cotree(args) -> int:
-    adj, labels = _read_graph(args.file)
-    result = cotree_signature(adj)
-    if type(result) is tuple:
-        return _certificate(result, labels, adj)
-    _check_tree(result, adj)
-    if args.dot:
+    if adj:
+        _check_tree(result, adj)
+    if args.command == "check":
+        _emit({"cograph": True, "order": len(adj), **_tree_summary(result)})
+    elif args.dot:
         sys.stdout.write(dot_text("cotree", result, labels))
     else:
         print(json_text(result, "vertex", labels))
@@ -156,7 +143,7 @@ def cmd_poset(args) -> int:
         return cmd_lemma(args, below, above, labels)
     comp = list(map(int.__or__, below, above))
     # The decomposition needs an element; the empty order is N-free.
-    result = sp_tree_signature(comp, below) if comp or args.action != "nfree" else None
+    result = sp_tree_signature(comp, below) if comp or args.action != "nfree" else []
     if type(result) is tuple:
         return _certificate(result, labels, comp, below)
     if comp:
@@ -177,29 +164,40 @@ def cmd_poset(args) -> int:
 # builds its subparsers from: each command's handler, its positionals with
 # their choices (None for any), its options in the order of their help,
 # each with its dest, its values (choices, ``int``, or None for a flag,
-# which stores True) and its default, and the dests of the flags of which
-# it takes at most one (argparse's mutually exclusive group).
+# which stores True), its default and its help, and the dests of the flags
+# of which it takes at most one (argparse's mutually exclusive group).
 _GRAMMAR = {
     "check": (
-        cmd_check,
+        cmd_graph,
         (("file", None),),
-        {"--property": ("property", ("cograph", "p4free"), "cograph")},
+        {
+            "--property": (
+                "property",
+                ("cograph", "p4free"),
+                "cograph",
+                "property to decide: cograph, or p4free (no induced four-vertex path), "
+                "which holds exactly when cograph does; both are decided by the decomposition",
+            )
+        },
         (),
     ),
     "cotree": (
-        cmd_cotree,
+        cmd_graph,
         (("file", None),),
-        {"--json": ("json", None, False), "--dot": ("dot", None, False)},
+        {
+            "--json": ("json", None, False, "JSON tree (default)"),
+            "--dot": ("dot", None, False, "DOT graph"),
+        },
         ("json", "dot"),
     ),
     "poset": (
         cmd_poset,
         (("file", None), ("action", ("nfree", "sptree", "linear-split", "endpoint"))),
         {
-            "--covers": ("covers", None, False),
-            "--full": ("full", None, False),
-            "--x": ("x", int, None),
-            "--dot": ("dot", None, False),
+            "--covers": ("covers", None, False, "close the input transitively (default)"),
+            "--full": ("full", None, False, "require the input to be its own closure"),
+            "--x": ("x", int, None, "element for the endpoint action"),
+            "--dot": ("dot", None, False, "DOT output for the sptree action"),
         },
         ("covers", "full"),
     ),
@@ -222,7 +220,7 @@ def _read_args(argv: Sequence[str]) -> SimpleNamespace | None:
         return None
     handler, positionals, options, exclusive = _GRAMMAR[argv[0]]
     args = {"command": argv[0], "handler": handler}
-    for dest, _, default in options.values():
+    for dest, _, default, _ in options.values():
         args[dest] = default
     given = []
     tokens = iter(argv[1:])
@@ -232,7 +230,7 @@ def _read_args(argv: Sequence[str]) -> SimpleNamespace | None:
             continue
         if token not in options:
             return None
-        dest, values, _ = options[token]
+        dest, values, _, _ = options[token]
         if values is None:
             args[dest] = True
             continue

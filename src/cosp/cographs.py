@@ -54,9 +54,8 @@ class P4Error(ValueError):
 class _Tree(_Record):
     """Equality, hashing and pickling of :class:`Cotree` and ``SPTree`` by
     flat preorder signature, and their repr, all without recursion, so
-    trees of any depth work.  A subclass names its fields, its leaf field,
-    its two internal kinds (join-like first) and the kinds whose children
-    are sorted by smallest leaf."""
+    trees of any depth work.  A subclass names its fields, its leaf field
+    and its two internal kinds (join-like first)."""
 
     def _signature(self) -> list[tuple]:
         # Kind, leaf id and child count of every node in preorder: the
@@ -116,7 +115,6 @@ class Cotree(_Tree):
     _fields = ("kind", "vertex", "children")
     _leaf_key = "vertex"
     _kinds = (SERIES, PARALLEL)
-    _sorted_kinds = (SERIES, PARALLEL)
 
     def __init__(self, kind: str, vertex: int | None = None, children: tuple[Cotree, ...] = ()):
         object.__setattr__(self, "kind", kind)

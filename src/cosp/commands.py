@@ -24,19 +24,6 @@ _COMMAND_HELP = {
     "gen": "emit a generated instance in the text formats",
     "oracle-compare": "exhaustively compare engines against oracles",
 }
-# The help of each option of the recognition commands, by command and dest.
-_OPTION_HELP = {
-    ("check", "property"): (
-        "property to decide: cograph, or p4free (no induced four-vertex path), "
-        "which holds exactly when cograph does; both are decided by the decomposition"
-    ),
-    ("cotree", "json"): "JSON tree (default)",
-    ("cotree", "dot"): "DOT graph",
-    ("poset", "covers"): "close the input transitively (default)",
-    ("poset", "full"): "require the input to be its own closure",
-    ("poset", "x"): "element for the endpoint action",
-    ("poset", "dot"): "DOT output for the sptree action",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,13 +41,13 @@ def build_parser() -> argparse.ArgumentParser:
         for dest, choices in positionals:
             p.add_argument(dest, choices=choices)
         group = p.add_mutually_exclusive_group() if exclusive else p
-        for option, (dest, values, default) in options.items():
+        for option, (dest, values, default, help_) in options.items():
             if values is None:
                 kind = {"action": "store_true"}
             else:
                 kind = {"type": int} if values is int else {"choices": values}
             (group if dest in exclusive else p).add_argument(
-                option, dest=dest, default=default, help=_OPTION_HELP[name, dest], **kind
+                option, dest=dest, default=default, help=help_, **kind
             )
         p.set_defaults(handler=handler)
 

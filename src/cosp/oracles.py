@@ -14,7 +14,7 @@ from collections.abc import Iterator
 
 from .cographs import LEAF, Cotree, P4Witness, _from_signature, cotree
 from .graphs import Graph
-from .rows import iter_bits, mask_components
+from .rows import iter_bits
 from .lemmas import (
     endpoint_witness,
     is_nfree,
@@ -25,7 +25,7 @@ from .lemmas import (
     select_universal_neighbor,
 )
 from .posets import NWitness, Poset
-from .spdecomp import SPTree, sp_tree
+from .spdecomp import LINEAR, SPTree, sp_tree
 from .trees import cotree_to_graph, sp_tree_to_poset
 
 MAX_ENUM_GRAPH = 6
@@ -80,6 +80,18 @@ def brute_n(p: Poset) -> NWitness | None:
     return None
 
 
+def _connected(rows: list[int], sub: int) -> bool:
+    """Whether the vertices of the mask ``sub`` are connected by the
+    neighbor masks ``rows``, by a plain search from its lowest vertex."""
+    first = (sub & -sub).bit_length() - 1
+    seen, stack = 1 << first, [first]
+    while stack:
+        new = rows[stack.pop()] & sub & ~seen
+        seen |= new
+        stack += [v for v in range(new.bit_length()) if new >> v & 1]
+    return seen == sub
+
+
 def brute_cograph_def(g: Graph) -> bool:
     """Evaluate the defining property directly: every induced subgraph on
     two or more vertices is disconnected or has a disconnected
@@ -87,14 +99,10 @@ def brute_cograph_def(g: Graph) -> bool:
     n = g.order
     if n > MAX_DEF_CHECK:
         raise ValueError(f"definition check limited to order {MAX_DEF_CHECK}, got {n}")
+    co = [~row & ~(1 << v) for v, row in enumerate(g.adj)]
     for sub in range(1 << n):
-        if sub.bit_count() < 2:
-            continue
-        if len(mask_components(g.adj, sub)) > 1:
-            continue
-        if len(mask_components(g.adj, sub, co=True)) > 1:
-            continue
-        return False
+        if sub.bit_count() >= 2 and _connected(g.adj, sub) and _connected(co, sub):
+            return False
     return True
 
 
@@ -242,10 +250,10 @@ def _random_blocks(leaf_ids: list[int], rng: SplitMix64) -> list[list[int]]:
 
 def _rand_tree(cls: type, n: int, seed: int):
     """Reproducible random canonical tree of class ``cls`` on leaves
-    0..n-1; children of the class's sorted kinds are sorted by smallest
-    leaf, the others keep their generated order.  A node's stream serves
-    only its blocks and its children's streams, so the nodes can be
-    expanded in signature order."""
+    0..n-1; children of every kind but linear are sorted by smallest leaf,
+    as in the canonical trees, and linear ones keep their generated order.
+    A node's stream serves only its blocks and its children's streams, so
+    the nodes can be expanded in signature order."""
     if n < 1:
         raise ValueError("need at least one leaf")
     rng = SplitMix64(seed)
@@ -260,7 +268,7 @@ def _rand_tree(cls: type, n: int, seed: int):
             continue
         blocks = _random_blocks(leaf_ids, rng)
         children = [(block, rng.split(i)) for i, block in enumerate(blocks)]
-        if kind in cls._sorted_kinds:
+        if kind != LINEAR:
             children.sort(key=lambda child: min(child[0]))
         signature.append((kind, None, len(children)))
         other = union if kind == join else join

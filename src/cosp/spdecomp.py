@@ -36,7 +36,6 @@ class SPTree(_Tree):
     _fields = ("kind", "element", "children")
     _leaf_key = "element"
     _kinds = (LINEAR, DISJOINT)
-    _sorted_kinds = (DISJOINT,)
 
     def __init__(self, kind: str, element: int | None = None, children: tuple[SPTree, ...] = ()):
         object.__setattr__(self, "kind", kind)

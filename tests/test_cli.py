@@ -629,7 +629,8 @@ def test_help_lists_every_command_and_option():
     # What holds of argparse's help on every supported Python: the commands in
     # order, each option's help (rewrapped to one line) and the exclusive
     # groups in the usage lines.
-    from cosp.commands import _COMMAND_HELP, _OPTION_HELP
+    from cosp.cli import _GRAMMAR
+    from cosp.commands import _COMMAND_HELP
 
     def help_text(*argv):
         proc = subprocess.run(
@@ -650,9 +651,8 @@ def test_help_lists_every_command_and_option():
         text = help_text(command)
         usages[command] = text.split("\n\n")[0]
         flat = " ".join(text.split())
-        for (name, _), help_ in _OPTION_HELP.items():
-            if name == command:
-                assert help_ in flat, (command, help_)
+        for _, _, _, help_ in _GRAMMAR[command][2].values():
+            assert help_ in flat, (command, help_)
     assert "[--json | --dot]" in usages["cotree"]
     assert "[--covers | --full]" in usages["poset"]
     assert "--property {cograph,p4free}" in usages["check"]
@@ -744,6 +744,7 @@ def test_a_reader_that_closes_the_pipe_gets_exit_2(tmp_path):
     assert len(proc.stdout.read(1)) == 1
     proc.stdout.close()
     err = proc.stderr.read()
+    proc.stderr.close()
     assert (proc.wait(), err) == (2, b"[Errno 32] Broken pipe\n")
 
 
@@ -788,6 +789,8 @@ def test_oracle_compare_guard(capsys):
     assert code == 2
     code, _, err = run(capsys, "oracle-compare", "--max-poset-n", "6")
     assert code == 2
+    for option in ("--max-graph-n", "--max-poset-n"):
+        assert run(capsys, "oracle-compare", option, "-1") == (2, "", "bounds must be non-negative\n")
 
 
 def test_oracle_compare_vacuous_poset_bound(capsys):

@@ -13,8 +13,12 @@ from cosp import (
     Cotree,
     DisconnectedError,
     Graph,
+    JoinWitness,
+    LinearSplit,
+    NeighborSplit,
     P4Error,
     P4Witness,
+    Poset,
     SPTree,
     cotree,
     cotree_from_json,
@@ -253,6 +257,20 @@ def test_tree_holds_on_its_input_only(graphs_to_4, connected_cographs_to_6, pose
     assert checked == 3301
 
 
+@pytest.mark.parametrize(
+    "signature",
+    [
+        [("series", None, 1), ("leaf", 0, 0)],
+        [("series", None, 2), ("leaf", 0, 0), ("leaf", 0, 0)],
+        [("series", None, 2), ("leaf", -1, 0), ("leaf", 0, 0)],
+        [("join", None, 2), ("leaf", 0, 0), ("leaf", 1, 0)],
+        [("leaf", 0, 1), ("leaf", 1, 0)],
+    ],
+)
+def test_tree_holds_is_false_on_a_tree_that_encodes_nothing(signature):
+    assert not tree_holds(signature, K2.adj)
+
+
 L0, L1, L2 = (Cotree.leaf(v) for v in range(3))
 E0, E1, E2 = (SPTree.leaf(v) for v in range(3))
 
@@ -360,6 +378,10 @@ def test_neighbor_split_rejects_non_block():
     for component in ([-1], [3, 4], [-1, 3]):
         with pytest.raises(ValueError, match=r"^member out of range for order 4$"):
             neighbor_split(PAW, 0, component)
+    # 1 sees 2 but not 3, and no edge inside {2, 3} pins a path.
+    g = Graph.from_edges(4, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=r"^component is not connected$"):
+        neighbor_split(g, 0, (2, 3))
 
 
 def test_lemma_witnesses_reject_ids_out_of_range():
@@ -378,6 +400,43 @@ def test_lemma_witnesses_reject_ids_out_of_range():
         assert not NeighborSplit((bad,), (1,), (2,)).validate(PAW, 0)
         assert not JoinWitness(bad, w.universal_neighbors, w.split).validate(DIAMOND)
         assert not JoinWitness(w.x, (bad,), (w.split[0], (bad,))).validate(DIAMOND)
+
+
+# A valid witness on a small input with one of its conditions broken, one
+# case per rejection of each validate.  C4 joins {0, 2} to {1, 3}; in the paw
+# x = 0 has neighbors 1, which sees the block {3}, and 2, which does not; in P4
+# vertex 1's neighbors 0 and 2 split against the block {3} but are not joined.
+# V has 0 below 1 and 2.  An element in two of LinearSplit's parts would lie
+# below itself, so the checks of which parts lie above which reject that case
+# too, even without the check that the parts are disjoint.
+V = Poset.from_relations(3, [(0, 1), (0, 2)])
+CHAIN = Poset.from_relations(3, [(0, 1), (1, 2)])
+WITNESS_CASES = [
+    (JoinWitness(0, (1, 3), ((0, 2), (1, 3))), (C4,), True),
+    (JoinWitness(0, (), ((0, 1, 2, 3), ())), (C4,), False),  # no universal neighbors
+    (JoinWitness(0, (1,), ((0, 2), (1,))), (C4,), False),  # the sides miss vertex 3
+    (JoinWitness(0, (1, 3), ((0, 2), (3, 1))), (C4,), False),  # split[1] is not them
+    (JoinWitness(1, (1, 3), ((0, 2), (1, 3))), (C4,), False),  # x among them
+    (JoinWitness(0, (1,), ((0, 2, 3), (1,))), (C4,), False),  # 1 misses 3
+    (NeighborSplit((3,), (1,), (2,)), (PAW, 0), True),
+    (NeighborSplit((3,), (1,), ()), (PAW, 0), False),  # the sides miss neighbor 2
+    (NeighborSplit((3,), (1, 2), ()), (PAW, 0), False),  # 2 misses the block
+    (NeighborSplit((3,), (), (1, 2)), (PAW, 0), False),  # 1 sees the block
+    (NeighborSplit((3,), (2,), (0,)), (P4, 1), False),  # 0 and 2 are not joined
+    (LinearSplit(1, (0,), (1,), (2,)), (CHAIN,), True),
+    (LinearSplit(1, (0,), (0, 1), (2,)), (CHAIN,), False),  # 0 in two parts
+    (LinearSplit(1, (0,), (1,), ()), (CHAIN,), False),  # the parts miss 2
+    (LinearSplit(2, (0,), (1,), (2,)), (CHAIN,), False),  # x not in the middle
+    (LinearSplit(1, (), (0, 1, 2), ()), (CHAIN,), False),  # only a middle
+    (LinearSplit(0, (1,), (0,), (2,)), (CHAIN,), False),  # the middle is not above 1
+    (LinearSplit(1, (0,), (1, 2), ()), (V,), True),
+    (LinearSplit(1, (0,), (1,), (2,)), (V,), False),  # 2 is not above 1
+]
+
+
+@pytest.mark.parametrize("witness, args, valid", WITNESS_CASES)
+def test_witnesses_reject_each_broken_condition(witness, args, valid):
+    assert witness.validate(*args) is valid
 
 
 def test_join_witness_k2():

@@ -26,6 +26,8 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(-1, 0)])
+    with pytest.raises(ValueError, match=r"^order must be non-negative$"):
+        Graph.from_edges(-1, [])
 
 
 def test_edges_sorted_and_counted():

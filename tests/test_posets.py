@@ -67,6 +67,8 @@ def test_from_relations_rejects_bad_pairs():
         Poset.from_relations(2, [(0, 0)])
     with pytest.raises(ValueError):
         Poset.from_relations(2, [(0, 2)])
+    with pytest.raises(ValueError, match=r"^order must be non-negative$"):
+        Poset.from_relations(-1, [])
 
 
 def test_full_mode_requires_closure():
@@ -179,6 +181,8 @@ def test_unknown_mode():
         Poset.from_relations(2, [(0, 1)], mode="closed")
     with pytest.raises(ValueError, match=r"^unknown mode 'closed'$"):
         parse_poset("0 1\n", mode="closed")
+    with pytest.raises(ValueError, match=r"^unknown mode 'closed'$"):
+        format_poset(CHAIN3, mode="closed")
 
 
 def test_split_candidates():
