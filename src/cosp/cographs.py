@@ -33,10 +33,7 @@ from .graphs import Graph, _Record
 class P4Witness(_Record):
     """An induced path a-b-c-d: edges ab, bc, cd; non-edges ac, ad, bd."""
 
-    _fields = ("path",)
-
-    def __init__(self, path: tuple[int, int, int, int]):
-        object.__setattr__(self, "path", path)
+    path: tuple[int, int, int, int]
 
     def validate(self, g: Graph) -> bool:
         return witness_holds(self.path, g.adj)
@@ -112,14 +109,11 @@ class Cotree(_Tree):
     """Decomposition tree node; series means join, parallel means disjoint
     union, leaves carry vertex ids."""
 
-    _fields = ("kind", "vertex", "children")
+    kind: str
+    vertex: int | None = None
+    children: tuple[Cotree, ...] = ()
     _leaf_key = "vertex"
     _kinds = (SERIES, PARALLEL)
-
-    def __init__(self, kind: str, vertex: int | None = None, children: tuple[Cotree, ...] = ()):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "children", children)
 
     @classmethod
     def leaf(cls, vertex: int) -> Cotree:

@@ -45,15 +45,36 @@ def vertices_of(mask: int) -> tuple[int, ...]:
 
 
 class _Record:
-    """Immutable record over the attributes named in ``_fields``, which
-    ``__init__`` sets with ``object.__setattr__``: equality (same class,
-    equal fields), hash and repr by those fields in order, ``match`` on
-    them by position, and no assignment or deletion afterwards."""
+    """Immutable record: equality (same class, equal fields), hash and repr
+    by its fields in order, ``match`` on them by position, and no
+    assignment or deletion afterwards.
+
+    A subclass declares each field once, as a public annotated class
+    attribute in positional order, with its default, if any, as the value
+    (``kind: str``, ``vertex: int | None = None``).  From those,
+    ``__init_subclass__`` names ``_fields`` and ``__match_args__`` and
+    writes ``__init__`` as the text of a plain ``def``, as
+    :func:`collections.namedtuple` writes its ``__new__``: a constructor
+    with the signature, defaults and ``TypeError`` texts of a hand-written
+    one, which sets each field with ``object.__setattr__``.  A subclass
+    that declares no public field keeps its base's."""
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        cls.__match_args__ = cls._fields
+        notes = {name: note for name, note in cls.__annotations__.items() if name[0] != "_"}
+        if not notes:
+            return
+        cls._fields = cls.__match_args__ = fields = tuple(notes)
+        # A default is read from the class when the def runs; one before a
+        # field without one is a SyntaxError, as in a hand-written def.
+        params = ", ".join(f"{k}=_cls.{k}" if k in cls.__dict__ else k for k in fields)
+        body = "".join(f"\n    _set(self, {k!r}, {k})" for k in fields)
+        namespace = {"_cls": cls, "_set": object.__setattr__, "__name__": cls.__module__}
+        exec(f"def __init__(self, {params}):{body}", namespace)
+        init = cls.__init__ = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__annotations__ = notes
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -119,11 +140,8 @@ class _Rows(_Record):
 class Graph(_Rows):
     """Immutable simple graph; ``adj[v]`` is the neighbor mask of vertex v."""
 
-    _fields = ("adj",)
+    adj: tuple[int, ...]
     _noun = "vertex"
-
-    def __init__(self, adj: tuple[int, ...]):
-        object.__setattr__(self, "adj", adj)
 
     @classmethod
     def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> Graph:

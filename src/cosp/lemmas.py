@@ -57,17 +57,9 @@ class JoinWitness(_Record):
     ``universal_neighbors`` is adjacent to every vertex outside the set,
     so the complement is disconnected across ``split``."""
 
-    _fields = ("x", "universal_neighbors", "split")
-
-    def __init__(
-        self,
-        x: int,
-        universal_neighbors: tuple[int, ...],
-        split: tuple[tuple[int, ...], tuple[int, ...]],
-    ):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "universal_neighbors", universal_neighbors)
-        object.__setattr__(self, "split", split)
+    x: int
+    universal_neighbors: tuple[int, ...]
+    split: tuple[tuple[int, ...], tuple[int, ...]]
 
     def validate(self, g: Graph) -> bool:
         if not _in_range(g.order, (self.x,), self.universal_neighbors, *self.split):
@@ -91,17 +83,9 @@ class NeighborSplit(_Record):
     non-neighbors: ``adjacent_all`` sees the whole block, ``adjacent_none``
     sees none of it, and the two sides are completely joined to each other."""
 
-    _fields = ("component", "adjacent_all", "adjacent_none")
-
-    def __init__(
-        self,
-        component: tuple[int, ...],
-        adjacent_all: tuple[int, ...],
-        adjacent_none: tuple[int, ...],
-    ):
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "adjacent_all", adjacent_all)
-        object.__setattr__(self, "adjacent_none", adjacent_none)
+    component: tuple[int, ...]
+    adjacent_all: tuple[int, ...]
+    adjacent_none: tuple[int, ...]
 
     def validate(self, g: Graph, x: int) -> bool:
         if not _in_range(g.order, (x,), self.component, self.adjacent_all, self.adjacent_none):
@@ -226,15 +210,10 @@ class LinearSplit(_Record):
     everything else, everything in ``upper`` above everything else, and
     ``middle`` contains x.  Existence certifies the order is a linear sum."""
 
-    _fields = ("x", "lower", "middle", "upper")
-
-    def __init__(
-        self, x: int, lower: tuple[int, ...], middle: tuple[int, ...], upper: tuple[int, ...]
-    ):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "middle", middle)
-        object.__setattr__(self, "upper", upper)
+    x: int
+    lower: tuple[int, ...]
+    middle: tuple[int, ...]
+    upper: tuple[int, ...]
 
     def validate(self, p: Poset) -> bool:
         if not _in_range(p.order, (self.x,), self.lower, self.middle, self.upper):
@@ -242,6 +221,8 @@ class LinearSplit(_Record):
         lo = mask_of(self.lower)
         mid = mask_of(self.middle)
         up = mask_of(self.upper)
+        # On a strict order the checks below imply this one (an element in
+        # two parts would lie below itself); it guards a malformed record.
         if lo & mid or lo & up or mid & up:
             return False
         if (lo | mid | up) != p.full_mask():
@@ -264,12 +245,9 @@ class EndpointWitness(_Record):
     to x; side says which end of the chain qualified: "up" for the top,
     "down" for the bottom."""
 
-    _fields = ("x", "endpoint", "side")
-
-    def __init__(self, x: int, endpoint: int, side: str):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "endpoint", endpoint)
-        object.__setattr__(self, "side", side)
+    x: int
+    endpoint: int
+    side: str
 
 
 class NoEndpointError(ValueError):

@@ -30,6 +30,7 @@ from .trees import cotree_to_graph, sp_tree_to_poset
 
 MAX_ENUM_GRAPH = 6
 MAX_ENUM_POSET = 5
+MAX_ENUM_NATURAL = 7
 MAX_DEF_CHECK = 12
 MAX_MODULE_ENUM = 20
 
@@ -194,6 +195,31 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
                 break
         if transitive:
             yield Poset(tuple(below), tuple(above))
+
+
+def enumerate_natural_posets(n: int) -> Iterator[Poset]:
+    """All naturally labeled strict partial orders on n elements, those in
+    which u < v only when u < v as integers: each new element k is a top
+    element whose down-set is an order ideal of the order on 0..k-1.
+    Every order is isomorphic to one of them.  Guarded."""
+    if n > MAX_ENUM_NATURAL:
+        raise ValueError(f"natural order enumeration limited to order {MAX_ENUM_NATURAL}, got {n}")
+    if n < 0:
+        raise ValueError("order must be non-negative")
+    orders: list[tuple[int, ...]] = [()]
+    for k in range(n):
+        orders = [
+            below + (ideal,)
+            for below in orders
+            for ideal in range(1 << k)
+            if all(below[v] & ~ideal == 0 for v in iter_bits(ideal))
+        ]
+    for below in orders:
+        above = [0] * n
+        for v in range(n):
+            for u in iter_bits(below[v]):
+                above[u] |= 1 << v
+        yield Poset(below, tuple(above))
 
 
 # === seeded generation ===

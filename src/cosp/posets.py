@@ -37,10 +37,7 @@ class NWitness(_Record):
     comparabilities.  A poset contains this pattern exactly when it is not
     series-parallel."""
 
-    _fields = ("quad",)
-
-    def __init__(self, quad: tuple[int, int, int, int]):
-        object.__setattr__(self, "quad", quad)
+    quad: tuple[int, int, int, int]
 
     def validate(self, p: Poset) -> bool:
         return witness_holds(self.quad, p.comparability_masks(), p.below)
@@ -51,20 +48,14 @@ class SplitCandidates(_Record):
     split by side.  Members can serve as outer layers of a linear split
     around x."""
 
-    _fields = ("lower", "upper")
-
-    def __init__(self, lower: tuple[int, ...], upper: tuple[int, ...]):
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+    lower: tuple[int, ...]
+    upper: tuple[int, ...]
 
 
 class MaximalChain(_Record):
     """A maximal chain, listed bottom to top."""
 
-    _fields = ("elements",)
-
-    def __init__(self, elements: tuple[int, ...]):
-        object.__setattr__(self, "elements", elements)
+    elements: tuple[int, ...]
 
     @property
     def bottom(self) -> int:
@@ -79,12 +70,9 @@ class Poset(_Rows):
     """Immutable strict partial order; ``below[v]`` / ``above[v]`` are the
     masks of elements strictly less / greater than v in the closure."""
 
-    _fields = ("below", "above")
+    below: tuple[int, ...]
+    above: tuple[int, ...]
     _noun = "element"
-
-    def __init__(self, below: tuple[int, ...], above: tuple[int, ...]):
-        object.__setattr__(self, "below", below)
-        object.__setattr__(self, "above", above)
 
     @classmethod
     def from_relations(

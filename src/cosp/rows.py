@@ -232,11 +232,13 @@ def _transpose(rows: list[int], n: int) -> list[int]:
     Rows with more than one bit in eight set are written as binary digit
     strings, at most about 1 MiB of digits at a time, and each column is
     read back with one strided slice and ``int(..., 2)``; sparser rows
-    are walked bit by bit, and zero rows are skipped.
+    are walked bit by bit.  One pass over all rows lists the nonzero
+    ones, and the bit count and the sparse walk read only those.
     """
     out = [0] * n
-    if sum(map(int.bit_count, filter(None, rows))) * 8 <= n * n:
-        for i in compress(range(n), rows):
+    nonzero = list(compress(range(n), rows))
+    if sum(map(int.bit_count, map(rows.__getitem__, nonzero))) * 8 <= n * n:
+        for i in nonzero:
             row = rows[i]
             bit = 1 << i
             while row:
@@ -264,18 +266,19 @@ def _closure(succ: list[int], mode: str) -> tuple[tuple[int, ...], tuple[int, ..
     if mode not in ("covers", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     order = len(succ)
+    # The in-degrees and the transpose are made before any pass over the
+    # rows, so that an order too large for memory fails at once.
+    indeg = [0] * order
     pred = _transpose(succ, order)
-    # Kahn's algorithm; leftovers witness a cycle.
-    indeg = list(map(int.bit_count, pred))
-    queue = [v for v in range(order) if indeg[v] == 0]
-    topo: list[int] = []
-    while queue:
-        v = queue.pop()
-        topo.append(v)
+    # Kahn's algorithm, with the order found so far as its queue, which
+    # grows as it is read; leftovers witness a cycle.
+    indeg[:] = map(int.bit_count, pred)
+    topo = [v for v in range(order) if indeg[v] == 0]
+    for v in topo:
         for w in iter_bits(succ[v]):
             indeg[w] -= 1
             if indeg[w] == 0:
-                queue.append(w)
+                topo.append(w)
     if len(topo) < order:
         leftover = sum(1 << v for v in range(order) if indeg[v] > 0)
         for u in iter_bits(leftover):

@@ -33,14 +33,11 @@ from .posets import NWitness, Poset
 class SPTree(_Tree):
     """Decomposition tree node; linear children run bottom to top."""
 
-    _fields = ("kind", "element", "children")
+    kind: str
+    element: int | None = None
+    children: tuple[SPTree, ...] = ()
     _leaf_key = "element"
     _kinds = (LINEAR, DISJOINT)
-
-    def __init__(self, kind: str, element: int | None = None, children: tuple[SPTree, ...] = ()):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "children", children)
 
     @classmethod
     def leaf(cls, element: int) -> SPTree:

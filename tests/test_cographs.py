@@ -407,10 +407,12 @@ def test_lemma_witnesses_reject_ids_out_of_range():
 # x = 0 has neighbors 1, which sees the block {3}, and 2, which does not; in P4
 # vertex 1's neighbors 0 and 2 split against the block {3} but are not joined.
 # V has 0 below 1 and 2.  An element in two of LinearSplit's parts would lie
-# below itself, so the checks of which parts lie above which reject that case
-# too, even without the check that the parts are disjoint.
+# below itself, so on a strict order the checks of which parts lie above which
+# reject that case too; only on a malformed record, such as LOOP, where 0 lies
+# below itself, does the check that the parts are disjoint decide.
 V = Poset.from_relations(3, [(0, 1), (0, 2)])
 CHAIN = Poset.from_relations(3, [(0, 1), (1, 2)])
+LOOP = Poset(below=(1, 1), above=(2, 0))
 WITNESS_CASES = [
     (JoinWitness(0, (1, 3), ((0, 2), (1, 3))), (C4,), True),
     (JoinWitness(0, (), ((0, 1, 2, 3), ())), (C4,), False),  # no universal neighbors
@@ -431,6 +433,7 @@ WITNESS_CASES = [
     (LinearSplit(0, (1,), (0,), (2,)), (CHAIN,), False),  # the middle is not above 1
     (LinearSplit(1, (0,), (1, 2), ()), (V,), True),
     (LinearSplit(1, (0,), (1,), (2,)), (V,), False),  # 2 is not above 1
+    (LinearSplit(1, (0,), (0, 1), ()), (LOOP,), False),  # 0 in two parts
 ]
 
 

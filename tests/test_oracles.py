@@ -95,6 +95,19 @@ def test_enumerate_posets_counts():
     assert sum(1 for _ in oracles.enumerate_posets(5)) == 4231
     with pytest.raises(ValueError):
         next(oracles.enumerate_posets(6))
+    # The naturally labeled orders (OEIS A006455).
+    counts = [sum(1 for _ in oracles.enumerate_natural_posets(n)) for n in range(8)]
+    assert counts == [1, 1, 2, 7, 40, 357, 4824, 96428]
+    with pytest.raises(ValueError):
+        next(oracles.enumerate_natural_posets(8))
+
+
+def test_natural_orders_are_the_labeled_orders_that_follow_their_ids():
+    natural = list(oracles.enumerate_natural_posets(5))
+    for p in natural:
+        p.validate()
+    follow = {p for p in oracles.enumerate_posets(5) if all(u < v for u, v in p.relations())}
+    assert len(set(natural)) == len(natural) and set(natural) == follow
 
 
 def test_every_order_of_five_elements_agrees_with_the_oracles():
@@ -102,6 +115,18 @@ def test_every_order_of_five_elements_agrees_with_the_oracles():
     # 4,231 labeled orders, as oracle-compare --max-poset-n 5 checks them.
     for p in oracles.enumerate_posets(5):
         assert oracles.check_poset_instance(p) is None, p
+
+
+def test_every_natural_order_of_six_elements_agrees_with_the_oracles():
+    # Two elements past the N, every order up to isomorphism: an N beside
+    # two other elements, a linear node of three blocks under a disjoint
+    # one.  In a natural order a lower block's ids are all smaller, so the
+    # rules that read ids (linear children by height, the N's orientation)
+    # are also run on each dual, whose ids fall up the order.  CI runs the
+    # 96,428 natural orders of seven and their duals.
+    for p in oracles.enumerate_natural_posets(6):
+        for q in (p, Poset(p.above, p.below)):
+            assert oracles.check_poset_instance(q) is None, q
 
 
 def test_enumerate_posets_all_valid():

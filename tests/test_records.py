@@ -2,6 +2,7 @@
 equality, hash, repr, immutability, pickling and ``match``."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -78,6 +79,57 @@ RECORDS = [
 ]
 IDS = [row[0].__name__ for row in RECORDS]
 
+# (class, constructor signature, the TypeError of a call with no fields):
+# those of the hand-written constructors that the declared fields replaced.
+SIGNATURES = [
+    (Graph, "(adj: 'tuple[int, ...]')", "1 required positional argument: 'adj'"),
+    (P4Witness, "(path: 'tuple[int, int, int, int]')", "1 required positional argument: 'path'"),
+    (
+        JoinWitness,
+        "(x: 'int', universal_neighbors: 'tuple[int, ...]', "
+        "split: 'tuple[tuple[int, ...], tuple[int, ...]]')",
+        "3 required positional arguments: 'x', 'universal_neighbors', and 'split'",
+    ),
+    (
+        NeighborSplit,
+        "(component: 'tuple[int, ...]', adjacent_all: 'tuple[int, ...]', "
+        "adjacent_none: 'tuple[int, ...]')",
+        "3 required positional arguments: 'component', 'adjacent_all', and 'adjacent_none'",
+    ),
+    (
+        Cotree,
+        "(kind: 'str', vertex: 'int | None' = None, children: 'tuple[Cotree, ...]' = ())",
+        "1 required positional argument: 'kind'",
+    ),
+    (NWitness, "(quad: 'tuple[int, int, int, int]')", "1 required positional argument: 'quad'"),
+    (
+        SplitCandidates,
+        "(lower: 'tuple[int, ...]', upper: 'tuple[int, ...]')",
+        "2 required positional arguments: 'lower' and 'upper'",
+    ),
+    (MaximalChain, "(elements: 'tuple[int, ...]')", "1 required positional argument: 'elements'"),
+    (
+        Poset,
+        "(below: 'tuple[int, ...]', above: 'tuple[int, ...]')",
+        "2 required positional arguments: 'below' and 'above'",
+    ),
+    (
+        SPTree,
+        "(kind: 'str', element: 'int | None' = None, children: 'tuple[SPTree, ...]' = ())",
+        "1 required positional argument: 'kind'",
+    ),
+    (
+        LinearSplit,
+        "(x: 'int', lower: 'tuple[int, ...]', middle: 'tuple[int, ...]', upper: 'tuple[int, ...]')",
+        "4 required positional arguments: 'x', 'lower', 'middle', and 'upper'",
+    ),
+    (
+        EndpointWitness,
+        "(x: 'int', endpoint: 'int', side: 'str')",
+        "3 required positional arguments: 'x', 'endpoint', and 'side'",
+    ),
+]
+
 
 @pytest.mark.parametrize("cls, fields, other, text", RECORDS, ids=IDS)
 def test_construction_equality_and_repr(cls, fields, other, text):
@@ -91,6 +143,47 @@ def test_construction_equality_and_repr(cls, fields, other, text):
     assert cls(*other) != obj
     assert obj != fields and obj != tuple(fields.values())
     assert repr(obj) == text
+
+
+@pytest.mark.parametrize("cls, signature, missing", SIGNATURES, ids=IDS)
+def test_constructor_signature_and_errors(cls, signature, missing):
+    assert str(inspect.signature(cls)) == signature
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+    with pytest.raises(TypeError) as exc:
+        cls()
+    assert str(exc.value) == f"{cls.__name__}.__init__() missing {missing}"
+    fields = {name: None for name in cls._fields}
+    with pytest.raises(TypeError) as exc:
+        cls(*fields.values(), None)
+    assert str(exc.value).startswith(f"{cls.__name__}.__init__() takes ")
+    with pytest.raises(TypeError) as exc:
+        cls(**fields, extra=None)
+    assert str(exc.value) == (
+        f"{cls.__name__}.__init__() got an unexpected keyword argument 'extra'"
+    )
+
+
+def test_fields_are_the_public_annotations_in_order():
+    from cosp.graphs import _Record
+
+    class Pair(_Record):
+        first: int
+        _note: str  # private: not a field
+        second: tuple = ()
+
+    class Named(Pair):
+        _label = "named"
+
+    assert Pair._fields == Pair.__match_args__ == ("first", "second")
+    assert Pair(1) == Pair(first=1, second=()) != Pair(1, (2,))
+    assert repr(Named(1, (2,))) == f"{Named.__qualname__}(first=1, second=(2,))"
+    assert Named.__init__ is Pair.__init__
+    with pytest.raises(SyntaxError):
+
+        class Unordered(_Record):
+            first: int = 0
+            second: int
 
 
 def test_tree_defaults_make_leaves():

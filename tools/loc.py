@@ -13,13 +13,15 @@ which runs as ``__main__`` and counts twice if the report shows
 on a small plain file, whose graph side is ``check`` and ``cotree`` and
 whose order side is ``poset ... nfree`` and ``poset ... sptree``, and
 three that argparse reads: ``check -h``, ``gen parity-split 3`` and
-``join``.  It only reports: the exit status is 0 whatever the counts are.
+``join``.  It only reports: the exit status is 0 whatever the counts are,
+and also when the reader of its output stops early.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import os
 import subprocess
 import sys
 import tempfile
@@ -126,4 +128,11 @@ def main(argv: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    try:
+        main(sys.argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe, as ``| head`` does: stop quietly, with
+        # standard output sent to devnull so that the flush at exit cannot
+        # fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
