@@ -115,7 +115,7 @@ def _tree_summary(signature: list[tuple]) -> dict:
 
 
 def cmd_graph(args) -> int:
-    adj, labels = _read_pairs(_read_file(args.file), "vertex", False, tuple)
+    adj, labels = _read_pairs(_read_file(args.file), False, tuple)
     # The decomposition needs a vertex; the empty graph is a cograph.
     # --property p4free asks the same: a finite graph has no induced P4
     # exactly when it is a cograph.
@@ -136,7 +136,7 @@ def cmd_graph(args) -> int:
 def cmd_poset(args) -> int:
     mode = "full" if args.full else "covers"
     text = _read_file(args.file)
-    (below, above), labels = _read_pairs(text, "element", True, lambda rows: _closure(rows, mode))
+    (below, above), labels = _read_pairs(text, True, lambda rows: _closure(rows, mode))
     if args.action in ("linear-split", "endpoint"):
         from .commands import cmd_lemma
 

@@ -237,6 +237,6 @@ class Graph(_Rows):
 def parse_graph(text: str) -> tuple[Graph, tuple[int, ...]]:
     """Parse the edge-list text format (see :func:`cosp.rows._read_pairs`).
     Returns the graph and the table mapping dense id to original label."""
-    return _read_pairs(text, "vertex", False, lambda rows: Graph(tuple(rows)))
+    return _read_pairs(text, False, lambda rows: Graph(tuple(rows)))
 
 

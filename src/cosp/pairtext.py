@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, islice
+from itertools import islice
 
 from .rows import _CHUNK, ParseError, _rows
 
@@ -45,26 +45,38 @@ def _too_long(what: str, *tokens: str) -> str | None:
     return None
 
 
-def _read_lines(text: str, noun: str, ordered: bool) -> tuple[list[int], Sequence[int], int | None]:
+def _read_lines(text: str, ordered: bool) -> tuple[list[int], Sequence[int], int | None]:
     """The rows, the label table and the header's line number (None
     without a header) of any text, read line by line.
 
-    Each line takes every check in turn: its shape, the signs of its
-    labels, a self-loop or reflexive pair, and the declared range.  The
-    tokenizer stops at the first line that fails one and hands the pairs
-    before it to :func:`cosp.rows._rows`.  When their bits come up
-    short, one ordered scan of the pairs names the first duplicate, whose
-    line comes earlier, and that error is raised ahead of the tokenizer's.
+    The header is the first line that is neither blank nor a comment and
+    reads ``n ...``.  Each other line takes every check in turn: its
+    shape, the signs of its labels, a self-loop or reflexive pair, and
+    the declared range.  The tokenizer stops at the first line that fails
+    one and hands the pairs before it to :func:`cosp.rows._rows`.  When
+    their bits come up short, one ordered scan of the pairs names the
+    first duplicate, whose line comes earlier, and that error is raised
+    ahead of the tokenizer's.
     """
-    pair, sep = ("relation", " < ") if ordered else ("edge", " ")
-    lines = enumerate(_lines(text), 1)
+    noun, pair, sep = ("element", "relation", " < ") if ordered else ("vertex", "edge", " ")
     declared: int | None = None
     first = 0  # the header's line number
-    for lineno, raw in lines:
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
+    # A label's spellings on lines that passed map to one int, made once.
+    known: dict[str, int] = {}
+    get = known.get
+    flat: list[int] = []
+    error = None
+    for lineno, line in enumerate(_lines(text), 1):
+        tokens = line.split()
+        if len(tokens) == 2 or ordered and len(tokens) == 3 and tokens[1] == "<":
+            u = get(tokens[0])
+            v = get(tokens[-1])
+            if u is not None and v is not None and u != v:
+                flat += u, v
+                continue
+        if not tokens or tokens[0][0] == "#":
             continue
-        if tokens[0] == "n":
+        if tokens[0] == "n" and not first and not flat:
             if len(tokens) != 2:
                 raise ParseError(lineno, "malformed header, expected 'n <order>'")
             try:
@@ -75,23 +87,6 @@ def _read_lines(text: str, noun: str, ordered: bool) -> tuple[list[int], Sequenc
             if declared < 0:
                 raise ParseError(lineno, "declared order must be non-negative")
             first = lineno
-        else:
-            lines = chain([(lineno, raw)], lines)
-        break
-    # A label's spellings on lines that passed map to one int, made once.
-    known: dict[str, int] = {}
-    get = known.get
-    flat: list[int] = []
-    error = None
-    for lineno, line in lines:
-        tokens = line.split()
-        if len(tokens) == 2 or ordered and len(tokens) == 3 and tokens[1] == "<":
-            u = get(tokens[0])
-            v = get(tokens[-1])
-            if u is not None and v is not None and u != v:
-                flat += u, v
-                continue
-        if not tokens or tokens[0][0] == "#":
             continue
         if len(tokens) != 2 and not (ordered and len(tokens) == 3 and tokens[1] == "<"):
             error = f"expected two {noun} labels, got {line.strip()!r}"
@@ -114,7 +109,7 @@ def _read_lines(text: str, noun: str, ordered: bool) -> tuple[list[int], Sequenc
             flat += u, v
             continue
         break
-    del lines, known, get
+    del known, get
     try:
         read = _rows((flat,), declared, ordered, len(text))
     except (OverflowError, MemoryError):

@@ -214,6 +214,6 @@ def parse_poset(text: str, mode: str = "covers") -> tuple[Poset, tuple[int, ...]
     optional header and label remapping follow the graph format rules.
     """
 
-    return _read_pairs(text, "element", True, lambda rows: Poset(*_closure(rows, mode)))
+    return _read_pairs(text, True, lambda rows: Poset(*_closure(rows, mode)))
 
 

@@ -9,12 +9,17 @@ engine (:mod:`cosp.engine`): the records built on these rows,
 :class:`cosp.graphs.Graph` and :class:`cosp.posets.Poset`, and their
 query API are not loaded by a request, and nothing here serves only
 them.
+
+A walk over a mask's bits whose order decides nothing takes the top bit
+first, which costs less to find than the lowest; a walk whose order
+picks an answer (components by smallest member, a witness, a cycle's
+pair, :func:`iter_bits`) goes from the lowest up.
 """
 
 import json
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, compress
-from operator import eq
+from operator import eq, not_
 
 
 class ParseError(ValueError):
@@ -64,9 +69,9 @@ def mask_components(adj: Sequence[int], sub: int, co: bool = False) -> list[int]
             nxt = 0
             f = frontier
             while f:
-                low = f & -f
-                f ^= low
-                nxt |= adj[low.bit_length() - 1] ^ flip
+                top = f.bit_length() - 1
+                f ^= 1 << top
+                nxt |= adj[top] ^ flip
             frontier = nxt & sub & ~comp
         comps.append(comp)
         remaining &= ~comp
@@ -74,7 +79,7 @@ def mask_components(adj: Sequence[int], sub: int, co: bool = False) -> list[int]
 
 
 def _read_pairs(
-    text: str, noun: str, ordered: bool, build: Callable[[list[int]], object]
+    text: str, ordered: bool, build: Callable[[list[int]], object]
 ) -> tuple[object, tuple[int, ...]]:
     """Read the pair text format shared by graphs and orders.
 
@@ -99,7 +104,7 @@ def _read_pairs(
     if read is None:
         from .pairtext import _read_lines
 
-        read = _read_lines(text, noun, ordered)
+        read = _read_lines(text, ordered)
     rows, labels, header = read
     try:
         return build(rows), tuple(labels)
@@ -216,7 +221,7 @@ def _rows(
     if ordered:
         count //= 2
     elif bits is not None:
-        rows = [row | col for row, col in zip(rows, _transpose(rows, declared))]
+        rows = [row | col for row, col in zip(rows, _transpose(rows))]
     if sum(map(int.bit_count, filter(None, rows))) != count:
         return None
     return rows, labels
@@ -225,7 +230,7 @@ def _rows(
 _DIGITS = 1 << 20
 
 
-def _transpose(rows: list[int], n: int) -> list[int]:
+def _transpose(rows: list[int]) -> list[int]:
     """The transpose of n rows of n bits: bit i of ``out[j]`` is bit j of
     ``rows[i]``.
 
@@ -235,6 +240,7 @@ def _transpose(rows: list[int], n: int) -> list[int]:
     are walked bit by bit.  One pass over all rows lists the nonzero
     ones, and the bit count and the sparse walk read only those.
     """
+    n = len(rows)
     out = [0] * n
     nonzero = list(compress(range(n), rows))
     if sum(map(int.bit_count, map(rows.__getitem__, nonzero))) * 8 <= n * n:
@@ -242,9 +248,9 @@ def _transpose(rows: list[int], n: int) -> list[int]:
             row = rows[i]
             bit = 1 << i
             while row:
-                low = row & -row
-                out[low.bit_length() - 1] |= bit
-                row ^= low
+                top = row.bit_length() - 1
+                out[top] |= bit
+                row ^= 1 << top
         return out
     spec = f"0{n}b"
     step = max(1, _DIGITS // n)
@@ -266,14 +272,15 @@ def _closure(succ: list[int], mode: str) -> tuple[tuple[int, ...], tuple[int, ..
     if mode not in ("covers", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     order = len(succ)
-    # The in-degrees and the transpose are made before any pass over the
-    # rows, so that an order too large for memory fails at once.
+    # The in-degrees, the queue and the transpose are made before any pass
+    # over the rows, so that an order too large for memory fails at once.
     indeg = [0] * order
-    pred = _transpose(succ, order)
+    topo = list(range(order))
+    pred = _transpose(succ)
     # Kahn's algorithm, with the order found so far as its queue, which
     # grows as it is read; leftovers witness a cycle.
     indeg[:] = map(int.bit_count, pred)
-    topo = [v for v in range(order) if indeg[v] == 0]
+    topo[:] = compress(topo, map(not_, indeg))
     for v in topo:
         for w in iter_bits(succ[v]):
             indeg[w] -= 1
@@ -286,7 +293,7 @@ def _closure(succ: list[int], mode: str) -> tuple[tuple[int, ...], tuple[int, ..
             if inside:
                 raise CycleError((u, (inside & -inside).bit_length() - 1))
         raise CycleError((0, 0))  # unreachable: a cycle always has an internal edge
-    below = _reach(topo, pred, True)
+    below = _reach(topo, pred)
     if mode == "full":
         for v in range(order):
             missing = below[v] & ~pred[v]
@@ -295,24 +302,23 @@ def _closure(succ: list[int], mode: str) -> tuple[tuple[int, ...], tuple[int, ..
                 raise ValueError(
                     f"relation is not transitively closed: {u} < {v} is implied but absent"
                 )
-    return tuple(below), tuple(_reach(reversed(topo), succ, False))
+        return tuple(below), tuple(succ)  # its own closure: ``succ`` is ``above``
+    return tuple(below), tuple(_reach(reversed(topo), succ))
 
 
-def _reach(topo: Iterable[int], step: Sequence[int], high: bool) -> list[int]:
+def _reach(topo: Iterable[int], step: Sequence[int]) -> list[int]:
     """Mask of everything reachable from each element along ``step`` edges;
     ``topo`` must list every step target before its source.
 
-    A target already reached through another one adds nothing and is
-    skipped.  Targets are taken from the highest id down when ``high``,
-    else from the lowest up, so that when ids follow the order the first
-    targets taken are the nearest ones (covers) and reach the rest.
+    Targets are taken from the highest id down, and one already reached
+    through another adds nothing and is skipped.
     """
     out = [0] * len(step)
     for v in topo:
         acc = 0
         rest = step[v]
         while rest:
-            u = rest.bit_length() - 1 if high else (rest & -rest).bit_length() - 1
+            u = rest.bit_length() - 1
             acc |= out[u] | (1 << u)
             rest &= ~acc
         out[v] = acc

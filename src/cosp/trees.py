@@ -55,7 +55,7 @@ def sp_tree_to_poset(t: SPTree) -> Poset:
     earlier child lies below every element of a later child; disjoint
     children stay incomparable.  Leaf ids must be 0..n-1."""
     below = _encoded_rows(t._signature(), linear=True)
-    return Poset(below, tuple(_transpose(below, len(below))))
+    return Poset(below, tuple(_transpose(below)))
 
 
 def cotree_to_sptree(t: Cotree) -> SPTree:

@@ -724,7 +724,7 @@ def test_a_large_answer_arrives_whole_through_a_pipe(tmp_path):
 
     order = orient_file(tmp_path)
     with open(order) as fh:
-        rows, labels = _read_pairs(fh.read(), "element", True, lambda r: _closure(r, "covers"))
+        rows, labels = _read_pairs(fh.read(), True, lambda r: _closure(r, "covers"))
     below, above = rows
     signature = sp_tree_signature(list(map(int.__or__, below, above)), below)
     proc = cli_process("-m", "cosp.cli", "poset", order, "sptree")

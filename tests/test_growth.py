@@ -1,0 +1,171 @@
+"""How the engine's cost grows with n, pinned by counts instead of clocks.
+
+Each family runs the engine at n and at 2n on rows that count what is read
+from them: the rows read through indexing, and the 64-bit words those rows
+hold.  Per doubling of the input, the rows read may grow by at most
+``READS`` times, and the words by at most ``OVER_INPUT`` times the growth
+of the input itself (n + edges for a graph, n + covers for an order).  A
+count does not depend on the machine or its load, so the bounds can be
+tight.  A header over isolated vertices reads almost no rows, so its
+measure is the engine's traced memory peak, under the words' bound.
+
+A family and measure that grow faster today is a strict xfail naming the
+ROADMAP item that is to bring it down: 5 (ids that hide the vertex a
+search should peel), 7 (orders decided through their closure) or 2 (many
+vertices and few edges).  The change that fixes one must remove its mark.
+"""
+
+import functools
+import random
+import tracemalloc
+
+import pytest
+
+from cosp import parity_split_graph
+from cosp.engine import cotree_signature, sp_tree_signature
+from cosp.rows import _closure, iter_bits
+
+READS = 2.3
+OVER_INPUT = 1.25
+
+
+class Counted(list):
+    """Rows that count, in ``tally``, the rows read by indexing and the
+    64-bit words those rows hold."""
+
+    def __init__(self, rows, tally):
+        super().__init__(rows)
+        self.tally = tally
+
+    def __getitem__(self, i):
+        row = super().__getitem__(i)
+        self.tally["reads"] += 1
+        self.tally["words"] += (row.bit_length() + 63) // 64
+        return row
+
+
+def relabel(adj, seed):
+    """The rows of the same graph with its ids permuted by ``seed``."""
+    ids = list(range(len(adj)))
+    random.Random(seed).shuffle(ids)
+    out = [0] * len(adj)
+    for v, row in enumerate(adj):
+        out[ids[v]] = sum(1 << ids[u] for u in iter_bits(row))
+    return out
+
+
+def spider(k: int, apex: bool):
+    """A clique with a leg at each clique vertex, the leg seeing only it:
+    thin, on 0..k-1 with legs k..2k-1, or with an apex, vertex 0 joined to
+    the clique 1..k with legs k+1..2k."""
+    first = 1 if apex else 0
+    n = 2 * k + first
+    adj = [0] * n
+    clique = sum(1 << v for v in range(first, k + first))
+    for v in range(first, k + first):
+        leg = k + v
+        adj[v] = clique & ~(1 << v) | 1 << leg | first
+        adj[leg] = 1 << v
+    if apex:
+        adj[0] = clique
+    return adj
+
+
+def orientation_covers(n: int):
+    """The successor rows of the parity window's orientation, given by its
+    covers: each even i is covered by i + 1 and i + 2."""
+    succ = [0] * n
+    for i in range(0, n, 2):
+        for j in (i + 1, i + 2):
+            if j < n:
+                succ[i] |= 1 << j
+    return succ
+
+
+def graph(adj):
+    """Run the cograph engine on counted rows: n + edges, and the counts."""
+    tally = {"reads": 0, "words": 0}
+    cotree_signature(Counted(adj, tally))
+    return len(adj) + sum(map(int.bit_count, adj)) // 2, tally
+
+
+def order(succ, count_closure: bool):
+    """Run the order engine on counted comparability and below rows, and
+    with ``count_closure`` the closure on counted successor rows too:
+    n + covers, and the counts."""
+    tally = {"reads": 0, "words": 0}
+    below, above = _closure(Counted(succ, tally) if count_closure else succ, "covers")
+    comp = [b | a for b, a in zip(below, above)]
+    sp_tree_signature(Counted(comp, tally), Counted(below, tally))
+    return len(succ) + sum(map(int.bit_count, succ)), tally
+
+
+def isolated_peak(n: int):
+    """``n N`` and one edge: the traced peak of the cograph engine."""
+    adj = [0] * n
+    adj[0], adj[1] = 2, 1
+    tracemalloc.start()
+    try:
+        cotree_signature(adj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return n + 1, {"peak": peak}
+
+
+# family: (n, run(n) -> (input size, counts)).
+FAMILIES = {
+    "windows": (1000, lambda n: graph(list(parity_split_graph(n).adj))),
+    "windows-shuffled": (500, lambda n: graph(relabel(parity_split_graph(n).adj, 1))),
+    "orientations": (500, lambda n: order(orientation_covers(n), count_closure=False)),
+    "thin-spiders": (500, lambda k: graph(spider(k, apex=False))),
+    "apex-spiders": (500, lambda k: graph(spider(k, apex=True))),
+    "chain-covers": (
+        1000,
+        lambda n: order([1 << v + 1 for v in range(n - 1)] + [0], count_closure=True),
+    ),
+    "isolated": (4000, isolated_peak),
+}
+
+
+def waits(item: int, why: str):
+    return pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}: {why}")
+
+
+CASES = [
+    pytest.param("windows", "reads"),
+    pytest.param("windows", "words"),
+    pytest.param(
+        "windows-shuffled", "reads", marks=waits(5, "each search starts at the lowest id")
+    ),
+    pytest.param(
+        "windows-shuffled", "words", marks=waits(5, "each search starts at the lowest id")
+    ),
+    pytest.param("orientations", "reads"),
+    pytest.param(
+        "orientations", "words", marks=waits(7, "comparability rows are n bits, not covers")
+    ),
+    pytest.param("thin-spiders", "reads"),
+    pytest.param("thin-spiders", "words"),
+    pytest.param("apex-spiders", "reads", marks=waits(5, "the join check reads the wide side")),
+    pytest.param("apex-spiders", "words", marks=waits(5, "the join check reads the wide side")),
+    pytest.param("chain-covers", "reads"),
+    pytest.param("chain-covers", "words", marks=waits(7, "the closure of a chain is n²/2 bits")),
+    pytest.param("isolated", "peak", marks=waits(2, "every singleton part is an n-bit mask")),
+]
+
+
+@functools.cache
+def growth(family: str) -> tuple[float, dict[str, float]]:
+    """How much the input and each count grow from n to 2n; each family
+    runs once, for all of its measures."""
+    n, run = FAMILIES[family]
+    (size, counts), (size2, counts2) = run(n), run(2 * n)
+    return size2 / size, {measure: counts2[measure] / counts[measure] for measure in counts}
+
+
+@pytest.mark.parametrize("family, measure", CASES)
+def test_cost_grows_with_the_input(family, measure):
+    inputs, grew = growth(family)
+    bound = READS if measure == "reads" else OVER_INPUT * inputs
+    assert grew[measure] <= bound, f"{measure} grew {grew[measure]:.2f}x, the input {inputs:.2f}x"

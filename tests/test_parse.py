@@ -228,16 +228,34 @@ def run_limited(args, timeout=120):
         (["check"], "n 30000000\n0 1\n"),
         (["cotree"], "n 30000000\n0 1\n"),
         (["poset", "nfree"], "n 30000000\n0 < 1\n"),
+        (["poset", "nfree"], "n 15000000\n0 < 1\n"),
     ],
 )
 def test_header_beyond_memory_is_a_parse_error(tmp_path, command, text):
-    # The rows a 30M header asks for fit in 500 MB, the arrays built from
-    # them do not: the failed allocation is reported against the header.
+    # The rows a 15M or 30M header asks for fit in 500 MB, the arrays built
+    # from them do not: the failed allocation is reported against the header.
     path = tmp_path / "big.txt"
     path.write_text(text)
     proc = run_limited(["-m", "cosp.cli", command[0], str(path), *command[1:]])
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "line 1: declared order 30000000 is too large\n"
+    assert proc.stderr == f"line 1: declared order {text.split()[1]} is too large\n"
+
+
+def test_closure_beyond_memory_fails_before_any_pass_over_the_rows():
+    # The rows and in-degrees of 15M elements fit in 500 MB, the Kahn
+    # queue's 15M ids do not: it is made before the transpose reads a row.
+    script = (
+        "import cosp.rows\n"
+        "calls = []\n"
+        "transpose = cosp.rows._transpose\n"
+        "cosp.rows._transpose = lambda *args: calls.append(1) or transpose(*args)\n"
+        "try:\n"
+        "    cosp.rows._closure([0] * 15_000_000, 'covers')\n"
+        "except MemoryError:\n"
+        "    print('MemoryError', len(calls))\n"
+    )
+    proc = run_limited(["-c", script])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "MemoryError 0\n", "")
 
 
 def test_large_header_over_a_short_plain_text_keeps_the_shifts(tmp_path):
@@ -486,7 +504,7 @@ def test_transpose(monkeypatch, n, digits):
         rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
         routes.add(sum(map(int.bit_count, rows)) * 8 > n * n)
         want = [sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n)]
-        assert _transpose(rows, n) == want
+        assert _transpose(rows) == want
     assert routes == ({False} if n == 0 else {False, True})
 
 
