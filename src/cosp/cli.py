@@ -12,11 +12,15 @@ errors and, with one ``internal error: ...`` line on standard error and
 nothing on standard output, on any internal error, a tree or certificate
 that fails its check included.  Recognition is decided by the split
 engine, ``check --property p4free`` too: a finite graph has no induced
-four-vertex path exactly when it is a cograph.  Machine output is JSON
-on standard output, diagnostics go to standard error, and identical
-input and flags produce byte-identical output.  A tree's JSON text is
-written straight from its signature, so it works at any depth; every
-other answer is small and flat enough for ``json.dumps``.
+four-vertex path exactly when it is a cograph.  One handler,
+:func:`cmd_recognize`, answers ``check``, ``cotree`` and ``poset``: it
+runs :func:`cosp.engine.tree_signature` on a graph's rows, or on an
+order's comparability rows with the order's own rows to orient the
+answer.  Machine output is JSON on standard output, diagnostics go to
+standard error, and identical input and flags produce byte-identical
+output.  A tree's JSON text is written straight from its signature, so
+it works at any depth; every other answer is small and flat enough for
+``json.dumps``.
 
 Every request is a fresh interpreter that compiles the modules it
 imports, so a recognition request (``check``, ``cotree``, ``poset ...
@@ -52,16 +56,7 @@ import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
 
-from .engine import (
-    PARALLEL,
-    SERIES,
-    cotree_signature,
-    dot_text,
-    json_text,
-    sp_tree_signature,
-    tree_holds,
-    witness_holds,
-)
+from .engine import PARALLEL, SERIES, dot_text, json_text, tree_holds, tree_signature, witness_holds
 from .rows import _closure, _read_pairs
 
 EXIT_OK = 0
@@ -97,64 +92,51 @@ def _certificate(ids, labels, adj, below=None) -> int:
     return EXIT_WITNESS
 
 
-def _check_tree(signature: list[tuple], rows, linear: bool = False) -> None:
-    """Raise unless the tree rebuilds the rows it was decomposed from:
-    a graph's ``adj``, or with ``linear`` an order's ``below``."""
-    if not tree_holds(signature, rows, linear):
-        raise RuntimeError("internal: tree does not rebuild its input")
-
-
-def _tree_summary(signature: list[tuple]) -> dict:
+def _cograph_summary(signature: list[tuple], order: int) -> dict:
     depth, depths = 0, [1]  # the deepest node met, and the depths of the nodes to come
     for _, _, count in signature:
         node = depths.pop()
         depths += [node + 1] * count
         depth = max(depth, node)
     kinds = [kind for kind, _, _ in signature]
-    return {"series": kinds.count(SERIES), "parallel": kinds.count(PARALLEL), "depth": depth}
+    series, parallel = kinds.count(SERIES), kinds.count(PARALLEL)
+    return {"cograph": True, "order": order, "series": series, "parallel": parallel, "depth": depth}
 
 
-def cmd_graph(args) -> int:
-    adj, labels = _read_pairs(_read_file(args.file), False, tuple)
-    # The decomposition needs a vertex; the empty graph is a cograph.
-    # --property p4free asks the same: a finite graph has no induced P4
-    # exactly when it is a cograph.
-    result = cotree_signature(adj) if adj or args.command != "check" else []
-    if type(result) is tuple:
-        return _certificate(result, labels, adj)
-    if adj:
-        _check_tree(result, adj)
-    if args.command == "check":
-        _emit({"cograph": True, "order": len(adj), **_tree_summary(result)})
-    elif args.dot:
-        sys.stdout.write(dot_text("cotree", result, labels))
-    else:
-        print(json_text(result, "vertex", labels))
-    return EXIT_OK
-
-
-def cmd_poset(args) -> int:
-    mode = "full" if args.full else "covers"
+def cmd_recognize(args) -> int:
+    """Answer ``check`` and ``cotree`` on a graph's rows, and ``poset`` on
+    an order's: its comparability rows, with its own rows ``below`` to
+    orient the answer.  ``linear-split`` and ``endpoint`` go to
+    :func:`cosp.commands.cmd_lemma`."""
     text = _read_file(args.file)
-    (below, above), labels = _read_pairs(text, True, lambda rows: _closure(rows, mode))
-    if args.action in ("linear-split", "endpoint"):
-        from .commands import cmd_lemma
+    if args.command == "poset":
+        mode = "full" if args.full else "covers"
+        (below, above), labels = _read_pairs(text, True, lambda rows: _closure(rows, mode))
+        if args.action in ("linear-split", "endpoint"):
+            from .commands import cmd_lemma
 
-        return cmd_lemma(args, below, above, labels)
-    comp = list(map(int.__or__, below, above))
-    # The decomposition needs an element; the empty order is N-free.
-    result = sp_tree_signature(comp, below) if comp or args.action != "nfree" else []
-    if type(result) is tuple:
-        return _certificate(result, labels, comp, below)
-    if comp:
-        _check_tree(result, below, linear=True)
-    if args.action == "nfree":
-        _emit({"nfree": True})
-        return EXIT_OK
-    if args.dot:
-        sys.stdout.write(dot_text("sptree", result, labels))
+            return cmd_lemma(args, below, above, labels)
+        adj = list(map(int.__or__, below, above))
+        name, key, summary = "sptree", "element", args.action == "nfree"
     else:
-        print(json_text(result, "element", labels))
+        adj, labels = _read_pairs(text, False, tuple)
+        below = None
+        name, key, summary = "cotree", "vertex", args.command == "check"
+    # The decomposition needs a vertex or an element; the empty graph is a
+    # cograph and the empty order is N-free.  --property p4free asks the
+    # same as check: a finite graph has no induced P4 exactly when it is a
+    # cograph.
+    result = tree_signature(adj, below) if adj or not summary else []
+    if type(result) is tuple:
+        return _certificate(result, labels, adj, below)
+    if adj and not tree_holds(result, adj, below):
+        raise RuntimeError("internal: tree does not rebuild its input")
+    if summary:
+        _emit(_cograph_summary(result, len(adj)) if below is None else {"nfree": True})
+    elif args.dot:
+        sys.stdout.write(dot_text(name, result, labels))
+    else:
+        print(json_text(result, key, labels))
     return EXIT_OK
 
 
@@ -168,7 +150,7 @@ def cmd_poset(args) -> int:
 # of which it takes at most one (argparse's mutually exclusive group).
 _GRAMMAR = {
     "check": (
-        cmd_graph,
+        cmd_recognize,
         (("file", None),),
         {
             "--property": (
@@ -182,7 +164,7 @@ _GRAMMAR = {
         (),
     ),
     "cotree": (
-        cmd_graph,
+        cmd_recognize,
         (("file", None),),
         {
             "--json": ("json", None, False, "JSON tree (default)"),
@@ -191,7 +173,7 @@ _GRAMMAR = {
         ("json", "dot"),
     ),
     "poset": (
-        cmd_poset,
+        cmd_recognize,
         (("file", None), ("action", ("nfree", "sptree", "linear-split", "endpoint"))),
         {
             "--covers": ("covers", None, False, "close the input transitively (default)"),

@@ -1,13 +1,13 @@
 """Cograph recognition and canonical series/parallel decomposition.
 
 A finite graph is a cograph exactly when it has no induced four-vertex
-path.  :func:`cotree` decides it by the split engine of
-:mod:`cosp.engine`, which peels off connected components (parallel
-node) and components of the complement (series node) and, in a part
-that splits neither way, finds an induced path by the neighbor-split
-lemma at the part's lowest vertex; this module gives that answer as
-records: a :class:`Cotree` built from the engine's signature, or a
-:class:`P4Witness`.
+path.  :func:`cotree` decides it by the split engine,
+:func:`cosp.engine.tree_signature`, which peels off connected components
+(parallel node) and components of the complement (series node) and, in
+a part that splits neither way, finds an induced path by the
+neighbor-split lemma at the part's lowest vertex; this module gives that
+answer as records: a :class:`Cotree` built from the engine's signature,
+or a :class:`P4Witness`.
 
 The tree classes serve orders too (:mod:`cosp.spdecomp`): equality,
 hashing, pickling and ``repr`` go by the flat preorder signature, which
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 
-from .engine import LEAF, PARALLEL, SERIES, cotree_signature, dot_text, tree_text, witness_holds
+from .engine import LEAF, PARALLEL, SERIES, dot_text, tree_signature, tree_text, witness_holds
 from .graphs import Graph, _Record
 
 
@@ -148,7 +148,7 @@ def cotree(g: Graph) -> Cotree | P4Witness:
     found by the neighbor splits at its lowest vertex, is returned as
     (a, b, c, d) with a < d.
     """
-    result = cotree_signature(g.adj)
+    result = tree_signature(g.adj)
     if type(result) is tuple:
         return P4Witness(result)
     return _from_signature(Cotree, result)

@@ -106,9 +106,9 @@ def cmd_lemma(args, below, above, labels) -> int:
     """Answer ``poset ... linear-split`` or ``poset ... endpoint`` on the
     order with rows ``below`` and ``above``: by its own witness if there is
     one, else by the sp-tree's N, else by why the order has neither."""
-    # Looked up in cosp.cli when called, as cmd_poset's own call is, so
-    # that a wrapper of that name (a test's, a tracer's) sees every call.
-    from .cli import sp_tree_signature
+    # Looked up in cosp.cli when called, as cmd_recognize's own call is, so
+    # that a test's wrapper of tree_signature there sees every call.
+    from .cli import tree_signature
     from .lemmas import NoEndpointError, endpoint_witness, linear_split_witness
     from .posets import Poset
 
@@ -134,7 +134,7 @@ def cmd_lemma(args, below, above, labels) -> int:
             _emit({"x": labels[w.x], "endpoint": labels[w.endpoint], "side": w.side})
             return EXIT_OK
     comp = list(map(int.__or__, below, above))
-    n = sp_tree_signature(comp, below)
+    n = tree_signature(comp, below)
     if type(n) is tuple:
         return _certificate(n, labels, comp, below)
     # No witness, yet the order holds no N.

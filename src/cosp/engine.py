@@ -10,7 +10,10 @@ Corneil, Perl and Stewart (SIAM J. Comput. 14(4), 1985).  An order is
 series-parallel exactly when its comparability graph is a cograph, so
 the same loop on comparability masks decides orders: a series node
 becomes a linear one with its children sorted bottom to top, and a path
-becomes an N.
+becomes an N.  So each entry here takes a graph's rows ``adj`` and, for
+an order, its comparability rows as ``adj`` plus its own rows ``below``,
+which only orient the answer: :func:`tree_signature` decomposes,
+:func:`witness_holds` checks a certificate and :func:`tree_holds` a tree.
 
 Everything here takes rows (see :mod:`cosp.rows`) and gives plain
 values, and nothing recurses.  A tree is its signature: the list of
@@ -50,14 +53,15 @@ class InducedPath(ValueError):
         self.path = path
 
 
-def _decompose(adj: Sequence[int], kinds: tuple[str, str], series_key=None) -> list[tuple] | int:
+def _decompose(adj: Sequence[int], below: Sequence[int] | None = None) -> list[tuple] | int:
     """Split the ids 0..n-1 of the rows ``adj`` into components of ``adj``
-    (a node of the second of ``kinds``) or of its complement (the first)
-    until every part is one id; children go by smallest member, or by
-    ``series_key`` under the first kind.  Returns the tree's signature,
-    written as parts are popped, or the first part that splits neither
-    way."""
-    join, union = kinds
+    (a parallel node, or given ``below`` a disjoint one) or of its
+    complement (a series node, or a linear one) until every part is one
+    id; children go by smallest member, a linear node's bottom to top by
+    the number of elements below their lowest member.  Returns the tree's
+    signature, written as parts are popped, or the first part that splits
+    neither way."""
+    join, union = (SERIES, PARALLEL) if below is None else (LINEAR, DISJOINT)
     signature = []
     stack = [(1 << len(adj)) - 1]
     while stack:
@@ -72,49 +76,38 @@ def _decompose(adj: Sequence[int], kinds: tuple[str, str], series_key=None) -> l
             parts = mask_components(adj, sub, co=True)
             if len(parts) == 1:
                 return sub
-            if series_key is not None:
-                parts.sort(key=series_key)
+            if below is not None:
+                parts.sort(key=lambda block: below[(block & -block).bit_length() - 1].bit_count())
             signature.append((join, None, len(parts)))
         stack.extend(parts)
     return signature
 
 
-def cotree_signature(adj: Sequence[int]) -> list[tuple] | tuple[int, int, int, int]:
+def tree_signature(
+    adj: Sequence[int], below: Sequence[int] | None = None
+) -> list[tuple] | tuple[int, int, int, int]:
     """The signature of the canonical cotree of the graph with rows
     ``adj``, or an induced path (a, b, c, d), a < d, inside the first
-    part that splits neither way."""
-    if not adj:
-        raise ValueError("the decomposition needs at least one vertex")
-    result = _decompose(adj, (SERIES, PARALLEL))
-    return _p4_in_part(adj, result) if type(result) is int else result
+    part that splits neither way.
 
-
-def sp_tree_signature(
-    comp: Sequence[int], below: Sequence[int]
-) -> list[tuple] | tuple[int, int, int, int]:
-    """The signature of the canonical sp-tree of the order with rows
-    ``below`` and comparability rows ``comp``, or an N (a, b, c, d).
-
-    It is the cotree of the comparability graph with every series node's
+    Given ``below``, the rows of an order whose comparability rows are
+    ``adj``, the signature of its canonical sp-tree, or an N: the cotree
+    of the comparability graph with every series node a linear one, its
     children sorted bottom to top.  The blocks of a linear split form a
     chain inside a part that is an order module, so the number of
     elements below a block's lowest member rises strictly up the chain
-    and sorts them.  A part that splits neither way holds an induced path
-    of the comparability graph, read as an N from the end that lies below
-    its neighbor.
+    and sorts them.  The induced path is read as an N from the end that
+    lies below its neighbor.
     """
-    if not comp:
-        raise ValueError("the decomposition needs at least one element")
-
-    def height(block: int) -> int:
-        return below[(block & -block).bit_length() - 1].bit_count()
-
-    result = _decompose(comp, (LINEAR, DISJOINT), height)
+    if not adj:
+        noun = "vertex" if below is None else "element"
+        raise ValueError(f"the decomposition needs at least one {noun}")
+    result = _decompose(adj, below)
     if type(result) is not int:
         return result
-    a, b, c, d = _p4_in_part(comp, result)
+    a, b, c, d = _p4_in_part(adj, result)
     # a < b forces c < b and c < d; b < a forces the mirror image.
-    return (a, b, c, d) if (below[b] >> a) & 1 else (d, c, b, a)
+    return (a, b, c, d) if below is None or below[b] >> a & 1 else (d, c, b, a)
 
 
 def _p4_in_part(adj: Sequence[int], sub: int) -> tuple[int, int, int, int]:
@@ -197,7 +190,7 @@ def witness_holds(
 # === what a tree means ===
 
 
-def tree_masks(signature: list[tuple], linear: bool = False) -> tuple[list[int], int, str | None]:
+def tree_masks(signature: list[tuple], linear: bool) -> tuple[list[int], int, str | None]:
     """The leaf masks of a tree's internal nodes, by one pass over its
     signature from the leaves up: a cotree's, or with ``linear`` an
     sp-tree's.  Returns the masks, the last node in preorder first, the
@@ -250,7 +243,7 @@ def tree_masks(signature: list[tuple], linear: bool = False) -> tuple[list[int],
 
 
 def leaf_rows(
-    signature: list[tuple], masks: list[int], linear: bool = False, rows: Sequence[int] | None = None
+    signature: list[tuple], masks: list[int], linear: bool, rows: Sequence[int] | None = None
 ) -> Iterator[tuple[int, int]]:
     """``(v, row)`` for every leaf v of a tree, in signature order, by one
     pass from the root down that uses up :func:`tree_masks`' ``masks``:
@@ -279,11 +272,16 @@ def leaf_rows(
             yield leaf, row
 
 
-def tree_holds(signature: list[tuple], rows: Sequence[int], linear: bool = False) -> bool:
-    """True when the signature is a canonical tree on the ids of ``rows``
-    that rebuilds them: a graph's neighbor rows, or with ``linear`` an
-    order's rows of the elements below each.  This is the one check of a
-    tree, run before the CLI prints one."""
+def tree_holds(
+    signature: list[tuple], adj: Sequence[int], below: Sequence[int] | None = None
+) -> bool:
+    """True when the signature is a canonical cotree on the ids of the rows
+    ``adj`` that rebuilds them, or given ``below``, the rows of an order
+    whose comparability rows are ``adj``, a canonical sp-tree that rebuilds
+    ``below``.  This is the one check of a tree, run before the CLI prints
+    one."""
+    linear = below is not None
+    rows = below if linear else adj
     try:
         masks, root, fault = tree_masks(signature, linear)
     except ValueError:

@@ -9,10 +9,11 @@ are uniformly comparable to each other, run bottom to top, sorted by the
 number of elements below their lowest member.  An induced path a-b-c-d
 of the comparability graph is an N, read from whichever end lies below
 its neighbor, and an N is checked as that path plus its orientation.
-:func:`sp_tree` therefore runs the split loop and the certificate of
-:mod:`cosp.engine` on comparability masks, and the trees share the
-engine's text writers and :mod:`cosp.cographs`' tree base.  The
-order-side lemmas are in :mod:`cosp.lemmas`, and the tree converters in
+:func:`sp_tree` therefore runs the split engine,
+:func:`cosp.engine.tree_signature`, on the comparability masks, with the
+order's own rows to orient the answer, and the trees share the engine's
+text writers and :mod:`cosp.cographs`' tree base.  The order-side
+lemmas are in :mod:`cosp.lemmas`, and the tree converters in
 :mod:`cosp.trees`.
 
 Tree canonical form: disjoint children sorted by smallest leaf id,
@@ -26,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .cographs import _from_signature, _Tree
-from .engine import DISJOINT, LEAF, LINEAR, dot_text, sp_tree_signature
+from .engine import DISJOINT, LEAF, LINEAR, dot_text, tree_signature
 from .posets import NWitness, Poset
 
 
@@ -65,7 +66,7 @@ def sp_tree(p: Poset) -> SPTree | NWitness:
     elements holds an induced path of the comparability graph, found on
     its masks as :func:`cotree` finds one and returned oriented as an N.
     """
-    result = sp_tree_signature(p.comparability_masks(), p.below)
+    result = tree_signature(p.comparability_masks(), p.below)
     if type(result) is tuple:
         return NWitness(result)
     return _from_signature(SPTree, result)

@@ -34,7 +34,7 @@ def _validate_tree(t: _Tree) -> None:
 validate_cotree = validate_sp_tree = _validate_tree
 
 
-def _encoded_rows(signature: list[tuple], linear: bool = False) -> tuple[int, ...]:
+def _encoded_rows(signature: list[tuple], linear: bool) -> tuple[int, ...]:
     """The rows a tree encodes (:func:`cosp.engine.leaf_rows`): a cotree's
     neighbor rows, or an sp-tree's rows below each element.  Leaf ids must
     be 0..n-1."""
@@ -47,14 +47,14 @@ def _encoded_rows(signature: list[tuple], linear: bool = False) -> tuple[int, ..
 def cotree_to_graph(t: Cotree) -> Graph:
     """Graph encoded by a tree: two leaves are adjacent exactly when their
     closest common ancestor is a series node.  Leaf ids must be 0..n-1."""
-    return Graph(_encoded_rows(t._signature()))
+    return Graph(_encoded_rows(t._signature(), False))
 
 
 def sp_tree_to_poset(t: SPTree) -> Poset:
     """Order encoded by a tree: under a linear node every element of an
     earlier child lies below every element of a later child; disjoint
     children stay incomparable.  Leaf ids must be 0..n-1."""
-    below = _encoded_rows(t._signature(), linear=True)
+    below = _encoded_rows(t._signature(), True)
     return Poset(below, tuple(_transpose(below)))
 
 
@@ -88,7 +88,7 @@ def parity_split_graph(n: int, offset: int = 0) -> Graph:
         raise ValueError("window size must be positive")
     kinds = [PARALLEL if (offset + k) % 2 else SERIES for k in range(n - 1)]
     signature = [(kind, None, 2) for kind in kinds] + [(LEAF, k, 0) for k in range(n - 1, -1, -1)]
-    return Graph(_encoded_rows(signature))
+    return Graph(_encoded_rows(signature, False))
 
 
 # === nested dict codec ===

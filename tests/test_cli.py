@@ -379,16 +379,16 @@ def test_internal_errors_exit_2(tmp_path, capsys, monkeypatch):
     import cosp.cli
 
     n_file = write(tmp_path, "n.txt", N_TEXT)
-    monkeypatch.setattr(cosp.cli, "sp_tree_signature", lambda comp, below: (0, 1, 2, 2))
+    monkeypatch.setattr(cosp.cli, "tree_signature", lambda adj, below: (0, 1, 2, 2))
     for action in ORDER_ACTIONS:
         code, out, err = run(capsys, "poset", n_file, *action)
         assert (code, out) == (2, "")
         assert err.startswith("internal error: RuntimeError(") and err.count("\n") == 1
 
-    def broken(adj):
+    def broken(adj, below):
         raise RuntimeError("broken engine")
 
-    monkeypatch.setattr(cosp.cli, "cotree_signature", broken)
+    monkeypatch.setattr(cosp.cli, "tree_signature", broken)
     g_file = write(tmp_path, "k3.txt", K3_TEXT)
     for cmd in ("check", "cotree"):
         code, out, err = run(capsys, cmd, g_file)
@@ -426,14 +426,13 @@ def test_a_wrong_tree_is_an_internal_error(tmp_path, capsys, monkeypatch, fault)
     # prints the tree or its summary.  Only the flipped path's root breaks
     # canonical form; each other fault gives a canonical tree of other rows.
     import cosp.cli
-    from cosp.engine import cotree_signature, sp_tree_signature
+    from cosp.engine import tree_signature
 
     f = write(tmp_path, "three.txt", CHAIN3_TEXT)
     requests = [("poset", f, "nfree"), ("poset", f, "sptree"), ("poset", f, "sptree", "--dot")]
-    monkeypatch.setattr(cosp.cli, "sp_tree_signature", lambda *rows: fault(sp_tree_signature(*rows)))
+    monkeypatch.setattr(cosp.cli, "tree_signature", lambda *rows: fault(tree_signature(*rows)))
     if fault is not swap_linear_children:
         requests += [("check", f), ("cotree", f), ("cotree", f, "--dot")]
-        monkeypatch.setattr(cosp.cli, "cotree_signature", lambda adj: fault(cotree_signature(adj)))
     for request in requests:
         code, out, err = run(capsys, *request)
         assert (code, out) == (2, ""), request
@@ -719,14 +718,14 @@ def orient_file(tmp_path):
 
 
 def test_a_large_answer_arrives_whole_through_a_pipe(tmp_path):
-    from cosp.engine import json_text, sp_tree_signature
+    from cosp.engine import json_text, tree_signature
     from cosp.rows import _closure, _read_pairs
 
     order = orient_file(tmp_path)
     with open(order) as fh:
         rows, labels = _read_pairs(fh.read(), True, lambda r: _closure(r, "covers"))
     below, above = rows
-    signature = sp_tree_signature(list(map(int.__or__, below, above)), below)
+    signature = tree_signature(list(map(int.__or__, below, above)), below)
     proc = cli_process("-m", "cosp.cli", "poset", order, "sptree")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len(proc.stdout) > 1_400_000

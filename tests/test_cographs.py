@@ -37,7 +37,7 @@ from cosp import (
     sp_tree,
     sp_tree_to_poset,
 )
-from cosp.engine import _decompose, cotree_signature, json_text, sp_tree_signature, tree_holds
+from cosp.engine import _decompose, json_text, tree_holds, tree_signature
 from cosp.trees import validate_cotree, validate_sp_tree
 from cosp.graphs import mask_of
 from cosp.rows import iter_bits
@@ -214,7 +214,7 @@ def clique_and_blocks(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.one_of(flipped_cographs(), clique_and_blocks()))
 def test_certificate_lies_in_the_stuck_part(g):
-    part = _decompose(g.adj, Cotree._kinds)
+    part = _decompose(g.adj)
     w = cotree(g)
     assert isinstance(part, int) == isinstance(w, P4Witness)
     if isinstance(w, P4Witness):
@@ -236,7 +236,7 @@ def test_tree_holds_on_its_input_only(graphs_to_4, connected_cographs_to_6, pose
     # rebuilds its rows, and no longer does once one edge or relation flips.
     checked = 0
     for g in [g for g in graphs_to_4 if g.order and is_cograph(g)] + connected_cographs_to_6:
-        signature = cotree_signature(g.adj)
+        signature = tree_signature(g.adj)
         assert tree_holds(signature, g.adj)
         for u, v in itertools.combinations(range(g.order), 2):
             adj = list(g.adj)
@@ -247,12 +247,13 @@ def test_tree_holds_on_its_input_only(graphs_to_4, connected_cographs_to_6, pose
     for p in posets_to_4:
         if not p.order or not is_nfree(p):
             continue
-        signature = sp_tree_signature(p.comparability_masks(), p.below)
-        assert tree_holds(signature, p.below, linear=True)
+        comp = p.comparability_masks()
+        signature = tree_signature(comp, p.below)
+        assert tree_holds(signature, comp, p.below)
         for u, v in itertools.permutations(range(p.order), 2):
             below = list(p.below)
             below[v] ^= 1 << u
-            assert not tree_holds(signature, below, linear=True)
+            assert not tree_holds(signature, comp, below)
         checked += 1
     assert checked == 3301
 
@@ -306,6 +307,12 @@ E0, E1, E2 = (SPTree.leaf(v) for v in range(3))
             validate_sp_tree,
             SPTree.disjoint([E1, E0]),
             "disjoint children not ordered by smallest leaf id",
+        ),
+        (cotree_to_graph, Cotree.leaf(5), "leaf ids must form a dense 0..n-1 range"),
+        (
+            validate_cotree,
+            Cotree.series([Cotree.series([L0, L1]), L2, Cotree.leaf(3)]),
+            "series child of series node",
         ),
     ],
 )

@@ -22,7 +22,7 @@ import tracemalloc
 import pytest
 
 from cosp import parity_split_graph
-from cosp.engine import cotree_signature, sp_tree_signature
+from cosp.engine import tree_signature
 from cosp.rows import _closure, iter_bits
 
 READS = 2.3
@@ -85,7 +85,7 @@ def orientation_covers(n: int):
 def graph(adj):
     """Run the cograph engine on counted rows: n + edges, and the counts."""
     tally = {"reads": 0, "words": 0}
-    cotree_signature(Counted(adj, tally))
+    tree_signature(Counted(adj, tally))
     return len(adj) + sum(map(int.bit_count, adj)) // 2, tally
 
 
@@ -96,7 +96,7 @@ def order(succ, count_closure: bool):
     tally = {"reads": 0, "words": 0}
     below, above = _closure(Counted(succ, tally) if count_closure else succ, "covers")
     comp = [b | a for b, a in zip(below, above)]
-    sp_tree_signature(Counted(comp, tally), Counted(below, tally))
+    tree_signature(Counted(comp, tally), Counted(below, tally))
     return len(succ) + sum(map(int.bit_count, succ)), tally
 
 
@@ -106,7 +106,7 @@ def isolated_peak(n: int):
     adj[0], adj[1] = 2, 1
     tracemalloc.start()
     try:
-        cotree_signature(adj)
+        tree_signature(adj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
