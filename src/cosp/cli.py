@@ -18,9 +18,11 @@ runs :func:`cosp.engine.tree_signature` on a graph's rows, or on an
 order's comparability rows with the order's own rows to orient the
 answer.  Machine output is JSON on standard output, diagnostics go to
 standard error, and identical input and flags produce byte-identical
-output.  A tree's JSON text is written straight from its signature, so
-it works at any depth; every other answer is small and flat enough for
-``json.dumps``.
+output: :func:`run` writes standard output in UTF-8 whatever the
+locale, as :func:`_read_file` reads input, so a DOT tree's ``×``, ``∪``
+and ``→`` print under any encoding.  A tree's JSON text is written
+straight from its signature, so it works at any depth; every other
+answer is small and flat enough for ``json.dumps``.
 
 Every request is a fresh interpreter that compiles the modules it
 imports, so a recognition request (``check``, ``cotree``, ``poset ...
@@ -30,8 +32,9 @@ the tree's signature, without the ``Graph`` and ``Poset`` records.
 ``_GRAMMAR`` is the one statement of the recognition commands' grammar:
 :func:`_read_args` reads their arguments from it, and
 :func:`cosp.commands.build_parser` builds their argparse subparsers from
-it.  Any other argument list (help, an error, an abbreviation, an ``=``
-form, ``join``, ``gen`` or ``oracle-compare``) goes to argparse, in
+it, each with :func:`cmd_recognize` as its handler.  Any other argument
+list (help, an error, an abbreviation, an ``=`` form, an ``int`` value,
+``join``, ``gen`` or ``oracle-compare``) goes to argparse, in
 :mod:`cosp.commands` with the tool commands; the table gives exactly
 argparse's namespace or nothing.  ``poset ... linear-split`` and
 ``endpoint`` (through ``lemmas``) build the records they need, from
@@ -142,15 +145,15 @@ def cmd_recognize(args) -> int:
 
 # === argument reading ===
 
-# The recognition commands, which :func:`cosp.commands.build_parser`
-# builds its subparsers from: each command's handler, its positionals with
-# their choices (None for any), its options in the order of their help,
-# each with its dest, its values (choices, ``int``, or None for a flag,
-# which stores True), its default and its help, and the dests of the flags
-# of which it takes at most one (argparse's mutually exclusive group).
+# The recognition commands, which :func:`cmd_recognize` answers and
+# :func:`cosp.commands.build_parser` builds its subparsers from: each
+# command's positionals with their choices (None for any), its options in
+# the order of their help, each with its dest, its values (choices,
+# ``int``, or None for a flag, which stores True), its default and its
+# help, and the dests of the flags of which it takes at most one
+# (argparse's mutually exclusive group).
 _GRAMMAR = {
     "check": (
-        cmd_recognize,
         (("file", None),),
         {
             "--property": (
@@ -164,7 +167,6 @@ _GRAMMAR = {
         (),
     ),
     "cotree": (
-        cmd_recognize,
         (("file", None),),
         {
             "--json": ("json", None, False, "JSON tree (default)"),
@@ -173,7 +175,6 @@ _GRAMMAR = {
         ("json", "dot"),
     ),
     "poset": (
-        cmd_recognize,
         (("file", None), ("action", ("nfree", "sptree", "linear-split", "endpoint"))),
         {
             "--covers": ("covers", None, False, "close the input transitively (default)"),
@@ -192,16 +193,16 @@ def _read_args(argv: Sequence[str]) -> SimpleNamespace | None:
 
     Only plain forms are taken: every token is a positional, which does
     not start with ``-``, or an option of the command spelled in full,
-    followed by its value if it takes one.  So help, ``--``, ``=`` forms,
-    abbreviations, a value that starts with ``-`` but for a negative
-    integer, a bad choice or integer, a missing or extra positional and
-    both options of an exclusive pair all give None, and argparse writes
-    their help or error.
+    followed by its value if it takes one, which must be among its
+    choices.  So help, ``--``, ``=`` forms, abbreviations, an ``int``
+    value (``--x``), a value that starts with ``-``, a bad choice, a
+    missing or extra positional and both options of an exclusive pair all
+    give None, and argparse reads them, or writes their help or error.
     """
     if not argv or argv[0] not in _GRAMMAR:
         return None
-    handler, positionals, options, exclusive = _GRAMMAR[argv[0]]
-    args = {"command": argv[0], "handler": handler}
+    positionals, options, exclusive = _GRAMMAR[argv[0]]
+    args = {"command": argv[0], "handler": cmd_recognize}
     for dest, _, default, _ in options.values():
         args[dest] = default
     given = []
@@ -217,14 +218,7 @@ def _read_args(argv: Sequence[str]) -> SimpleNamespace | None:
             args[dest] = True
             continue
         value = next(tokens, "-")
-        if value[:1] == "-" and not value[1:].isdigit():
-            return None
-        if values is int:
-            try:
-                value = int(value)
-            except ValueError:
-                return None
-        elif value not in values:
+        if values is int or value not in values:
             return None
         args[dest] = value
     if len(given) != len(positionals):
@@ -254,7 +248,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def run() -> None:
     """Run :func:`main` and end the process with its exit code, without
-    the interpreter's teardown (see the module's docstring)."""
+    the interpreter's teardown (see the module's docstring).  Standard
+    output, when there is one, is UTF-8 whatever the locale."""
+    if sys.stdout is not None:
+        sys.stdout.reconfigure(encoding="utf-8")
     code = main()
     if not sys.flags.inspect:
         atexit._run_exitfuncs()

@@ -12,7 +12,9 @@ or a :class:`P4Witness`.
 The tree classes serve orders too (:mod:`cosp.spdecomp`): equality,
 hashing, pickling and ``repr`` go by the flat preorder signature, which
 the engine writes and :func:`_from_signature` reads back, and none of
-them recurses, so trees of any depth work.  The lemmas' own API is in
+them recurses, so trees of any depth work.  Equality and hashing are the
+record base's (:class:`cosp.graphs._Record`), which compares a tree's
+values: here its signature.  The lemmas' own API is in
 :mod:`cosp.lemmas`, and the converters and the dict codec are in
 :mod:`cosp.trees`.
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 
-from .engine import LEAF, PARALLEL, SERIES, dot_text, tree_signature, tree_text, witness_holds
+from .engine import LEAF, PARALLEL, SERIES, _pieces, dot_text, tree_signature, witness_holds
 from .graphs import Graph, _Record
 
 
@@ -51,8 +53,9 @@ class P4Error(ValueError):
 class _Tree(_Record):
     """Equality, hashing and pickling of :class:`Cotree` and ``SPTree`` by
     flat preorder signature, and their repr, all without recursion, so
-    trees of any depth work.  A subclass names its fields, its leaf field
-    and its two internal kinds (join-like first)."""
+    trees of any depth work: the record base compares and hashes
+    :meth:`_values`, which here is the signature.  A subclass names its
+    fields, its leaf field and its two internal kinds (join-like first)."""
 
     def _signature(self) -> list[tuple]:
         # Kind, leaf id and child count of every node in preorder: the
@@ -60,13 +63,10 @@ class _Tree(_Record):
         key = self._leaf_key
         return [(n.kind, getattr(n, key), len(n.children)) for n in _preorder(self)]
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self is other or self._signature() == other._signature()
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._signature()))
+    def _values(self) -> tuple:
+        # What the record base compares and hashes: the signature, not
+        # the fields, whose equality would recurse through the children.
+        return tuple(self._signature())
 
     def __reduce__(self):
         return _from_signature, (type(self), self._signature())
@@ -80,7 +80,7 @@ class _Tree(_Record):
             opening = f"{head}{kind!r}, {key}={leaf!r}, children=("
             return opening, ",))" if count == 1 else "))"
 
-        return tree_text(self._signature(), text)
+        return "".join(_pieces(self._signature(), text))
 
 
 def _fold(signature: list[tuple], node: Callable) -> object:

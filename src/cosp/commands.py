@@ -13,7 +13,8 @@ come here (:func:`cmd_lemma`), and build the records they need.
 import argparse
 import sys
 
-from .cli import _GRAMMAR, EXIT_OK, EXIT_WITNESS, _certificate, _emit, _fail, _read_file, _relabel
+from .cli import _GRAMMAR, EXIT_OK, EXIT_WITNESS, _emit, _fail, _read_file, _relabel
+from .cli import _certificate, cmd_recognize
 
 # The help of each command, in the order that ``cosp -h`` lists them.
 _COMMAND_HELP = {
@@ -36,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parsers = {name: sub.add_parser(name, help=text) for name, text in _COMMAND_HELP.items()}
 
-    for name, (handler, positionals, options, exclusive) in _GRAMMAR.items():
+    for name, (positionals, options, exclusive) in _GRAMMAR.items():
         p = parsers[name]
         for dest, choices in positionals:
             p.add_argument(dest, choices=choices)
@@ -49,14 +50,14 @@ def build_parser() -> argparse.ArgumentParser:
             (group if dest in exclusive else p).add_argument(
                 option, dest=dest, default=default, help=help_, **kind
             )
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=cmd_recognize)
 
     p = parsers["join"]
     p.add_argument("file")
     p.set_defaults(handler=cmd_join)
 
     p = parsers["gen"]
-    p.add_argument("kind", choices=("parity-split", "cotree", "sptree", "gnp", "poset"))
+    p.add_argument("kind", choices=tuple(_GEN))
     p.add_argument("size", type=int)
     p.add_argument("prob", type=float, nargs="?", default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -145,12 +146,25 @@ def cmd_lemma(args, below, above, labels) -> int:
     return EXIT_WITNESS
 
 
-def cmd_gen(args) -> int:
-    from . import oracles
-    from .pairtext import format_graph, format_poset
-    from .trees import cotree_to_graph, parity_split_graph, sp_tree_to_poset
+# What ``gen`` writes of each kind, in the order of its help; its keys are
+# the kind's choices.  Each entry reads the package's lazy namespace ``c``
+# (:mod:`cosp`, into which :func:`cmd_gen` imports :mod:`cosp.oracles`) and
+# the arguments ``a``.
+_GEN = {
+    "parity-split": lambda c, a: c.format_graph(c.parity_split_graph(a.size, a.offset)),
+    "cotree": lambda c, a: c.format_graph(c.cotree_to_graph(c.oracles.rand_cotree(a.size, a.seed))),
+    "sptree": lambda c, a: c.format_poset(
+        c.sp_tree_to_poset(c.oracles.rand_sptree(a.size, a.seed))
+    ),
+    "gnp": lambda c, a: c.format_graph(c.oracles.rand_gnp(a.size, a.prob, a.seed)),
+    "poset": lambda c, a: c.format_poset(c.oracles.rand_poset(a.size, a.prob, a.seed)),
+}
 
-    seed = args.seed
+
+def cmd_gen(args) -> int:
+    import cosp
+    from . import oracles  # noqa: F401 (binds cosp.oracles, which _GEN reads)
+
     kind = args.kind
     if args.offset and kind != "parity-split":
         return _fail("--offset only applies to parity-split")
@@ -161,18 +175,7 @@ def cmd_gen(args) -> int:
             return _fail("edge probability must lie in [0, 1]")
     elif args.prob is not None:
         return _fail(f"{kind} takes no probability argument")
-    if kind == "parity-split":
-        sys.stdout.write(format_graph(parity_split_graph(args.size, args.offset)))
-    elif kind == "cotree":
-        sys.stdout.write(format_graph(cotree_to_graph(oracles.rand_cotree(args.size, seed))))
-    elif kind == "sptree":
-        sys.stdout.write(format_poset(sp_tree_to_poset(oracles.rand_sptree(args.size, seed))))
-    elif kind == "gnp":
-        sys.stdout.write(format_graph(oracles.rand_gnp(args.size, args.prob, seed)))
-    elif kind == "poset":
-        sys.stdout.write(format_poset(oracles.rand_poset(args.size, args.prob, seed)))
-    else:
-        raise AssertionError(f"unhandled kind {kind!r}")
+    sys.stdout.write(_GEN[kind](cosp, args))
     return EXIT_OK
 
 
@@ -185,23 +188,20 @@ def cmd_oracle_compare(args) -> int:
         return _fail(f"poset enumeration limited to order {oracles.MAX_ENUM_POSET}")
     if args.max_graph_n < 0 or args.max_poset_n < 0:
         return _fail("bounds must be non-negative")
-    graphs_checked = 0
-    for n in range(args.max_graph_n + 1):
-        for g in oracles.enumerate_graphs(n):
-            tag = oracles.check_graph_instance(g)
-            graphs_checked += 1
-            if tag is not None:
-                _emit(oracles.mismatch(g, tag))
-                return EXIT_WITNESS
-        print(f"graphs on {n} vertices: ok", file=sys.stderr)
-    posets_checked = 0
-    for n in range(args.max_poset_n + 1):
-        for p in oracles.enumerate_posets(n):
-            tag = oracles.check_poset_instance(p)
-            posets_checked += 1
-            if tag is not None:
-                _emit(oracles.mismatch(p, tag))
-                return EXIT_WITNESS
-        print(f"orders on {n} elements: ok", file=sys.stderr)
-    _emit({"ok": True, "graphs_checked": graphs_checked, "posets_checked": posets_checked})
+    graphs = oracles.enumerate_graphs, oracles.check_graph_instance
+    orders = oracles.enumerate_posets, oracles.check_poset_instance
+    report = {"ok": True, "graphs_checked": 0, "posets_checked": 0}
+    for key, high, (instances, check), done in (
+        ("graphs_checked", args.max_graph_n, graphs, "graphs on {} vertices"),
+        ("posets_checked", args.max_poset_n, orders, "orders on {} elements"),
+    ):
+        for n in range(high + 1):
+            for obj in instances(n):
+                tag = check(obj)
+                report[key] += 1
+                if tag is not None:
+                    _emit(oracles.mismatch(obj, tag))
+                    return EXIT_WITNESS
+            print(f"{done.format(n)}: ok", file=sys.stderr)
+    _emit(report)
     return EXIT_OK

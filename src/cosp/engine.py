@@ -18,16 +18,17 @@ which only orient the answer: :func:`tree_signature` decomposes,
 Everything here takes rows (see :mod:`cosp.rows`) and gives plain
 values, and nothing recurses.  A tree is its signature: the list of
 ``(kind, leaf id, child count)`` of its nodes in preorder, a node's last
-child first, which is also what decides tree equality.  The writers turn
-a signature into JSON, DOT or ``repr`` text in one pass, and one check
-on masks decides every certificate.  What a tree means is stated here
-once, by two passes over its signature: :func:`tree_masks` from the
-leaves up (each internal node's leaves, and its canonical form), then
-:func:`leaf_rows` from the root down (the row each leaf must have).
-:func:`tree_holds` checks a tree against the rows it came from before
-the CLI prints it, and :mod:`cosp.trees` validates trees and rebuilds
-their graphs and orders with the same two passes.  A recognition
-request runs this module and :mod:`cosp.rows` alone;
+child first, which is also what decides tree equality.  One pass,
+:func:`_pieces`, cuts a signature into the pieces of its text, which
+:func:`json_text`, :func:`dot_text` and the tree classes' ``repr`` join,
+and one check on masks decides every certificate.  What a tree means is
+stated here once, by two passes over its signature: :func:`tree_masks`
+from the leaves up (each internal node's leaves, and its canonical
+form), then :func:`leaf_rows` from the root down (the row each leaf must
+have).  :func:`tree_holds` checks a tree against the rows it came from
+before the CLI prints it, and :mod:`cosp.trees` validates trees and
+rebuilds their graphs and orders with the same two passes.  A
+recognition request runs this module and :mod:`cosp.rows` alone;
 :func:`cosp.cographs.cotree`, :func:`cosp.spdecomp.sp_tree`, the
 witnesses' ``validate`` and the tree classes' text wrap these functions
 for the records.
@@ -198,8 +199,9 @@ def tree_masks(signature: list[tuple], linear: bool) -> tuple[list[int], int, st
     None: an internal node with a leaf id, a child of its parent's kind,
     or children of a kind other than linear not ordered by smallest leaf.
     A tree that encodes nothing (a leaf id that is not a non-negative int,
-    a leaf with children, an unknown kind, fewer than two children, a
-    repeated leaf) raises ValueError.  Leaves get no mask."""
+    a leaf with children, an unknown kind, fewer than two children, fewer
+    children than the node's count, a repeated leaf) raises ValueError.
+    Leaves get no mask."""
     kinds, key = ((LINEAR, DISJOINT), "element") if linear else ((SERIES, PARALLEL), "vertex")
     masks = []
     done = []  # (kind, lowest leaf, mask or 0) of each subtree whose parent is to come
@@ -216,6 +218,8 @@ def tree_masks(signature: list[tuple], linear: bool) -> tuple[list[int], int, st
             raise ValueError(f"unknown node kind {kind!r}")
         if count < 2:
             raise ValueError(f"{kind} node with fewer than two children")
+        if count > len(done):
+            raise ValueError(f"{kind} node with missing children")
         children = done[-count:]  # first child first
         if count == 2:  # every node of a path-like tree, on a short path
             (first_kind, low, first_mask), (last_kind, last_low, last_mask) = children
@@ -294,15 +298,6 @@ def tree_holds(
 # === text output ===
 
 
-def tree_text(
-    signature: list[tuple], text: Callable[[str, int | None, int], tuple[str, str]]
-) -> str:
-    """The text of the tree with this signature: ``text(kind, leaf,
-    count)`` gives a node's opening and closing text, and ``", "`` goes
-    between siblings."""
-    return "".join(_pieces(signature, text))
-
-
 def _pieces(signature: list[tuple], text: Callable) -> list:
     """The pieces of a tree's text in preorder, first child first, made in
     one pass without recursion: each node's opening and closing piece from
@@ -342,7 +337,7 @@ def json_text(signature: list[tuple], key: str, labels: Sequence[int] | None = N
             return f"{leaf}{v if labels is None else labels[v]}}}", ""
         return f'{{"kind": "{kind}", "children": [', "]}"
 
-    return tree_text(signature, text)
+    return "".join(_pieces(signature, text))
 
 
 _DOT_LABELS = {SERIES: "×", PARALLEL: "∪", LINEAR: "→", DISJOINT: "∪"}

@@ -590,7 +590,8 @@ def test_read_args_agrees_with_argparse():
     # a file name, the actions, every option with and without its value,
     # ``=`` forms, abbreviations, -h and --.  Where the table reader returns a
     # namespace, argparse must accept the list and return the same one; a None
-    # is always safe, since argparse then reads the list.
+    # is always safe, since argparse then reads the list.  The table reader
+    # converts no value, so every list that gives ``--x`` goes to argparse.
     import itertools
 
     from cosp.cli import _read_args
@@ -613,6 +614,7 @@ def test_read_args_agrees_with_argparse():
                 args = _read_args(argv)
                 if args is None:
                     continue
+                assert not any(token.startswith("--x") for token in tokens), argv
                 accepted += 1
                 try:
                     expected = parser.parse_args(argv)
@@ -622,6 +624,21 @@ def test_read_args_agrees_with_argparse():
     assert accepted > 1000
     for argv in ([], ["join", "F"], ["gen", "cotree", "4"], ["oracle-compare"], ["nope"]):
         assert _read_args(argv) is None
+
+
+def test_gen_writes_every_kind_it_offers(capsys):
+    # cmd_gen writes from its table, one entry per kind; the gen subparser
+    # offers exactly those kinds, in that order, and each writes a text.
+    from cosp.commands import _GEN, build_parser
+
+    parser = build_parser()
+    gen = parser._subparsers._group_actions[0].choices["gen"]
+    (kind,) = [action for action in gen._actions if action.dest == "kind"]
+    assert tuple(_GEN) == tuple(kind.choices) == ("parity-split", "cotree", "sptree", "gnp", "poset")
+    for name in _GEN:
+        prob = ["0.5"] if name in ("gnp", "poset") else []
+        code, out, err = run(capsys, "gen", name, "6", *prob, "--seed", "1")
+        assert (code, err) == (0, "") and out.startswith("n 6\n"), name
 
 
 def test_help_lists_every_command_and_option():
@@ -650,7 +667,7 @@ def test_help_lists_every_command_and_option():
         text = help_text(command)
         usages[command] = text.split("\n\n")[0]
         flat = " ".join(text.split())
-        for _, _, _, help_ in _GRAMMAR[command][2].values():
+        for _, _, _, help_ in _GRAMMAR[command][1].values():
             assert help_ in flat, (command, help_)
     assert "[--json | --dot]" in usages["cotree"]
     assert "[--covers | --full]" in usages["poset"]

@@ -37,7 +37,7 @@ from cosp import (
     sp_tree,
     sp_tree_to_poset,
 )
-from cosp.engine import _decompose, json_text, tree_holds, tree_signature
+from cosp.engine import _decompose, json_text, tree_holds, tree_masks, tree_signature
 from cosp.trees import validate_cotree, validate_sp_tree
 from cosp.graphs import mask_of
 from cosp.rows import iter_bits
@@ -272,6 +272,25 @@ def test_tree_holds_is_false_on_a_tree_that_encodes_nothing(signature):
     assert not tree_holds(signature, K2.adj)
 
 
+@pytest.mark.parametrize("count", [2, 3])
+def test_tree_holds_is_false_when_a_node_misses_children(count):
+    # The node claims more children than the signature holds: with one
+    # fewer, the rest would rebuild the graph with no edges.
+    signature = [("parallel", None, count)] + [("leaf", v, 0) for v in range(count - 2, -1, -1)]
+    assert not tree_holds(signature, [0] * (count - 1))
+    with pytest.raises(ValueError, match="^parallel node with missing children$"):
+        tree_masks(signature, False)
+
+
+def test_tree_holds_is_false_on_a_tree_not_canonical_or_not_on_every_id():
+    leaves = [("leaf", v, 0) for v in (2, 1, 0)]
+    # series(series(0, 1), 2) rebuilds K3, but is not canonical.
+    nested = [("series", None, 2), leaves[0], ("series", None, 2), *leaves[1:]]
+    assert not tree_holds(nested, K3.adj)
+    # series(0, 1) is canonical, but K3 has a vertex 2.
+    assert not tree_holds([("series", None, 2), *leaves[1:]], K3.adj)
+
+
 L0, L1, L2 = (Cotree.leaf(v) for v in range(3))
 E0, E1, E2 = (SPTree.leaf(v) for v in range(3))
 
@@ -361,6 +380,14 @@ def test_neighbor_split_paw():
     assert s.validate(PAW, 0)
 
 
+def test_neighbor_split_with_vertex_0_on_the_far_side():
+    # x = 2's neighbor 0 sees none of the block {3}: the lowest id on the
+    # side that sees none of it.
+    s = neighbor_split(PAW, 2, (3,))
+    assert (s.adjacent_all, s.adjacent_none) == ((1,), (0,))
+    assert s.validate(PAW, 2)
+
+
 def test_neighbor_split_diamond():
     s = neighbor_split(DIAMOND, 0, (3,))
     assert s.adjacent_all == (1, 2)
@@ -441,6 +468,8 @@ WITNESS_CASES = [
     (LinearSplit(1, (0,), (1, 2), ()), (V,), True),
     (LinearSplit(1, (0,), (1,), (2,)), (V,), False),  # 2 is not above 1
     (LinearSplit(1, (0,), (0, 1), ()), (LOOP,), False),  # 0 in two parts
+    (P4Witness((3, 2, 1, 0)), (P4,), True),
+    (P4Witness((-1, 2, 1, 0)), (P4,), False),  # -1, out of range, would read row 3
 ]
 
 

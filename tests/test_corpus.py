@@ -12,9 +12,9 @@ runs them in process through :func:`cosp.cli.main`.
 Run as a script, it works on fresh processes and on the record:
 
 - ``python tests/test_corpus.py --fresh`` replays every entry as a fresh
-  ``python -m cosp.cli`` process without bytecode caching, which also
-  reaches :func:`cosp.cli.run`'s flush and exit, and exits 1 on any
-  difference;
+  ``python -m cosp.cli`` process without bytecode caching, in the
+  caller's locale, which also reaches :func:`cosp.cli.run`'s flush and
+  exit, and exits 1 on any difference;
 - ``python tests/test_corpus.py --write`` rewrites the digests from the
   in-process answers.  Do this only when output changes on purpose: the
   diff of ``digests.json`` then names each answer that changed.
@@ -82,8 +82,10 @@ def in_process(argv: list[str]) -> dict:
     return digest(code, out.getvalue().encode(), err.getvalue().encode())
 
 
-def fresh_process(argv: list[str]) -> dict:
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONIOENCODING="utf-8")
+def fresh_process(argv: list[str], **variables: str) -> dict:
+    """The digest of a fresh ``python -m cosp.cli`` process, whose output
+    is UTF-8 whatever the locale; ``variables`` go to its environment."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **variables)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "cosp.cli", *argv], capture_output=True, env=env)
     return digest(proc.returncode, proc.stdout, proc.stderr)
@@ -104,6 +106,19 @@ def recorded() -> dict:
 @pytest.mark.parametrize("name", sorted(set(inputs()) | set(recorded())))
 def test_every_command_prints_its_recorded_bytes(name):
     assert answers(name, in_process) == recorded().get(name)
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_dot_answers_are_utf_8_under_any_locale(encoding):
+    # The DOT labels ×, ∪ and → are not all in these encodings; a request
+    # writes standard output in UTF-8 anyway, so each answer keeps the
+    # bytes of its digest.
+    table = recorded()
+    for name in ("diamond.txt", "orient-window-11-offset-1-full.txt"):
+        for key in ("cotree --dot", "poset sptree --dot"):
+            argv = requests(CORPUS / name)[key]
+            answer = fresh_process(argv, PYTHONIOENCODING=encoding)
+            assert answer == table[name][key] and answer["exit"] == 0, (name, key)
 
 
 def main(argv: list[str]) -> int:
