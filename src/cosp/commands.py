@@ -147,9 +147,8 @@ def cmd_lemma(args, below, above, labels) -> int:
 
 
 # What ``gen`` writes of each kind, in the order of its help; its keys are
-# the kind's choices.  Each entry reads the package's lazy namespace ``c``
-# (:mod:`cosp`, into which :func:`cmd_gen` imports :mod:`cosp.oracles`) and
-# the arguments ``a``.
+# the kind's choices.  Each entry reads the package ``c`` (:mod:`cosp`, with
+# :mod:`cosp.oracles` imported) and the arguments ``a``.
 _GEN = {
     "parity-split": lambda c, a: c.format_graph(c.parity_split_graph(a.size, a.offset)),
     "cotree": lambda c, a: c.format_graph(c.cotree_to_graph(c.oracles.rand_cotree(a.size, a.seed))),
@@ -162,8 +161,7 @@ _GEN = {
 
 
 def cmd_gen(args) -> int:
-    import cosp
-    from . import oracles  # noqa: F401 (binds cosp.oracles, which _GEN reads)
+    import cosp.oracles
 
     kind = args.kind
     if args.offset and kind != "parity-split":

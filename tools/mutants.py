@@ -2,12 +2,11 @@
 
 Usage::
 
-    python tools/mutants.py MODULE --suite TEST [TEST ...] [--root DIR]
-        [--equivalent FILE]
+    python tools/mutants.py MODULE --suite TEST [TEST ...]
 
-MODULE is the module's path under ``--root`` (default: this checkout),
-such as ``src/cosp/engine.py``, and each TEST a pytest path under it.
-Each mutant changes one node of the module's syntax tree:
+MODULE is the module's path in the checkout that holds this tool (the
+directory above ``tools``), such as ``src/cosp/engine.py``, and each TEST
+a pytest path in it.  Each mutant changes one node of the module's syntax tree:
 
 - ``&`` and ``|``, ``+`` and ``-``, ``<<`` and ``>>`` swapped, in
   expressions and augmented assignments;
@@ -18,7 +17,7 @@ Each mutant changes one node of the module's syntax tree:
 - ``~`` and ``not`` dropped.
 
 Annotations are left alone.  Each mutant is written with
-:func:`ast.unparse` into a scratch copy of the root's top directories
+:func:`ast.unparse` into a scratch copy of the checkout's top directories
 that the module and the suite live in (``__pycache__`` left out), and the
 suite runs there as ``python -m pytest -x``, two mutants at a time, with
 the module's top directory (``src``) on ``PYTHONPATH``, no bytecode
@@ -31,11 +30,11 @@ The unmutated module, written the same way, must pass first.
 A mutant is named ``function: before -> after``: its enclosing function
 (or ``<module>``), and the text of the mutated expression before and
 after (a constant's with its parent expression), with `` (k)`` added for
-the k-th repeat of a name.  ``--equivalent`` names a JSON file (by
-default ``tools/mutants_equivalent.json``) that maps a module's path to
-the mutants that cannot change its behaviour, each with a one-line
-reason.  The tool prints each survivor that the file does not list, with
-its line, and each listed mutant that no longer exists or was killed.
+the k-th repeat of a name.  ``tools/mutants_equivalent.json`` maps a
+module's path to the mutants that cannot change its behaviour, each with
+a one-line reason.  The tool prints each survivor that the file does not
+list, with its line, and each listed mutant that no longer exists or was
+killed.
 It exits 0 when there are none of either, 1 otherwise, and 2 when the
 unmutated suite fails.
 """
@@ -170,7 +169,7 @@ def mutants(source: str) -> list[Mutant]:
 
 
 class Runner:
-    """Runs the kill suite on scratch copies of the root, one per worker."""
+    """Runs the kill suite on scratch copies of the checkout, one per worker."""
 
     def __init__(self, args: argparse.Namespace, work: Path):
         self.args, self.work = args, work
@@ -185,7 +184,7 @@ class Runner:
                 copy = self.work / f"copy{len(self.copies)}"
                 for top in self.tops:
                     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-                    shutil.copytree(self.args.root / top, copy / top, ignore=ignore)
+                    shutil.copytree(ROOT / top, copy / top, ignore=ignore)
                 self.copies[thread] = copy
             return self.copies[thread]
 
@@ -217,16 +216,11 @@ class Runner:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("module", help="the module's path under the root")
-    parser.add_argument("--suite", nargs="+", required=True, help="pytest paths under the root")
-    parser.add_argument("--root", type=Path, default=ROOT)
-    parser.add_argument("--equivalent", type=Path, default=EQUIVALENT)
+    parser.add_argument("module", help="the module's path in the checkout")
+    parser.add_argument("--suite", nargs="+", required=True, help="pytest paths in the checkout")
     args = parser.parse_args(argv)
-    args.root = args.root.resolve()
-    source = (args.root / args.module).read_text(encoding="utf-8")
-    listed = {}
-    if args.equivalent.exists():
-        listed = json.loads(args.equivalent.read_text(encoding="utf-8")).get(args.module, {})
+    source = (ROOT / args.module).read_text(encoding="utf-8")
+    listed = json.loads(EQUIVALENT.read_text(encoding="utf-8")).get(args.module, {})
     every = mutants(source)
     names = {m.name for m in every}
     lines = source.splitlines()
