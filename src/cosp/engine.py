@@ -23,11 +23,12 @@ child first, which is also what decides tree equality.  One pass,
 :func:`json_text`, :func:`dot_text` and the tree classes' ``repr`` join,
 and one check on masks decides every certificate.  What a tree means is
 stated here once, by two passes over its signature: :func:`tree_masks`
-from the leaves up (each internal node's leaves, and its canonical
-form), then :func:`leaf_rows` from the root down (the row each leaf must
-have).  :func:`tree_holds` checks a tree against the rows it came from
-before the CLI prints it, and :mod:`cosp.trees` validates trees and
-rebuilds their graphs and orders with the same two passes.  A
+from the leaves up (each internal node's leaves, the tree's shape and
+its canonical form), then :func:`leaf_rows` from the root down (the row
+each leaf must have).  :func:`tree_holds` checks a tree against the rows
+it came from before the CLI prints it, and :mod:`cosp.trees` validates
+trees and rebuilds their graphs and orders with the same two passes,
+and reads and orients trees with the first.  A
 recognition request runs this module and :mod:`cosp.rows` alone;
 :func:`cosp.cographs.cotree`, :func:`cosp.spdecomp.sp_tree`, the
 witnesses' ``validate`` and the tree classes' text wrap these functions
@@ -198,17 +199,19 @@ def tree_masks(signature: list[tuple], linear: bool) -> tuple[list[int], int, st
     root's mask, and the first fault of canonical form in preorder or
     None: an internal node with a leaf id, a child of its parent's kind,
     or children of a kind other than linear not ordered by smallest leaf.
-    A tree that encodes nothing (a leaf id that is not a non-negative int,
-    a leaf with children, an unknown kind, fewer than two children, fewer
-    children than the node's count, a repeated leaf) raises ValueError.
-    Leaves get no mask."""
+    A signature that encodes no tree raises ValueError: a leaf id that is
+    not a non-negative int (a bool is not one), a leaf with children, an
+    unknown kind, fewer than two children, fewer children than the node's
+    count, more than one root, a repeated leaf.  This is the one
+    statement of a tree's shape: :mod:`cosp.trees`' validators, JSON
+    reader and converters ask it too.  Leaves get no mask."""
     kinds, key = ((LINEAR, DISJOINT), "element") if linear else ((SERIES, PARALLEL), "vertex")
     masks = []
     done = []  # (kind, lowest leaf, mask or 0) of each subtree whose parent is to come
     fault = None
     for kind, leaf, count in reversed(signature):
         if kind == LEAF:
-            if not isinstance(leaf, int) or leaf < 0:
+            if not isinstance(leaf, int) or isinstance(leaf, bool) or leaf < 0:
                 raise ValueError(f"leaf {key} must be a non-negative int, got {leaf!r}")
             if count:
                 raise ValueError("leaf with children")
@@ -220,18 +223,16 @@ def tree_masks(signature: list[tuple], linear: bool) -> tuple[list[int], int, st
             raise ValueError(f"{kind} node with fewer than two children")
         if count > len(done):
             raise ValueError(f"{kind} node with missing children")
-        children = done[-count:]  # first child first
-        if count == 2:  # every node of a path-like tree, on a short path
-            (first_kind, low, first_mask), (last_kind, last_low, last_mask) = children
-            mask = (first_mask or 1 << low) | (last_mask or 1 << last_low)
-            ordered = low < last_low
-            same = first_kind == kind or last_kind == kind
-            if not ordered:
-                low = last_low
-        else:  # the sum is the union unless a leaf repeats, which the root's count catches
-            mask = sum(own or 1 << child_low for _, child_low, own in children)
-            lows = [child[1] for child in children]
-            ordered, same, low = lows == sorted(lows), kind in [c[0] for c in children], min(lows)
+        mask, same, ordered = 0, False, True
+        low = last = done[-count][1]  # the lowest leaf so far, and the last child's
+        for child_kind, child_low, child_mask in done[-count:]:  # first child first
+            mask |= child_mask or 1 << child_low
+            if child_kind == kind:
+                same = True
+            if child_low < last:
+                ordered = False
+                low = min(low, child_low)
+            last = child_low
         if leaf is not None:
             fault = f"internal node with {key} {leaf!r}"
         elif same:
@@ -240,6 +241,8 @@ def tree_masks(signature: list[tuple], linear: bool) -> tuple[list[int], int, st
             fault = f"{kind} children not ordered by smallest leaf id"
         masks.append(mask)
         done[-count:] = [(kind, low, mask)]
+    if len(done) != 1:
+        raise ValueError(f"forest of {len(done)} trees")
     root = done[0][2] or 1 << done[0][1]
     if root.bit_count() != len(signature) - len(masks):
         raise ValueError("duplicate leaf ids")

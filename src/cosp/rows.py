@@ -287,12 +287,11 @@ def _closure(succ: list[int], mode: str) -> tuple[tuple[int, ...], tuple[int, ..
             if indeg[w] == 0:
                 topo.append(w)
     if len(topo) < order:
+        # Each element left has a predecessor left, so some edge lies inside.
         leftover = sum(1 << v for v in range(order) if indeg[v] > 0)
-        for u in iter_bits(leftover):
-            inside = succ[u] & leftover
-            if inside:
-                raise CycleError((u, (inside & -inside).bit_length() - 1))
-        raise CycleError((0, 0))  # unreachable: a cycle always has an internal edge
+        u = next(u for u in iter_bits(leftover) if succ[u] & leftover)
+        inside = succ[u] & leftover
+        raise CycleError((u, (inside & -inside).bit_length() - 1))
     below = _reach(topo, pred)
     if mode == "full":
         for v in range(order):

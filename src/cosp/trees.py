@@ -8,8 +8,13 @@ its JSON text straight from it (:func:`cosp.engine.json_text`).  Every
 helper here reads a tree's signature (``t._signature()``): validation
 and the graph or order a tree encodes are the engine's two passes over
 it (:func:`cosp.engine.tree_masks` and :func:`cosp.engine.leaf_rows`),
-and the dict codec builds with :func:`cosp.cographs._fold`.  Nothing
-recurses, so trees of any depth work.
+and the dict codec builds with :func:`cosp.cographs._fold`.  The JSON
+reader and :func:`cotree_to_sptree` ask :func:`cosp.engine.tree_masks`
+too, the one statement of a tree's shape, so they reject, with its
+messages, every tree that the validators reject for its shape: a leaf
+id that is not a non-negative int (a bool is not one), a leaf with
+children, an unknown kind, fewer than two children, more than one root,
+a repeated leaf.  Nothing recurses, so trees of any depth work.
 """
 
 from __future__ import annotations
@@ -60,14 +65,13 @@ def sp_tree_to_poset(t: SPTree) -> Poset:
 
 def cotree_to_sptree(t: Cotree) -> SPTree:
     """Orient a cograph tree: parallel becomes disjoint, series becomes
-    linear with the canonical child order read bottom to top."""
+    linear with the canonical child order read bottom to top.  A tree
+    that encodes no graph raises :func:`cosp.engine.tree_masks`'
+    ValueError."""
+    signature = t._signature()
+    tree_masks(signature, False)
     names = {LEAF: LEAF, SERIES: LINEAR, PARALLEL: DISJOINT}
-    signature = []
-    for kind, vertex, count in t._signature():
-        if kind not in names:
-            raise ValueError(f"unknown node kind {kind!r}")
-        signature.append((names[kind], vertex, count))
-    return _from_signature(SPTree, signature)
+    return _from_signature(SPTree, [(names[kind], v, count) for kind, v, count in signature])
 
 
 def orient_cotree(t: Cotree) -> Poset:
@@ -112,11 +116,13 @@ cotree_to_json = sp_tree_to_json = _tree_to_json
 
 
 def _tree_from_json(obj: object, cls: type):
-    """Inverse of :func:`_tree_to_json` for trees of class ``cls``; shape
-    errors raise ValueError, the first one met in the signature's order
-    (preorder, last child first)."""
+    """Inverse of :func:`_tree_to_json` for trees of class ``cls``.  Only
+    JSON's own faults are found here, the first one met in preorder (last
+    child first): a node that is not an object, a node other than a leaf
+    whose ``children`` is not a list.  Every other fault of shape is
+    :func:`cosp.engine.tree_masks`' ValueError."""
     key = cls._leaf_key
-    signature: list[tuple[str, int | None, int]] = []
+    signature = []
     stack = [obj]
     while stack:
         node = stack.pop()
@@ -124,18 +130,14 @@ def _tree_from_json(obj: object, cls: type):
             raise ValueError(f"tree node must be an object, got {type(node).__name__}")
         kind = node.get("kind")
         if kind == LEAF:
-            v = node.get(key)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"leaf {key} must be a non-negative int, got {v!r}")
-            signature.append((LEAF, v, 0))
-        elif kind in cls._kinds:
-            children = node.get("children")
-            if not isinstance(children, list) or len(children) < 2:
-                raise ValueError(f"{kind} node needs a list of at least two children")
-            signature.append((kind, None, len(children)))
-            stack.extend(children)
-        else:
-            raise ValueError(f"unknown node kind {kind!r}")
+            signature.append((LEAF, node.get(key), 0))
+            continue
+        children = node.get("children")
+        if not isinstance(children, list):
+            raise ValueError(f"{kind} node needs a list of children")
+        signature.append((kind, None, len(children)))
+        stack.extend(children)
+    tree_masks(signature, cls is SPTree)
     return _from_signature(cls, signature)
 
 

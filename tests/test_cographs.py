@@ -35,6 +35,7 @@ from cosp import (
     orient_cotree,
     select_universal_neighbor,
     sp_tree,
+    sp_tree_from_json,
     sp_tree_to_poset,
 )
 from cosp.engine import _decompose, json_text, tree_holds, tree_masks, tree_signature
@@ -266,6 +267,8 @@ def test_tree_holds_on_its_input_only(graphs_to_4, connected_cographs_to_6, pose
         [("series", None, 2), ("leaf", -1, 0), ("leaf", 0, 0)],
         [("join", None, 2), ("leaf", 0, 0), ("leaf", 1, 0)],
         [("leaf", 0, 1), ("leaf", 1, 0)],
+        # A bool is no leaf id, though True == 1.
+        [("series", None, 2), ("leaf", True, 0), ("leaf", 0, 0)],
     ],
 )
 def test_tree_holds_is_false_on_a_tree_that_encodes_nothing(signature):
@@ -293,6 +296,10 @@ def test_tree_holds_is_false_on_a_tree_not_canonical_or_not_on_every_id():
 
 L0, L1, L2 = (Cotree.leaf(v) for v in range(3))
 E0, E1, E2 = (SPTree.leaf(v) for v in range(3))
+
+
+def cotree_masks(signature):
+    return tree_masks(signature, False)
 
 
 @pytest.mark.parametrize(
@@ -333,12 +340,43 @@ E0, E1, E2 = (SPTree.leaf(v) for v in range(3))
             Cotree.series([Cotree.series([L0, L1]), L2, Cotree.leaf(3)]),
             "series child of series node",
         ),
+        # A signature that leaves two subtrees: two leaves, and a two-child
+        # node followed by a stray leaf.
+        (cotree_masks, [("leaf", 0, 0), ("leaf", 1, 0)], "forest of 2 trees"),
+        (
+            cotree_masks,
+            [("series", None, 2), ("leaf", 1, 0), ("leaf", 0, 0), ("leaf", 2, 0)],
+            "forest of 2 trees",
+        ),
+        # A bool is no leaf id, though True == 1.
+        (
+            validate_cotree,
+            Cotree.series([L0, Cotree.leaf(True)]),
+            "leaf vertex must be a non-negative int, got True",
+        ),
+        (
+            validate_sp_tree,
+            SPTree.linear([E0, SPTree.leaf(True)]),
+            "leaf element must be a non-negative int, got True",
+        ),
+        # The JSON reader and the orientation ask engine.tree_masks too.
+        (
+            cotree_from_json,
+            {"kind": "series", "children": [{"kind": "leaf", "vertex": 0}] * 2},
+            "duplicate leaf ids",
+        ),
+        (
+            sp_tree_from_json,
+            {"kind": "disjoint", "children": [{"kind": "leaf", "element": 1}] * 2},
+            "duplicate leaf ids",
+        ),
+        (cotree_to_sptree, Cotree.series([L0, L0]), "duplicate leaf ids"),
     ],
 )
 def test_tree_checks_name_each_fault(check, tree, message):
     # One malformed tree per rejection of engine.tree_masks, of the validators
-    # (its faults of canonical form) and of the converters (leaf ids not
-    # 0..n-1).
+    # (its faults of canonical form), of the JSON reader and of the converters
+    # (leaf ids not 0..n-1).
     with pytest.raises(ValueError) as exc:
         check(tree)
     assert str(exc.value) == message
@@ -529,7 +567,7 @@ def test_parity_split_graph_offset():
 
 
 def test_parity_split_graph_rejects_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^window size must be positive$"):
         parity_split_graph(0)
 
 

@@ -4,7 +4,8 @@
 windows of both parities and orientations of cotrees, the CLI tests'
 fixtures, and adversarial texts (an N and an induced path on the highest
 ids, ``n 0``, header-less labels, ``u < v`` lines, a self-loop, CRLF, a
-byte-order mark).  ``tests/corpus/digests.json`` records, for every
+byte-order mark, and cyclic relations, whose error names one pair of the
+cycle).  ``tests/corpus/digests.json`` records, for every
 recognition and lemma command of :data:`COMMANDS` on each input, the exit
 code and the sha256 of standard output and of standard error.  The test
 runs them in process through :func:`cosp.cli.main`.

@@ -24,7 +24,7 @@ from cosp import (
     parse_poset,
 )
 from cosp import pairtext
-from cosp.rows import _read_plain, _transpose
+from cosp.rows import _read_pairs, _read_plain, _transpose
 
 CYCLE = "cycle"
 
@@ -119,6 +119,8 @@ REJECTED = [
     ("n < 5\n0 1\n", (1, "malformed header, expected 'n <order>'"), (1, "malformed header, expected 'n <order>'")),
     ("n < 5\n0 < 1\n", (1, "malformed header, expected 'n <order>'"), (1, "malformed header, expected 'n <order>'")),
     ("n 3\n0 1\n01 2\n1 01\n", (4, "self-loop 1 1"), (4, "reflexive relation 1 < 1")),
+    # a label equal to the declared order, read in bulk with shifts
+    ("n 100\n0 100\n", (2, "vertex 100 outside declared order 100"), (2, "element 100 outside declared order 100")),
 ]
 
 
@@ -239,6 +241,23 @@ def test_header_beyond_memory_is_a_parse_error(tmp_path, command, text):
     proc = run_limited(["-m", "cosp.cli", command[0], str(path), *command[1:]])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"line 1: declared order {text.split()[1]} is too large\n"
+
+
+@pytest.mark.parametrize("text, line", [("n 3\n0 1\n", 1), ("# c\nn 3\n0 1\n", 2), ("0 1\n", None)])
+def test_a_failed_build_names_the_header(text, line):
+    # The test above runs out of memory for real, in a process of its own;
+    # here the build fails at once.  The plain reader and the line reader
+    # each give the header's line, and without a header the error stands.
+    def build(rows):
+        raise MemoryError
+
+    if line is None:
+        with pytest.raises(MemoryError):
+            _read_pairs(text, False, build)
+        return
+    with pytest.raises(ParseError) as exc:
+        _read_pairs(text, False, build)
+    assert (exc.value.line, str(exc.value)) == (line, f"line {line}: declared order 3 is too large")
 
 
 def test_closure_beyond_memory_fails_before_any_pass_over_the_rows():
@@ -490,11 +509,14 @@ def test_far_apart_flipped_duplicate(declared):
 
 
 @pytest.mark.parametrize("n", [0, 1, 64, 65])
-@pytest.mark.parametrize("digits", [None, 200], ids=["one-block", "blocks-of-3"])
+@pytest.mark.parametrize(
+    "digits", [None, 200, 50], ids=["one-block", "blocks-of-3", "blocks-of-1"]
+)
 def test_transpose(monkeypatch, n, digits):
     # Dense rows (more than one bit in eight set) go through digit strings,
-    # in blocks of 200 // n rows when ``_DIGITS`` is 200; sparse ones are
-    # walked bit by bit.  Both must match the definition.
+    # in blocks of ``_DIGITS // n`` rows, and of one row when ``_DIGITS``
+    # is below n; sparse ones are walked bit by bit.  Both must match the
+    # definition.
     if digits is not None:
         monkeypatch.setattr(cosp.rows, "_DIGITS", digits)
     rng = random.Random(n)
