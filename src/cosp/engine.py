@@ -192,6 +192,11 @@ def witness_holds(
 # === what a tree means ===
 
 
+def is_leaf_id(leaf: object) -> bool:
+    """A tree's leaf id is a non-negative int that is not a bool."""
+    return isinstance(leaf, int) and not isinstance(leaf, bool) and leaf >= 0
+
+
 def tree_masks(signature: list[tuple], linear: bool) -> tuple[list[int], int, str | None]:
     """The leaf masks of a tree's internal nodes, by one pass over its
     signature from the leaves up: a cotree's, or with ``linear`` an
@@ -200,18 +205,20 @@ def tree_masks(signature: list[tuple], linear: bool) -> tuple[list[int], int, st
     None: an internal node with a leaf id, a child of its parent's kind,
     or children of a kind other than linear not ordered by smallest leaf.
     A signature that encodes no tree raises ValueError: a leaf id that is
-    not a non-negative int (a bool is not one), a leaf with children, an
+    not one (:func:`is_leaf_id`; a bool is not one), a leaf with children, an
     unknown kind, fewer than two children, fewer children than the node's
     count, more than one root, a repeated leaf.  This is the one
     statement of a tree's shape: :mod:`cosp.trees`' validators, JSON
-    reader and converters ask it too.  Leaves get no mask."""
+    reader and converters ask it too.  Leaves get no mask, and an internal
+    node's mask has a bit per leaf id below its largest, so its size
+    follows the ids' magnitude."""
     kinds, key = ((LINEAR, DISJOINT), "element") if linear else ((SERIES, PARALLEL), "vertex")
     masks = []
     done = []  # (kind, lowest leaf, mask or 0) of each subtree whose parent is to come
     fault = None
     for kind, leaf, count in reversed(signature):
         if kind == LEAF:
-            if not isinstance(leaf, int) or isinstance(leaf, bool) or leaf < 0:
+            if not is_leaf_id(leaf):
                 raise ValueError(f"leaf {key} must be a non-negative int, got {leaf!r}")
             if count:
                 raise ValueError("leaf with children")
@@ -227,8 +234,7 @@ def tree_masks(signature: list[tuple], linear: bool) -> tuple[list[int], int, st
         low = last = done[-count][1]  # the lowest leaf so far, and the last child's
         for child_kind, child_low, child_mask in done[-count:]:  # first child first
             mask |= child_mask or 1 << child_low
-            if child_kind == kind:
-                same = True
+            same |= child_kind == kind
             if child_low < last:
                 ordered = False
                 low = min(low, child_low)
@@ -257,9 +263,10 @@ def leaf_rows(
     v's row of the cotree's graph, the leaves of its series ancestors'
     other children, or with ``linear`` its row of the elements below v in
     the sp-tree's order, the leaves of its linear ancestors' earlier
-    children.  Given ``rows``, only the leaves whose row is not theirs.
-    A node's mask is let go once its children no longer need it."""
-    joined = LINEAR if linear else SERIES
+    children; there a cotree's series node reads as a linear one, which
+    gives the cotree's orientation.  Given ``rows``, only the leaves whose
+    row is not theirs.  A node's mask is let go once its children no
+    longer need it."""
     parents = [[False, 0, 0]]  # per child to come: its parent's [joined, row, leaves]
     for kind, leaf, count in signature:
         join, row, rest = entry = parents.pop()
@@ -273,7 +280,7 @@ def leaf_rows(
             else:
                 row |= rest ^ own
         if count:
-            join = kind == joined
+            join = kind == SERIES or kind == LINEAR
             parents += [[join, row, mask if join else 0]] * count
         elif rows is None or row != rows[leaf]:
             yield leaf, row

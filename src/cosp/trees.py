@@ -14,7 +14,10 @@ too, the one statement of a tree's shape, so they reject, with its
 messages, every tree that the validators reject for its shape: a leaf
 id that is not a non-negative int (a bool is not one), a leaf with
 children, an unknown kind, fewer than two children, more than one root,
-a repeated leaf.  Nothing recurses, so trees of any depth work.
+a repeated leaf.  The validators, the reader and the converter ask it of
+the leaf ids' ranks (:func:`_shape_fault`), so an id of any size costs
+no more than a small one; the graph or order a tree encodes needs ids
+0..n-1.  Nothing recurses, so trees of any depth work.
 """
 
 from __future__ import annotations
@@ -22,44 +25,56 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .cographs import LEAF, PARALLEL, SERIES, Cotree, _fold, _from_signature, _Tree
-from .engine import leaf_rows, tree_masks
+from .engine import is_leaf_id, leaf_rows, tree_masks
 from .graphs import Graph
 from .posets import Poset
 from .rows import _transpose
 from .spdecomp import DISJOINT, LINEAR, SPTree
 
 
+def _shape_fault(signature: list[tuple], linear: bool) -> str | None:
+    """:func:`cosp.engine.tree_masks`' fault of canonical form, or its
+    ValueError, asked of a copy of the signature in which each leaf id is
+    replaced by its rank among them.  The ranks keep the ids' order and
+    repeats, so the faults and messages are the same, and the masks' size
+    follows the number of leaves, not how large the ids are."""
+    ids = sorted({v for k, v, _ in signature if k == LEAF and is_leaf_id(v)})
+    rank = {v: r for r, v in enumerate(ids)}
+    ranked = [(k, rank[v] if k == LEAF and is_leaf_id(v) else v, c) for k, v, c in signature]
+    return tree_masks(ranked, linear)[2]
+
+
 def _validate_tree(t: _Tree) -> None:
     """Raise ValueError unless the tree is canonical with distinct leaves."""
-    fault = tree_masks(t._signature(), isinstance(t, SPTree))[2]
-    if fault is not None:
+    if (fault := _shape_fault(t._signature(), isinstance(t, SPTree))) is not None:
         raise ValueError(fault)
 
 
 validate_cotree = validate_sp_tree = _validate_tree
 
 
-def _encoded_rows(signature: list[tuple], linear: bool) -> tuple[int, ...]:
+def _encoded_rows(signature: list[tuple], linear: bool, order: bool) -> tuple[int, ...]:
     """The rows a tree encodes (:func:`cosp.engine.leaf_rows`): a cotree's
-    neighbor rows, or an sp-tree's rows below each element.  Leaf ids must
-    be 0..n-1."""
+    neighbor rows, or with ``order`` the rows below each element of an
+    sp-tree's order or of a cotree's orientation; ``linear`` marks an
+    sp-tree.  Leaf ids must be 0..n-1."""
     masks, root, _ = tree_masks(signature, linear)
     if root & (root + 1):
         raise ValueError("leaf ids must form a dense 0..n-1 range")
-    return tuple(row for _, row in sorted(leaf_rows(signature, masks, linear)))
+    return tuple(row for _, row in sorted(leaf_rows(signature, masks, order)))
 
 
 def cotree_to_graph(t: Cotree) -> Graph:
     """Graph encoded by a tree: two leaves are adjacent exactly when their
     closest common ancestor is a series node.  Leaf ids must be 0..n-1."""
-    return Graph(_encoded_rows(t._signature(), False))
+    return Graph(_encoded_rows(t._signature(), False, False))
 
 
 def sp_tree_to_poset(t: SPTree) -> Poset:
     """Order encoded by a tree: under a linear node every element of an
     earlier child lies below every element of a later child; disjoint
     children stay incomparable.  Leaf ids must be 0..n-1."""
-    below = _encoded_rows(t._signature(), True)
+    below = _encoded_rows(t._signature(), True, True)
     return Poset(below, tuple(_transpose(below)))
 
 
@@ -69,7 +84,7 @@ def cotree_to_sptree(t: Cotree) -> SPTree:
     that encodes no graph raises :func:`cosp.engine.tree_masks`'
     ValueError."""
     signature = t._signature()
-    tree_masks(signature, False)
+    _shape_fault(signature, False)
     names = {LEAF: LEAF, SERIES: LINEAR, PARALLEL: DISJOINT}
     return _from_signature(SPTree, [(names[kind], v, count) for kind, v, count in signature])
 
@@ -77,8 +92,9 @@ def cotree_to_sptree(t: Cotree) -> SPTree:
 def orient_cotree(t: Cotree) -> Poset:
     """Order whose comparability graph is exactly the graph of the tree:
     each series node turns into a linear sum of its children in canonical
-    order.  The result is always N-free."""
-    return sp_tree_to_poset(cotree_to_sptree(t))
+    order, read straight from the cotree.  The result is always N-free."""
+    below = _encoded_rows(t._signature(), False, True)
+    return Poset(below, tuple(_transpose(below)))
 
 
 def parity_split_graph(n: int, offset: int = 0) -> Graph:
@@ -92,7 +108,7 @@ def parity_split_graph(n: int, offset: int = 0) -> Graph:
         raise ValueError("window size must be positive")
     kinds = [PARALLEL if (offset + k) % 2 else SERIES for k in range(n - 1)]
     signature = [(kind, None, 2) for kind in kinds] + [(LEAF, k, 0) for k in range(n - 1, -1, -1)]
-    return Graph(_encoded_rows(signature, False))
+    return Graph(_encoded_rows(signature, False, False))
 
 
 # === nested dict codec ===
@@ -121,7 +137,6 @@ def _tree_from_json(obj: object, cls: type):
     child first): a node that is not an object, a node other than a leaf
     whose ``children`` is not a list.  Every other fault of shape is
     :func:`cosp.engine.tree_masks`' ValueError."""
-    key = cls._leaf_key
     signature = []
     stack = [obj]
     while stack:
@@ -130,14 +145,14 @@ def _tree_from_json(obj: object, cls: type):
             raise ValueError(f"tree node must be an object, got {type(node).__name__}")
         kind = node.get("kind")
         if kind == LEAF:
-            signature.append((LEAF, node.get(key), 0))
+            signature.append((LEAF, node.get(cls._leaf_key), 0))
             continue
         children = node.get("children")
         if not isinstance(children, list):
             raise ValueError(f"{kind} node needs a list of children")
         signature.append((kind, None, len(children)))
         stack.extend(children)
-    tree_masks(signature, cls is SPTree)
+    _shape_fault(signature, cls is SPTree)
     return _from_signature(cls, signature)
 
 

@@ -6,6 +6,14 @@ from cosp import Graph, Poset, is_cograph, is_nfree
 from cosp import oracles
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "memory: measures memory or runs out of it in a process of its own; "
+        "slow, so tools/mutants.py leaves it out of every kill suite",
+    )
+
+
 @pytest.fixture(scope="session")
 def graphs_to_4() -> list[Graph]:
     out = []

@@ -36,10 +36,11 @@ from cosp import (
     select_universal_neighbor,
     sp_tree,
     sp_tree_from_json,
+    sp_tree_to_json,
     sp_tree_to_poset,
 )
-from cosp.engine import _decompose, json_text, tree_holds, tree_masks, tree_signature
-from cosp.trees import validate_cotree, validate_sp_tree
+from cosp.engine import _decompose, is_leaf_id, json_text, tree_holds, tree_masks, tree_signature
+from cosp.trees import _shape_fault, validate_cotree, validate_sp_tree
 from cosp.graphs import mask_of
 from cosp.rows import iter_bits
 from cosp import oracles
@@ -296,6 +297,7 @@ def test_tree_holds_is_false_on_a_tree_not_canonical_or_not_on_every_id():
 
 L0, L1, L2 = (Cotree.leaf(v) for v in range(3))
 E0, E1, E2 = (SPTree.leaf(v) for v in range(3))
+BIG = 10**100  # a leaf id whose mask, 1 << BIG, does not fit in memory
 
 
 def cotree_masks(signature):
@@ -371,6 +373,24 @@ def cotree_masks(signature):
             "duplicate leaf ids",
         ),
         (cotree_to_sptree, Cotree.series([L0, L0]), "duplicate leaf ids"),
+        # They read the leaf ids' ranks, so a leaf id of 10**100 keeps each
+        # fault's text.
+        (
+            validate_cotree,
+            Cotree.parallel([Cotree.leaf(BIG), L0]),
+            "parallel children not ordered by smallest leaf id",
+        ),
+        (cotree_to_sptree, Cotree.series([Cotree.leaf(BIG)] * 2), "duplicate leaf ids"),
+        (
+            cotree_from_json,
+            {"kind": "series", "children": [{"kind": "leaf", "vertex": v} for v in (BIG, -BIG)]},
+            f"leaf vertex must be a non-negative int, got {-BIG}",
+        ),
+        (
+            sp_tree_from_json,
+            {"kind": "linear", "children": [{"kind": "leaf", "element": v} for v in (BIG, True)]},
+            "leaf element must be a non-negative int, got True",
+        ),
     ],
 )
 def test_tree_checks_name_each_fault(check, tree, message):
@@ -380,6 +400,45 @@ def test_tree_checks_name_each_fault(check, tree, message):
     with pytest.raises(ValueError) as exc:
         check(tree)
     assert str(exc.value) == message
+
+
+def test_leaf_ids_of_any_size_are_read_by_rank():
+    # The validators, the JSON reader and the orientation ask tree_masks of
+    # the leaf ids' ranks: a tree with a leaf id of 10**100 reads, orients
+    # and validates like one with small ids (its faults are cases above).
+    t = Cotree.series([L0, Cotree.leaf(BIG)])
+    s = cotree_to_sptree(t)
+    assert s == SPTree.linear([E0, SPTree.leaf(BIG)])
+    assert cotree_from_json(cotree_to_json(t)) == t
+    assert sp_tree_from_json(sp_tree_to_json(s)) == s
+    validate_cotree(t)
+    validate_sp_tree(s)
+
+
+NODE = st.tuples(
+    st.sampled_from(["leaf", "series", "parallel", "linear", "disjoint", "nope"]),
+    st.one_of(st.none(), st.integers(-1, 5), st.booleans(), st.just("0")),
+    st.integers(0, 3),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(NODE, max_size=9), st.booleans(), st.integers(1, 3))
+def test_shape_on_ranks_is_shape_on_ids(signature, linear, gap):
+    # Spread the valid leaf ids apart without changing their order: the fault
+    # or message on the spread ids, read by rank, is the one on the ids.
+    def outcome(check, signature):
+        try:
+            return check(signature, linear)
+        except ValueError as exc:
+            return f"raises {exc}"
+
+    spread = [
+        (kind, v * gap + gap - 1 if kind == "leaf" and is_leaf_id(v) else v, count)
+        for kind, v, count in signature
+    ]
+    expected = outcome(lambda s, linear: tree_masks(s, linear)[2], signature)
+    assert outcome(_shape_fault, spread) == expected
 
 
 def test_cotree_to_graph_examples():

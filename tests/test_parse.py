@@ -191,6 +191,7 @@ def test_line_reader_pieces_read_as_the_whole_text(monkeypatch):
         test_rejected_inputs(*case)
 
 
+@pytest.mark.memory
 def test_line_reader_memory_follows_the_labels():
     # One string per line of the whole text costs about eight times the
     # text for lines of eight characters; the line reader holds the flat
@@ -224,6 +225,7 @@ def run_limited(args, timeout=120):
     )
 
 
+@pytest.mark.memory
 @pytest.mark.parametrize(
     "command, text",
     [
@@ -260,6 +262,7 @@ def test_a_failed_build_names_the_header(text, line):
     assert (exc.value.line, str(exc.value)) == (line, f"line {line}: declared order 3 is too large")
 
 
+@pytest.mark.memory
 def test_closure_beyond_memory_fails_before_any_pass_over_the_rows():
     # The rows and in-degrees of 15M elements fit in 500 MB, the Kahn
     # queue's 15M ids do not: it is made before the transpose reads a row.

@@ -19,7 +19,9 @@ a pytest path in it.  Each mutant changes one node of the module's syntax tree:
 Annotations are left alone.  Each mutant is written with
 :func:`ast.unparse` into a scratch copy of the checkout's top directories
 that the module and the suite live in (``__pycache__`` left out), and the
-suite runs there as ``python -m pytest -x``, two mutants at a time, with
+suite runs there as ``python -m pytest -x -m "not memory"``, two mutants
+at a time (tests marked ``memory`` measure memory or run out of it in
+processes of their own, which is slow, so no kill suite runs them), with
 the module's top directory (``src``) on ``PYTHONPATH``, no bytecode
 written, no Hypothesis database kept between mutants, and 1 GiB of
 address space.  A mutant is killed when the suite fails, and counted as
@@ -196,6 +198,7 @@ class Runner:
         top = copy / Path(self.args.module).parts[0]
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(top))
         command = [sys.executable, "-c", _LIMITED, str(MEMORY), "-m", "pytest", "-x", "-q"]
+        command += ["-m", "not memory"]
         start = time.perf_counter()
         proc = subprocess.Popen(
             [*command, "-p", "no:cacheprovider", *self.args.suite],
