@@ -204,14 +204,15 @@ def tree_masks(signature: list[tuple], linear: bool) -> tuple[list[int], int, st
     root's mask, and the first fault of canonical form in preorder or
     None: an internal node with a leaf id, a child of its parent's kind,
     or children of a kind other than linear not ordered by smallest leaf.
-    A signature that encodes no tree raises ValueError: a leaf id that is
-    not one (:func:`is_leaf_id`; a bool is not one), a leaf with children, an
-    unknown kind, fewer than two children, fewer children than the node's
-    count, more than one root, a repeated leaf.  This is the one
-    statement of a tree's shape: :mod:`cosp.trees`' validators, JSON
-    reader and converters ask it too.  Leaves get no mask, and an internal
-    node's mask has a bit per leaf id below its largest, so its size
-    follows the ids' magnitude."""
+    A signature that encodes no tree raises ValueError: a leaf whose id
+    is not a non-negative int (:func:`is_leaf_id`; a bool is not one), a
+    leaf with children, an unknown kind, fewer than two children, fewer
+    children than the node's count, more than one root, a repeated leaf.
+    This is the one statement of a tree's shape: :mod:`cosp.trees`'
+    validators, JSON reader and converters ask it too.  Leaves get no
+    mask, and an internal node's mask has a bit per leaf id below its
+    largest, so its size follows the ids' magnitude; the validators, the
+    reader and the cotree converter ask it of the ids' ranks instead."""
     kinds, key = ((LINEAR, DISJOINT), "element") if linear else ((SERIES, PARALLEL), "vertex")
     masks = []
     done = []  # (kind, lowest leaf, mask or 0) of each subtree whose parent is to come

@@ -15,9 +15,9 @@ messages, every tree that the validators reject for its shape: a leaf
 id that is not a non-negative int (a bool is not one), a leaf with
 children, an unknown kind, fewer than two children, more than one root,
 a repeated leaf.  The validators, the reader and the converter ask it of
-the leaf ids' ranks (:func:`_shape_fault`), so an id of any size costs
-no more than a small one; the graph or order a tree encodes needs ids
-0..n-1.  Nothing recurses, so trees of any depth work.
+the leaf ids' ranks (:func:`_shape_fault`), so the masks' size follows
+the number of leaves, not how large the ids are; the graph or order a
+tree encodes needs ids 0..n-1.  Nothing recurses, so trees of any depth work.
 """
 
 from __future__ import annotations
