@@ -7,7 +7,8 @@ path.  :func:`cotree` decides it by the split engine,
 a part that splits neither way, finds an induced path by the
 neighbor-split lemma at the part's lowest vertex; this module gives that
 answer as records: a :class:`Cotree` built from the engine's signature,
-or a :class:`P4Witness`.
+or a :class:`P4Witness`.  It also exports the engine's
+:class:`cosp.engine.P4Error`, which the lemma API raises.
 
 The tree classes serve orders too (:mod:`cosp.spdecomp`): equality,
 hashing, pickling and ``repr`` go by the flat preorder signature, which
@@ -29,6 +30,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 
 from .engine import LEAF, PARALLEL, SERIES, _pieces, dot_text, tree_signature, witness_holds
+from .engine import P4Error as P4Error
 from .graphs import Graph, _Record
 
 
@@ -39,15 +41,6 @@ class P4Witness(_Record):
 
     def validate(self, g: Graph) -> bool:
         return witness_holds(self.path, g.adj)
-
-
-class P4Error(ValueError):
-    """An operation that requires a path-free input found an induced
-    four-vertex path; ``witness`` carries it."""
-
-    def __init__(self, witness: P4Witness, message: str):
-        super().__init__(message)
-        self.witness = witness
 
 
 class _Tree(_Record):

@@ -46,13 +46,22 @@ LINEAR = "linear"
 DISJOINT = "disjoint"
 
 
-class InducedPath(ValueError):
-    """An induced four-vertex path met by :func:`_sides`, as ``path``;
-    the lemma API raises it as :class:`cosp.cographs.P4Error`."""
+class P4Error(ValueError):
+    """An operation that requires a path-free input found an induced
+    four-vertex path, ``path``: :func:`_sides` raises it, and so the
+    lemma API (:mod:`cosp.lemmas`) does.  ``witness`` is the path as a
+    :class:`cosp.cographs.P4Witness`; :mod:`cosp.cographs` exports this
+    class."""
 
     def __init__(self, path: tuple[int, int, int, int], message: str):
         super().__init__(message)
         self.path = path
+
+    @property
+    def witness(self):
+        from .cographs import P4Witness
+
+        return P4Witness(self.path)
 
 
 def _decompose(adj: Sequence[int], below: Sequence[int] | None = None) -> list[tuple] | int:
@@ -127,7 +136,7 @@ def _p4_in_part(adj: Sequence[int], sub: int) -> tuple[int, int, int, int]:
             (_sides(adj, x, block)[0], block)
             for block in mask_components(adj, sub & ~adj[x] & ~(1 << x))
         ]
-    except InducedPath as exc:
+    except P4Error as exc:
         path = exc.path
     else:
         low, block = min(sides, key=lambda side: side[0].bit_count())
@@ -141,7 +150,7 @@ def _sides(adj: Sequence[int], x: int, block: int) -> tuple[int, int]:
     of ``block`` (a connected mask of non-neighbors of x) and those that
     see none of it, read from the block's own rows.  A neighbor that sees
     part of the block, or two sides not joined, pins an induced path,
-    raised as :class:`InducedPath` from the lowest such vertices."""
+    raised as :class:`P4Error` from the lowest such vertices."""
     n1 = adj[x]
     seen = 0
     for b in iter_bits(block):
@@ -157,7 +166,7 @@ def _sides(adj: Sequence[int], x: int, block: int) -> tuple[int, int]:
             bs = adj[a] & block & ~adj[y]
             if bs:
                 b = (bs & -bs).bit_length() - 1
-                raise InducedPath((x, y, a, b), f"vertex {y} is adjacent to part of the block only")
+                raise P4Error((x, y, a, b), f"vertex {y} is adjacent to part of the block only")
         raise ValueError("component is not connected")
     unjoined = 0
     for z in iter_bits(n2):
@@ -168,7 +177,7 @@ def _sides(adj: Sequence[int], x: int, block: int) -> tuple[int, int]:
         y2 = (missing & -missing).bit_length() - 1
         c0 = (block & -block).bit_length() - 1
         message = f"neighbors {y1} and {y2} are not adjacent across the split"
-        raise InducedPath((c0, y1, x, y2), message)
+        raise P4Error((c0, y1, x, y2), message)
     return n1, n2
 
 
@@ -208,11 +217,13 @@ def tree_masks(signature: list[tuple], linear: bool) -> tuple[list[int], int, st
     is not a non-negative int (:func:`is_leaf_id`; a bool is not one), a
     leaf with children, an unknown kind, fewer than two children, fewer
     children than the node's count, more than one root, a repeated leaf.
-    This is the one statement of a tree's shape: :mod:`cosp.trees`'
-    validators, JSON reader and converters ask it too.  Leaves get no
-    mask, and an internal node's mask has a bit per leaf id below its
-    largest, so its size follows the ids' magnitude; the validators, the
-    reader and the cotree converter ask it of the ids' ranks instead."""
+    This is the one statement of a tree's shape: every entry of
+    :mod:`cosp.trees` asks it too, through that module's one reading of
+    a tree.  Leaves get no mask, and an internal node's mask has a bit
+    per leaf id below its largest, so its size follows the ids'
+    magnitude; that reading asks it of the ids' ranks when an id is at
+    least the number of leaves, so no mask there is wider than the leaf
+    count."""
     kinds, key = ((LINEAR, DISJOINT), "element") if linear else ((SERIES, PARALLEL), "vertex")
     masks = []
     done = []  # (kind, lowest leaf, mask or 0) of each subtree whose parent is to come

@@ -2,7 +2,8 @@
 
 On graphs: the blocks of a vertex's non-neighbors, the split of its
 neighbors against one block (:func:`neighbor_split`, whose mask routine
-:func:`cosp.engine._sides` also finds the engines' certificates), a
+:func:`cosp.engine._sides` also finds the engines' certificates and
+raises the engine's :class:`cosp.engine.P4Error` here as it is), a
 neighbor joined to every non-neighbor, and the join witness of a graph
 whose complement splits.  On orders: the three-layer linear split, the
 chain endpoint comparable to an element's incomparables, and the
@@ -16,15 +17,15 @@ are tested against; nothing here calls them.
 No CLI request that decides recognition imports this module: the
 split engine (:mod:`cosp.engine`) answers those, and only ``join``,
 ``poset ... linear-split`` and ``poset ... endpoint`` ask for a lemma's
-own witness.
+own witness; they do not compile :mod:`cosp.cographs`, which this
+module does not import.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from .cographs import P4Error, P4Witness
-from .engine import InducedPath, _sides
+from .engine import _sides
 from .graphs import (
     DisconnectedError,
     Graph,
@@ -42,14 +43,6 @@ from .graphs import (
 def _in_range(n: int, *groups: Iterable[int]) -> bool:
     """True when every id of every group lies in 0..n-1."""
     return all(0 <= v < n for group in groups for v in group)
-
-
-def _split(g: Graph, x: int, block: int) -> tuple[int, int]:
-    """:func:`cosp.engine._sides` on g, its path raised as :class:`P4Error`."""
-    try:
-        return _sides(g.adj, x, block)
-    except InducedPath as exc:
-        raise P4Error(P4Witness(exc.path), str(exc)) from None
 
 
 class JoinWitness(_Record):
@@ -120,7 +113,7 @@ def neighbor_split(g: Graph, x: int, component: Iterable[int]) -> NeighborSplit:
 
     Every neighbor must see all of the block or none of it, and the two
     sides must be completely joined; a violation of either property pins
-    an induced four-vertex path, raised as :class:`cosp.cographs.P4Error`.
+    an induced four-vertex path, raised as :class:`cosp.engine.P4Error`.
     """
     g._check(x)
     cm = g._members(component)
@@ -128,7 +121,7 @@ def neighbor_split(g: Graph, x: int, component: Iterable[int]) -> NeighborSplit:
         raise ValueError("component must be nonempty")
     if cm & (g.adj[x] | (1 << x)):
         raise ValueError(f"component members must be non-neighbors of {x}")
-    n1, n2 = _split(g, x, cm)
+    n1, n2 = _sides(g.adj, x, cm)
     return NeighborSplit(
         component=vertices_of(cm),
         adjacent_all=vertices_of(n1),
@@ -184,7 +177,7 @@ def select_universal_neighbor(g: Graph, x: int) -> int:
     adjacent side is smallest (cardinality, then lexicographic), and
     returns that side's smallest member.  With no non-neighbors the
     smallest neighbor is returned.  A four-vertex path met along the way
-    surfaces as :class:`cosp.cographs.P4Error`.
+    surfaces as :class:`cosp.engine.P4Error`.
     """
     g._check(x)
     if g.adj[x] == 0:
@@ -194,7 +187,7 @@ def select_universal_neighbor(g: Graph, x: int) -> int:
         return (g.adj[x] & -g.adj[x]).bit_length() - 1
     best: tuple[int, tuple[int, ...]] | None = None
     for cm in mask_components(g.adj, inc):
-        n1 = vertices_of(_split(g, x, cm)[0])
+        n1 = vertices_of(_sides(g.adj, x, cm)[0])
         if not n1:
             raise DisconnectedError(
                 f"no neighbor of {x} reaches the block containing {cm.bit_length() - 1}"

@@ -4,20 +4,22 @@ orientation of a cotree, validation of canonical form, the nested dict
 
 None of this runs on a CLI request but ``gen``: the engine writes a
 tree's signature, checks it (:func:`cosp.engine.tree_holds`) and writes
-its JSON text straight from it (:func:`cosp.engine.json_text`).  Every
-helper here reads a tree's signature (``t._signature()``): validation
-and the graph or order a tree encodes are the engine's two passes over
-it (:func:`cosp.engine.tree_masks` and :func:`cosp.engine.leaf_rows`),
-and the dict codec builds with :func:`cosp.cographs._fold`.  The JSON
-reader and :func:`cotree_to_sptree` ask :func:`cosp.engine.tree_masks`
-too, the one statement of a tree's shape, so they reject, with its
-messages, every tree that the validators reject for its shape: a leaf
-id that is not a non-negative int (a bool is not one), a leaf with
-children, an unknown kind, fewer than two children, more than one root,
-a repeated leaf.  The validators, the reader and the converter ask it of
-the leaf ids' ranks (:func:`_shape_fault`), so the masks' size follows
-the number of leaves, not how large the ids are; the graph or order a
-tree encodes needs ids 0..n-1.  Nothing recurses, so trees of any depth work.
+its JSON text straight from it (:func:`cosp.engine.json_text`).  Here
+the validators, the JSON reader, :func:`cotree_to_sptree` and the graph
+or order a tree encodes read a tree's signature (``t._signature()``)
+through one helper, :func:`_read`, which asks
+:func:`cosp.engine.tree_masks`, the one statement of a tree's shape,
+once.  So they
+all reject, with its messages, every tree that the validators reject for
+its shape: a leaf id that is not a non-negative int (a bool is not one),
+a leaf with children, an unknown kind, fewer than two children, more
+than one root, a repeated leaf.  :func:`_read` ranks the leaf ids when
+one is at least the number of leaves, so no mask is wider than the tree
+has leaves, however large the ids are; the graph or order a tree encodes
+(:func:`cosp.engine.leaf_rows` from those masks) needs ids 0..n-1, which
+are exactly the ids that are not ranked.  The dict codec builds with
+:func:`cosp.cographs._fold`.  Nothing recurses, so trees of any depth
+work.
 """
 
 from __future__ import annotations
@@ -32,21 +34,28 @@ from .rows import _transpose
 from .spdecomp import DISJOINT, LINEAR, SPTree
 
 
-def _shape_fault(signature: list[tuple], linear: bool) -> str | None:
-    """:func:`cosp.engine.tree_masks`' fault of canonical form, or its
-    ValueError, asked of a copy of the signature in which each leaf id is
-    replaced by its rank among them.  The ranks keep the ids' order and
-    repeats, so the faults and messages are the same, and the masks' size
-    follows the number of leaves, not how large the ids are."""
-    ids = sorted({v for k, v, _ in signature if k == LEAF and is_leaf_id(v)})
-    rank = {v: r for r, v in enumerate(ids)}
-    ranked = [(k, rank[v] if k == LEAF and is_leaf_id(v) else v, c) for k, v, c in signature]
-    return tree_masks(ranked, linear)[2]
+def _read(signature: list[tuple], linear: bool) -> tuple[list[tuple], list[int], str | None]:
+    """The one reading of a tree here: :func:`cosp.engine.tree_masks`
+    asked once, which raises its ValueError on a signature that encodes no
+    tree.  Returns the signature it read, its masks and its fault of
+    canonical form or None.  When some leaf id is at least the number of
+    leaves, it reads a copy in which each leaf id is replaced by its rank
+    among them; the ranks keep the ids' order and repeats, so the faults
+    and messages are the same, and no mask is wider than the number of
+    leaves.  Otherwise the distinct ids already are their ranks, and it
+    reads the signature itself: the ids are 0..n-1 exactly when the
+    signature it returns is the one it was given."""
+    leaves = [v for kind, v, _ in signature if kind == LEAF]
+    if any(is_leaf_id(v) and v >= len(leaves) for v in leaves):
+        rank = {v: r for r, v in enumerate(sorted({v for v in leaves if is_leaf_id(v)}))}
+        signature = [(k, rank[v] if k == LEAF and is_leaf_id(v) else v, c) for k, v, c in signature]
+    masks, _, fault = tree_masks(signature, linear)
+    return signature, masks, fault
 
 
 def _validate_tree(t: _Tree) -> None:
     """Raise ValueError unless the tree is canonical with distinct leaves."""
-    if (fault := _shape_fault(t._signature(), isinstance(t, SPTree))) is not None:
+    if (fault := _read(t._signature(), isinstance(t, SPTree))[2]) is not None:
         raise ValueError(fault)
 
 
@@ -58,8 +67,8 @@ def _encoded_rows(signature: list[tuple], linear: bool, order: bool) -> tuple[in
     neighbor rows, or with ``order`` the rows below each element of an
     sp-tree's order or of a cotree's orientation; ``linear`` marks an
     sp-tree.  Leaf ids must be 0..n-1."""
-    masks, root, _ = tree_masks(signature, linear)
-    if root & (root + 1):
+    read, masks, _ = _read(signature, linear)
+    if read is not signature:
         raise ValueError("leaf ids must form a dense 0..n-1 range")
     return tuple(row for _, row in sorted(leaf_rows(signature, masks, order)))
 
@@ -84,7 +93,7 @@ def cotree_to_sptree(t: Cotree) -> SPTree:
     that encodes no graph raises :func:`cosp.engine.tree_masks`'
     ValueError."""
     signature = t._signature()
-    _shape_fault(signature, False)
+    _read(signature, False)
     names = {LEAF: LEAF, SERIES: LINEAR, PARALLEL: DISJOINT}
     return _from_signature(SPTree, [(names[kind], v, count) for kind, v, count in signature])
 
@@ -152,7 +161,7 @@ def _tree_from_json(obj: object, cls: type):
             raise ValueError(f"{kind} node needs a list of children")
         signature.append((kind, None, len(children)))
         stack.extend(children)
-    _shape_fault(signature, cls is SPTree)
+    _read(signature, cls is SPTree)
     return _from_signature(cls, signature)
 
 

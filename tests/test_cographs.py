@@ -40,7 +40,7 @@ from cosp import (
     sp_tree_to_poset,
 )
 from cosp.engine import _decompose, is_leaf_id, json_text, tree_holds, tree_masks, tree_signature
-from cosp.trees import _shape_fault, validate_cotree, validate_sp_tree
+from cosp.trees import _read, validate_cotree, validate_sp_tree
 from cosp.graphs import mask_of
 from cosp.rows import iter_bits
 from cosp import oracles
@@ -438,7 +438,7 @@ def test_shape_on_ranks_is_shape_on_ids(signature, linear, gap):
         for kind, v, count in signature
     ]
     expected = outcome(lambda s, linear: tree_masks(s, linear)[2], signature)
-    assert outcome(_shape_fault, spread) == expected
+    assert outcome(lambda s, linear: _read(s, linear)[2], spread) == expected
 
 
 def test_cotree_to_graph_examples():

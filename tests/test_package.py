@@ -70,6 +70,6 @@ def test_loc_counts_code_lines_and_nodes(tmp_path):
     request = loc.request_modules(package, ["check", str(graph)])
     assert request == ["__init__", "cli", "engine", "rows"]
     tool = loc.request_modules(package, ["join", str(graph)])
-    assert {"commands", "graphs", "cographs"} <= set(tool)
+    assert {"commands", "graphs", "lemmas"} <= set(tool) and "cographs" not in tool
     # cli counts once more only if commands compiled a second copy of it.
     assert tool.count("cli") == 1
