@@ -9,15 +9,15 @@ the validators, the JSON reader, :func:`cotree_to_sptree` and the graph
 or order a tree encodes read a tree's signature (``t._signature()``)
 through one helper, :func:`_read`, which asks
 :func:`cosp.engine.tree_masks`, the one statement of a tree's shape,
-once.  So they
-all reject, with its messages, every tree that the validators reject for
-its shape: a leaf id that is not a non-negative int (a bool is not one),
-a leaf with children, an unknown kind, fewer than two children, more
-than one root, a repeated leaf.  :func:`_read` ranks the leaf ids when
-one is at least the number of leaves, so no mask is wider than the tree
-has leaves, however large the ids are; the graph or order a tree encodes
-(:func:`cosp.engine.leaf_rows` from those masks) needs ids 0..n-1, which
-are exactly the ids that are not ranked.  The dict codec builds with
+once.  So they all reject, with its messages, every tree that the
+validators reject for its shape: a leaf id that is not a non-negative
+int (a bool is not one), a leaf with children, an unknown kind, fewer
+than two children, more than one root, a repeated leaf.  :func:`_read`
+ranks the leaf ids when one is at least the number of leaves, so no mask
+is wider than the tree has leaves, however large the ids are; the graph
+or order a tree encodes (:func:`cosp.engine.leaf_rows` from those masks)
+needs ids 0..n-1, which in a tree that reads are exactly the ids that
+:func:`_read` leaves unranked.  The dict codec builds with
 :func:`cosp.cographs._fold`.  Nothing recurses, so trees of any depth
 work.
 """

@@ -809,6 +809,31 @@ def test_oracle_compare_guard(capsys):
         assert run(capsys, "oracle-compare", option, "-1") == (2, "", "bounds must be non-negative\n")
 
 
+@pytest.mark.parametrize(
+    "check, pairs, payload, passed",
+    [
+        ("check_graph_instance", "edges", {"n": 2, "edges": [[0, 1]]}, 2),
+        ("check_poset_instance", "relations", {"n": 2, "relations": [[0, 1]]}, 5),
+    ],
+)
+def test_oracle_compare_reports_a_mismatch(capsys, monkeypatch, check, pairs, payload, passed):
+    # A check that tags the first instance on two ids with a pair: the sweep
+    # stops there, prints that instance and exits 1.
+    from cosp import oracles
+
+    tag = "tagged by the test"
+    monkeypatch.setattr(
+        oracles, check, lambda obj: tag if obj.order == 2 and getattr(obj, pairs)() else None
+    )
+    code, out, err = run(capsys, "oracle-compare", "--max-graph-n", "2", "--max-poset-n", "2")
+    kind = "graph" if pairs == "edges" else "poset"
+    report = {"ok": False, "kind": kind, "check": tag, "payload": payload}
+    assert (code, out) == (1, json.dumps(report) + "\n")
+    done = [f"graphs on {n} vertices: ok\n" for n in range(3)]
+    done += [f"orders on {n} elements: ok\n" for n in range(2)]
+    assert err == "".join(done[:passed])
+
+
 def test_oracle_compare_vacuous_poset_bound(capsys):
     code, out, _ = run(capsys, "oracle-compare", "--max-graph-n", "0", "--max-poset-n", "1")
     assert code == 0

@@ -293,6 +293,8 @@ def test_tree_holds_is_false_on_a_tree_not_canonical_or_not_on_every_id():
     assert not tree_holds(nested, K3.adj)
     # series(0, 1) is canonical, but K3 has a vertex 2.
     assert not tree_holds([("series", None, 2), *leaves[1:]], K3.adj)
+    # A lone leaf whose id is not the one vertex's.
+    assert not tree_holds([("leaf", 1, 0)], [0])
 
 
 L0, L1, L2 = (Cotree.leaf(v) for v in range(3))
@@ -413,6 +415,12 @@ def test_leaf_ids_of_any_size_are_read_by_rank():
     assert sp_tree_from_json(sp_tree_to_json(s)) == s
     validate_cotree(t)
     validate_sp_tree(s)
+    # The encoders read the same ranks, and a ranked tree has no 0..n-1 ids:
+    # a mask sized by the id would not fit in memory.
+    dense = "^leaf ids must form a dense 0..n-1 range$"
+    for encode, tree in ((cotree_to_graph, t), (orient_cotree, t), (sp_tree_to_poset, s)):
+        with pytest.raises(ValueError, match=dense):
+            encode(tree)
 
 
 NODE = st.tuples(
@@ -606,6 +614,8 @@ def test_select_universal_neighbor():
     assert select_universal_neighbor(star, 1) == 0
     with pytest.raises(ValueError):
         select_universal_neighbor(Graph.from_edges(2, []), 0)
+    with pytest.raises(DisconnectedError, match="^no neighbor of 0 reaches the block containing 2$"):
+        select_universal_neighbor(Graph.from_edges(3, [(0, 1)]), 0)
 
 
 def test_parity_split_graph_edges():
@@ -701,6 +711,9 @@ def test_json_rejects_malformed():
         cotree_from_json({"kind": "leaf", "vertex": True})
     with pytest.raises(ValueError, match="^tree node must be an object, got list$"):
         cotree_from_json({"kind": "series", "children": [[], {"kind": "leaf", "vertex": 0}]})
+    for node in ({"kind": "series"}, {"kind": "series", "children": "ab"}):
+        with pytest.raises(ValueError, match="^series node needs a list of children$"):
+            cotree_from_json(node)
 
 
 def test_dot_output():

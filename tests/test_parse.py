@@ -121,6 +121,18 @@ REJECTED = [
     ("n 3\n0 1\n01 2\n1 01\n", (4, "self-loop 1 1"), (4, "reflexive relation 1 < 1")),
     # a label equal to the declared order, read in bulk with shifts
     ("n 100\n0 100\n", (2, "vertex 100 outside declared order 100"), (2, "element 100 outside declared order 100")),
+    # the line reader's shortcut for lines of labels it has seen takes only
+    # 'u v' and 'u < v', and no '<' as a label
+    ("0 1\n0 > 1\n", (2, "expected two vertex labels, got '0 > 1'"), (2, "expected two element labels, got '0 > 1'")),
+    (
+        "0 1\n2 3\n0 < 1 2\n",
+        (3, "expected two vertex labels, got '0 < 1 2'"),
+        (3, "expected two element labels, got '0 < 1 2'"),
+    ),
+    ("0 < 1\n< 1\n", (1, "expected two vertex labels, got '0 < 1'"), (2, "expected two element labels, got '< 1'")),
+    ("n 3\n0 -1\n", (2, "vertex labels must be non-negative"), (2, "element labels must be non-negative")),
+    # a comment line is not counted when a duplicate's line is found
+    ("n 3\n0 1\n#c d\n0 1\n", (4, "duplicate edge 0 1"), (4, "duplicate relation 0 < 1")),
 ]
 
 
@@ -177,16 +189,38 @@ def test_labels_beyond_the_digit_limit_name_it(text, line, what):
         assert parse(f"0 {'9' * LIMIT_DIGITS}\n")[1] == (0, int("9" * LIMIT_DIGITS))
 
 
+@pytest.mark.skipif(not LIMIT_DIGITS, reason="int() has no limit on digits here")
+def test_a_label_at_the_digit_limit_is_not_too_long():
+    # Beside a label that is no integer, one of exactly the limit's digits
+    # is not the line's fault.
+    at_limit = "9" * LIMIT_DIGITS
+    for parse, noun in ((parse_graph, "vertex"), (parse_poset, "element")):
+        with pytest.raises(ParseError) as exc:
+            parse(f"{at_limit} x\n")
+        assert str(exc.value) == f"line 1: expected two {noun} labels, got '{at_limit} x'"
+
+
 def test_line_reader_pieces_read_as_the_whole_text(monkeypatch):
     # The line reader splits the text a piece at a time, cut after a
     # newline: with pieces of a few characters, every prefix of a text with
     # each kind of line break splits as the whole, and every rejected input
     # fails as before.
     text = "n 3\r\n0 1\r\n\n# c\r1  2\x0b\x85 2 0\n\n\n0 1"
+
+    class Spied(str):
+        # Keeps each piece that the reader cuts from the text.
+        def __getitem__(self, key):
+            pieces.append(piece := super().__getitem__(key))
+            return piece
+
     for chunk in (1, 2, 3, 5):
         monkeypatch.setattr(pairtext, "_CHUNK", chunk)
         for end in range(len(text) + 1):
             assert list(pairtext._lines(text[:end])) == text[:end].splitlines()
+        # A piece is at most one chunk, or else one line and its newline.
+        pieces = []
+        list(pairtext._lines(Spied(text)))
+        assert all(len(piece) <= chunk or piece.count("\n") <= 1 for piece in pieces)
     for case in REJECTED:
         test_rejected_inputs(*case)
 
