@@ -20,16 +20,19 @@ rows, the certificates and tree text), :mod:`cosp.graphs` (graphs),
 :mod:`cosp.cli` with :mod:`cosp.commands`.
 
 The package namespace is lazy (PEP 562): ``import cosp`` imports no
-module, and a public name imports its module on first access, so a CLI
-request compiles only the modules it runs: a recognition request only
-``rows`` and ``engine``.
+module, and a public name imports the module that defines it on first
+access, so a CLI request compiles only the modules it runs (a
+recognition request only ``rows`` and ``engine``), and ``cosp.P4Error``
+only those two, ``cosp.ParseError`` and ``cosp.CycleError`` only
+``rows``.
 """
 
 __version__ = "0.1.0"
 
 _MODULES = {
-    "cographs": ("Cotree", "P4Error", "P4Witness", "cotree", "cotree_to_dot", "is_cograph"),
-    "graphs": ("DisconnectedError", "Graph", "ParseError", "parse_graph"),
+    "cographs": ("Cotree", "P4Witness", "cotree", "cotree_to_dot", "is_cograph"),
+    "engine": ("P4Error",),
+    "graphs": ("DisconnectedError", "Graph", "parse_graph"),
     "lemmas": (
         "EndpointWitness",
         "JoinWitness",
@@ -45,7 +48,8 @@ _MODULES = {
         "select_universal_neighbor",
     ),
     "pairtext": ("format_graph", "format_poset"),
-    "posets": ("CycleError", "MaximalChain", "NWitness", "Poset", "SplitCandidates", "parse_poset"),
+    "posets": ("MaximalChain", "NWitness", "Poset", "SplitCandidates", "parse_poset"),
+    "rows": ("CycleError", "ParseError"),
     "spdecomp": ("SPTree", "sp_tree", "sp_tree_to_dot"),
     "trees": (
         "cotree_from_json",

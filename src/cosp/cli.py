@@ -110,16 +110,16 @@ def cmd_recognize(args) -> int:
     """Answer ``check`` and ``cotree`` on a graph's rows, and ``poset`` on
     an order's: its comparability rows, with its own rows ``below`` to
     orient the answer.  ``linear-split`` and ``endpoint`` go to
-    :func:`cosp.commands.cmd_lemma`."""
+    :func:`cosp.commands.cmd_lemma` with those rows."""
     text = _read_file(args.file)
     if args.command == "poset":
         mode = "full" if args.full else "covers"
         (below, above), labels = _read_pairs(text, True, lambda rows: _closure(rows, mode))
+        adj = list(map(int.__or__, below, above))
         if args.action in ("linear-split", "endpoint"):
             from .commands import cmd_lemma
 
-            return cmd_lemma(args, below, above, labels)
-        adj = list(map(int.__or__, below, above))
+            return cmd_lemma(args, adj, below, above, labels)
         name, key, summary = "sptree", "element", args.action == "nfree"
     else:
         adj, labels = _read_pairs(text, False, tuple)

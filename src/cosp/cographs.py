@@ -7,8 +7,9 @@ path.  :func:`cotree` decides it by the split engine,
 a part that splits neither way, finds an induced path by the
 neighbor-split lemma at the part's lowest vertex; this module gives that
 answer as records: a :class:`Cotree` built from the engine's signature,
-or a :class:`P4Witness`.  It also exports the engine's
-:class:`cosp.engine.P4Error`, which the lemma API raises.
+or a :class:`P4Witness`, by :func:`_tree_or_witness`, which gives
+:func:`cosp.spdecomp.sp_tree` its records too.  It also exports the
+engine's :class:`cosp.engine.P4Error`, which the lemma API raises.
 
 The tree classes serve orders too (:mod:`cosp.spdecomp`): equality,
 hashing, pickling and ``repr`` go by the flat preorder signature, which
@@ -98,6 +99,16 @@ def _from_signature(cls: type, signature: list[tuple]) -> _Tree:
     return _fold(signature, lambda kind, leaf, children: cls(kind, leaf, tuple(children)))
 
 
+def _tree_or_witness(cls: type, witness: type, *rows: Sequence[int]) -> _Record:
+    """The engine's answer on ``rows`` (a graph's ``adj``, or an order's
+    comparability rows and ``below``; see
+    :func:`cosp.engine.tree_signature`) as a record: the tree of class
+    ``cls`` built from its signature, or the certificate as a ``witness``.
+    :func:`cotree` and :func:`cosp.spdecomp.sp_tree` are this one call."""
+    result = tree_signature(*rows)
+    return witness(result) if type(result) is tuple else _from_signature(cls, result)
+
+
 class Cotree(_Tree):
     """Decomposition tree node; series means join, parallel means disjoint
     union, leaves carry vertex ids."""
@@ -141,10 +152,7 @@ def cotree(g: Graph) -> Cotree | P4Witness:
     found by the neighbor splits at its lowest vertex, is returned as
     (a, b, c, d) with a < d.
     """
-    result = tree_signature(g.adj)
-    if type(result) is tuple:
-        return P4Witness(result)
-    return _from_signature(Cotree, result)
+    return _tree_or_witness(Cotree, P4Witness, g.adj)
 
 
 def is_cograph(g: Graph) -> bool:

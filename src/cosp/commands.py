@@ -103,10 +103,11 @@ def cmd_join(args) -> int:
     return EXIT_OK
 
 
-def cmd_lemma(args, below, above, labels) -> int:
+def cmd_lemma(args, adj, below, above, labels) -> int:
     """Answer ``poset ... linear-split`` or ``poset ... endpoint`` on the
     order with rows ``below`` and ``above``: by its own witness if there is
-    one, else by the sp-tree's N, else by why the order has neither."""
+    one, else by the sp-tree's N, found on its comparability rows ``adj``,
+    else by why the order has neither."""
     # Looked up in cosp.cli when called, as cmd_recognize's own call is, so
     # that a test's wrapper of tree_signature there sees every call.
     from .cli import tree_signature
@@ -134,10 +135,9 @@ def cmd_lemma(args, below, above, labels) -> int:
         else:
             _emit({"x": labels[w.x], "endpoint": labels[w.endpoint], "side": w.side})
             return EXIT_OK
-    comp = list(map(int.__or__, below, above))
-    n = tree_signature(comp, below)
+    n = tree_signature(adj, below)
     if type(n) is tuple:
-        return _certificate(n, labels, comp, below)
+        return _certificate(n, labels, adj, below)
     # No witness, yet the order holds no N.
     if args.action == "endpoint":
         return _fail(message)

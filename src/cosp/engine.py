@@ -187,11 +187,14 @@ def witness_holds(
     """True when ``ids`` are four distinct ids a, b, c, d of the rows
     ``adj`` that form an induced path a-b-c-d.  For an order, ``adj`` is
     its comparability rows and ``below`` its own, and a < b, c < b and
-    c < d must hold too: the path is an N.  This is the one check of a
-    certificate, run before the CLI prints one and by ``validate``."""
-    a, b, c, d = ids
-    if len({a, b, c, d}) != 4 or not all(0 <= v < len(adj) for v in ids):
+    c < d must hold too: the path is an N.  An id is taken by the rule of
+    a tree's leaf ids (:func:`is_leaf_id`) below n, so a certificate of
+    another length, or with a bool, a float or an id out of range, is
+    False.  This is the one check of a certificate, run before the CLI
+    prints one and by ``validate``."""
+    if len(ids) != 4 or not all(is_leaf_id(v) and v < len(adj) for v in ids) or len(set(ids)) < 4:
         return False
+    a, b, c, d = ids
     pairs = (a, b), (b, c), (c, d), (a, c), (a, d), (b, d)
     if [adj[u] >> v & 1 for u, v in pairs] != [1, 1, 1, 0, 0, 0]:
         return False

@@ -9,8 +9,11 @@ whose complement splits.  On orders: the three-layer linear split, the
 chain endpoint comparable to an element's incomparables, and the
 paper's N-free criterion (:func:`is_nfree`).  Each witness is a record
 with a ``validate`` that checks it on its input, and the join and
-linear-split searches return only a witness that passed it.  Every
-``validate`` is False for a witness that names an id outside 0..n-1.  The
+linear-split searches return only a witness that passed it; both end at
+once, with None, on an input whose complement is connected, which no
+witness passes.  Every ``validate`` is False for a witness that names
+anything but an id of 0..n-1, an int that is not a bool, which is the
+rule of a tree's leaf ids and of the certificates' ids.  The
 brute-force scans of :mod:`cosp.oracles` are the ground truth these
 are tested against; nothing here calls them.
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from .engine import _sides
+from .engine import _sides, is_leaf_id
 from .graphs import (
     DisconnectedError,
     Graph,
@@ -41,8 +44,10 @@ from .graphs import (
 
 
 def _in_range(n: int, *groups: Iterable[int]) -> bool:
-    """True when every id of every group lies in 0..n-1."""
-    return all(0 <= v < n for group in groups for v in group)
+    """True when every id of every group is an id of 0..n-1 by the rule of
+    a tree's leaf ids (:func:`cosp.engine.is_leaf_id`: an int, not a bool),
+    as :func:`cosp.engine.witness_holds` takes a certificate's."""
+    return all(is_leaf_id(v) and v < n for group in groups for v in group)
 
 
 class JoinWitness(_Record):
@@ -134,7 +139,14 @@ def _first_valid(
 ) -> _Record | None:
     """The lowest x's ``witness(x, un)`` that passes ``validate`` on
     ``obj``, where ``un`` is the mask of x's universal neighbors in g and
-    is nonempty, or None when no x qualifies."""
+    is nonempty, or None when no x qualifies.
+
+    A witness that passes joins its set (x's universal neighbors, or the
+    outer layers) to every other id, x among them, so g's complement
+    splits: a connected complement has none, and ends the search before
+    any x is tried."""
+    if len(g.co_components()) == 1:
+        return None
     for x in range(g.order):
         un = g._universal_mask(x)
         if un:
@@ -152,7 +164,9 @@ def join_witness(g: Graph) -> JoinWitness | None:
     vertex always qualifies, and the witness exists exactly when the
     complement is disconnected; absence then means the complement is
     connected.  On other inputs a vertex whose set fails the join
-    invariant is skipped.  Disconnected input is rejected.
+    invariant is skipped.  A connected complement ends the search before
+    any vertex is tried, since a witness splits it.  Disconnected input
+    is rejected.
     """
     if g.order == 0:
         raise ValueError("the witness search needs at least one vertex")
@@ -279,20 +293,16 @@ def linear_split_witness(p: Poset) -> LinearSplit | None:
     the witness exists exactly when the order is a linear sum; absence
     certifies there is none.  Candidates whose layers fail the ordering
     checks (possible only when the input contains an N) are skipped.
-    Disconnected input is rejected.
-
-    A valid split disconnects the incomparability graph (its outer layers
-    are comparable to everything else, and at least one is nonempty), so
-    a connected incomparability graph ends the search before any
-    candidate is tried.
+    A connected incomparability graph ends the search before any
+    candidate is tried, since a valid split disconnects it (its outer
+    layers are comparable to everything else, and at least one is
+    nonempty).  Disconnected input is rejected.
     """
     if p.order == 0:
         raise ValueError("the split search needs at least one element")
     g = p.comparability_graph()
     if not g.is_connected():
         raise DisconnectedError("input order is not connected")
-    if len(g.co_components()) == 1:
-        return None
     full = p.full_mask()
     # x's split candidates: its universal neighbors, split by side.
     return _first_valid(
@@ -316,11 +326,13 @@ def endpoint_witness(p: Poset, x: int) -> EndpointWitness:
     chain = p.maximal_chain(x)
     comp = p.comparability_masks()
     inc = p.full_mask() & ~comp[x] & ~(1 << x)
+    # Each end lies on the chain through x, so it is x or comparable to x,
+    # and never one of x's incomparables.
     top, bottom = chain.top, chain.bottom
-    top_missing = inc & ~comp[top] & ~(1 << top)
+    top_missing = inc & ~comp[top]
     if top_missing == 0:
         return EndpointWitness(x=x, endpoint=top, side="up")
-    bottom_missing = inc & ~comp[bottom] & ~(1 << bottom)
+    bottom_missing = inc & ~comp[bottom]
     if bottom_missing == 0:
         return EndpointWitness(x=x, endpoint=bottom, side="down")
     raise NoEndpointError(

@@ -11,9 +11,10 @@ of the comparability graph is an N, read from whichever end lies below
 its neighbor, and an N is checked as that path plus its orientation.
 :func:`sp_tree` therefore runs the split engine,
 :func:`cosp.engine.tree_signature`, on the comparability masks, with the
-order's own rows to orient the answer, and the trees share the engine's
-text writers and :mod:`cosp.cographs`' tree base.  The order-side
-lemmas are in :mod:`cosp.lemmas`, and the tree converters in
+order's own rows to orient the answer, and takes that answer as records
+by :mod:`cosp.cographs`' one route from the engine to the records; the
+trees share the engine's text writers and that module's tree base.  The
+order-side lemmas are in :mod:`cosp.lemmas`, and the tree converters in
 :mod:`cosp.trees`.
 
 Tree canonical form: disjoint children sorted by smallest leaf id,
@@ -26,8 +27,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .cographs import _from_signature, _Tree
-from .engine import DISJOINT, LEAF, LINEAR, dot_text, tree_signature
+from .cographs import _Tree, _tree_or_witness
+from .engine import DISJOINT, LEAF, LINEAR, dot_text
 from .posets import NWitness, Poset
 
 
@@ -66,10 +67,7 @@ def sp_tree(p: Poset) -> SPTree | NWitness:
     elements holds an induced path of the comparability graph, found on
     its masks as :func:`cotree` finds one and returned oriented as an N.
     """
-    result = tree_signature(p.comparability_masks(), p.below)
-    if type(result) is tuple:
-        return NWitness(result)
-    return _from_signature(SPTree, result)
+    return _tree_or_witness(SPTree, NWitness, p.comparability_masks(), p.below)
 
 
 def sp_tree_to_dot(t: SPTree, labels: Sequence[int] | None = None) -> str:

@@ -585,6 +585,25 @@ def test_requests_import_only_the_modules_they_run(tmp_path):
         assert "cosp.cli" not in names, argv
 
 
+def test_tool_commands_import_the_modules_they_run(tmp_path):
+    # The README's table of imports: join reads a Graph and decides a
+    # connected complement itself, so it loads the lemmas only when the
+    # complement splits; the lemma actions of poset read a Poset and ask
+    # the lemmas.
+    def cosp_modules(*argv):
+        return sorted(name for name in imported_modules(*argv) if name.split(".")[0] == "cosp")
+
+    p4 = write(tmp_path, "p4.txt", P4_TEXT)
+    diamond = write(tmp_path, "diamond.txt", DIAMOND_TEXT)
+    order = write(tmp_path, "diamond-order.txt", DIAMOND_POSET_TEXT)
+    join = ["cosp", "cosp.commands", "cosp.engine", "cosp.graphs", "cosp.rows"]
+    assert cosp_modules("join", p4) == join
+    assert cosp_modules("join", diamond) == sorted([*join, "cosp.lemmas"])
+    lemma = sorted([*join, "cosp.lemmas", "cosp.posets"])
+    assert cosp_modules("poset", order, "linear-split") == lemma
+    assert cosp_modules("poset", order, "endpoint", "--x", "1") == lemma
+
+
 def test_read_args_agrees_with_argparse():
     # Every list of up to four tokens after each command, over a vocabulary of
     # a file name, the actions, every option with and without its value,

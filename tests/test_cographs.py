@@ -16,6 +16,7 @@ from cosp import (
     JoinWitness,
     LinearSplit,
     NeighborSplit,
+    NWitness,
     P4Error,
     P4Witness,
     Poset,
@@ -29,6 +30,7 @@ from cosp import (
     is_cograph,
     is_nfree,
     join_witness,
+    linear_split_witness,
     neighbor_split,
     non_neighbor_components,
     parity_split_graph,
@@ -510,10 +512,12 @@ def test_neighbor_split_p4_reports_witness():
 
 
 def test_neighbor_split_rejects_non_block():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^component must be nonempty$"):
         neighbor_split(PAW, 0, ())
-    with pytest.raises(ValueError):
-        neighbor_split(PAW, 0, (1,))
+    # A block holds neither x nor a neighbor of x.
+    for x, component in ((0, (1,)), (0, (0,)), (0, (0, 3)), (0, (3, 2)), (3, (2, 3)), (3, (3,))):
+        with pytest.raises(ValueError, match=rf"^component members must be non-neighbors of {x}$"):
+            neighbor_split(PAW, x, component)
     for component in ([-1], [3, 4], [-1, 3]):
         with pytest.raises(ValueError, match=r"^member out of range for order 4$"):
             neighbor_split(PAW, 0, component)
@@ -548,10 +552,16 @@ def test_lemma_witnesses_reject_ids_out_of_range():
 # V has 0 below 1 and 2.  An element in two of LinearSplit's parts would lie
 # below itself, so on a strict order the checks of which parts lie above which
 # reject that case too; only on a malformed record, such as LOOP, where 0 lies
-# below itself, does the check that the parts are disjoint decide.
+# below itself, does the check that the parts are disjoint decide.  Likewise
+# JoinWitness's check that x is not among its universal neighbors decides only
+# where x is its own neighbor, as 1 is in LOOPED.  Every id is taken by the
+# rule of a tree's leaf ids, an int that is not a bool, below n: neither
+# False, although False == 0, nor 0.0 is an id.
 V = Poset.from_relations(3, [(0, 1), (0, 2)])
 CHAIN = Poset.from_relations(3, [(0, 1), (1, 2)])
 LOOP = Poset(below=(1, 1), above=(2, 0))
+LOOPED = Graph((0b10, 0b11))
+N = Poset.from_relations(4, [(0, 1), (2, 1), (2, 3)])
 WITNESS_CASES = [
     (JoinWitness(0, (1, 3), ((0, 2), (1, 3))), (C4,), True),
     (JoinWitness(0, (), ((0, 1, 2, 3), ())), (C4,), False),  # no universal neighbors
@@ -575,6 +585,21 @@ WITNESS_CASES = [
     (LinearSplit(1, (0,), (0, 1), ()), (LOOP,), False),  # 0 in two parts
     (P4Witness((3, 2, 1, 0)), (P4,), True),
     (P4Witness((-1, 2, 1, 0)), (P4,), False),  # -1, out of range, would read row 3
+    (P4Witness((False, 1, 2, 3)), (P4,), False),  # a bool, not the id 0
+    (P4Witness((0, 1, 2)), (P4,), False),  # three ids
+    (P4Witness((0, 1, 2, 3, 0)), (P4,), False),  # five ids
+    (P4Witness((0.0, 1, 2, 3)), (P4,), False),  # a float
+    (P4Witness((0, 1, 2, 10**100)), (P4,), False),  # far out of range
+    (NWitness((0, 1, 2, 3)), (N,), True),
+    (NWitness((False, 1, 2, 3)), (N,), False),  # a bool, not the id 0
+    (NWitness((0, 1, 2)), (N,), False),  # three ids
+    (JoinWitness(0, (1, 2), ((0, 3), (1, 2))), (DIAMOND,), True),
+    (JoinWitness(False, (1, 2), ((0, 3), (1, 2))), (DIAMOND,), False),  # x a bool
+    (JoinWitness(0.0, (1, 2), ((0, 3), (1, 2))), (DIAMOND,), False),  # x a float
+    (NeighborSplit((3,), (True,), (2,)), (PAW, 0), False),  # a bool among the sides
+    (LinearSplit(True, (0,), (1,), (2,)), (CHAIN,), False),  # x a bool
+    (JoinWitness(0, (1,), ((0, 2, 3), (1,))), (PAW,), True),  # 0's neighbor 2 misses 3
+    (JoinWitness(1, (1,), ((0,), (1,))), (LOOPED,), False),  # x among them, at its loop
 ]
 
 
@@ -598,6 +623,34 @@ def test_join_witness_diamond():
     assert w.validate(DIAMOND)
 
 
+def test_witness_searches_stop_at_a_connected_complement(monkeypatch):
+    # A witness splits the complement, so P4's connected complement, and the
+    # N's connected incomparability graph, end each search before any id's
+    # universal neighbors are computed or any witness is checked.
+    calls = []
+    universal, join_valid, split_valid = (
+        Graph._universal_mask,
+        JoinWitness.validate,
+        LinearSplit.validate,
+    )
+    monkeypatch.setattr(Graph, "_universal_mask", lambda g, x: calls.append(x) or universal(g, x))
+    monkeypatch.setattr(JoinWitness, "validate", lambda w, g: calls.append(w) or join_valid(w, g))
+    monkeypatch.setattr(LinearSplit, "validate", lambda w, p: calls.append(w) or split_valid(w, p))
+    assert join_witness(P4) is None
+    assert linear_split_witness(N) is None
+    assert calls == []
+    # The wrappers see the searches that do run.
+    assert join_witness(DIAMOND).validate(DIAMOND) and len(calls) == 3
+    assert linear_split_witness(CHAIN).validate(CHAIN) and len(calls) == 6
+
+
+def test_witness_searches_need_an_id():
+    with pytest.raises(ValueError, match=r"^the witness search needs at least one vertex$"):
+        join_witness(Graph.from_edges(0, []))
+    with pytest.raises(ValueError, match=r"^the split search needs at least one element$"):
+        linear_split_witness(Poset.from_relations(0, []))
+
+
 def test_join_witness_requires_connected():
     with pytest.raises(DisconnectedError):
         join_witness(Graph.from_edges(2, []))
@@ -609,10 +662,16 @@ def test_join_witness_absent_on_single_vertex():
 
 def test_select_universal_neighbor():
     assert select_universal_neighbor(PAW, 0) == 1
+    # Both neighbors of 0 see the block {3}: the side's smallest member.
+    assert select_universal_neighbor(DIAMOND, 0) == 1
+    # 0's non-neighbors 1 and 4 are two blocks: 2 and 3 see the block {4},
+    # only 3 sees {1}, so the smaller side is {3}.
+    g = Graph.from_edges(5, [(0, 2), (0, 3), (2, 3), (1, 3), (2, 4), (3, 4)])
+    assert select_universal_neighbor(g, 0) == 3
     assert select_universal_neighbor(K2, 0) == 1
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     assert select_universal_neighbor(star, 1) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^vertex 0 has no neighbors$"):
         select_universal_neighbor(Graph.from_edges(2, []), 0)
     with pytest.raises(DisconnectedError, match="^no neighbor of 0 reaches the block containing 2$"):
         select_universal_neighbor(Graph.from_edges(3, [(0, 1)]), 0)

@@ -51,6 +51,32 @@ def test_import_cosp_imports_no_submodule():
     assert proc.stdout == "[]\ncosp.oracles\n"
 
 
+@pytest.mark.parametrize(
+    "name, modules",
+    [
+        ("P4Error", ["cosp.engine", "cosp.rows"]),
+        ("ParseError", ["cosp.rows"]),
+        ("CycleError", ["cosp.rows"]),
+    ],
+)
+def test_exceptions_import_the_module_that_defines_them(name, modules):
+    # A public name imports the module that defines it, not one that
+    # re-exports it: P4Error is the engine's, the reader's errors are rows'.
+    code = (
+        f"import cosp, sys\n"
+        f"assert cosp.{name}.__module__ == {modules[0]!r}\n"
+        "print(sorted(name for name in sys.modules if name.startswith('cosp.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=Path(cosp.__file__).parents[1],
+        check=True,
+    )
+    assert proc.stdout == f"{modules}\n"
+
+
 def test_loc_counts_code_lines_and_nodes(tmp_path):
     # tools/loc.py's code lines leave out blank, comment and docstring lines.
     path = Path(__file__).parents[1] / "tools" / "loc.py"

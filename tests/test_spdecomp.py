@@ -205,6 +205,13 @@ def test_linear_split_diamond():
     assert w.validate(DIAMOND4)
 
 
+def test_linear_split_around_a_middle_element():
+    # 1 < 0 < 2: element 0 has an element on each side, and each side is
+    # its layer.
+    w = linear_split_witness(Poset.from_relations(3, [(1, 0), (0, 2)]))
+    assert (w.x, w.lower, w.middle, w.upper) == (0, (1,), (0,), (2,))
+
+
 def test_linear_split_validate_rejects_ids_out_of_range():
     from cosp import LinearSplit
 
@@ -272,6 +279,39 @@ def test_endpoint_error_carries_conflicts():
     assert err.x == 0
     assert err.top_conflict is not None
     assert err.bottom_conflict is not None
+
+
+def test_endpoint_error_names_the_lowest_conflicts(posets_to_4):
+    # In the N the chain through 0 is 0 < 1: of 0's incomparables 2 and 3,
+    # its top 1 misses 3 and its bottom 0 misses 2.
+    with pytest.raises(NoEndpointError) as exc:
+        endpoint_witness(N_POSET, 0)
+    err = exc.value
+    assert (err.x, err.top_conflict, err.bottom_conflict) == (0, (1, 3), (0, 2))
+    assert str(err) == (
+        "no chain endpoint through 0 qualifies: "
+        "top 1 is incomparable to 3, bottom 0 is incomparable to 2"
+    )
+    # On every order of up to four elements, connected or not: the top when
+    # it sees all of x's incomparables, else the bottom when it does, else
+    # each end with the lowest incomparable of x that it misses.
+    for p in posets_to_4:
+        for x in range(p.order):
+            chain = p.maximal_chain(x)
+            inc = p.incomparables(x)
+            top, bottom = (
+                (end, min((y for y in inc if not p.comparable(end, y)), default=None))
+                for end in (chain.top, chain.bottom)
+            )
+            try:
+                w = endpoint_witness(p, x)
+            except NoEndpointError as exc:
+                assert None not in (top[1], bottom[1])
+                assert (exc.x, exc.top_conflict, exc.bottom_conflict) == (x, top, bottom)
+            else:
+                expected = (top[0], "up") if top[1] is None else (bottom[0], "down")
+                assert bottom[1] is None or top[1] is None
+                assert (w.x, w.endpoint, w.side) == (x, *expected)
 
 
 def test_endpoint_family(connected_nfree_to_4):
