@@ -63,7 +63,7 @@ def test_exceptions_import_the_module_that_defines_them(name, modules):
     # A public name imports the module that defines it, not one that
     # re-exports it: P4Error is the engine's, the reader's errors are rows'.
     code = (
-        f"import cosp, sys\n"
+        "import cosp, sys\n"
         f"assert cosp.{name}.__module__ == {modules[0]!r}\n"
         "print(sorted(name for name in sys.modules if name.startswith('cosp.')))\n"
     )

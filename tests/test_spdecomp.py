@@ -305,9 +305,9 @@ def test_endpoint_error_names_the_lowest_conflicts(posets_to_4):
             )
             try:
                 w = endpoint_witness(p, x)
-            except NoEndpointError as exc:
+            except NoEndpointError as error:
                 assert None not in (top[1], bottom[1])
-                assert (exc.x, exc.top_conflict, exc.bottom_conflict) == (x, top, bottom)
+                assert (error.x, error.top_conflict, error.bottom_conflict) == (x, top, bottom)
             else:
                 expected = (top[0], "up") if top[1] is None else (bottom[0], "down")
                 assert bottom[1] is None or top[1] is None
