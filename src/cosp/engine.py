@@ -190,9 +190,15 @@ def witness_holds(
     c < d must hold too: the path is an N.  An id is taken by the rule of
     a tree's leaf ids (:func:`is_leaf_id`) below n, so a certificate of
     another length, or with a bool, a float or an id out of range, is
-    False.  This is the one check of a certificate, run before the CLI
-    prints one and by ``validate``."""
-    if len(ids) != 4 or not all(is_leaf_id(v) and v < len(adj) for v in ids) or len(set(ids)) < 4:
+    False, and so is one that is not a sequence at all, such as 5 or None.
+    This is the one check of a certificate, run before the CLI prints one
+    and by ``validate``."""
+    try:
+        if len(ids) != 4 or len(set(ids)) < 4 or not all(
+            is_leaf_id(v) and v < len(adj) for v in ids
+        ):
+            return False
+    except TypeError:
         return False
     a, b, c, d = ids
     pairs = (a, b), (b, c), (c, d), (a, c), (a, d), (b, d)

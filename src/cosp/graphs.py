@@ -14,7 +14,8 @@ derived witness reproducible.
 (``_Rows``): each field is one family of n masks, ``adj`` for a graph,
 ``below`` and ``above`` for an order.  That base alone states ``order``,
 ``full_mask``, the id range check and ``is_module``: a set is a module
-when, in every family, each outside id's row holds all of it or none.
+when, in every family, each outside id's row holds all of it or none,
+which it tests as all members' rows agreeing outside the set.
 
 The rows themselves, the text reader that makes them and the mask
 helpers are in :mod:`cosp.rows`, which a CLI request runs without this
@@ -126,15 +127,22 @@ class _Rows(_Record):
     def is_module(self, ids: Iterable[int]) -> bool:
         """True when, in every row family, each outside id's row holds all
         or none of the set: for a graph, adjacent to all or none; for an
-        order, below all or none and above all or none."""
-        a = self._members(ids)
+        order, below all or none and above all or none.
+
+        It is read from the members' side (:meth:`_is_module_mask`), which
+        says the same of a record whose rows are the two sides of one
+        relation: ``adj`` symmetric, ``below`` and ``above`` each other's
+        transpose, as :meth:`cosp.posets.Poset.validate` checks."""
+        return self._is_module_mask(self._members(ids))
+
+    def _is_module_mask(self, a: int) -> bool:
+        """:meth:`is_module` of the set with mask ``a``: in every family, all
+        members' rows agree outside the set, which reads |a| rows, not the
+        n - |a| outside ones.  An outside id is in a member's ``adj`` row
+        when its own row holds that member, and in a member's ``below``
+        (``above``) row when its ``above`` (``below``) row holds it."""
         outside = self.full_mask() & ~a
-        for rows in self._values():
-            for v in iter_bits(outside):
-                t = rows[v] & a
-                if t != 0 and t != a:
-                    return False
-        return True
+        return all(len({rows[v] & outside for v in iter_bits(a)}) < 2 for rows in self._values())
 
 
 class Graph(_Rows):

@@ -11,9 +11,10 @@ paper's N-free criterion (:func:`is_nfree`).  Each witness is a record
 with a ``validate`` that checks it on its input, and the join and
 linear-split searches return only a witness that passed it; both end at
 once, with None, on an input whose complement is connected, which no
-witness passes.  Every ``validate`` is False for a witness that names
-anything but an id of 0..n-1, an int that is not a bool, which is the
-rule of a tree's leaf ids and of the certificates' ids.  The
+witness passes.  Every ``validate`` is False, never an exception, for a
+witness that names anything but an id of 0..n-1, an int that is not a
+bool, which is the rule of a tree's leaf ids and of the certificates'
+ids, or whose groups of ids are not iterable, such as 5.  The
 brute-force scans of :mod:`cosp.oracles` are the ground truth these
 are tested against; nothing here calls them.
 
@@ -43,11 +44,16 @@ from .graphs import (
 # it, so that ``join`` does not compile that module.
 
 
-def _in_range(n: int, *groups: Iterable[int]) -> bool:
-    """True when every id of every group is an id of 0..n-1 by the rule of
-    a tree's leaf ids (:func:`cosp.engine.is_leaf_id`: an int, not a bool),
-    as :func:`cosp.engine.witness_holds` takes a certificate's."""
-    return all(is_leaf_id(v) and v < n for group in groups for v in group)
+def _in_range(n: int, *families: Iterable[Iterable[int]]) -> bool:
+    """True when every id of every group of every family is an id of
+    0..n-1 by the rule of a tree's leaf ids (:func:`cosp.engine.is_leaf_id`:
+    an int, not a bool), as :func:`cosp.engine.witness_holds` takes a
+    certificate's.  A family or group that is not iterable, such as 5 or
+    None, is False too."""
+    try:
+        return all(is_leaf_id(v) and v < n for groups in families for ids in groups for v in ids)
+    except TypeError:
+        return False
 
 
 class JoinWitness(_Record):
@@ -60,13 +66,13 @@ class JoinWitness(_Record):
     split: tuple[tuple[int, ...], tuple[int, ...]]
 
     def validate(self, g: Graph) -> bool:
-        if not _in_range(g.order, (self.x,), self.universal_neighbors, *self.split):
+        if not _in_range(g.order, ((self.x,), self.universal_neighbors), self.split):
+            return False
+        if len(self.split) != 2 or self.split[1] != self.universal_neighbors:
             return False
         un = mask_of(self.universal_neighbors)
         rest = mask_of(self.split[0])
         if un == 0 or (un | rest) != g.full_mask() or un & rest:
-            return False
-        if self.split[1] != self.universal_neighbors:
             return False
         if (g.adj[self.x] & un) != un or (un >> self.x) & 1:
             return False
@@ -86,7 +92,7 @@ class NeighborSplit(_Record):
     adjacent_none: tuple[int, ...]
 
     def validate(self, g: Graph, x: int) -> bool:
-        if not _in_range(g.order, (x,), self.component, self.adjacent_all, self.adjacent_none):
+        if not _in_range(g.order, ((x,), self.component, self.adjacent_all, self.adjacent_none)):
             return False
         cm = mask_of(self.component)
         n1 = mask_of(self.adjacent_all)
@@ -223,7 +229,7 @@ class LinearSplit(_Record):
     upper: tuple[int, ...]
 
     def validate(self, p: Poset) -> bool:
-        if not _in_range(p.order, (self.x,), self.lower, self.middle, self.upper):
+        if not _in_range(p.order, ((self.x,), self.lower, self.middle, self.upper)):
             return False
         lo = mask_of(self.lower)
         mid = mask_of(self.middle)
@@ -277,11 +283,14 @@ class NoEndpointError(ValueError):
 def is_nfree(p: Poset) -> bool:
     """Decide absence of the N pattern by the paper's criterion: every
     comparability-connected block of every element's incomparables is a
-    module."""
+    module.  The comparability rows are built once, and each block of two
+    or more elements is tested from its members' rows (one element is a
+    module), as :meth:`Poset.is_module` tests a set: about n² row reads."""
+    comp = p.comparability_masks()
     for x in range(p.order):
-        for block in p.incomparable_components(x):
-            if not p.is_module(block):
-                return False
+        inc = p.full_mask() & ~comp[x] & ~(1 << x)
+        if not all(p._is_module_mask(b) for b in mask_components(comp, inc) if b & (b - 1)):
+            return False
     return True
 
 
@@ -324,15 +333,14 @@ def endpoint_witness(p: Poset, x: int) -> EndpointWitness:
     which for connected input means an N pattern is present."""
     p._check(x)
     chain = p.maximal_chain(x)
-    comp = p.comparability_masks()
-    inc = p.full_mask() & ~comp[x] & ~(1 << x)
+    inc = p.full_mask() & ~(p.below[x] | p.above[x]) & ~(1 << x)
     # Each end lies on the chain through x, so it is x or comparable to x,
     # and never one of x's incomparables.
     top, bottom = chain.top, chain.bottom
-    top_missing = inc & ~comp[top]
+    top_missing = inc & ~(p.below[top] | p.above[top])
     if top_missing == 0:
         return EndpointWitness(x=x, endpoint=top, side="up")
-    bottom_missing = inc & ~comp[bottom]
+    bottom_missing = inc & ~(p.below[bottom] | p.above[bottom])
     if bottom_missing == 0:
         return EndpointWitness(x=x, endpoint=bottom, side="down")
     raise NoEndpointError(

@@ -19,7 +19,11 @@ row record that :class:`Poset` shares with :class:`cosp.graphs.Graph`.
 Its module rule reads both families, so each outside element is below
 all or none of the set and above all or none.  That is stricter than a
 module of the comparability graph: in the chain 0 < 1 < 2, {0, 2} is one
-of those but not a module of the order.
+of those but not a module of the order.  It is read from the members'
+side, all members below and above the same outside elements, which says
+the same of every record whose ``below`` and ``above`` are each other's
+transpose: :meth:`Poset.validate` checks that, and every record that
+:meth:`Poset.from_relations` and :func:`parse_poset` build has it.
 """
 
 from __future__ import annotations
@@ -186,24 +190,20 @@ class Poset(_Rows):
         """Deterministic maximal chain through x.
 
         Grows greedily by the smallest-id element comparable to every
-        current member, preferring extensions below the current bottom,
-        then above the current top, then interior insertions, until no
-        element outside the chain is comparable to all of it.
+        current member, until no element outside the chain is comparable
+        to all of it.  Reading only the rows of x and of each member, it
+        builds no comparability rows.
         """
         self._check(x)
-        comp = self.comparability_masks()
         members = [x]
         chain_mask = 1 << x
-        cand = comp[x]
+        cand = self.below[x] | self.above[x]
         while cand:
-            down = cand & self.below[members[0]]
-            up = cand & self.above[members[-1]]
-            pool = down or up or cand
-            pick = (pool & -pool).bit_length() - 1
+            pick = (cand & -cand).bit_length() - 1
             idx = (chain_mask & self.below[pick]).bit_count()
             members.insert(idx, pick)
             chain_mask |= 1 << pick
-            cand &= comp[pick] & ~(1 << pick)
+            cand &= (self.below[pick] | self.above[pick]) & ~(1 << pick)
         return MaximalChain(tuple(members))
 
 

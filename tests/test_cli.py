@@ -354,6 +354,26 @@ def test_request_paths_avoid_the_oracles(tmp_path, capsys, monkeypatch):
     assert json.loads(endpoint[1]) == {"x": 1, "endpoint": 3, "side": "up"}
 
 
+def test_lemma_actions_build_the_comparability_rows_at_most_once(tmp_path, capsys, monkeypatch):
+    # The request builds them once for the N fallback; the lemmas read only
+    # the rows of the elements they touch.
+    from cosp.posets import Poset
+
+    calls = []
+    masks = Poset.comparability_masks
+    monkeypatch.setattr(Poset, "comparability_masks", lambda p: calls.append(p) or masks(p))
+    # The parity window's orientation: each even i is covered by i + 1 and i + 2.
+    window = "".join(f"{i} {j}\n" for i in range(0, 30, 2) for j in (i + 1, i + 2) if j < 30)
+    texts = {"window": window, "n": N_TEXT, "diamond-order": DIAMOND_POSET_TEXT}
+    for name, text in texts.items():
+        f = write(tmp_path, name, text)
+        for action in (("linear-split",), ("endpoint", "--x", "0"), ("endpoint", "--x", "1")):
+            calls.clear()
+            code, out, _ = run(capsys, "poset", f, *action)
+            assert code in (0, 1) and out, (name, action)
+            assert len(calls) <= 1, (name, action)
+
+
 def test_empty_order_is_nfree(tmp_path, capsys):
     f = write(tmp_path, "empty.txt", "")
     assert run(capsys, "poset", f, "nfree") == (0, '{"nfree": true}\n', "")

@@ -299,6 +299,11 @@ def test_tree_holds_is_false_on_a_tree_not_canonical_or_not_on_every_id():
     assert not tree_holds([("leaf", 1, 0)], [0])
 
 
+def test_a_lone_leaf_is_its_own_root():
+    # The root's mask is the leaf's own bit, whatever its id.
+    assert tree_masks([("leaf", 5, 0)], False) == ([], 1 << 5, None)
+
+
 L0, L1, L2 = (Cotree.leaf(v) for v in range(3))
 E0, E1, E2 = (SPTree.leaf(v) for v in range(3))
 BIG = 10**100  # a leaf id whose mask, 1 << BIG, does not fit in memory
@@ -561,6 +566,7 @@ V = Poset.from_relations(3, [(0, 1), (0, 2)])
 CHAIN = Poset.from_relations(3, [(0, 1), (1, 2)])
 LOOP = Poset(below=(1, 1), above=(2, 0))
 LOOPED = Graph((0b10, 0b11))
+TURN = Graph((0b010, 0b100, 0b001))  # rows of the directed cycle 0 -> 1 -> 2 -> 0
 N = Poset.from_relations(4, [(0, 1), (2, 1), (2, 3)])
 WITNESS_CASES = [
     (JoinWitness(0, (1, 3), ((0, 2), (1, 3))), (C4,), True),
@@ -600,6 +606,16 @@ WITNESS_CASES = [
     (LinearSplit(True, (0,), (1,), (2,)), (CHAIN,), False),  # x a bool
     (JoinWitness(0, (1,), ((0, 2, 3), (1,))), (PAW,), True),  # 0's neighbor 2 misses 3
     (JoinWitness(1, (1,), ((0,), (1,))), (LOOPED,), False),  # x among them, at its loop
+    (P4Witness((0, 1, 2, 0)), (TURN,), False),  # every pair passes: only the repeat decides
+    (P4Witness(5), (P4,), False),  # not a sequence
+    (P4Witness(None), (P4,), False),  # no ids at all
+    (NWitness(5), (N,), False),  # not a sequence
+    (JoinWitness(0, 5, ((0, 2), (1, 3))), (C4,), False),  # universal neighbors not a group
+    (JoinWitness(0, (1, 3), 5), (C4,), False),  # the split not a pair
+    (JoinWitness(0, (1, 3), ((0, 2),)), (C4,), False),  # one side only
+    (JoinWitness(0, (1, 3), ((0, 2), (1, 3), (0,))), (C4,), False),  # three sides
+    (LinearSplit(1, 5, (1,), (2,)), (CHAIN,), False),  # lower not a group
+    (NeighborSplit(5, (1,), (2,)), (PAW, 0), False),  # the block not a group
 ]
 
 

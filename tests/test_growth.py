@@ -13,6 +13,9 @@ A family and measure that grow faster today is a strict xfail naming the
 ROADMAP item that is to bring it down: 5 (ids that hide the vertex a
 search should peel), 7 (orders decided through their closure) or 2 (many
 vertices and few edges).  The change that fixes one must remove its mark.
+
+The library's own N-free criterion (:func:`cosp.is_nfree`) is pinned the
+same way, on counted ``below`` and ``above`` rows.
 """
 
 import functools
@@ -21,7 +24,7 @@ import tracemalloc
 
 import pytest
 
-from cosp import parity_split_graph
+from cosp import Poset, is_nfree, parity_split_graph
 from cosp.engine import tree_signature
 from cosp.rows import _closure, iter_bits
 
@@ -169,3 +172,32 @@ def test_cost_grows_with_the_input(family, measure):
     inputs, grew = growth(family)
     bound = READS if measure == "reads" else OVER_INPUT * inputs
     assert grew[measure] <= bound, f"{measure} grew {grew[measure]:.2f}x, the input {inputs:.2f}x"
+
+
+# In the window's orientation each element's incomparables hold one block of
+# more than one element, n/2 elements wide on average: about n²/2 member rows
+# to read, 4x per doubling.
+NFREE_READS = 4.6
+
+
+def nfree_reads(succ):
+    """``is_nfree`` on the order given by its successor rows, read through
+    counted ``below`` and ``above`` rows: the rows read."""
+    tally = {"reads": 0, "words": 0}
+    below, above = _closure(succ, "covers")
+    assert is_nfree(Poset(Counted(below, tally), Counted(above, tally)))
+    return tally["reads"]
+
+
+def test_the_nfree_criterion_reads_rows_quadratic_in_n():
+    grew = nfree_reads(orientation_covers(200)) / nfree_reads(orientation_covers(100))
+    assert grew <= NFREE_READS, f"rows read grew {grew:.2f}x"
+
+
+def test_the_nfree_criterion_builds_the_comparability_rows_once(monkeypatch):
+    calls = []
+    masks = Poset.comparability_masks
+    monkeypatch.setattr(Poset, "comparability_masks", lambda p: calls.append(p) or masks(p))
+    below, above = _closure(orientation_covers(40), "covers")
+    assert is_nfree(Poset(below, above))
+    assert len(calls) == 1

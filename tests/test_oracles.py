@@ -15,6 +15,7 @@ from cosp import (
     is_cograph,
     sp_tree_to_poset,
 )
+from cosp.rows import iter_bits
 from cosp.trees import validate_cotree, validate_sp_tree
 from cosp import oracles
 
@@ -71,6 +72,21 @@ def test_poset_modules():
     assert (2, 3) not in mods
     assert oracles.is_prime_poset(N_POSET)
     assert not oracles.is_prime_poset(DIAMOND4)
+
+
+def test_is_module_agrees_with_the_oracles_on_every_subset():
+    # is_module reads the members' rows, the oracles every outside id's: the
+    # two readings agree on symmetric rows and on dual below and above rows.
+    records = [g for n in range(6) for g in oracles.enumerate_graphs(n)]
+    records += [p for n in range(5) for p in oracles.enumerate_posets(n)]
+    subsets = 0
+    for r in records:
+        modules = set(oracles.graph_modules(r) if isinstance(r, Graph) else oracles.poset_modules(r))
+        for a in range(1 << r.order):
+            members = tuple(iter_bits(a))
+            assert r.is_module(members) == (members in modules), (r, members)
+        subsets += 1 << r.order
+    assert subsets == 33_867 + 3_671
 
 
 def test_module_guard():

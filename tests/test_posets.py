@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from cosp import CycleError, Poset, format_poset, parse_poset
+from cosp import CycleError, Poset, format_poset, is_nfree, parse_poset
 
 # covers 0<1, 2<1, 2<3: the four-element order whose diagram draws the letter N
 N_POSET = Poset.from_relations(4, [(0, 1), (2, 1), (2, 3)])
@@ -67,6 +67,9 @@ def test_from_relations_rejects_bad_pairs():
         Poset.from_relations(2, [(0, 0)])
     with pytest.raises(ValueError):
         Poset.from_relations(2, [(0, 2)])
+    for pair in ((2, 0), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match=rf"^relation \({pair[0]}, {pair[1]}\) out of range"):
+            Poset.from_relations(2, [pair])
     with pytest.raises(ValueError, match=r"^order must be non-negative$"):
         Poset.from_relations(-1, [])
 
@@ -88,12 +91,14 @@ def test_validate_invariants():
         ((0,), (), "below/above length mismatch"),
         ((0b10,), (0,), "element mask of 0 out of range"),
         ((0b1,), (0,), "reflexive entry at element 0"),
+        ((0, 0b10), (0, 0), "reflexive entry at element 1"),
+        ((0, 0), (0, 0b10), "reflexive entry at element 1"),
         ((0b10, 0), (0b10, 0), "element 0 both below and above another"),
         ((0, 0b1, 0b10), (0b10, 0b100, 0), "transitivity violated below 2"),
         ((0, 0b1), (0, 0), "duality violated for 0 < 1"),
         ((0, 0), (0b10, 0), "duality violated for 0 < 1"),
     ],
-    ids=["length", "range", "reflexive", "both-sides", "transitivity", "below-dual", "above-dual"],
+    ids=["length", "range", "reflexive", "reflexive-below", "reflexive-above", "both-sides", "transitivity", "below-dual", "above-dual"],
 )
 def test_validate_names_each_fault(below, above, message):
     with pytest.raises(ValueError) as exc:
@@ -115,6 +120,10 @@ def test_covers_reduction():
     # a cover plus the pair it implies collapses back to covers
     p = Poset.from_relations(3, [(0, 1), (1, 2), (0, 2)])
     assert p.covers() == [(0, 1), (1, 2)]
+    # below 2, the highest id 1 lies under 0: the cover of 2 is found by
+    # climbing from 1 to 0
+    assert Poset.from_relations(3, [(1, 0), (0, 2)]).covers() == [(0, 2), (1, 0)]
+    assert Poset.from_relations(4, [(2, 1), (1, 0), (0, 3)]).covers() == [(0, 3), (1, 0), (2, 1)]
 
 
 def test_comparability_graph():
@@ -168,6 +177,19 @@ def test_is_module():
             N_POSET.is_module(members)
 
 
+def test_is_nfree_tests_only_blocks_of_two_or_more(monkeypatch):
+    # One element is a module, so an antichain's blocks, all single
+    # elements, are never tested.  The N stops at its first block, the
+    # incomparables {2, 3} of 0, which 1 lies above in part.
+    tested = []
+    test = Poset._is_module_mask
+    monkeypatch.setattr(Poset, "_is_module_mask", lambda p, a: tested.append(a) or test(p, a))
+    assert is_nfree(Poset.from_relations(5, []))
+    assert tested == []
+    assert not is_nfree(N_POSET)
+    assert tested == [0b1100]
+
+
 def test_element_out_of_range():
     for x in (9, -1, 3):
         with pytest.raises(ValueError, match=rf"^element {x} out of range for order 3$"):
@@ -202,6 +224,12 @@ def test_maximal_chain_examples():
     assert mc.elements == (0,)
     assert mc.bottom == mc.top == 0
     assert DIAMOND4.maximal_chain(1).elements == (0, 1, 3)
+
+
+def test_maximal_chain_ends_on_a_record_whose_element_holds_itself():
+    # Element 1 is below itself and below 0: the pick of 1 leaves the
+    # candidates, although its own row holds it.
+    assert Poset(below=(0b10, 0b10), above=(0, 0b11)).maximal_chain(0).elements == (1, 0)
 
 
 def test_maximal_chain_is_maximal():
