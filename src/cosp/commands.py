@@ -105,21 +105,22 @@ def cmd_join(args) -> int:
 
 def cmd_lemma(args, adj, below, above, labels) -> int:
     """Answer ``poset ... linear-split`` or ``poset ... endpoint`` on the
-    order with rows ``below`` and ``above``: by its own witness if there is
-    one, else by the sp-tree's N, found on its comparability rows ``adj``,
-    else by why the order has neither."""
+    order with rows ``below`` and ``above`` and comparability rows ``adj``:
+    by its own witness if there is one, else by the sp-tree's N, both found
+    on ``adj``, else by why the order has neither."""
     # Looked up in cosp.cli when called, as cmd_recognize's own call is, so
     # that a test's wrapper of tree_signature there sees every call.
     from .cli import tree_signature
-    from .lemmas import NoEndpointError, endpoint_witness, linear_split_witness
+    from .graphs import Graph
+    from .lemmas import NoEndpointError, _linear_split, endpoint_witness
     from .posets import Poset
 
     p = Poset(below, above)
     if args.action == "linear-split":
-        w = linear_split_witness(p)
+        w = _linear_split(p, Graph(tuple(adj)))
         if w is not None:
-            lower, middle, upper = (_relabel(side, labels) for side in (w.lower, w.middle, w.upper))
-            _emit({"x": labels[w.x], "lower": lower, "middle": middle, "upper": upper})
+            sides = {k: _relabel(getattr(w, k), labels) for k in ("lower", "middle", "upper")}
+            _emit({"x": labels[w.x], **sides})
             return EXIT_OK
     else:
         if args.x is None:
@@ -148,20 +149,18 @@ def cmd_lemma(args, adj, below, above, labels) -> int:
 
 # What ``gen`` writes of each kind, in the order of its help; its keys are
 # the kind's choices.  Each entry reads the package ``c`` (:mod:`cosp`, with
-# :mod:`cosp.oracles` imported) and the arguments ``a``.
+# :mod:`cosp.trees`, the generators, imported) and the arguments ``a``.
 _GEN = {
     "parity-split": lambda c, a: c.format_graph(c.parity_split_graph(a.size, a.offset)),
-    "cotree": lambda c, a: c.format_graph(c.cotree_to_graph(c.oracles.rand_cotree(a.size, a.seed))),
-    "sptree": lambda c, a: c.format_poset(
-        c.sp_tree_to_poset(c.oracles.rand_sptree(a.size, a.seed))
-    ),
-    "gnp": lambda c, a: c.format_graph(c.oracles.rand_gnp(a.size, a.prob, a.seed)),
-    "poset": lambda c, a: c.format_poset(c.oracles.rand_poset(a.size, a.prob, a.seed)),
+    "cotree": lambda c, a: c.format_graph(c.cotree_to_graph(c.trees.rand_cotree(a.size, a.seed))),
+    "sptree": lambda c, a: c.format_poset(c.sp_tree_to_poset(c.trees.rand_sptree(a.size, a.seed))),
+    "gnp": lambda c, a: c.format_graph(c.trees.rand_gnp(a.size, a.prob, a.seed)),
+    "poset": lambda c, a: c.format_poset(c.trees.rand_poset(a.size, a.prob, a.seed)),
 }
 
 
 def cmd_gen(args) -> int:
-    import cosp.oracles
+    import cosp.trees
 
     kind = args.kind
     if args.offset and kind != "parity-split":
@@ -169,8 +168,6 @@ def cmd_gen(args) -> int:
     if kind in ("gnp", "poset"):
         if args.prob is None:
             return _fail(f"{kind} needs an edge probability argument")
-        if not 0.0 <= args.prob <= 1.0:
-            return _fail("edge probability must lie in [0, 1]")
     elif args.prob is not None:
         return _fail(f"{kind} takes no probability argument")
     sys.stdout.write(_GEN[kind](cosp, args))

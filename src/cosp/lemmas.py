@@ -307,9 +307,13 @@ def linear_split_witness(p: Poset) -> LinearSplit | None:
     layers are comparable to everything else, and at least one is
     nonempty).  Disconnected input is rejected.
     """
+    return _linear_split(p, p.comparability_graph())
+
+
+def _linear_split(p: Poset, g: Graph) -> LinearSplit | None:
+    """The search of :func:`linear_split_witness` on p, given its comparability graph g."""
     if p.order == 0:
         raise ValueError("the split search needs at least one element")
-    g = p.comparability_graph()
     if not g.is_connected():
         raise DisconnectedError("input order is not connected")
     full = p.full_mask()

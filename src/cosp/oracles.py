@@ -1,5 +1,5 @@
-"""Independent ground-truth routes: brute-force pattern scans, exhaustive
-enumeration of small instances, and reproducible random generators.
+"""Independent ground-truth routes: brute-force pattern scans and
+exhaustive enumeration of small instances.
 
 Everything here favors the obvious implementation over the fast one and
 is kept separate from the decomposition engines so the two sides can be
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 
-from .cographs import LEAF, Cotree, P4Witness, _from_signature, cotree
+from .cographs import Cotree, P4Witness, cotree
 from .graphs import Graph
 from .rows import iter_bits
 from .lemmas import (
@@ -25,8 +25,11 @@ from .lemmas import (
     select_universal_neighbor,
 )
 from .posets import NWitness, Poset
-from .spdecomp import LINEAR, SPTree, sp_tree
+from .spdecomp import sp_tree
 from .trees import cotree_to_graph, sp_tree_to_poset
+
+# perfbench/ reads the generators here, and changes only with the benchmark.
+from .trees import SplitMix64, rand_cotree, rand_gnp, rand_poset, rand_sptree  # noqa: F401
 
 MAX_ENUM_GRAPH = 6
 MAX_ENUM_POSET = 5
@@ -220,122 +223,6 @@ def enumerate_natural_posets(n: int) -> Iterator[Poset]:
             for u in iter_bits(below[v]):
                 above[u] |= 1 << v
         yield Poset(below, tuple(above))
-
-
-# === seeded generation ===
-
-_MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-
-
-class SplitMix64:
-    """Fixed 64-bit generator with derivable child streams.
-
-    Pure integer arithmetic, so identical seeds give identical sequences
-    on every platform; ``split`` derives an independent stream for a
-    recursion branch without disturbing the parent sequence.
-    """
-
-    __slots__ = ("state",)
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def randrange(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError("randrange needs a positive bound")
-        return self.next_u64() % n
-
-    def split(self, tag: int) -> SplitMix64:
-        return SplitMix64(self.next_u64() ^ ((tag * _GAMMA) & _MASK64))
-
-    def shuffled(self, items: list) -> list:
-        out = list(items)
-        for i in range(len(out) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            out[i], out[j] = out[j], out[i]
-        return out
-
-
-def _random_blocks(leaf_ids: list[int], rng: SplitMix64) -> list[list[int]]:
-    # 2..4 children, clipped by available leaves; every block nonempty.
-    k = min(len(leaf_ids), 2 + rng.randrange(3))
-    pool = rng.shuffled(leaf_ids)
-    blocks = [[v] for v in pool[:k]]
-    for v in pool[k:]:
-        blocks[rng.randrange(k)].append(v)
-    return blocks
-
-
-def _rand_tree(cls: type, n: int, seed: int):
-    """Reproducible random canonical tree of class ``cls`` on leaves
-    0..n-1; children of every kind but linear are sorted by smallest leaf,
-    as in the canonical trees, and linear ones keep their generated order.
-    A node's stream serves only its blocks and its children's streams, so
-    the nodes can be expanded in signature order."""
-    if n < 1:
-        raise ValueError("need at least one leaf")
-    rng = SplitMix64(seed)
-    join, union = cls._kinds
-    root_kind = join if rng.randrange(2) == 0 else union
-    signature = []
-    stack = [(list(range(n)), root_kind, rng)]
-    while stack:
-        leaf_ids, kind, rng = stack.pop()
-        if len(leaf_ids) == 1:
-            signature.append((LEAF, leaf_ids[0], 0))
-            continue
-        blocks = _random_blocks(leaf_ids, rng)
-        children = [(block, rng.split(i)) for i, block in enumerate(blocks)]
-        if kind != LINEAR:
-            children.sort(key=lambda child: min(child[0]))
-        signature.append((kind, None, len(children)))
-        other = union if kind == join else join
-        stack.extend((block, other, stream) for block, stream in children)
-    return _from_signature(cls, signature)
-
-
-def rand_cotree(n: int, seed: int) -> Cotree:
-    """Reproducible random canonical cotree on leaves 0..n-1."""
-    return _rand_tree(Cotree, n, seed)
-
-
-def rand_sptree(n: int, seed: int) -> SPTree:
-    """Reproducible random canonical series-parallel tree on 0..n-1; linear
-    children keep their generated bottom-to-top order."""
-    return _rand_tree(SPTree, n, seed)
-
-
-def rand_gnp(n: int, p_edge: float, seed: int) -> Graph:
-    """Uniform random graph: each pair, in lexicographic order, becomes an
-    edge independently with probability p_edge."""
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    if not 0.0 <= p_edge <= 1.0:
-        raise ValueError("edge probability must lie in [0, 1]")
-    rng = SplitMix64(seed)
-    threshold = round(p_edge * (1 << 64))
-    adj = [0] * n
-    for u, v in itertools.combinations(range(n), 2):
-        if rng.next_u64() < threshold:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return Graph(tuple(adj))
-
-
-def rand_poset(n: int, p_edge: float, seed: int) -> Poset:
-    """Random order: draw a random graph, orient every edge from smaller to
-    larger id (always acyclic), close transitively."""
-    g = rand_gnp(n, p_edge, seed)
-    pairs = g.edges()
-    return Poset.from_relations(n, pairs, mode="covers")
 
 
 # === oracle comparison sweeps ===

@@ -1,6 +1,7 @@
 """Trees to and from other forms: the graph or order a tree encodes, the
 orientation of a cotree, validation of canonical form, the nested dict
-(JSON) codec, and the parity-split window generator.
+(JSON) codec; and inputs: the parity-split window, seeded random trees,
+graphs and orders, and the hard input families of the tests.
 
 None of this runs on a CLI request but ``gen``: the engine writes a
 tree's signature, checks it (:func:`cosp.engine.tree_holds`) and writes
@@ -24,6 +25,7 @@ work.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 
 from .cographs import LEAF, PARALLEL, SERIES, Cotree, _fold, _from_signature, _Tree
@@ -118,6 +120,147 @@ def parity_split_graph(n: int, offset: int = 0) -> Graph:
     kinds = [PARALLEL if (offset + k) % 2 else SERIES for k in range(n - 1)]
     signature = [(kind, None, 2) for kind in kinds] + [(LEAF, k, 0) for k in range(n - 1, -1, -1)]
     return Graph(_encoded_rows(signature, False, False))
+
+
+# === generated inputs: seeded random ones, and the hard families ===
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+class SplitMix64:
+    """Fixed 64-bit generator with derivable child streams.
+
+    Pure integer arithmetic, so identical seeds give identical sequences
+    on every platform; ``split`` derives an independent stream for a
+    recursion branch without disturbing the parent sequence.
+    """
+
+    __slots__ = ("state",)
+
+    def __init__(self, seed: int):
+        self.state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + _GAMMA) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def randrange(self, n: int) -> int:
+        if n <= 0:
+            raise ValueError("randrange needs a positive bound")
+        return self.next_u64() % n
+
+    def split(self, tag: int) -> SplitMix64:
+        return SplitMix64(self.next_u64() ^ ((tag * _GAMMA) & _MASK64))
+
+    def shuffled(self, items: list) -> list:
+        out = list(items)
+        for i in range(len(out) - 1, 0, -1):
+            j = self.randrange(i + 1)
+            out[i], out[j] = out[j], out[i]
+        return out
+
+
+def _random_blocks(leaf_ids: list[int], rng: SplitMix64) -> list[list[int]]:
+    # 2..4 children, clipped by available leaves; every block nonempty.
+    k = min(len(leaf_ids), 2 + rng.randrange(3))
+    pool = rng.shuffled(leaf_ids)
+    blocks = [[v] for v in pool[:k]]
+    for v in pool[k:]:
+        blocks[rng.randrange(k)].append(v)
+    return blocks
+
+
+def _rand_tree(cls: type, n: int, seed: int):
+    """Reproducible random canonical tree of class ``cls`` on leaves
+    0..n-1; children of every kind but linear are sorted by smallest leaf,
+    as in the canonical trees, and linear ones keep their generated order.
+    A node's stream serves only its blocks and its children's streams, so
+    the nodes can be expanded in signature order."""
+    if n < 1:
+        raise ValueError("need at least one leaf")
+    rng = SplitMix64(seed)
+    join, union = cls._kinds
+    root_kind = join if rng.randrange(2) == 0 else union
+    signature = []
+    stack = [(list(range(n)), root_kind, rng)]
+    while stack:
+        leaf_ids, kind, rng = stack.pop()
+        if len(leaf_ids) == 1:
+            signature.append((LEAF, leaf_ids[0], 0))
+            continue
+        blocks = _random_blocks(leaf_ids, rng)
+        children = [(block, rng.split(i)) for i, block in enumerate(blocks)]
+        if kind != LINEAR:
+            children.sort(key=lambda child: min(child[0]))
+        signature.append((kind, None, len(children)))
+        other = union if kind == join else join
+        stack.extend((block, other, stream) for block, stream in children)
+    return _from_signature(cls, signature)
+
+
+def rand_cotree(n: int, seed: int) -> Cotree:
+    """Reproducible random canonical cotree on leaves 0..n-1."""
+    return _rand_tree(Cotree, n, seed)
+
+
+def rand_sptree(n: int, seed: int) -> SPTree:
+    """Reproducible random canonical series-parallel tree on 0..n-1; linear
+    children keep their generated bottom-to-top order."""
+    return _rand_tree(SPTree, n, seed)
+
+
+def rand_gnp(n: int, p_edge: float, seed: int) -> Graph:
+    """Uniform random graph: each pair, in lexicographic order, becomes an
+    edge independently with probability p_edge."""
+    if n < 0:
+        raise ValueError("order must be non-negative")
+    if not 0.0 <= p_edge <= 1.0:
+        raise ValueError("edge probability must lie in [0, 1]")
+    rng = SplitMix64(seed)
+    threshold = round(p_edge * (1 << 64))
+    adj = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.next_u64() < threshold:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return Graph(tuple(adj))
+
+
+def rand_poset(n: int, p_edge: float, seed: int) -> Poset:
+    """Random order: draw a random graph, orient every edge from smaller to
+    larger id (always acyclic), close transitively."""
+    return Poset.from_relations(n, rand_gnp(n, p_edge, seed).edges())
+
+
+def parity_orientation(n: int) -> Poset:
+    """The orientation of ``parity_split_graph(n)``, given by its covers:
+    each even i is covered by i + 1 and i + 2.  Its sp-tree is n deep."""
+    covers = [(i, j) for i in range(0, n, 2) for j in (i + 1, i + 2) if j < n]
+    return Poset.from_relations(n, covers)
+
+
+def spider_graph(k: int, apex: bool = False) -> Graph:
+    """A clique of k vertices with a leg at each, the leg seeing only its
+    clique vertex: thin, the clique 0..k-1 with the leg k+i at i, or with
+    an apex, vertex 0 joined to the clique 1..k with the leg k+i at i."""
+    first = int(apex)  # the clique's first vertex, and the apex's bit
+    clique = ((1 << k) - 1) << first
+    feet = tuple(clique & ~(1 << i) | 1 << k + i | first for i in range(first, k + first))
+    return Graph((clique,) * first + feet + tuple(1 << i for i in range(first, k + first)))
+
+
+def all_blocks_graph(k: int) -> Graph:
+    """Vertex 0 joined to a clique 1..k, and a leg k+i, not adjacent to 0,
+    that sees every clique vertex but i: every block of 0's non-neighbors
+    passes its neighbor split, so the path comes from two blocks' sides."""
+    clique = ((1 << k) - 1) << 1
+    legs = clique << k
+    feet = tuple(1 | clique & ~(1 << i) | legs & ~(1 << k + i) for i in range(1, k + 1))
+    return Graph((clique,) + feet + tuple(clique & ~(1 << i) for i in range(1, k + 1)))
 
 
 # === nested dict codec ===

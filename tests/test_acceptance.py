@@ -27,6 +27,7 @@ from cosp import (
 from cosp.cographs import Cotree
 from cosp.posets import NWitness
 from cosp import oracles
+from cosp.trees import SplitMix64, rand_cotree, rand_sptree
 
 
 def _report(num, label, ok, elapsed=None, bound=None):
@@ -178,22 +179,22 @@ def test_criterion_09_round_trips():
     and a thousand orientations stay free of the four-element pattern."""
     t0 = time.perf_counter()
     bad = 0
-    rng = oracles.SplitMix64(20260822)
+    rng = SplitMix64(20260822)
     for _ in range(10_000):
         n = 1 + rng.randrange(64)
-        t = oracles.rand_cotree(n, rng.next_u64())
+        t = rand_cotree(n, rng.next_u64())
         if cotree(cotree_to_graph(t)) != t:
             bad += 1
-    rng = oracles.SplitMix64(20260823)
+    rng = SplitMix64(20260823)
     for _ in range(10_000):
         n = 1 + rng.randrange(64)
-        t = oracles.rand_sptree(n, rng.next_u64())
+        t = rand_sptree(n, rng.next_u64())
         if sp_tree(sp_tree_to_poset(t)) != t:
             bad += 1
-    rng = oracles.SplitMix64(20260824)
+    rng = SplitMix64(20260824)
     for _ in range(1_000):
         n = 1 + rng.randrange(40)
-        t = oracles.rand_cotree(n, rng.next_u64())
+        t = rand_cotree(n, rng.next_u64())
         p = orient_cotree(t)
         if p.comparability_graph() != cotree_to_graph(t):
             bad += 1
@@ -227,13 +228,13 @@ def test_criterion_10_window_family():
 
 def test_criterion_11_performance_floor():
     """Both decompositions handle ten thousand leaves within bounds."""
-    g = cotree_to_graph(oracles.rand_cotree(10_000, 1))
+    g = cotree_to_graph(rand_cotree(10_000, 1))
     t0 = time.perf_counter()
     t = cotree(g)
     graph_elapsed = time.perf_counter() - t0
     assert isinstance(t, Cotree)
 
-    p = sp_tree_to_poset(oracles.rand_sptree(10_000, 2))
+    p = sp_tree_to_poset(rand_sptree(10_000, 2))
     t0 = time.perf_counter()
     s = sp_tree(p)
     poset_elapsed = time.perf_counter() - t0

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import cosp
+from cosp import format_poset
 from cosp.cli import main
+from cosp.trees import parity_orientation
 
 P4_TEXT = "n 4\n0 1\n1 2\n2 3\n"
 K3_TEXT = "0 1\n0 2\n1 2\n"
@@ -152,21 +154,18 @@ def test_cotree_deep_window(tmp_path, capsys):
 
 
 def test_poset_sptree_deep_orientation(tmp_path, capsys):
-    # The orientation of parity_split_graph(n): each even i is covered by
-    # i + 1 and i + 2.  Its sp-tree is n = 5000 deep.
-    from cosp import format_poset, parse_poset
+    # The orientation of parity_split_graph(n): its sp-tree is n = 5000 deep.
+    from cosp import parse_poset
 
     n = 5000
-    covers = [f"{i} {j}" for i in range(0, n, 2) for j in (i + 1, i + 2) if j < n]
-    text = f"n {n}\n" + "\n".join(covers) + "\n"
+    p = parity_orientation(n)
+    text = format_poset(p)
     f = write(tmp_path, "o.txt", text)
     code, out, err = run(capsys, "poset", f, "sptree")
     assert (code, err) == (0, "")
     assert out == window_tree_json(n, 0, "element", ("linear", "disjoint"))
     # The closure and the cover reduction, both ways
-    p, labels = parse_poset(text)
-    assert format_poset(p) == text
-    assert parse_poset(format_poset(p)) == (p, labels)
+    assert parse_poset(text) == (p, tuple(range(n)))
 
 
 def test_cotree_p4_witness(tmp_path, capsys):
@@ -355,15 +354,14 @@ def test_request_paths_avoid_the_oracles(tmp_path, capsys, monkeypatch):
 
 
 def test_lemma_actions_build_the_comparability_rows_at_most_once(tmp_path, capsys, monkeypatch):
-    # The request builds them once for the N fallback; the lemmas read only
-    # the rows of the elements they touch.
+    # The handler builds them once, for the split search and the N fallback;
+    # the lemmas read only the rows of the elements they touch.
     from cosp.posets import Poset
 
     calls = []
     masks = Poset.comparability_masks
     monkeypatch.setattr(Poset, "comparability_masks", lambda p: calls.append(p) or masks(p))
-    # The parity window's orientation: each even i is covered by i + 1 and i + 2.
-    window = "".join(f"{i} {j}\n" for i in range(0, 30, 2) for j in (i + 1, i + 2) if j < 30)
+    window = format_poset(parity_orientation(30))
     texts = {"window": window, "n": N_TEXT, "diamond-order": DIAMOND_POSET_TEXT}
     for name, text in texts.items():
         f = write(tmp_path, name, text)
@@ -371,7 +369,7 @@ def test_lemma_actions_build_the_comparability_rows_at_most_once(tmp_path, capsy
             calls.clear()
             code, out, _ = run(capsys, "poset", f, *action)
             assert code in (0, 1) and out, (name, action)
-            assert len(calls) <= 1, (name, action)
+            assert calls == [], (name, action)
 
 
 def test_empty_order_is_nfree(tmp_path, capsys):
@@ -499,8 +497,10 @@ def test_gen_rejects_bad_flags(capsys):
     assert code == 2
     code, _, err = run(capsys, "gen", "gnp", "4")
     assert code == 2
-    code, _, err = run(capsys, "gen", "gnp", "4", "1.5")
-    assert code == 2
+    # The generator's own check, for gnp and poset.
+    message = "edge probability must lie in [0, 1]\n"
+    for kind in ("gnp", "poset"):
+        assert run(capsys, "gen", kind, "4", "1.5") == (2, "", message)
     code, _, err = run(capsys, "gen", "cotree", "4", "0.5")
     assert code == 2
     code, _, err = run(capsys, "gen", "cotree", "0")
@@ -513,6 +513,7 @@ def test_gen_deterministic(capsys):
     assert out1 == out2
     code, out3, _ = run(capsys, "gen", "sptree", "12", "--seed", "6")
     assert out1 != out3
+    assert run(capsys, "gen", "sptree", "12") == run(capsys, "gen", "sptree", "12", "--seed", "0")
 
 
 def test_output_byte_stability(tmp_path, capsys):
@@ -622,6 +623,11 @@ def test_tool_commands_import_the_modules_they_run(tmp_path):
     lemma = sorted([*join, "cosp.lemmas", "cosp.posets"])
     assert cosp_modules("poset", order, "linear-split") == lemma
     assert cosp_modules("poset", order, "endpoint", "--x", "1") == lemma
+    # gen reads its generators from trees: no oracles, no lemmas.
+    records = ["cosp.cographs", "cosp.pairtext", "cosp.posets", "cosp.spdecomp", "cosp.trees"]
+    gen = sorted([*join, *records])
+    assert cosp_modules("gen", "cotree", "5") == gen
+    assert cosp_modules("gen", "parity-split", "3") == gen
 
 
 def test_read_args_agrees_with_argparse():
@@ -768,9 +774,7 @@ def test_python_i_still_reaches_its_prompt(tmp_path):
 def orient_file(tmp_path):
     """The orientation of the parity-split window of 20,000 elements, given
     by its covers: its sp-tree is 20,000 deep and its JSON text 1.4 MB."""
-    n = 20000
-    covers = [f"{i} {j}\n" for i in range(0, n, 2) for j in (i + 1, i + 2) if j < n]
-    return write(tmp_path, "orient-20000.txt", f"n {n}\n" + "".join(covers))
+    return write(tmp_path, "orient-20000.txt", format_poset(parity_orientation(20000)))
 
 
 def test_a_large_answer_arrives_whole_through_a_pipe(tmp_path):
@@ -837,15 +841,24 @@ def test_oracle_compare_tiny(capsys):
     assert rec["ok"] is True
     assert rec["graphs_checked"] == 12
     assert rec["posets_checked"] == 5
+    # By default, graphs through order 5 and orders through order 4.
+    report = {"ok": True, "graphs_checked": 1100, "posets_checked": 243}
+    assert json.loads(run(capsys, "oracle-compare")[1]) == report
 
 
-def test_oracle_compare_guard(capsys):
+def test_oracle_compare_guard(capsys, monkeypatch):
+    from cosp import oracles
+
     code, _, err = run(capsys, "oracle-compare", "--max-graph-n", "7")
     assert code == 2
     code, _, err = run(capsys, "oracle-compare", "--max-poset-n", "6")
     assert code == 2
     for option in ("--max-graph-n", "--max-poset-n"):
         assert run(capsys, "oracle-compare", option, "-1") == (2, "", "bounds must be non-negative\n")
+    # Each guard admits the enumeration's own bound.
+    monkeypatch.setattr(oracles, "MAX_ENUM_GRAPH", 2)
+    monkeypatch.setattr(oracles, "MAX_ENUM_POSET", 2)
+    assert run(capsys, "oracle-compare", "--max-graph-n", "2", "--max-poset-n", "2")[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -876,9 +889,12 @@ def test_oracle_compare_reports_a_mismatch(capsys, monkeypatch, check, pairs, pa
 def test_oracle_compare_vacuous_poset_bound(capsys):
     code, out, _ = run(capsys, "oracle-compare", "--max-graph-n", "0", "--max-poset-n", "1")
     assert code == 0
+    code, out, _ = run(capsys, "oracle-compare", "--max-graph-n", "0", "--max-poset-n", "0")
+    assert json.loads(out) == {"ok": True, "graphs_checked": 1, "posets_checked": 1}
 
 
 def test_usage_error_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["not-a-command"])
-    assert exc.value.code == 2
+    for argv in (["not-a-command"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

@@ -42,7 +42,8 @@ from cosp import (
     sp_tree_to_poset,
 )
 from cosp.engine import _decompose, is_leaf_id, json_text, tree_holds, tree_masks, tree_signature
-from cosp.trees import _read, validate_cotree, validate_sp_tree
+from cosp.trees import _read, all_blocks_graph, rand_cotree, rand_sptree, spider_graph
+from cosp.trees import validate_cotree, validate_sp_tree
 from cosp.graphs import mask_of
 from cosp.rows import iter_bits
 from cosp import oracles
@@ -112,14 +113,6 @@ def test_cotree_clique_p4_adversary():
     assert cotree(Graph.from_edges(k + 3, edges)).path == (0, k, k + 1, k + 2)
 
 
-def thin_spider(k):
-    """A clique on 0..k-1 with a leg k+i at each clique vertex i: prime,
-    so the whole graph is the part that splits neither way."""
-    clique = (1 << k) - 1
-    feet = tuple(clique & ~(1 << i) | 1 << k + i for i in range(k))
-    return Graph(feet + tuple(1 << i for i in range(k)))
-
-
 def two_unjoined():
     """0 joined to a clique 1..5 less the edges 2-5 and 3-4, and 6 seeing
     1, 2 and 3."""
@@ -133,8 +126,9 @@ def two_unjoined():
     [
         # a neighbor of 0 sees part of a block
         (P4, (0, 1, 2, 3)),
-        # the sides of the first block, {1} and {2, 3}, are not joined
-        (thin_spider(3), (3, 0, 1, 4)),
+        # a thin spider, prime: the sides of the first block, {1} and
+        # {2, 3}, are not joined
+        (spider_graph(3), (3, 0, 1, 4)),
         # the bull: every split holds, but the sides {2} and {1} of the
         # blocks {3} and {4} do not nest
         (Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 4), (2, 3)]), (3, 2, 1, 4)),
@@ -158,17 +152,7 @@ def test_certificate_each_lemma_case(g, path):
 
 
 def test_certificate_all_blocks_split_is_fast():
-    # 0 joined to a clique 1..k, and a non-neighbor k+i of 0 seeing every
-    # clique vertex but i: every block passes its split, and the path comes
-    # from two blocks' sides.
-    k = 1000
-    clique = ((1 << k) - 1) << 1
-    legs = ((1 << k) - 1) << (k + 1)
-    g = Graph(
-        (clique,)
-        + tuple(1 | clique & ~(1 << i) | legs & ~(1 << (k + i)) for i in range(1, k + 1))
-        + tuple(clique & ~(1 << i) for i in range(1, k + 1))
-    )
+    g = all_blocks_graph(1000)
     t0 = time.perf_counter()
     w = cotree(g)
     assert time.perf_counter() - t0 < 0.1
@@ -176,7 +160,7 @@ def test_certificate_all_blocks_split_is_fast():
 
 
 def test_certificate_thin_spider_is_fast():
-    g = thin_spider(2000)
+    g = spider_graph(2000)
     t0 = time.perf_counter()
     w = cotree(g)
     assert time.perf_counter() - t0 < 0.5
@@ -188,7 +172,7 @@ def flipped_cographs(draw):
     """A random cograph with a few pairs flipped: the part that splits
     neither way is often a proper piece of the graph."""
     n = draw(st.integers(4, 40))
-    adj = list(cotree_to_graph(oracles.rand_cotree(n, draw(st.integers(0, 2**32)))).adj)
+    adj = list(cotree_to_graph(rand_cotree(n, draw(st.integers(0, 2**32)))).adj)
     pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
     for u, v in draw(st.lists(pair, min_size=1, max_size=4)):
         adj[u] ^= 1 << v
@@ -206,7 +190,7 @@ def clique_and_blocks(draw):
     adj = [clique] + [clique & ~(1 << i) | 1 for i in range(1, m + 1)]
     for _ in range(draw(st.integers(2, 5))):
         size, seed = draw(st.integers(1, 6)), draw(st.integers(0, 2**32))
-        block = cotree_to_graph(oracles.rand_cotree(size, seed))
+        block = cotree_to_graph(rand_cotree(size, seed))
         base = len(adj)
         sides = mask_of(draw(st.sets(st.integers(1, m))))
         for i in iter_bits(sides):
@@ -733,8 +717,8 @@ def test_json_round_trip():
 
 def test_json_text_is_json_dumps_of_the_dicts():
     # The CLI writes a tree's JSON text from the tree, not from the dicts.
-    trees = [oracles.rand_cotree(n, seed) for n in range(1, 61) for seed in range(4)]
-    trees += [oracles.rand_sptree(n, seed) for n in range(1, 61) for seed in range(4)]
+    trees = [rand_cotree(n, seed) for n in range(1, 61) for seed in range(4)]
+    trees += [rand_sptree(n, seed) for n in range(1, 61) for seed in range(4)]
     # Public constructors allow nodes with one child or none.
     trees.append(Cotree.series([Cotree.parallel([]), Cotree.parallel([Cotree.leaf(1)])]))
     for t in trees:

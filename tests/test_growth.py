@@ -27,6 +27,7 @@ import pytest
 from cosp import Poset, is_nfree, parity_split_graph
 from cosp.engine import tree_signature
 from cosp.rows import _closure, iter_bits
+from cosp.trees import parity_orientation, spider_graph
 
 READS = 2.3
 OVER_INPUT = 1.25
@@ -57,34 +58,6 @@ def relabel(adj, seed):
     return out
 
 
-def spider(k: int, apex: bool):
-    """A clique with a leg at each clique vertex, the leg seeing only it:
-    thin, on 0..k-1 with legs k..2k-1, or with an apex, vertex 0 joined to
-    the clique 1..k with legs k+1..2k."""
-    first = 1 if apex else 0
-    n = 2 * k + first
-    adj = [0] * n
-    clique = sum(1 << v for v in range(first, k + first))
-    for v in range(first, k + first):
-        leg = k + v
-        adj[v] = clique & ~(1 << v) | 1 << leg | first
-        adj[leg] = 1 << v
-    if apex:
-        adj[0] = clique
-    return adj
-
-
-def orientation_covers(n: int):
-    """The successor rows of the parity window's orientation, given by its
-    covers: each even i is covered by i + 1 and i + 2."""
-    succ = [0] * n
-    for i in range(0, n, 2):
-        for j in (i + 1, i + 2):
-            if j < n:
-                succ[i] |= 1 << j
-    return succ
-
-
 def graph(adj):
     """Run the cograph engine on counted rows: n + edges, and the counts."""
     tally = {"reads": 0, "words": 0}
@@ -92,15 +65,21 @@ def graph(adj):
     return len(adj) + sum(map(int.bit_count, adj)) // 2, tally
 
 
-def order(succ, count_closure: bool):
-    """Run the order engine on counted comparability and below rows, and
-    with ``count_closure`` the closure on counted successor rows too:
-    n + covers, and the counts."""
+def order(p, tally=None):
+    """Run the order engine on counted comparability and below rows, adding
+    to ``tally`` when given: n + covers, and the counts."""
+    tally = tally or {"reads": 0, "words": 0}
+    comp = [b | a for b, a in zip(p.below, p.above)]
+    tree_signature(Counted(comp, tally), Counted(p.below, tally))
+    return p.order + len(p.covers()), tally
+
+
+def chain_covers(n: int):
+    """A chain given by its covers, closed on counted successor rows, then
+    run as an order."""
     tally = {"reads": 0, "words": 0}
-    below, above = _closure(Counted(succ, tally) if count_closure else succ, "covers")
-    comp = [b | a for b, a in zip(below, above)]
-    tree_signature(Counted(comp, tally), Counted(below, tally))
-    return len(succ) + sum(map(int.bit_count, succ)), tally
+    succ = [1 << v + 1 for v in range(n - 1)] + [0]
+    return order(Poset(*_closure(Counted(succ, tally), "covers")), tally)
 
 
 def isolated_peak(n: int):
@@ -120,13 +99,10 @@ def isolated_peak(n: int):
 FAMILIES = {
     "windows": (1000, lambda n: graph(list(parity_split_graph(n).adj))),
     "windows-shuffled": (500, lambda n: graph(relabel(parity_split_graph(n).adj, 1))),
-    "orientations": (500, lambda n: order(orientation_covers(n), count_closure=False)),
-    "thin-spiders": (500, lambda k: graph(spider(k, apex=False))),
-    "apex-spiders": (500, lambda k: graph(spider(k, apex=True))),
-    "chain-covers": (
-        1000,
-        lambda n: order([1 << v + 1 for v in range(n - 1)] + [0], count_closure=True),
-    ),
+    "orientations": (500, lambda n: order(parity_orientation(n))),
+    "thin-spiders": (500, lambda k: graph(spider_graph(k).adj)),
+    "apex-spiders": (500, lambda k: graph(spider_graph(k, apex=True).adj)),
+    "chain-covers": (1000, chain_covers),
     "isolated": (4000, isolated_peak),
 }
 
@@ -180,17 +156,16 @@ def test_cost_grows_with_the_input(family, measure):
 NFREE_READS = 4.6
 
 
-def nfree_reads(succ):
-    """``is_nfree`` on the order given by its successor rows, read through
-    counted ``below`` and ``above`` rows: the rows read."""
+def nfree_reads(p):
+    """``is_nfree`` on the order p, read through counted ``below`` and
+    ``above`` rows: the rows read."""
     tally = {"reads": 0, "words": 0}
-    below, above = _closure(succ, "covers")
-    assert is_nfree(Poset(Counted(below, tally), Counted(above, tally)))
+    assert is_nfree(Poset(Counted(p.below, tally), Counted(p.above, tally)))
     return tally["reads"]
 
 
 def test_the_nfree_criterion_reads_rows_quadratic_in_n():
-    grew = nfree_reads(orientation_covers(200)) / nfree_reads(orientation_covers(100))
+    grew = nfree_reads(parity_orientation(200)) / nfree_reads(parity_orientation(100))
     assert grew <= NFREE_READS, f"rows read grew {grew:.2f}x"
 
 
@@ -198,6 +173,5 @@ def test_the_nfree_criterion_builds_the_comparability_rows_once(monkeypatch):
     calls = []
     masks = Poset.comparability_masks
     monkeypatch.setattr(Poset, "comparability_masks", lambda p: calls.append(p) or masks(p))
-    below, above = _closure(orientation_covers(40), "covers")
-    assert is_nfree(Poset(below, above))
+    assert is_nfree(parity_orientation(40))
     assert len(calls) == 1

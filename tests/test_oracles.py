@@ -1,23 +1,10 @@
-"""Brute-force ground truth, enumerators, and seeded generators."""
-
-import hashlib
+"""Brute-force ground truth and enumerators."""
 
 import pytest
 
-from cosp import (
-    Graph,
-    P4Witness,
-    Poset,
-    cotree,
-    cotree_to_graph,
-    format_graph,
-    format_poset,
-    is_cograph,
-    sp_tree_to_poset,
-)
-from cosp.rows import iter_bits
-from cosp.trees import validate_cotree, validate_sp_tree
+from cosp import Graph, P4Witness, Poset, cotree, is_cograph
 from cosp import oracles
+from cosp.rows import iter_bits
 
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -148,89 +135,6 @@ def test_every_natural_order_of_six_elements_agrees_with_the_oracles():
 def test_enumerate_posets_all_valid():
     for p in oracles.enumerate_posets(3):
         p.validate()
-
-
-def test_splitmix_reference_vector():
-    # published first outputs of the 64-bit split-mix generator
-    r = oracles.SplitMix64(0)
-    assert r.next_u64() == 0xE220A8397B1DCDAF
-    r = oracles.SplitMix64(1234567)
-    assert [r.next_u64() for _ in range(3)] == [
-        6457827717110365317,
-        3203168211198807973,
-        9817491932198370423,
-    ]
-
-
-def test_splitmix_split_streams_differ():
-    r = oracles.SplitMix64(5)
-    a = r.split(0)
-    b = r.split(1)
-    assert [a.next_u64() for _ in range(4)] != [b.next_u64() for _ in range(4)]
-
-
-def test_splitmix_randrange_bounds():
-    r = oracles.SplitMix64(9)
-    vals = [r.randrange(10) for _ in range(200)]
-    assert all(0 <= v < 10 for v in vals)
-    assert len(set(vals)) == 10
-
-
-def test_shuffled_is_permutation():
-    r = oracles.SplitMix64(11)
-    items = list(range(20))
-    out = r.shuffled(items)
-    assert sorted(out) == items
-    assert items == list(range(20))
-
-
-def test_rand_cotree_deterministic_and_canonical():
-    a = oracles.rand_cotree(17, 123)
-    b = oracles.rand_cotree(17, 123)
-    assert a == b
-    validate_cotree(a)
-    assert cotree_to_graph(a).order == 17
-    # single leaf regardless of seed
-    from cosp import Cotree
-
-    assert oracles.rand_cotree(1, 0) == Cotree.leaf(0)
-    assert oracles.rand_cotree(1, 7) == Cotree.leaf(0)
-    # The benchmark's input digests depend on every generated tree.
-    text = format_graph(cotree_to_graph(oracles.rand_cotree(500, 1)))
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "421425042b8804e69453d0759d1f087385d4f10f0413a369914e124c2e017f9c"
-    )
-
-
-def test_rand_cotree_seed_changes_output():
-    assert oracles.rand_cotree(17, 1) != oracles.rand_cotree(17, 2)
-
-
-def test_rand_sptree_deterministic_and_canonical():
-    a = oracles.rand_sptree(17, 123)
-    b = oracles.rand_sptree(17, 123)
-    assert a == b
-    validate_sp_tree(a)
-    assert sp_tree_to_poset(a).order == 17
-    text = format_poset(sp_tree_to_poset(oracles.rand_sptree(500, 1)))
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "7610ea55e319117a5a2c6db843aa88752432ea26bebde71bf0cbc5940376aa95"
-    )
-
-
-def test_rand_gnp_extremes():
-    assert oracles.rand_gnp(5, 0.0, 1).edges() == []
-    assert oracles.rand_gnp(5, 1.0, 1).edge_count() == 10
-    assert oracles.rand_gnp(6, 0.5, 4) == oracles.rand_gnp(6, 0.5, 4)
-    with pytest.raises(ValueError):
-        oracles.rand_gnp(5, 1.5, 1)
-
-
-def test_rand_poset_valid():
-    for seed in range(5):
-        p = oracles.rand_poset(8, 0.4, seed)
-        p.validate()
-    assert oracles.rand_poset(8, 0.4, 3) == oracles.rand_poset(8, 0.4, 3)
 
 
 def test_engines_vs_oracles_small(graphs_to_4):

@@ -28,7 +28,7 @@ from cosp import (
     sp_tree_to_poset,
 )
 from cosp.cographs import _preorder
-from cosp.trees import validate_sp_tree
+from cosp.trees import SplitMix64, rand_cotree, rand_sptree, validate_sp_tree
 from cosp import oracles
 
 N_POSET = Poset.from_relations(4, [(0, 1), (2, 1), (2, 3)])
@@ -146,7 +146,7 @@ def shuffled_sp_orders():
     order."""
     rng = random.Random(1)
     for n in range(1, 61):
-        p = sp_tree_to_poset(oracles.rand_sptree(n, n))
+        p = sp_tree_to_poset(rand_sptree(n, n))
         perm = list(range(n))
         rng.shuffle(perm)
         yield Poset.from_relations(n, [(perm[u], perm[v]) for u, v in p.relations()])
@@ -353,10 +353,10 @@ def test_orient_cotree_examples():
 
 
 def test_orient_cotree_random_round_trip():
-    rng = oracles.SplitMix64(7)
+    rng = SplitMix64(7)
     for _ in range(50):
         n = 1 + rng.randrange(30)
-        t = oracles.rand_cotree(n, rng.next_u64())
+        t = rand_cotree(n, rng.next_u64())
         p = orient_cotree(t)
         assert p.comparability_graph() == cotree_to_graph(t)
         assert oracles.brute_n(p) is None
