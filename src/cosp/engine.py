@@ -3,16 +3,18 @@
 A graph on two or more vertices either falls apart into connected
 components (parallel node) or its complement does (series node); when
 neither happens the part contains an induced four-vertex path, found by
-the neighbor-split lemma at the part's lowest vertex (:func:`_sides`),
-and that path is the certificate instead of a tree.  This is the
-component / co-component scheme whose linear-time form is due to
-Corneil, Perl and Stewart (SIAM J. Comput. 14(4), 1985).  An order is
-series-parallel exactly when its comparability graph is a cograph, so
-the same loop on comparability masks decides orders: a series node
-becomes a linear one with its children sorted bottom to top, and a path
-becomes an N.  So each entry here takes a graph's rows ``adj`` and, for
-an order, its comparability rows as ``adj`` plus its own rows ``below``,
-which only orient the answer: :func:`tree_signature` decomposes,
+the neighbor-split lemma at the part's lowest vertex, whose mask
+routines are :func:`_blocks` (the blocks of its non-neighbors) and
+:func:`_sides` (its neighbors split against one block), and that path is
+the certificate instead of a tree.  This is the component /
+co-component scheme whose linear-time form is due to Corneil, Perl and
+Stewart (SIAM J. Comput. 14(4), 1985).  An order is series-parallel
+exactly when its comparability graph is a cograph, so the same loop on
+comparability masks decides orders: a series node becomes a linear one
+with its children sorted bottom to top, and a path becomes an N.  So
+each entry here takes a graph's rows ``adj`` and, for an order, its
+comparability rows as ``adj`` plus its own rows ``below``, which only
+orient the answer: :func:`tree_signature` decomposes,
 :func:`witness_holds` checks a certificate and :func:`tree_holds` a tree.
 
 Everything here takes rows (see :mod:`cosp.rows`) and gives plain
@@ -37,7 +39,7 @@ for the records.
 
 from collections.abc import Callable, Iterator, Sequence
 
-from .rows import iter_bits, mask_components
+from .rows import iter_bits, lowest, mask_components
 
 LEAF = "leaf"
 SERIES = "series"
@@ -88,7 +90,7 @@ def _decompose(adj: Sequence[int], below: Sequence[int] | None = None) -> list[t
             if len(parts) == 1:
                 return sub
             if below is not None:
-                parts.sort(key=lambda block: below[(block & -block).bit_length() - 1].bit_count())
+                parts.sort(key=lambda block: below[lowest(block)].bit_count())
             signature.append((join, None, len(parts)))
         stack.extend(parts)
     return signature
@@ -125,24 +127,29 @@ def _p4_in_part(adj: Sequence[int], sub: int) -> tuple[int, int, int, int]:
     """An induced path (a, b, c, d), a < d, inside ``sub``, a part of the
     graph with neighbor masks ``adj`` that splits neither way, by the
     neighbor-split lemma at its lowest vertex x.  :func:`_sides` of each
-    block of x's non-neighbors in ``sub`` raises the path unless the
+    of x's :func:`_blocks` in ``sub`` raises the path unless the
     block's neighbors split into sides A (seeing it whole) and Z that are
     joined.  Then the smallest A is not inside every other A', or the part
     would split in the complement, so y in A - A' and z in A' - A give the
     path b, y, z, b'."""
-    x = (sub & -sub).bit_length() - 1
+    x = lowest(sub)
     try:
-        sides = [
-            (_sides(adj, x, block)[0], block)
-            for block in mask_components(adj, sub & ~adj[x] & ~(1 << x))
-        ]
+        sides = [(_sides(adj, x, block)[0], block) for block in _blocks(adj, sub, x)]
     except P4Error as exc:
         path = exc.path
     else:
         low, block = min(sides, key=lambda side: side[0].bit_count())
         high, other = next(side for side in sides if low & ~side[0])
-        path = tuple((m & -m).bit_length() - 1 for m in (block, low & ~high, high & ~low, other))
+        path = tuple(map(lowest, (block, low & ~high, high & ~low, other)))
     return path if path[0] < path[3] else path[::-1]
+
+
+def _blocks(adj: Sequence[int], sub: int, x: int) -> list[int]:
+    """The blocks of x's non-neighbors inside the mask ``sub``, x left out:
+    their components, by smallest member.  In a graph with no induced
+    four-vertex path each block is a module, and :func:`_sides` splits x's
+    neighbors against it."""
+    return mask_components(adj, sub & ~adj[x] & ~(1 << x))
 
 
 def _sides(adj: Sequence[int], x: int, block: int) -> tuple[int, int]:
@@ -161,23 +168,21 @@ def _sides(adj: Sequence[int], x: int, block: int) -> tuple[int, int]:
     if partial:
         # y sees part of the block: an edge a-b inside it with y-a but not
         # y-b gives the induced path x, y, a, b.
-        y = (partial & -partial).bit_length() - 1
+        y = lowest(partial)
         for a in iter_bits(adj[y] & block):
             bs = adj[a] & block & ~adj[y]
             if bs:
-                b = (bs & -bs).bit_length() - 1
+                b = lowest(bs)
                 raise P4Error((x, y, a, b), f"vertex {y} is adjacent to part of the block only")
         raise ValueError("component is not connected")
     unjoined = 0
     for z in iter_bits(n2):
         unjoined |= n1 & ~adj[z]
     if unjoined:
-        y1 = (unjoined & -unjoined).bit_length() - 1
-        missing = n2 & ~adj[y1]
-        y2 = (missing & -missing).bit_length() - 1
-        c0 = (block & -block).bit_length() - 1
+        y1 = lowest(unjoined)
+        y2 = lowest(n2 & ~adj[y1])
         message = f"neighbors {y1} and {y2} are not adjacent across the split"
-        raise P4Error((c0, y1, x, y2), message)
+        raise P4Error((lowest(block), y1, x, y2), message)
     return n1, n2
 
 

@@ -1,9 +1,10 @@
 """The paper's lemmas as checkable API, on both sides.
 
-On graphs: the blocks of a vertex's non-neighbors, the split of its
-neighbors against one block (:func:`neighbor_split`, whose mask routine
-:func:`cosp.engine._sides` also finds the engines' certificates and
-raises the engine's :class:`cosp.engine.P4Error` here as it is), a
+On graphs: the blocks of a vertex's non-neighbors and the split of its
+neighbors against one block (:func:`non_neighbor_components` and
+:func:`neighbor_split`, whose mask routines :func:`cosp.engine._blocks`
+and :func:`cosp.engine._sides` also find the engines' certificates; the
+second raises the engine's :class:`cosp.engine.P4Error` here as it is), a
 neighbor joined to every non-neighbor, and the join witness of a graph
 whose complement splits.  On orders: the three-layer linear split, the
 chain endpoint comparable to an element's incomparables, and the
@@ -29,16 +30,16 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from .engine import _sides, is_leaf_id
+from .engine import _blocks, _sides, is_leaf_id
 from .graphs import (
     DisconnectedError,
     Graph,
     _Record,
     iter_bits,
-    mask_components,
     mask_of,
     vertices_of,
 )
+from .rows import lowest
 
 # The order side's annotations name ``cosp.posets.Poset`` without importing
 # it, so that ``join`` does not compile that module.
@@ -115,8 +116,7 @@ def non_neighbor_components(g: Graph, x: int) -> list[tuple[int, ...]]:
     """Connected components of the non-neighbors of x.  In a graph with no
     induced four-vertex path every block is a module."""
     g._check(x)
-    inc = g.full_mask() & ~g.adj[x] & ~(1 << x)
-    return [vertices_of(m) for m in mask_components(g.adj, inc)]
+    return [vertices_of(m) for m in _blocks(g.adj, g.full_mask(), x)]
 
 
 def neighbor_split(g: Graph, x: int, component: Iterable[int]) -> NeighborSplit:
@@ -202,11 +202,11 @@ def select_universal_neighbor(g: Graph, x: int) -> int:
     g._check(x)
     if g.adj[x] == 0:
         raise ValueError(f"vertex {x} has no neighbors")
-    inc = g.full_mask() & ~g.adj[x] & ~(1 << x)
-    if inc == 0:
-        return (g.adj[x] & -g.adj[x]).bit_length() - 1
+    blocks = _blocks(g.adj, g.full_mask(), x)
+    if not blocks:
+        return lowest(g.adj[x])
     best: tuple[int, tuple[int, ...]] | None = None
-    for cm in mask_components(g.adj, inc):
+    for cm in blocks:
         n1 = vertices_of(_sides(g.adj, x, cm)[0])
         if not n1:
             raise DisconnectedError(
@@ -288,8 +288,7 @@ def is_nfree(p: Poset) -> bool:
     module), as :meth:`Poset.is_module` tests a set: about n² row reads."""
     comp = p.comparability_masks()
     for x in range(p.order):
-        inc = p.full_mask() & ~comp[x] & ~(1 << x)
-        if not all(p._is_module_mask(b) for b in mask_components(comp, inc) if b & (b - 1)):
+        if not all(p._is_module_mask(b) for b in _blocks(comp, p.full_mask(), x) if b & (b - 1)):
             return False
     return True
 
@@ -349,6 +348,6 @@ def endpoint_witness(p: Poset, x: int) -> EndpointWitness:
         return EndpointWitness(x=x, endpoint=bottom, side="down")
     raise NoEndpointError(
         x,
-        (top, (top_missing & -top_missing).bit_length() - 1),
-        (bottom, (bottom_missing & -bottom_missing).bit_length() - 1),
+        (top, lowest(top_missing)),
+        (bottom, lowest(bottom_missing)),
     )

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .engine import witness_holds
+from .engine import _blocks, witness_holds
 from .graphs import Graph, _Record, _Rows, vertices_of
 from .rows import CycleError  # noqa: F401 (public here)
-from .rows import _closure, _read_pairs, iter_bits
+from .rows import _closure, _read_pairs, iter_bits, lowest
 
 
 class NWitness(_Record):
@@ -172,11 +172,10 @@ class Poset(_Rows):
     def incomparable_components(self, x: int) -> list[tuple[int, ...]]:
         """Blocks of the elements incomparable to x, connected through
         comparability: two incomparables land in one block when a chain of
-        comparable pairs inside the set links them."""
-        from .lemmas import non_neighbor_components
-
+        comparable pairs inside the set links them: x's non-neighbor blocks
+        (:func:`cosp.engine._blocks`) on the comparability rows."""
         self._check(x)
-        return non_neighbor_components(self.comparability_graph(), x)
+        return [vertices_of(m) for m in _blocks(self.comparability_masks(), self.full_mask(), x)]
 
     def split_candidates(self, x: int) -> SplitCandidates:
         """Elements comparable to x and to every element incomparable to x."""
@@ -199,7 +198,7 @@ class Poset(_Rows):
         chain_mask = 1 << x
         cand = self.below[x] | self.above[x]
         while cand:
-            pick = (cand & -cand).bit_length() - 1
+            pick = lowest(cand)
             idx = (chain_mask & self.below[pick]).bit_count()
             members.insert(idx, pick)
             chain_mask |= 1 << pick

@@ -13,7 +13,8 @@ them.
 A walk over a mask's bits whose order decides nothing takes the top bit
 first, which costs less to find than the lowest; a walk whose order
 picks an answer (components by smallest member, a witness, a cycle's
-pair, :func:`iter_bits`) goes from the lowest up.
+pair, :func:`iter_bits`) goes from the lowest up, and one id picked
+from a mask is its :func:`lowest`.
 """
 
 import json
@@ -45,6 +46,11 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def lowest(mask: int) -> int:
+    """The lowest set bit position of the nonempty ``mask``."""
+    return (mask & -mask).bit_length() - 1
 
 
 def mask_components(adj: Sequence[int], sub: int, co: bool = False) -> list[int]:
@@ -290,14 +296,13 @@ def _closure(succ: list[int], mode: str) -> tuple[tuple[int, ...], tuple[int, ..
         # Each element left has a predecessor left, so some edge lies inside.
         leftover = sum(1 << v for v in range(order) if indeg[v] > 0)
         u = next(u for u in iter_bits(leftover) if succ[u] & leftover)
-        inside = succ[u] & leftover
-        raise CycleError((u, (inside & -inside).bit_length() - 1))
+        raise CycleError((u, lowest(succ[u] & leftover)))
     below = _reach(topo, pred)
     if mode == "full":
         for v in range(order):
             missing = below[v] & ~pred[v]
             if missing:
-                u = (missing & -missing).bit_length() - 1
+                u = lowest(missing)
                 raise ValueError(
                     f"relation is not transitively closed: {u} < {v} is implied but absent"
                 )

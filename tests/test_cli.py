@@ -575,21 +575,25 @@ def imported_modules(*argv):
 
 
 def test_requests_import_only_the_modules_they_run(tmp_path):
-    # On plain files every recognition request reads rows and runs the split
-    # engine on them: it loads neither argparse (nor its gettext and locale)
-    # nor the modules of the Graph and Poset records, and no request loads
-    # the oracles, the lemmas, the tree converters or the line reader.
+    # On plain files every recognition request, either closure flag
+    # included, reads rows and runs the split engine on them: it loads
+    # neither argparse (nor its gettext and locale) nor the modules of the
+    # Graph and Poset records, and no request loads the oracles, the
+    # lemmas, the tree converters or the line reader.
     from cosp.rows import _read_plain
 
     assert _read_plain(DIAMOND_TEXT, False) and _read_plain(DIAMOND_POSET_TEXT, True)
     graph = write(tmp_path, "diamond.txt", DIAMOND_TEXT)
     order = write(tmp_path, "diamond-order.txt", DIAMOND_POSET_TEXT)
+    closed = write(tmp_path, "diamond-closed.txt", DIAMOND_POSET_TEXT + "0 3\n")
     requests = [
         ("check", graph),
         ("check", graph, "--property", "p4free"),
         ("cotree", graph),
         ("cotree", graph, "--dot"),
         ("poset", order, "nfree"),
+        ("poset", order, "nfree", "--covers"),
+        ("poset", closed, "nfree", "--full"),
         ("poset", order, "sptree"),
         ("poset", order, "sptree", "--dot"),
     ]

@@ -41,7 +41,8 @@ from cosp import (
     sp_tree_to_json,
     sp_tree_to_poset,
 )
-from cosp.engine import _decompose, is_leaf_id, json_text, tree_holds, tree_masks, tree_signature
+from cosp.engine import _blocks, _decompose, is_leaf_id, json_text, tree_holds, tree_masks
+from cosp.engine import tree_signature
 from cosp.trees import _read, all_blocks_graph, rand_cotree, rand_sptree, spider_graph
 from cosp.trees import validate_cotree, validate_sp_tree
 from cosp.graphs import mask_of
@@ -466,6 +467,22 @@ def test_non_neighbor_components():
     assert non_neighbor_components(PAW, 0) == [(3,)]
     assert non_neighbor_components(P4, 0) == [(2, 3)]
     assert non_neighbor_components(K3, 0) == []
+
+
+def test_blocks_leave_x_out_and_come_by_smallest_member():
+    # x is never one of its own non-neighbors, whether x is 0 or not.
+    full = P4.full_mask()
+    assert _blocks(P4.adj, full, 0) == [0b1100]
+    assert _blocks(P4.adj, full, 3) == [0b0011]
+    assert _blocks(P4.adj, 0b0111, 2) == [0b0001]
+    # A vertex that sees every other one has no blocks.
+    assert _blocks(K3.adj, K3.full_mask(), 0) == []
+    assert _blocks(K3.adj, K3.full_mask(), 2) == []
+    # 3 sees only 1; its non-neighbors 0-2 and 4-5 are two blocks, and 6
+    # a third, listed by smallest member.
+    g = Graph.from_edges(7, [(1, 3), (0, 2), (5, 4), (1, 6)])
+    assert _blocks(g.adj, g.full_mask(), 3) == [0b0000101, 0b0110000, 0b1000000]
+    assert _blocks(g.adj, g.full_mask() & ~0b0000100, 3) == [0b0000001, 0b0110000, 0b1000000]
 
 
 def test_neighbor_split_paw():

@@ -1,10 +1,15 @@
 """Strict partial orders: closure, validation, chains, and the text format."""
 
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cosp
 from cosp import CycleError, Poset, format_poset, is_nfree, parse_poset
+from cosp.rows import lowest
 
 # covers 0<1, 2<1, 2<3: the four-element order whose diagram draws the letter N
 N_POSET = Poset.from_relations(4, [(0, 1), (2, 1), (2, 3)])
@@ -159,6 +164,33 @@ def test_incomparable_components():
     assert CHAIN3.incomparable_components(1) == []
     assert Poset.from_relations(2, []).incomparable_components(0) == [(1,)]
     assert DIAMOND4.incomparable_components(1) == [(2,)]
+
+
+def test_incomparable_components_load_no_lemma_code():
+    # The blocks are the engine's, read from the comparability rows: no
+    # lemma module is imported for them.
+    code = (
+        "import sys\n"
+        "from cosp.posets import Poset\n"
+        "print(Poset.from_relations(4, [(0, 1), (2, 1), (2, 3)]).incomparable_components(0))\n"
+        "print('cosp.lemmas' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=Path(cosp.__file__).parents[1],
+        check=True,
+    )
+    assert proc.stdout == "[(2, 3)]\nFalse\n"
+
+
+def test_lowest_is_the_lowest_set_bit():
+    assert lowest(1) == 0
+    for k in (1, 2, 63, 64, 300):
+        assert lowest(1 << k) == k
+    assert lowest(0b1011000) == 3
+    assert lowest(1 << 300 | 1 << 70 | 1 << 9) == 9
 
 
 def test_is_module():

@@ -18,11 +18,12 @@ a pytest path in it.  Each mutant changes one node of the module's syntax tree:
 
 Annotations are left alone.  Each mutant is written with
 :func:`ast.unparse` into a scratch copy of the checkout's top directories
-that the module and the suite live in (``__pycache__`` left out), and the
-suite runs there as ``python -m pytest -x -m "not memory"``, two mutants
-at a time (tests marked ``memory`` measure memory or run out of it in
-processes of their own, which is slow, so no kill suite runs them), with
-the module's top directory (``src``) on ``PYTHONPATH``, no bytecode
+that the module and the suite live in, and of ``tools``, whose scripts
+some tests run (``__pycache__`` left out), and the suite runs there as
+``python -m pytest -x -m "not memory"``, two mutants at a time (tests
+marked ``memory`` measure memory or run out of it in processes of their
+own, which is slow, so no kill suite runs them), with the module's top
+directory (``src``) on ``PYTHONPATH``, no bytecode
 written, no Hypothesis database kept between mutants, and 1 GiB of
 address space.  A mutant is killed when the suite fails, and counted as
 hung, which is killed too, when it runs past the time cap, five times
@@ -175,7 +176,7 @@ class Runner:
 
     def __init__(self, args: argparse.Namespace, work: Path):
         self.args, self.work = args, work
-        self.tops = sorted({Path(p).parts[0] for p in (args.module, *args.suite)})
+        self.tops = sorted({"tools", *(Path(p).parts[0] for p in (args.module, *args.suite))})
         self.copies: dict[int, Path] = {}
         self.lock = threading.Lock()
 
