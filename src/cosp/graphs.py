@@ -24,7 +24,7 @@ module; :class:`ParseError` is defined there and is public here.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .rows import ParseError  # noqa: F401 (public here)
 from .rows import _read_pairs, iter_bits, mask_components
@@ -170,13 +170,16 @@ class Graph(_Rows):
         self._check(v)
         return (self.adj[u] >> v) & 1 == 1
 
+    def _upper_rows(self) -> Iterator[int]:
+        """The upper triangle of ``adj``: row u holds u's neighbors above
+        u, so each edge {u, v}, u < v, is in row u alone."""
+        for u, row in enumerate(self.adj):
+            yield row >> (u + 1) << (u + 1)
+
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.order):
-            upper = self.adj[u] >> (u + 1)
-            for off in iter_bits(upper):
-                out.append((u, u + 1 + off))
-        return out
+        """Each edge once, as (u, v) with u < v, sorted: the pairs of
+        :meth:`_upper_rows`."""
+        return [(u, v) for u, row in enumerate(self._upper_rows()) for v in iter_bits(row)]
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
@@ -201,7 +204,8 @@ class Graph(_Rows):
         return frozenset(iter_bits(self._universal_mask(x)))
 
     def _universal_mask(self, x: int) -> int:
-        inc = self.full_mask() & ~self.adj[x] & ~(1 << x)
+        # x's non-neighbors, and x itself, which every neighbor of x sees.
+        inc = self.full_mask() & ~self.adj[x]
         out = 0
         for y in iter_bits(self.adj[x]):
             if inc & ~self.adj[y] == 0:
@@ -229,12 +233,12 @@ class Graph(_Rows):
             self._check(v)
         index = {v: i for i, v in enumerate(keep)}
         sub = mask_of(keep)
-        adj = [0] * len(keep)
-        for i, v in enumerate(keep):
+        adj = []
+        for v in keep:
             m = 0
             for w in iter_bits(self.adj[v] & sub):
                 m |= 1 << index[w]
-            adj[i] = m
+            adj.append(m)
         return Graph(tuple(adj)), tuple(keep)
 
     def complement(self) -> Graph:

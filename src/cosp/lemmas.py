@@ -86,7 +86,8 @@ class JoinWitness(_Record):
 class NeighborSplit(_Record):
     """Split of the neighbors of x against one connected block of its
     non-neighbors: ``adjacent_all`` sees the whole block, ``adjacent_none``
-    sees none of it, and the two sides are completely joined to each other."""
+    sees none of it, and the two sides are completely joined to each other.
+    ``validate`` refuses an empty block, as :func:`neighbor_split` does."""
 
     component: tuple[int, ...]
     adjacent_all: tuple[int, ...]
@@ -98,7 +99,7 @@ class NeighborSplit(_Record):
         cm = mask_of(self.component)
         n1 = mask_of(self.adjacent_all)
         n2 = mask_of(self.adjacent_none)
-        if n1 & n2 or (n1 | n2) != g.adj[x]:
+        if not cm or n1 & n2 or (n1 | n2) != g.adj[x]:
             return False
         for y in self.adjacent_all:
             if cm & ~g.adj[y]:

@@ -13,7 +13,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 
-from .rows import _CHUNK, ParseError, _rows
+from .rows import _CHUNK, ParseError, _rows, iter_bits
 
 # The annotations name ``cosp.graphs.Graph`` and ``cosp.posets.Poset``
 # without importing them, so that a request whose text is read line by
@@ -135,13 +135,19 @@ def _read_lines(text: str, ordered: bool) -> tuple[list[int], Sequence[int], int
 
 def _write_pairs(
     order: int,
-    pairs: Iterable[tuple[int, int]],
+    rows: Iterable[int],
     labels: Sequence[int] | None,
     linked: Iterable[int],
     noun: str,
     unpaired: str,
 ) -> str:
     """Write the pair text format read by :func:`cosp.rows._read_pairs`.
+
+    ``rows`` holds one mask per id u, of the ids v it is paired with; each
+    pair is a line ``u v``, in the order of u, then v.  Each row's lines
+    are joined into one string as it is written, so the writer holds
+    about twice the text it returns (the rows' strings, then their join),
+    and never a string or tuple per pair.
 
     With the default dense labeling a header line declares the order, so
     ids in no pair survive the round trip.  Other labels drop the header
@@ -150,36 +156,48 @@ def _write_pairs(
     entry in ``linked`` is nonzero.
     """
     if labels is None or tuple(labels) == tuple(range(order)):
-        lines = [f"n {order}"]
+        out = [f"n {order}\n"]
         labels = range(order)
     else:
         if len(set(labels)) != order:
             raise ValueError(f"labels must be distinct, one per {noun}")
-        lines = []
+        out = []
         for v, link in enumerate(linked):
             if not link:
                 raise ValueError(f"{noun} {labels[v]} {unpaired} and no header can declare it")
-    for u, v in pairs:
-        lines.append(f"{labels[u]} {labels[v]}")
-    del pairs  # format_graph's edge list outweighs the text: free it before the join
-    return "\n".join(lines) + "\n"
+    names = [f"{label}" for label in labels]
+    for u, row in enumerate(rows):
+        if row:
+            head = f"{names[u]} "
+            out.append(head + f"\n{head}".join([names[v] for v in iter_bits(row)]) + "\n")
+    return "".join(out)
 
 
 def format_graph(g: Graph, labels: Sequence[int] | None = None) -> str:
     """Serialize to the edge-list text format (see :func:`_write_pairs`):
-    the header or the labels, then one line ``u v`` per edge, u < v."""
-    return _write_pairs(g.order, g.edges(), labels, g.adj, "vertex", "has no edges")
+    the header or the labels, then one line ``u v`` per edge, u < v, from
+    the upper triangle of ``g.adj`` (:meth:`cosp.graphs.Graph._upper_rows`,
+    which :meth:`cosp.graphs.Graph.edges` reads too)."""
+    return _write_pairs(g.order, g._upper_rows(), labels, g.adj, "vertex", "has no edges")
 
 
 def format_poset(p: Poset, labels: Sequence[int] | None = None, mode: str = "covers") -> str:
     """Serialize to the relation text format (see :func:`_write_pairs`).
 
-    mode="covers" writes the transitive reduction, mode="full" the whole
-    closure; both round-trip through :func:`cosp.posets.parse_poset`.
+    mode="covers" writes the transitive reduction, from one row per
+    element of the elements that cover it, made from
+    :meth:`cosp.posets.Poset.covers`; mode="full" writes the whole
+    closure, the rows ``p.above``.  Both round-trip through
+    :func:`cosp.posets.parse_poset`.
     """
     if mode not in ("covers", "full"):
         raise ValueError(f"unknown mode {mode!r}")
-    pairs = p.covers() if mode == "covers" else p.relations()
+    if mode == "full":
+        rows = p.above
+    else:
+        rows = [0] * p.order
+        for u, v in p.covers():
+            rows[u] |= 1 << v
     # An element occurs in a cover exactly when it is comparable to another.
     linked = map(int.__or__, p.below, p.above)
-    return _write_pairs(p.order, pairs, labels, linked, "element", "occurs in no relation")
+    return _write_pairs(p.order, rows, labels, linked, "element", "occurs in no relation")

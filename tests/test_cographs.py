@@ -581,6 +581,7 @@ WITNESS_CASES = [
     (NeighborSplit((3,), (1, 2), ()), (PAW, 0), False),  # 2 misses the block
     (NeighborSplit((3,), (), (1, 2)), (PAW, 0), False),  # 1 sees the block
     (NeighborSplit((3,), (2,), (0,)), (P4, 1), False),  # 0 and 2 are not joined
+    (NeighborSplit((), (1, 2), ()), (PAW, 0), False),  # an empty block
     (LinearSplit(1, (0,), (1,), (2,)), (CHAIN,), True),
     (LinearSplit(1, (0,), (0, 1), (2,)), (CHAIN,), False),  # 0 in two parts
     (LinearSplit(1, (0,), (1,), ()), (CHAIN,), False),  # the parts miss 2

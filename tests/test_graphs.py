@@ -1,8 +1,18 @@
 """Graph representation, neighborhoods, components, and the text format."""
 
+import tracemalloc
+
 import pytest
 
-from cosp import Graph, ParseError, format_graph, parse_graph
+from cosp import (
+    Graph,
+    ParseError,
+    Poset,
+    format_graph,
+    format_poset,
+    parity_split_graph,
+    parse_graph,
+)
 from cosp.graphs import mask_of, vertices_of
 from cosp.rows import iter_bits, mask_components
 
@@ -24,8 +34,12 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(1, 1)])
-    with pytest.raises(ValueError):
-        Graph.from_edges(2, [(-1, 0)])
+    # Each end is checked on both sides of its range, by the range message
+    # (a shift by -1 would raise a ValueError of its own).
+    for edge in ((-1, 0), (0, -1), (2, 0), (0, 2)):
+        message = rf"^edge \({edge[0]}, {edge[1]}\) out of range for order 2$"
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(2, [edge])
     with pytest.raises(ValueError, match=r"^order must be non-negative$"):
         Graph.from_edges(-1, [])
 
@@ -72,6 +86,8 @@ def test_universal_neighbors():
     assert PAW.universal_neighbors(0) == {1}
     assert PAW.universal_neighbors(3) == {1}
     assert P4.universal_neighbors(1) == {2}
+    # 0's non-neighbor 1 is the id above it, and 0's neighbor 2 misses it.
+    assert Graph.from_edges(3, [(0, 2)]).universal_neighbors(0) == frozenset()
 
 
 def test_components():
@@ -143,6 +159,9 @@ def test_complement():
     assert P4.complement().edges() == [(0, 2), (0, 3), (1, 3)]
     assert K3.complement().edges() == []
     assert P4.complement().complement() == P4
+    # No vertex is its own neighbor in the complement either.
+    assert K3.complement().adj == (0, 0, 0)
+    assert P4.complement().adj == (0b1100, 0b1000, 0b0001, 0b0011)
 
 
 def test_parse_minimal():
@@ -210,3 +229,30 @@ def test_format_applies_labels():
     assert "7 9" in text
     g, labels = parse_graph(text)
     assert labels == (7, 9)
+
+
+# A 600-chain's closure is 179,700 relations, each in row ``above`` of its
+# lower end.
+CHAIN600 = Poset.from_relations(600, [(i, i + 1) for i in range(599)])
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda: format_graph(parity_split_graph(800)),
+        lambda: format_poset(CHAIN600, mode="full"),
+    ],
+    ids=["graph", "order-full"],
+)
+def test_writers_hold_about_twice_their_text(write):
+    """The writers join each row's lines as they go, so their peak is the
+    rows' strings plus the text (about 2.1 times the text for both), not
+    a tuple and a string per pair (about 20 times)."""
+    tracemalloc.start()
+    try:
+        text = write()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 10**6
+    assert peak < 3 * len(text)

@@ -1,9 +1,12 @@
-"""``tools/mutants.py`` finds the mutant that a planted kill suite misses.
+"""``tools/mutants.py`` finds the mutant that a planted kill suite misses,
+and decides a hung mutant by one more run.
 
-The test runs a copy of the tool in a planted checkout, whose module,
-kill suite and ``tools/mutants_equivalent.json`` sit beside the copy.
+The first test runs a copy of the tool in a planted checkout, whose
+module, kill suite and ``tools/mutants_equivalent.json`` sit beside the
+copy; the second drives the rerun rule with a stub runner.
 """
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -68,3 +71,22 @@ def test_the_tool_reports_exactly_the_planted_survivor(tmp_path):
         "listed as equivalent, but absent or killed: add: a * b -> a / b",
         "listed as equivalent, but absent or killed: add: a + b -> a - b",
     ]
+
+
+def test_a_hung_mutant_is_decided_by_one_rerun_alone():
+    """Only the hung mutants run again, once each, in order, and the
+    rerun's outcome replaces the first."""
+    spec = importlib.util.spec_from_file_location("mutants_tool", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    every = [tool.Mutant(f"m{i}", i, f"source {i}") for i in range(5)]
+    first = ["hung", "killed", "hung", "survived", "hung"]
+    again = {"source 0": "survived", "source 2": "hung", "source 4": "killed"}
+    calls = []
+
+    def run(source):
+        calls.append(source)
+        return again[source]
+
+    assert tool.settle(every, first, run) == ["survived", "killed", "hung", "survived", "killed"]
+    assert calls == ["source 0", "source 2", "source 4"]

@@ -25,9 +25,12 @@ marked ``memory`` measure memory or run out of it in processes of their
 own, which is slow, so no kill suite runs them), with the module's top
 directory (``src``) on ``PYTHONPATH``, no bytecode
 written, no Hypothesis database kept between mutants, and 1 GiB of
-address space.  A mutant is killed when the suite fails, and counted as
-hung, which is killed too, when it runs past the time cap, five times
-the unmutated suite's time plus 5 s; its process group is then ended.
+address space.  A mutant is killed when the suite fails.  One that runs
+past the time cap, five times the unmutated suite's time plus 5 s, has
+its process group ended; after the pool, it runs once more, alone, with
+the same cap, and that run decides (a slow survivor on a loaded host
+then shows as one).  A mutant that hangs both times is counted as hung,
+which is killed too, and named.
 The unmutated module, written the same way, must pass first.
 
 A mutant is named ``function: before -> after``: its enclosing function
@@ -36,10 +39,10 @@ after (a constant's with its parent expression), with `` (k)`` added for
 the k-th repeat of a name.  ``tools/mutants_equivalent.json`` maps a
 module's path to the mutants that cannot change its behaviour, each with
 a one-line reason.  The tool prints each survivor that the file does not
-list, with its line, and each listed mutant that no longer exists or was
-killed.
-It exits 0 when there are none of either, 1 otherwise, and 2 when the
-unmutated suite fails.
+list, with its line, each mutant that hung twice, and each listed mutant
+that no longer exists or was killed.
+It exits 0 when it prints no survivor and no listed mutant, 1 otherwise,
+and 2 when the unmutated suite fails.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ import sys
 import tempfile
 import threading
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -218,6 +222,13 @@ class Runner:
         return ("survived" if code == 0 else "killed"), time.perf_counter() - start
 
 
+def settle(every: list[Mutant], outcomes: list[str], run: Callable[[str], str]) -> list[str]:
+    """The outcomes once each ``"hung"`` one is replaced by that of one
+    more run, ``run(source)``, made alone after the pool: a mutant is then
+    hung only when it hung both times."""
+    return [run(m.source) if kind == "hung" else kind for m, kind in zip(every, outcomes)]
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="the module's path in the checkout")
@@ -237,6 +248,7 @@ def main(argv: list[str]) -> int:
         timeout = 5 * seconds + 5
         with ThreadPoolExecutor(WORKERS) as pool:
             outcomes = list(pool.map(lambda m: runner.run(m.source, timeout)[0], every))
+        outcomes = settle(every, outcomes, lambda source: runner.run(source, timeout)[0])
     counts = {kind: outcomes.count(kind) for kind in ("killed", "hung", "survived")}
     survivors = [m for m, kind in zip(every, outcomes) if kind == "survived"]
     unlisted = [m for m in survivors if m.name not in listed]
@@ -251,6 +263,9 @@ def main(argv: list[str]) -> int:
     for m in unlisted:
         print(f"survived: {args.module}:{m.line}: {lines[m.line - 1].strip()}")
         print(f"    {m.name}")
+    for m, kind in zip(every, outcomes):
+        if kind == "hung":
+            print(f"hung twice: {args.module}:{m.line}: {m.name}")
     for name in stale:
         print(f"listed as equivalent, but absent or killed: {name}")
     return 1 if unlisted or stale else 0
