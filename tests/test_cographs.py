@@ -581,7 +581,6 @@ WITNESS_CASES = [
     (NeighborSplit((3,), (1, 2), ()), (PAW, 0), False),  # 2 misses the block
     (NeighborSplit((3,), (), (1, 2)), (PAW, 0), False),  # 1 sees the block
     (NeighborSplit((3,), (2,), (0,)), (P4, 1), False),  # 0 and 2 are not joined
-    (NeighborSplit((), (1, 2), ()), (PAW, 0), False),  # an empty block
     (LinearSplit(1, (0,), (1,), (2,)), (CHAIN,), True),
     (LinearSplit(1, (0,), (0, 1), (2,)), (CHAIN,), False),  # 0 in two parts
     (LinearSplit(1, (0,), (1,), ()), (CHAIN,), False),  # the parts miss 2
@@ -618,6 +617,7 @@ WITNESS_CASES = [
     (JoinWitness(0, (1, 3), ((0, 2), (1, 3), (0,))), (C4,), False),  # three sides
     (LinearSplit(1, 5, (1,), (2,)), (CHAIN,), False),  # lower not a group
     (NeighborSplit(5, (1,), (2,)), (PAW, 0), False),  # the block not a group
+    (NeighborSplit((), (1, 2), ()), (PAW, 0), False),  # an empty block
 ]
 
 
