@@ -45,6 +45,13 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
+def pairs_of(rows: Iterable[int]) -> list[tuple[int, int]]:
+    """The pairs (u, v) of a row family, one per bit v of row u, sorted:
+    :meth:`Graph.edges`, :meth:`cosp.posets.Poset.relations` and
+    :meth:`cosp.posets.Poset.covers` are those of their rows."""
+    return [(u, v) for u, row in enumerate(rows) for v in iter_bits(row)]
+
+
 class _Record:
     """Immutable record: equality (same class, equal fields), hash and repr
     by its fields in order, ``match`` on them by position, and no
@@ -179,7 +186,7 @@ class Graph(_Rows):
     def edges(self) -> list[tuple[int, int]]:
         """Each edge once, as (u, v) with u < v, sorted: the pairs of
         :meth:`_upper_rows`."""
-        return [(u, v) for u, row in enumerate(self._upper_rows()) for v in iter_bits(row)]
+        return pairs_of(self._upper_rows())
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2

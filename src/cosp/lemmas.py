@@ -87,7 +87,8 @@ class NeighborSplit(_Record):
     """Split of the neighbors of x against one connected block of its
     non-neighbors: ``adjacent_all`` sees the whole block, ``adjacent_none``
     sees none of it, and the two sides are completely joined to each other.
-    ``validate`` refuses an empty block, as :func:`neighbor_split` does."""
+    ``validate`` refuses an empty block and one that meets x or a neighbor
+    of x, as :func:`neighbor_split` does."""
 
     component: tuple[int, ...]
     adjacent_all: tuple[int, ...]
@@ -99,7 +100,7 @@ class NeighborSplit(_Record):
         cm = mask_of(self.component)
         n1 = mask_of(self.adjacent_all)
         n2 = mask_of(self.adjacent_none)
-        if not cm or n1 & n2 or (n1 | n2) != g.adj[x]:
+        if not cm or cm & (g.adj[x] | 1 << x) or n1 & n2 or (n1 | n2) != g.adj[x]:
             return False
         for y in self.adjacent_all:
             if cm & ~g.adj[y]:

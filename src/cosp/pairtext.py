@@ -2,8 +2,9 @@
 
 :func:`cosp.rows._read_pairs` reads a plain text (the form the writers
 here produce) in bulk and imports this module only for any other text,
-or a plain one that fails a check: :func:`_read_lines` then finds and
-reports every error.  :func:`format_graph` and :func:`format_poset` write
+or a plain one that fails a check: :func:`_read_lines`, the reference
+reader, then takes every line through every check and reports the first
+error.  :func:`format_graph` and :func:`format_poset` write
 graphs and orders through :func:`_write_pairs`.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import islice
+from itertools import chain
 
 from .rows import _CHUNK, ParseError, _rows, iter_bits
 
@@ -20,15 +21,15 @@ from .rows import _CHUNK, ParseError, _rows, iter_bits
 # line compiles neither module.
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines of ``text.splitlines()``, split from pieces of the text of
-    at most 64 KiB (or one longer line) cut after a newline, so that only
-    one piece's lines are held at a time."""
+def _pieces(text: str) -> Iterator[list[str]]:
+    """The lines of ``text.splitlines()``, one list per piece of the text
+    of at most 64 KiB (or one longer line) cut after a newline, so that
+    only one piece's lines are held at a time."""
     pos = 0
     while pos < len(text):
         end = text.rfind("\n", pos, pos + _CHUNK) + 1 or text.find("\n", pos + _CHUNK) + 1
         end = end or len(text)
-        yield from text[pos:end].splitlines()
+        yield text[pos:end].splitlines()
         pos = end
 
 
@@ -49,34 +50,27 @@ def _read_lines(text: str, ordered: bool) -> tuple[list[int], Sequence[int], int
     """The rows, the label table and the header's line number (None
     without a header) of any text, read line by line.
 
-    The header is the first line that is neither blank nor a comment and
-    reads ``n ...``.  Each other line takes every check in turn: its
-    shape, the signs of its labels, a self-loop or reflexive pair, and
-    the declared range.  The tokenizer stops at the first line that fails
-    one and hands the pairs before it to :func:`cosp.rows._rows`.  When
-    their bits come up short, one ordered scan of the pairs names the
-    first duplicate, whose line comes earlier, and that error is raised
-    ahead of the tokenizer's.
+    Blank lines and comments are skipped.  The header is the first other
+    line when it reads ``n ...``.  Each line after it takes one route,
+    every check in turn: its shape, the conversion of its labels, their
+    signs, a self-loop or reflexive pair, and the declared range; no
+    line skips a check because its labels were seen before.  The labels
+    of each piece's lines (:func:`_pieces`) go to :func:`cosp.rows._rows`
+    as one flat list, so that with a header only one piece's labels are
+    held at a time, as in the bulk read.  The tokenizer stops at the
+    first line that fails a check.  When the bits of the pairs before it
+    come up short, one ordered scan of the pairs names the first
+    duplicate, whose line comes earlier, and that error is raised ahead
+    of the tokenizer's.
     """
     noun, pair, sep = ("element", "relation", " < ") if ordered else ("vertex", "edge", " ")
     declared: int | None = None
-    first = 0  # the header's line number
-    # A label's spellings on lines that passed map to one int, made once.
-    known: dict[str, int] = {}
-    get = known.get
-    flat: list[int] = []
-    error = None
-    for lineno, line in enumerate(_lines(text), 1):
+    first: int | None = None  # the header's line number
+    for lineno, line in enumerate(chain.from_iterable(_pieces(text)), 1):
         tokens = line.split()
-        if len(tokens) == 2 or ordered and len(tokens) == 3 and tokens[1] == "<":
-            u = get(tokens[0])
-            v = get(tokens[-1])
-            if u is not None and v is not None and u != v:
-                flat += u, v
-                continue
         if not tokens or tokens[0][0] == "#":
             continue
-        if tokens[0] == "n" and not first and not flat:
+        if tokens[0] == "n":
             if len(tokens) != 2:
                 raise ParseError(lineno, "malformed header, expected 'n <order>'")
             try:
@@ -87,50 +81,62 @@ def _read_lines(text: str, ordered: bool) -> tuple[list[int], Sequence[int], int
             if declared < 0:
                 raise ParseError(lineno, "declared order must be non-negative")
             first = lineno
-            continue
-        if len(tokens) != 2 and not (ordered and len(tokens) == 3 and tokens[1] == "<"):
-            error = f"expected two {noun} labels, got {line.strip()!r}"
-            break
-        try:
-            u, v = int(tokens[0]), int(tokens[-1])
-        except ValueError:
-            error = _too_long(f"{noun} label", tokens[0], tokens[-1])
-            error = error or f"expected two {noun} labels, got {line.strip()!r}"
-            break
-        if u < 0 or v < 0:
-            error = f"{noun} labels must be non-negative"
-        elif u == v:
-            error = f"{'reflexive relation' if ordered else 'self-loop'} {u}{sep}{v}"
-        elif declared is not None and (u >= declared or v >= declared):
-            error = f"{noun} {max(u, v)} outside declared order {declared}"
-        else:
-            known[tokens[0]] = u
-            known[tokens[-1]] = v
-            flat += u, v
-            continue
         break
-    del known, get
+    stop = None  # the line number and error of the first line that fails a check
+
+    def labels() -> Iterator[list[int]]:
+        nonlocal stop
+        lineno = 0
+        for lines in _pieces(text):
+            flat: list[int] = []
+            error = None
+            for lineno, line in enumerate(lines, lineno + 1):
+                tokens = line.split()
+                if not tokens or tokens[0][0] == "#" or lineno == first:
+                    continue
+                if len(tokens) != 2 and not (ordered and len(tokens) == 3 and tokens[1] == "<"):
+                    error = f"expected two {noun} labels, got {line.strip()!r}"
+                    break
+                try:
+                    u, v = int(tokens[0]), int(tokens[-1])
+                except ValueError:
+                    error = _too_long(f"{noun} label", tokens[0], tokens[-1])
+                    error = error or f"expected two {noun} labels, got {line.strip()!r}"
+                    break
+                if u < 0 or v < 0:
+                    error = f"{noun} labels must be non-negative"
+                elif u == v:
+                    error = f"{'reflexive relation' if ordered else 'self-loop'} {u}{sep}{v}"
+                elif declared is not None and (u >= declared or v >= declared):
+                    error = f"{noun} {max(u, v)} outside declared order {declared}"
+                else:
+                    flat += u, v
+                    continue
+                break
+            yield flat
+            if error is not None:
+                stop = lineno, error
+                return
+
     try:
-        read = _rows((flat,), declared, ordered, len(text))
+        read = _rows(labels(), declared, ordered, len(text))
     except (OverflowError, MemoryError):
         if declared is None:
             raise
         raise ParseError(first, f"declared order {declared} is too large") from None
     if read is None:
         seen = set()
-        pairs = iter(flat)
-        for k, (u, v) in enumerate(zip(pairs, pairs)):
-            key = (u, v) if ordered or u < v else (v, u)
-            if key in seen:
-                break
-            seen.add(key)
-        # The k-th line after the header that is neither blank nor a comment.
-        lines = enumerate(_lines(text), 1)
-        at = (i for i, line in lines if i > first and (t := line.split()) and t[0][0] != "#")
-        raise ParseError(next(islice(at, k, None)), f"duplicate {pair} {u}{sep}{v}")
-    if error is not None:
-        raise ParseError(lineno, error)
-    return (*read, None if declared is None else first)
+        for lineno, line in enumerate(chain.from_iterable(_pieces(text)), 1):
+            tokens = line.split()
+            if tokens and tokens[0][0] != "#" and lineno != first:
+                u, v = int(tokens[0]), int(tokens[-1])
+                key = (u, v) if ordered or u < v else (v, u)
+                if key in seen:
+                    raise ParseError(lineno, f"duplicate {pair} {u}{sep}{v}")
+                seen.add(key)
+    if stop is not None:
+        raise ParseError(*stop)
+    return (*read, first)
 
 
 def _write_pairs(
@@ -184,20 +190,16 @@ def format_graph(g: Graph, labels: Sequence[int] | None = None) -> str:
 def format_poset(p: Poset, labels: Sequence[int] | None = None, mode: str = "covers") -> str:
     """Serialize to the relation text format (see :func:`_write_pairs`).
 
-    mode="covers" writes the transitive reduction, from one row per
-    element of the elements that cover it, made from
-    :meth:`cosp.posets.Poset.covers`; mode="full" writes the whole
-    closure, the rows ``p.above``.  Both round-trip through
+    mode="covers" writes the transitive reduction, the rows
+    :meth:`cosp.posets.Poset._cover_rows` (row u holds the elements that
+    cover u), made one at a time as they are written; mode="full" writes
+    the whole closure, the rows ``p.above``.  Neither mode holds a pair
+    list, so both peak at about twice the text.  Both round-trip through
     :func:`cosp.posets.parse_poset`.
     """
     if mode not in ("covers", "full"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "full":
-        rows = p.above
-    else:
-        rows = [0] * p.order
-        for u, v in p.covers():
-            rows[u] |= 1 << v
+    rows = p.above if mode == "full" else p._cover_rows()
     # An element occurs in a cover exactly when it is comparable to another.
     linked = map(int.__or__, p.below, p.above)
     return _write_pairs(p.order, rows, labels, linked, "element", "occurs in no relation")

@@ -28,10 +28,10 @@ transpose: :meth:`Poset.validate` checks that, and every record that
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .engine import _blocks, witness_holds
-from .graphs import Graph, _Record, _Rows, vertices_of
+from .graphs import Graph, _Record, _Rows, pairs_of, vertices_of
 from .rows import CycleError  # noqa: F401 (public here)
 from .rows import _closure, _read_pairs, iter_bits, lowest
 
@@ -142,24 +142,35 @@ class Poset(_Rows):
         return self.comparability_graph().complement()
 
     def relations(self) -> list[tuple[int, int]]:
-        """All closed pairs (u, v) with u < v, sorted."""
-        return [(u, v) for u in range(self.order) for v in iter_bits(self.above[u])]
+        """All closed pairs (u, v) with u < v, sorted: the pairs of the
+        rows ``above``."""
+        return pairs_of(self.above)
 
     def covers(self) -> list[tuple[int, int]]:
-        """Pairs of the transitive reduction: u < v with nothing between."""
-        out = []
-        for v in range(self.order):
-            rest = self.below[v]
+        """Pairs of the transitive reduction, u < v with nothing between,
+        sorted: the pairs of :meth:`_cover_rows`."""
+        return pairs_of(self._cover_rows())
+
+    def _cover_rows(self) -> Iterator[int]:
+        """The transitive reduction as rows: row u holds the elements that
+        cover u.
+
+        From the lowest element left above u, the walk goes down, each
+        step to the highest id below it, to an element minimal among those
+        left, a cover of u; what lies above that cover is not one, and is
+        dropped.  Where ids rise up the order the lowest element left is
+        minimal already, and where they fall each step goes far down.
+        """
+        for u in range(self.order):
+            row = 0
+            rest = self.above[u]
             while rest:
-                # Climb to an element maximal in rest, a cover of v; what
-                # lies below it is not.
-                u = rest.bit_length() - 1
-                while up := self.above[u] & rest:
-                    u = up.bit_length() - 1
-                out.append((u, v))
-                rest &= ~(self.below[u] | (1 << u))
-        out.sort()
-        return out
+                v = lowest(rest)
+                while down := self.below[v] & rest:
+                    v = down.bit_length() - 1
+                row |= 1 << v
+                rest &= ~(self.above[v] | (1 << v))
+            yield row
 
     def is_connected(self) -> bool:
         """Connectivity of the comparability graph."""

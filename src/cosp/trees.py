@@ -32,7 +32,7 @@ from .cographs import LEAF, PARALLEL, SERIES, Cotree, _fold, _from_signature, _T
 from .engine import is_leaf_id, leaf_rows, tree_masks
 from .graphs import Graph
 from .posets import Poset
-from .rows import _transpose
+from .rows import _closure, _transpose
 from .spdecomp import DISJOINT, LINEAR, SPTree
 
 
@@ -232,8 +232,9 @@ def rand_gnp(n: int, p_edge: float, seed: int) -> Graph:
 
 def rand_poset(n: int, p_edge: float, seed: int) -> Poset:
     """Random order: draw a random graph, orient every edge from smaller to
-    larger id (always acyclic), close transitively."""
-    return Poset.from_relations(n, rand_gnp(n, p_edge, seed).edges())
+    larger id (always acyclic), close transitively: the graph's upper
+    triangle rows are the successor rows, so no pair is listed."""
+    return Poset(*_closure(list(rand_gnp(n, p_edge, seed)._upper_rows()), "covers"))
 
 
 def parity_orientation(n: int) -> Poset:

@@ -1,4 +1,7 @@
-"""Shared exhaustive instance families, built once per session."""
+"""Shared exhaustive instance families, built once per session, and a
+time limit for calls that must finish."""
+
+import signal
 
 import pytest
 
@@ -12,6 +15,30 @@ def pytest_configure(config):
         "memory: measures memory or runs out of it in a process of its own; "
         "slow, so tools/mutants.py leaves it out of every kill suite",
     )
+
+
+@pytest.fixture
+def within():
+    """``within(seconds, call)``: ``call()``'s result, or a TimeoutError
+    raised inside the call once ``seconds`` have passed.  A walk that stops
+    shrinking what is left loops forever; under this limit the test that
+    meets it fails at once instead.  Needs ``signal.setitimer``."""
+    if not hasattr(signal, "setitimer"):
+        pytest.skip("no interval timer here")
+
+    def expire(signum, frame):
+        raise TimeoutError("the call did not finish in time")
+
+    def run(seconds, call):
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            return call()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -618,6 +618,8 @@ WITNESS_CASES = [
     (LinearSplit(1, 5, (1,), (2,)), (CHAIN,), False),  # lower not a group
     (NeighborSplit(5, (1,), (2,)), (PAW, 0), False),  # the block not a group
     (NeighborSplit((), (1, 2), ()), (PAW, 0), False),  # an empty block
+    (NeighborSplit((2,), (1,), (2,)), (PAW, 0), False),  # the block holds 0's neighbor 2
+    (NeighborSplit((3,), (1,), ()), (PAW, 3), False),  # the block holds x
 ]
 
 

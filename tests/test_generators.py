@@ -52,6 +52,15 @@ def test_shuffled_is_permutation():
     assert items == list(range(20))
 
 
+def test_rand_trees_split_every_block_until_its_leaves(within):
+    # Each block of two or more leaves splits into smaller ones and a block
+    # of one is a leaf, so the generators stop with every leaf once; one
+    # that kept a block whole would loop forever, hence the time limit.
+    for n in (2, 1, 5):
+        for make, rebuild in ((rand_cotree, cotree_to_graph), (rand_sptree, sp_tree_to_poset)):
+            assert rebuild(within(2, lambda: make(n, 7))).order == n
+
+
 def test_rand_cotree_deterministic_and_canonical():
     a = rand_cotree(17, 123)
     b = rand_cotree(17, 123)
@@ -80,16 +89,21 @@ def test_rand_sptree_deterministic_and_canonical():
     assert a == b
     validate_sp_tree(a)
     assert sp_tree_to_poset(a).order == 17
-    text = format_poset(sp_tree_to_poset(rand_sptree(500, 1)))
+    # An order first: the cover walk need not end on rows of no order.
+    p = sp_tree_to_poset(rand_sptree(500, 1))
+    p.validate()
+    text = format_poset(p)
     assert sha256(text) == "7610ea55e319117a5a2c6db843aa88752432ea26bebde71bf0cbc5940376aa95"
 
 
 def test_rand_gnp_extremes():
+    # The rows first: a row of -1 would hold every bit, and walking it for
+    # the edges would never end.
+    assert rand_gnp(0, 0.5, 4) == Graph(()) and rand_gnp(3, 0.0, 1) == Graph((0, 0, 0))
     assert rand_gnp(5, 0.0, 1).edges() == []
     assert rand_gnp(5, 1.0, 1).edge_count() == 10
     g = rand_gnp(6, 0.5, 4)
     assert g == rand_gnp(6, 0.5, 4) == Graph.from_edges(6, g.edges())
-    assert rand_gnp(0, 0.5, 4) == Graph(()) and rand_gnp(3, 0.0, 1) == Graph((0, 0, 0))
     # An edge needs a draw below the threshold: here seed 6's first draw is it.
     assert rand_gnp(2, 13647215125184110592 / 2**64, 6).edge_count() == 0
     for n, p in ((-1, 0.5), (5, 1.5), (5, -0.5)):

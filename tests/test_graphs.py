@@ -22,6 +22,18 @@ K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 DIAMOND = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
 
 
+def test_row_queries_on_small_graphs_finish(within):
+    # Every mask a query makes stays within the n ids: a negative one would
+    # hold every bit, and walking it would never end, so these run first,
+    # each walk under a time limit.
+    assert P4.full_mask() == 0b1111 and Graph(()).full_mask() == 0
+    assert Graph.from_edges(3, [(0, 1)]).adj == (0b010, 0b001, 0)
+    assert P4.complement().adj == (0b1100, 0b1000, 0b0001, 0b0011)
+    assert within(2, lambda: P4.non_neighbors(0)) == {2, 3}
+    assert within(2, lambda: P4.universal_neighbors(1)) == {2}
+    assert within(2, lambda: P4.induced([1, 2, 3]))[0].adj == (0b010, 0b101, 0b010)
+
+
 def test_mask_helpers_round_trip():
     m = mask_of([5, 0, 2])
     assert m == 0b100101
@@ -234,6 +246,9 @@ def test_format_applies_labels():
 # A 600-chain's closure is 179,700 relations, each in row ``above`` of its
 # lower end.
 CHAIN600 = Poset.from_relations(600, [(i, i + 1) for i in range(599)])
+# Each of 0..399 below each of 400..799: 160,000 covers, the whole closure.
+LOW = (1 << 400) - 1
+BIPARTITE = Poset((0,) * 400 + (LOW,) * 400, (LOW << 400,) * 400 + (0,) * 400)
 
 
 @pytest.mark.parametrize(
@@ -241,13 +256,15 @@ CHAIN600 = Poset.from_relations(600, [(i, i + 1) for i in range(599)])
     [
         lambda: format_graph(parity_split_graph(800)),
         lambda: format_poset(CHAIN600, mode="full"),
+        lambda: format_poset(BIPARTITE, mode="covers"),
     ],
-    ids=["graph", "order-full"],
+    ids=["graph", "order-full", "order-covers"],
 )
 def test_writers_hold_about_twice_their_text(write):
     """The writers join each row's lines as they go, so their peak is the
-    rows' strings plus the text (about 2.1 times the text for both), not
-    a tuple and a string per pair (about 20 times)."""
+    rows' strings plus the text (about 2.1 times the text for each), not
+    a tuple and a string per pair (about 20 times), nor, in covers mode,
+    a tuple per cover (about 10 times)."""
     tracemalloc.start()
     try:
         text = write()

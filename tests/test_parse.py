@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,8 @@ from cosp import (
     parse_poset,
 )
 from cosp import pairtext
-from cosp.rows import _read_pairs, _read_plain, _transpose
+from cosp.rows import _closure, _read_pairs, _read_plain, _transpose
+from cosp.rows import iter_bits, lowest, mask_components
 
 CYCLE = "cycle"
 
@@ -114,15 +116,15 @@ REJECTED = [
     ("1 2\n3 4\n2 1\n", (3, "duplicate edge 2 1"), CYCLE),
     ("n 3\n0 < 1\n0 < 1\n", (2, "expected two vertex labels, got '0 < 1'"), (3, "duplicate relation 0 < 1")),
     ("0 1\n23", (2, "expected two vertex labels, got '23'"), (2, "expected two element labels, got '23'")),
-    # a ' < ' in a header is no header, and a pair of labels the line
-    # reader has seen, in two spellings, is still a self-loop
+    # a ' < ' in a header is no header, and two spellings of one label
+    # that earlier lines used apart still make a self-loop
     ("n < 5\n0 1\n", (1, "malformed header, expected 'n <order>'"), (1, "malformed header, expected 'n <order>'")),
     ("n < 5\n0 < 1\n", (1, "malformed header, expected 'n <order>'"), (1, "malformed header, expected 'n <order>'")),
     ("n 3\n0 1\n01 2\n1 01\n", (4, "self-loop 1 1"), (4, "reflexive relation 1 < 1")),
     # a label equal to the declared order, read in bulk with shifts
     ("n 100\n0 100\n", (2, "vertex 100 outside declared order 100"), (2, "element 100 outside declared order 100")),
-    # the line reader's shortcut for lines of labels it has seen takes only
-    # 'u v' and 'u < v', and no '<' as a label
+    # lines of labels that earlier lines used still take every check: only
+    # 'u v' and 'u < v' are pairs, and '<' is no label
     ("0 1\n0 > 1\n", (2, "expected two vertex labels, got '0 > 1'"), (2, "expected two element labels, got '0 > 1'")),
     (
         "0 1\n2 3\n0 < 1 2\n",
@@ -134,6 +136,59 @@ REJECTED = [
     # a comment line is not counted when a duplicate's line is found
     ("n 3\n0 1\n#c d\n0 1\n", (4, "duplicate edge 0 1"), (4, "duplicate relation 0 < 1")),
 ]
+
+
+def test_row_helpers_finish_on_small_rows(within):
+    # Every loop of the row helpers drops what it has read from what is
+    # left; one that stopped dropping would run forever, so small rows with
+    # known answers go first, each under a time limit.
+    assert within(2, lambda: list(iter_bits(0b101101))) == [0, 2, 3, 5]
+    assert lowest(0b101000) == 3 and lowest(1) == 0
+    p3 = [0b0010, 0b0101, 0b0010, 0b0000]  # the path 0-1-2, and 3 alone
+    assert within(2, lambda: mask_components(p3, 0b1111)) == [0b0111, 0b1000]
+    assert within(2, lambda: mask_components(p3, 0b1111, co=True)) == [0b1111]
+    assert within(2, lambda: mask_components(p3, 0b1101, co=True)) == [0b1101]
+    two = [0b0010, 0b0001, 0b1000, 0b0100]  # the edges 0-1 and 2-3
+    assert within(2, lambda: mask_components(two, 0b1111)) == [0b0011, 0b1100]
+    assert within(2, lambda: mask_components(two, 0b1111, co=True)) == [0b1111]
+    assert within(2, lambda: _transpose([0b010, 0b100, 0b001])) == [0b100, 0b001, 0b010]
+    assert within(2, lambda: _transpose([1 << 8] + [0] * 8)) == [0] * 8 + [1]
+    chain = ((0, 0b001, 0b011), (0b110, 0b100, 0))  # 0 < 1 < 2
+    assert within(2, lambda: _closure([0b010, 0b100, 0], "covers")) == chain
+    assert within(2, lambda: _closure([0b110, 0b100, 0], "full")) == chain
+    with pytest.raises(CycleError):
+        within(2, lambda: _closure([0b10, 0b01], "covers"))
+    rows, labels, header = within(2, lambda: _read_plain("n 3\n0 1\n2 1\n", False))
+    assert (rows, list(labels), header) == ([0b010, 0b101, 0b010], [0, 1, 2], 1)
+    rows, labels, header = within(2, lambda: _read_plain("5 < 9\n9 7\n", True))
+    assert (rows, list(labels), header) == ([0b100, 0, 0b010], [5, 7, 9], None)
+
+
+def test_line_reader_pieces_read_as_the_whole_text(monkeypatch, within):
+    # The line reader splits the text a piece at a time, cut after a
+    # newline: with pieces of a few characters, every prefix of a text with
+    # each kind of line break splits as the whole, and every rejected input
+    # fails as before.  A cut that stopped moving forward would loop
+    # forever, so this test comes first and each split has a time limit.
+    text = "n 3\r\n0 1\r\n\n# c\r1  2\x0b\x85 2 0\n\n\n0 1"
+
+    class Spied(str):
+        # Keeps each piece that the reader cuts from the text.
+        def __getitem__(self, key):
+            pieces.append(piece := super().__getitem__(key))
+            return piece
+
+    for chunk in (1, 2, 3, 5):
+        monkeypatch.setattr(pairtext, "_CHUNK", chunk)
+        for end in range(len(text) + 1):
+            split = within(2, lambda: list(chain.from_iterable(pairtext._pieces(text[:end]))))
+            assert split == text[:end].splitlines()
+        # A piece is at most one chunk, or else one line and its newline.
+        pieces = []
+        within(2, lambda: list(pairtext._pieces(Spied(text))))
+        assert all(len(piece) <= chunk or piece.count("\n") <= 1 for piece in pieces)
+    for case in REJECTED:
+        test_rejected_inputs(*case)
 
 
 @pytest.mark.parametrize("text, graph_outcome, order_outcome", REJECTED)
@@ -198,31 +253,6 @@ def test_a_label_at_the_digit_limit_is_not_too_long():
         with pytest.raises(ParseError) as exc:
             parse(f"{at_limit} x\n")
         assert str(exc.value) == f"line 1: expected two {noun} labels, got '{at_limit} x'"
-
-
-def test_line_reader_pieces_read_as_the_whole_text(monkeypatch):
-    # The line reader splits the text a piece at a time, cut after a
-    # newline: with pieces of a few characters, every prefix of a text with
-    # each kind of line break splits as the whole, and every rejected input
-    # fails as before.
-    text = "n 3\r\n0 1\r\n\n# c\r1  2\x0b\x85 2 0\n\n\n0 1"
-
-    class Spied(str):
-        # Keeps each piece that the reader cuts from the text.
-        def __getitem__(self, key):
-            pieces.append(piece := super().__getitem__(key))
-            return piece
-
-    for chunk in (1, 2, 3, 5):
-        monkeypatch.setattr(pairtext, "_CHUNK", chunk)
-        for end in range(len(text) + 1):
-            assert list(pairtext._lines(text[:end])) == text[:end].splitlines()
-        # A piece is at most one chunk, or else one line and its newline.
-        pieces = []
-        list(pairtext._lines(Spied(text)))
-        assert all(len(piece) <= chunk or piece.count("\n") <= 1 for piece in pieces)
-    for case in REJECTED:
-        test_rejected_inputs(*case)
 
 
 @pytest.mark.memory
@@ -690,6 +720,33 @@ def test_plain_order_files(dense_case, sparse_case):
         assert dense(text) == is_dense
         assert _read_plain(text, True) is not None
         assert parse_poset(text) == (p, labels)
+
+
+def less_lines(text):
+    """An order's text with every pair line written ``u < v``."""
+    lines = text.replace(" < ", " ").split("\n")
+    return "\n".join(line if line[:2] == "n " else line.replace(" ", " < ") for line in lines)
+
+
+# Copies of a plain text that say the same in other spellings; an order's
+# text has one more, less_lines.
+COPIES = (
+    lambda text: text.replace("\n", "\r\n"),
+    lambda text: "# c\n" + text,
+    lambda text: text.replace(" ", "  "),
+)
+
+
+@SETTINGS
+@given(st.booleans(), st.booleans(), st.data())
+def test_spelled_copies_read_as_the_plain_text(ordered, is_dense, data):
+    # The bulk read of a plain text and the line reader's read of each copy
+    # give the same rows and labels (a comment line moves the header).
+    _, _, text = data.draw(plain(ordered, is_dense))
+    rows, labels, _ = _read_plain(text, ordered)
+    for copy in COPIES + (less_lines,) * ordered:
+        again, relabels, _ = pairtext._read_lines(copy(text), ordered)
+        assert (again, tuple(relabels)) == (rows, tuple(labels))
 
 
 @SETTINGS

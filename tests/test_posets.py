@@ -9,13 +9,23 @@ import pytest
 
 import cosp
 from cosp import CycleError, Poset, format_poset, is_nfree, parse_poset
-from cosp.rows import lowest
+from cosp.oracles import enumerate_posets
+from cosp.rows import iter_bits, lowest
+from cosp.trees import parity_orientation, rand_poset, rand_sptree, sp_tree_to_poset
 
-# covers 0<1, 2<1, 2<3: the four-element order whose diagram draws the letter N
-N_POSET = Poset.from_relations(4, [(0, 1), (2, 1), (2, 3)])
-CHAIN3 = Poset.from_relations(3, [(0, 1), (1, 2)])
-ANTICHAIN3 = Poset.from_relations(3, [])
-DIAMOND4 = Poset.from_relations(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+# The orders most tests use, given by their closed rows (below, above), so
+# that importing this module runs no closure; the first test closes their
+# covers.  Covers 0<1, 2<1, 2<3: the order whose diagram draws the letter N.
+N_POSET = Poset((0, 0b0101, 0, 0b0100), (0b0010, 0, 0b1010, 0))
+CHAIN3 = Poset((0, 0b001, 0b011), (0b110, 0b100, 0))
+ANTICHAIN3 = Poset((0, 0, 0), (0, 0, 0))
+DIAMOND4 = Poset((0, 0b0001, 0b0001, 0b0111), (0b1110, 0b1000, 0b1000, 0))
+COVERS = [
+    (N_POSET, [(0, 1), (2, 1), (2, 3)]),
+    (CHAIN3, [(0, 1), (1, 2)]),
+    (ANTICHAIN3, []),
+    (DIAMOND4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
+]
 
 
 def closure_by_paths(n, pairs):
@@ -32,6 +42,25 @@ def closure_by_paths(n, pairs):
                 reach[u] |= extra
                 changed = True
     return {(u, v) for u in range(n) for v in reach[u]}
+
+
+def test_the_orders_close_from_their_covers(within):
+    # The closure's walks drop what they reached from what is left; one
+    # that stopped dropping would loop forever, hence the time limit.
+    for p, covers in COVERS:
+        assert within(2, lambda: Poset.from_relations(p.order, covers)) == p
+
+
+def test_cover_and_chain_walks_finish(within):
+    # Each step of the cover walk and of the chain's growth drops what it
+    # picked from what is left; a step that dropped nothing would loop
+    # forever, so small orders and their duals go first, under a limit.
+    for p in (CHAIN3, N_POSET, DIAMOND4):
+        for q in (p, Poset(p.above, p.below)):
+            assert within(2, q.covers) == hasse(q)
+            for x in range(q.order):
+                chain = within(2, lambda: q.maximal_chain(x)).elements
+                assert x in chain and all(map(q.less, chain, chain[1:]))
 
 
 def test_from_relations_closure():
@@ -129,6 +158,30 @@ def test_covers_reduction():
     # climbing from 1 to 0
     assert Poset.from_relations(3, [(1, 0), (0, 2)]).covers() == [(0, 2), (1, 0)]
     assert Poset.from_relations(4, [(2, 1), (1, 0), (0, 3)]).covers() == [(0, 3), (1, 0), (2, 1)]
+
+
+def hasse(p):
+    """The covers by definition: u < v with no element between them, an
+    element above u and below v."""
+    return [
+        (u, v)
+        for u in range(p.order)
+        for v in iter_bits(p.above[u])
+        if p.above[u] & p.below[v] == 0
+    ]
+
+
+def test_covers_are_the_hasse_diagram():
+    # Every order of at most 5 elements, then random sp-orders and orders
+    # whose ids rise up the order, each with its dual, whose ids fall: the
+    # walk from the lowest element above u down to a cover is long there.
+    orders = [p for n in range(6) for p in enumerate_posets(n)]
+    for seed in range(1, 6):
+        orders += [sp_tree_to_poset(rand_sptree(40, seed)), rand_poset(40, 0.2, seed)]
+    orders.append(parity_orientation(41))
+    for p in orders:
+        for q in (p, Poset(p.above, p.below)):
+            assert q.covers() == hasse(q)
 
 
 def test_comparability_graph():
@@ -258,10 +311,12 @@ def test_maximal_chain_examples():
     assert DIAMOND4.maximal_chain(1).elements == (0, 1, 3)
 
 
-def test_maximal_chain_ends_on_a_record_whose_element_holds_itself():
+def test_maximal_chain_ends_on_a_record_whose_element_holds_itself(within):
     # Element 1 is below itself and below 0: the pick of 1 leaves the
-    # candidates, although its own row holds it.
-    assert Poset(below=(0b10, 0b10), above=(0, 0b11)).maximal_chain(0).elements == (1, 0)
+    # candidates, although its own row holds it (were it kept, the chain
+    # would grow forever, hence the time limit).
+    record = Poset(below=(0b10, 0b10), above=(0, 0b11))
+    assert within(2, lambda: record.maximal_chain(0)).elements == (1, 0)
 
 
 def test_maximal_chain_is_maximal():
