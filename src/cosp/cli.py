@@ -37,9 +37,9 @@ list (help, an error, an abbreviation, an ``=`` form, an ``int`` value,
 ``join``, ``gen`` or ``oracle-compare``) goes to argparse, in
 :mod:`cosp.commands` with the tool commands; the table gives exactly
 argparse's namespace or nothing.  ``poset ... linear-split`` and
-``endpoint`` (through ``lemmas``) build the records they need, from
-:mod:`cosp.commands`, and a text that is not plain loads the line
-reader.
+``endpoint`` hand their text to :mod:`cosp.commands` unread, which reads
+it into a ``Poset`` as ``join`` reads a ``Graph``, and a text that is not
+plain loads the line reader.
 
 A request ends as soon as its answer is out: :func:`run`, the entry of
 ``python -m cosp.cli`` and of the ``cosp`` script, runs the exit hooks
@@ -110,16 +110,20 @@ def cmd_recognize(args) -> int:
     """Answer ``check`` and ``cotree`` on a graph's rows, and ``poset`` on
     an order's: its comparability rows, with its own rows ``below`` to
     orient the answer.  ``linear-split`` and ``endpoint`` go to
-    :func:`cosp.commands.cmd_lemma` with those rows."""
+    :func:`cosp.commands.cmd_lemma` with the text, unread."""
     text = _read_file(args.file)
     if args.command == "poset":
         mode = "full" if args.full else "covers"
-        (below, above), labels = _read_pairs(text, True, lambda rows: _closure(rows, mode))
-        adj = list(map(int.__or__, below, above))
         if args.action in ("linear-split", "endpoint"):
             from .commands import cmd_lemma
 
-            return cmd_lemma(args, adj, below, above, labels)
+            return cmd_lemma(args, text, mode)
+        (below, adj), labels = _read_pairs(text, True, lambda rows: _closure(rows, mode))
+        # The comparability rows replace ``above`` one row at a time, so
+        # that two row families are held, not three.
+        adj = list(adj)
+        for v, row in enumerate(below):
+            adj[v] |= row
         name, key, summary = "sptree", "element", args.action == "nfree"
     else:
         adj, labels = _read_pairs(text, False, tuple)

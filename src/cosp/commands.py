@@ -7,7 +7,8 @@ an ``=`` form, which argparse answers from the parser that
 :func:`build_parser` builds from that same table, and the commands that
 are not recognition: ``join``, ``gen`` and ``oracle-compare``, whose
 grammar is stated here.  ``poset ... linear-split`` and ``endpoint`` also
-come here (:func:`cmd_lemma`), and build the records they need.
+come here (:func:`cmd_lemma`) with their text unread, and read it into a
+``Poset`` as ``join`` reads a ``Graph``.
 """
 
 import argparse
@@ -103,21 +104,22 @@ def cmd_join(args) -> int:
     return EXIT_OK
 
 
-def cmd_lemma(args, adj, below, above, labels) -> int:
+def cmd_lemma(args, text: str, mode: str) -> int:
     """Answer ``poset ... linear-split`` or ``poset ... endpoint`` on the
-    order with rows ``below`` and ``above`` and comparability rows ``adj``:
-    by its own witness if there is one, else by the sp-tree's N, both found
-    on ``adj``, else by why the order has neither."""
+    order that ``text`` holds, read into a ``Poset`` with its closure
+    ``mode``: by its own witness if there is one, else by the sp-tree's N,
+    both found on the comparability graph, built once, else by why the
+    order has neither."""
     # Looked up in cosp.cli when called, as cmd_recognize's own call is, so
     # that a test's wrapper of tree_signature there sees every call.
     from .cli import tree_signature
-    from .graphs import Graph
     from .lemmas import NoEndpointError, _linear_split, endpoint_witness
-    from .posets import Poset
+    from .posets import parse_poset
 
-    p = Poset(below, above)
+    p, labels = parse_poset(text, mode)
+    g = p.comparability_graph()
     if args.action == "linear-split":
-        w = _linear_split(p, Graph(tuple(adj)))
+        w = _linear_split(p, g)
         if w is not None:
             sides = {k: _relabel(getattr(w, k), labels) for k in ("lower", "middle", "upper")}
             _emit({"x": labels[w.x], **sides})
@@ -136,9 +138,9 @@ def cmd_lemma(args, adj, below, above, labels) -> int:
         else:
             _emit({"x": labels[w.x], "endpoint": labels[w.endpoint], "side": w.side})
             return EXIT_OK
-    n = tree_signature(adj, below)
+    n = tree_signature(g.adj, p.below)
     if type(n) is tuple:
-        return _certificate(n, labels, adj, below)
+        return _certificate(n, labels, g.adj, p.below)
     # No witness, yet the order holds no N.
     if args.action == "endpoint":
         return _fail(message)

@@ -160,13 +160,17 @@ class Poset(_Rows):
         left, a cover of u; what lies above that cover is not one, and is
         dropped.  Where ids rise up the order the lowest element left is
         minimal already, and where they fall each step goes far down.
+        Each step may go only where every step before it could, less the
+        element it leaves: on an order that changes nothing, and on rows
+        that are not an order the walk still ends.
         """
         for u in range(self.order):
             row = 0
             rest = self.above[u]
             while rest:
                 v = lowest(rest)
-                while down := self.below[v] & rest:
+                down = rest
+                while down := self.below[v] & (down ^ (1 << v)):
                     v = down.bit_length() - 1
                 row |= 1 << v
                 rest &= ~(self.above[v] | (1 << v))

@@ -104,7 +104,9 @@ def _read_pairs(
     :func:`_rows` builds the rows from them.  A plain text (see
     :func:`_read_plain`) is tokenized in bulk; any other text, and a plain
     one that fails a check, by :func:`cosp.pairtext._read_lines`, which
-    finds and reports every error.  Its module is imported only then.
+    checks every line in turn and reports one error, the first: a line
+    that fails a check, or a duplicate of a pair before it.  Its module is
+    imported only then.
     """
     read = _read_plain(text, ordered)
     if read is None:
@@ -307,6 +309,9 @@ def _closure(succ: list[int], mode: str) -> tuple[tuple[int, ...], tuple[int, ..
                     f"relation is not transitively closed: {u} < {v} is implied but absent"
                 )
         return tuple(below), tuple(succ)  # its own closure: ``succ`` is ``above``
+    # The transpose is dropped before ``above`` is made, so that three row
+    # families are held at most, not four.
+    del pred
     return tuple(below), tuple(_reach(reversed(topo), succ))
 
 

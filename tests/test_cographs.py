@@ -61,6 +61,16 @@ def leaf(v):
     return Cotree.leaf(v)
 
 
+def test_the_witness_searches_end(within):
+    # A witness's other side is ``full & ~un``; a side made from a negative
+    # mask would be walked forever, so each search runs first, under a limit.
+    w = within(2, lambda: join_witness(DIAMOND))
+    assert w is not None and w.validate(DIAMOND)
+    vee = Poset.from_relations(3, [(0, 1), (0, 2)])  # {0} below the antichain {1, 2}
+    s = within(2, lambda: linear_split_witness(vee))
+    assert s is not None and s.validate(vee)
+
+
 def test_p4_witness_validate():
     assert P4Witness((0, 1, 2, 3)).validate(P4)
     # the reversed labeling traces the same path
