@@ -8,14 +8,14 @@ neither way yields a four-element certificate (an induced path, read as
 an N on the order side), found by the neighbor splits at the part's
 lowest vertex.
 
-The modules: :mod:`cosp.rows` (rows of masks: the bulk text reader,
+The modules: :mod:`cosp.rows` (rows of masks: the pair text reader,
 the mask helpers, the closure), :mod:`cosp.engine` (the split engine on
 rows, the certificates and tree text), :mod:`cosp.graphs` (graphs),
 :mod:`cosp.cographs` (cotrees and the path certificate as records),
 :mod:`cosp.posets` (orders), :mod:`cosp.spdecomp` (sp-trees),
 :mod:`cosp.lemmas` (the paper's lemmas as checkable API),
 :mod:`cosp.trees` (tree converters and the dict codec),
-:mod:`cosp.pairtext` (the line reader and the text writers),
+:mod:`cosp.pairtext` (the reader's line checks and the text writers),
 :mod:`cosp.oracles` (brute-force ground truth), and the command line,
 :mod:`cosp.cli` with :mod:`cosp.commands`.
 

@@ -38,8 +38,8 @@ list (help, an error, an abbreviation, an ``=`` form, an ``int`` value,
 :mod:`cosp.commands` with the tool commands; the table gives exactly
 argparse's namespace or nothing.  ``poset ... linear-split`` and
 ``endpoint`` hand their text to :mod:`cosp.commands` unread, which reads
-it into a ``Poset`` as ``join`` reads a ``Graph``, and a text that is not
-plain loads the line reader.
+it into a ``Poset`` as ``join`` reads a ``Graph``, and a text with a
+piece that is not plain loads the reader's line checks.
 
 A request ends as soon as its answer is out: :func:`run`, the entry of
 ``python -m cosp.cli`` and of the ``cosp`` script, runs the exit hooks

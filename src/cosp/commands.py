@@ -107,9 +107,10 @@ def cmd_join(args) -> int:
 def cmd_lemma(args, text: str, mode: str) -> int:
     """Answer ``poset ... linear-split`` or ``poset ... endpoint`` on the
     order that ``text`` holds, read into a ``Poset`` with its closure
-    ``mode``: by its own witness if there is one, else by the sp-tree's N,
-    both found on the comparability graph, built once, else by why the
-    order has neither."""
+    ``mode``: by its own witness if there is one, which is printed only
+    after it passes its ``validate``, else by the sp-tree's N, both found
+    on the comparability graph, built once, else by why the order has
+    neither."""
     # Looked up in cosp.cli when called, as cmd_recognize's own call is, so
     # that a test's wrapper of tree_signature there sees every call.
     from .cli import tree_signature
@@ -136,6 +137,8 @@ def cmd_lemma(args, text: str, mode: str) -> int:
         except NoEndpointError as exc:
             message = f"{exc}; the order is not connected"
         else:
+            if not w.validate(p):
+                raise RuntimeError(f"internal: endpoint witness {w} does not validate")
             _emit({"x": labels[w.x], "endpoint": labels[w.endpoint], "side": w.side})
             return EXIT_OK
     n = tree_signature(g.adj, p.below)

@@ -4,9 +4,11 @@ A graph on two or more vertices either falls apart into connected
 components (parallel node) or its complement does (series node); when
 neither happens the part contains an induced four-vertex path, found by
 the neighbor-split lemma at the part's lowest vertex, whose mask
-routines are :func:`_blocks` (the blocks of its non-neighbors) and
-:func:`_sides` (its neighbors split against one block), and that path is
-the certificate instead of a tree.  This is the component /
+routines are :func:`_blocks` (the blocks of its non-neighbors),
+:func:`_sides` (its neighbors split against one block) and
+:func:`_thinnest` (the thinnest side that sees a whole block, which
+must lie inside every other), and that path is the certificate instead
+of a tree.  This is the component /
 co-component scheme whose linear-time form is due to Corneil, Perl and
 Stewart (SIAM J. Comput. 14(4), 1985).  An order is series-parallel
 exactly when its comparability graph is a cograph, so the same loop on
@@ -126,22 +128,32 @@ def tree_signature(
 def _p4_in_part(adj: Sequence[int], sub: int) -> tuple[int, int, int, int]:
     """An induced path (a, b, c, d), a < d, inside ``sub``, a part of the
     graph with neighbor masks ``adj`` that splits neither way, by the
-    neighbor-split lemma at its lowest vertex x.  :func:`_sides` of each
-    of x's :func:`_blocks` in ``sub`` raises the path unless the
-    block's neighbors split into sides A (seeing it whole) and Z that are
-    joined.  Then the smallest A is not inside every other A', or the part
-    would split in the complement, so y in A - A' and z in A' - A give the
-    path b, y, z, b'."""
-    x = lowest(sub)
+    neighbor-split lemma at its lowest vertex x: :func:`_thinnest` raises
+    it, since a thinnest side inside every other would split the part in
+    the complement."""
     try:
-        sides = [(_sides(adj, x, block)[0], block) for block in _blocks(adj, sub, x)]
+        _thinnest(adj, sub, lowest(sub))
     except P4Error as exc:
         path = exc.path
-    else:
-        low, block = min(sides, key=lambda side: side[0].bit_count())
-        high, other = next(side for side in sides if low & ~side[0])
-        path = tuple(map(lowest, (block, low & ~high, high & ~low, other)))
     return path if path[0] < path[3] else path[::-1]
+
+
+def _thinnest(adj: Sequence[int], sub: int, x: int) -> tuple[int, int]:
+    """The thinnest side A that sees a whole block of x's non-neighbors in
+    ``sub`` (x's :func:`_blocks`, each split by :func:`_sides`), and that
+    block, the first by smallest member among the thinnest.  A's members
+    see every block when A lies inside every other block's side A', which
+    must hold: else y in A - A' and z in A' - A give the induced path b,
+    y, z, b', raised as :class:`P4Error`, as :func:`_sides` raises its
+    own.  x must have a non-neighbor in ``sub``."""
+    sides = [(_sides(adj, x, block)[0], block) for block in _blocks(adj, sub, x)]
+    low, block = min(sides, key=lambda side: side[0].bit_count())
+    for high, other in sides:
+        if low & ~high:
+            y, z = lowest(low & ~high), lowest(high & ~low)
+            path = (lowest(block), y, z, lowest(other))
+            raise P4Error(path, f"neighbors {y} and {z} each see a block that the other does not")
+    return low, block
 
 
 def _blocks(adj: Sequence[int], sub: int, x: int) -> list[int]:
@@ -157,7 +169,9 @@ def _sides(adj: Sequence[int], x: int, block: int) -> tuple[int, int]:
     of ``block`` (a connected mask of non-neighbors of x) and those that
     see none of it, read from the block's own rows.  A neighbor that sees
     part of the block, or two sides not joined, pins an induced path,
-    raised as :class:`P4Error` from the lowest such vertices."""
+    raised as :class:`P4Error` from the lowest such vertices.  The join
+    check reads the rows of the thinner side, so its cost follows the
+    smaller of the two."""
     n1 = adj[x]
     seen = 0
     for b in iter_bits(block):
@@ -175,9 +189,15 @@ def _sides(adj: Sequence[int], x: int, block: int) -> tuple[int, int]:
                 b = lowest(bs)
                 raise P4Error((x, y, a, b), f"vertex {y} is adjacent to part of the block only")
         raise ValueError("component is not connected")
-    unjoined = 0
-    for z in iter_bits(n2):
-        unjoined |= n1 & ~adj[z]
+    # The neighbors of the first side that miss part of the second, read
+    # from the rows of the thinner side: the lowest of them is the first
+    # that a walk up the first side meets.
+    if n2.bit_count() < n1.bit_count():
+        unjoined = 0
+        for z in iter_bits(n2):
+            unjoined |= n1 & ~adj[z]
+    else:
+        unjoined = next((1 << y for y in iter_bits(n1) if n2 & ~adj[y]), 0)
     if unjoined:
         y1 = lowest(unjoined)
         y2 = lowest(n2 & ~adj[y1])

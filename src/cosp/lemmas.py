@@ -10,14 +10,15 @@ whose complement splits.  On orders: the three-layer linear split, the
 chain endpoint comparable to an element's incomparables, and the
 paper's N-free criterion (:func:`is_nfree`).  Each witness is a record
 with a ``validate`` that checks it on its input, and the join and
-linear-split searches return only a witness that passed it; both end at
-once, with None, on an input whose complement is connected, which no
-witness passes.  Every ``validate`` is False, never an exception, for a
-witness that names anything but an id of 0..n-1, an int that is not a
-bool, which is the rule of a tree's leaf ids and of the certificates'
-ids, or whose groups of ids are not iterable, such as 5.  The
-brute-force scans of :mod:`cosp.oracles` are the ground truth these
-are tested against; nothing here calls them.
+linear-split searches return only a witness that passed it (and
+``poset ... endpoint`` prints only an endpoint that passed it); the two
+searches end at once, with None, on an input whose complement is
+connected, which no witness passes.  Every ``validate`` is False, never
+an exception, for a witness that names anything but an id of 0..n-1,
+an int that is not a bool, which is the rule of a tree's leaf ids and
+of the certificates' ids, or whose groups of ids are not iterable, such
+as 5.  The brute-force scans of :mod:`cosp.oracles` are the ground
+truth these are tested against; nothing here calls them.
 
 No CLI request that decides recognition imports this module: the
 split engine (:mod:`cosp.engine`) answers those, and only ``join``,
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from .engine import _blocks, _sides, is_leaf_id
+from .engine import _blocks, _sides, _thinnest, is_leaf_id
 from .graphs import (
     DisconnectedError,
     Graph,
@@ -195,29 +196,26 @@ def join_witness(g: Graph) -> JoinWitness | None:
 def select_universal_neighbor(g: Graph, x: int) -> int:
     """Pick a neighbor of x adjacent to every non-neighbor of x.
 
-    Splits each block of non-neighbors, takes the block whose fully
-    adjacent side is smallest (cardinality, then lexicographic), and
-    returns that side's smallest member.  With no non-neighbors the
-    smallest neighbor is returned.  A four-vertex path met along the way
-    surfaces as :class:`cosp.engine.P4Error`.
+    Splits each block of non-neighbors, takes the thinnest side that sees
+    a whole block (:func:`cosp.engine._thinnest`, which the engine's
+    certificate search shares), and returns its smallest member.  That
+    side sees every block only when it lies inside every other block's
+    side; when it does not, two neighbors pin an induced four-vertex
+    path, which surfaces as :class:`cosp.engine.P4Error`, as does one met
+    along the way.  With no non-neighbors the smallest neighbor is
+    returned.
     """
     g._check(x)
     if g.adj[x] == 0:
         raise ValueError(f"vertex {x} has no neighbors")
-    blocks = _blocks(g.adj, g.full_mask(), x)
-    if not blocks:
+    if g.adj[x] | 1 << x == g.full_mask():
         return lowest(g.adj[x])
-    best: tuple[int, tuple[int, ...]] | None = None
-    for cm in blocks:
-        n1 = vertices_of(_sides(g.adj, x, cm)[0])
-        if not n1:
-            raise DisconnectedError(
-                f"no neighbor of {x} reaches the block containing {cm.bit_length() - 1}"
-            )
-        key = (len(n1), n1)
-        if best is None or key < best:
-            best = key
-    return best[1][0]
+    low, block = _thinnest(g.adj, g.full_mask(), x)
+    if not low:
+        raise DisconnectedError(
+            f"no neighbor of {x} reaches the block containing {block.bit_length() - 1}"
+        )
+    return lowest(low)
 
 
 class LinearSplit(_Record):
@@ -263,6 +261,17 @@ class EndpointWitness(_Record):
     x: int
     endpoint: int
     side: str
+
+    def validate(self, p: Poset) -> bool:
+        if not _in_range(p.order, ((self.x, self.endpoint),)) or self.side not in ("up", "down"):
+            return False
+        # The rows that lead away from x on the endpoint's side.
+        away = p.above if self.side == "up" else p.below
+        x, end = self.x, self.endpoint
+        if away[end] or end != x and not away[x] >> end & 1:
+            return False
+        inc = p.full_mask() & ~(p.below[x] | p.above[x]) & ~(1 << x)
+        return not inc & ~(p.below[end] | p.above[end])
 
 
 class NoEndpointError(ValueError):

@@ -1,36 +1,26 @@
-"""The pair text format's line reader and its writers.
+"""The pair text format's line checks and its writers.
 
-:func:`cosp.rows._read_pairs` reads a plain text (the form the writers
-here produce) in bulk and imports this module only for any other text,
-or a plain one that fails a check: :func:`_read_lines`, the reference
-reader, then takes every line through every check and reports the first
-error.  :func:`format_graph` and :func:`format_poset` write
-graphs and orders through :func:`_write_pairs`.
+:func:`cosp.rows._read_pairs` reads every text piece by piece, each
+plain piece (the form the writers here produce) in bulk, and imports
+this module only for a text whose first lines it cannot read at a glance
+(:func:`_header`), for a piece that is not plain (:func:`_read_lines`,
+which takes each line through every check), and to name a duplicate
+pair (:func:`_duplicate`).  :func:`format_graph` and
+:func:`format_poset` write graphs and orders through
+:func:`_write_pairs`.
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import chain
 
-from .rows import _CHUNK, ParseError, _rows, iter_bits
+from .rows import ParseError, _pieces, iter_bits
 
 # The annotations name ``cosp.graphs.Graph`` and ``cosp.posets.Poset``
 # without importing them, so that a request whose text is read line by
 # line compiles neither module.
-
-
-def _pieces(text: str) -> Iterator[list[str]]:
-    """The lines of ``text.splitlines()``, one list per piece of the text
-    of at most 64 KiB (or one longer line) cut after a newline, so that
-    only one piece's lines are held at a time."""
-    pos = 0
-    while pos < len(text):
-        end = text.rfind("\n", pos, pos + _CHUNK) + 1 or text.find("\n", pos + _CHUNK) + 1
-        end = end or len(text)
-        yield text[pos:end].splitlines()
-        pos = end
 
 
 def _too_long(what: str, *tokens: str) -> str | None:
@@ -46,31 +36,18 @@ def _too_long(what: str, *tokens: str) -> str | None:
     return None
 
 
-def _read_lines(text: str, ordered: bool) -> tuple[list[int], Sequence[int], int | None]:
-    """The rows, the label table and the header's line number (None
-    without a header) of any text, read line by line.
-
-    Blank lines and comments are skipped.  The header is the first other
-    line when it reads ``n ...``.  Each line after it takes one route,
-    every check in turn: its shape, the conversion of its labels, their
-    signs, a self-loop or reflexive pair, and the declared range; no
-    line skips a check because its labels were seen before.  The labels
-    of each piece's lines (:func:`_pieces`) go to :func:`cosp.rows._rows`
-    as one flat list, so that with a header only one piece's labels are
-    held at a time, as in the bulk read.  The tokenizer stops at the
-    first line that fails a check.  When the bits of the pairs before it
-    come up short, one ordered scan of the pairs names the first
-    duplicate, whose line comes earlier, and that error is raised ahead
-    of the tokenizer's.
-    """
-    noun, pair, sep = ("element", "relation", " < ") if ordered else ("vertex", "edge", " ")
-    declared: int | None = None
-    first: int | None = None  # the header's line number
-    for lineno, line in enumerate(chain.from_iterable(_pieces(text)), 1):
+def _header(text: str) -> tuple[int | None, int, int]:
+    """The order that the header of ``text`` declares, or None without
+    one, and the number and the length of the lines before its first
+    pair: blank lines and comments, then the header, which is the first
+    other line when that reads ``n ...``."""
+    lineno = pos = 0
+    for line in chain.from_iterable(piece.splitlines(True) for piece in _pieces(text, 0)):
         tokens = line.split()
-        if not tokens or tokens[0][0] == "#":
-            continue
-        if tokens[0] == "n":
+        if tokens and tokens[0][0] != "#":
+            if tokens[0] != "n":
+                break
+            lineno += 1
             if len(tokens) != 2:
                 raise ParseError(lineno, "malformed header, expected 'n <order>'")
             try:
@@ -80,63 +57,65 @@ def _read_lines(text: str, ordered: bool) -> tuple[list[int], Sequence[int], int
                 raise ParseError(lineno, error or f"malformed header order {tokens[1]!r}") from None
             if declared < 0:
                 raise ParseError(lineno, "declared order must be non-negative")
-            first = lineno
-        break
-    stop = None  # the line number and error of the first line that fails a check
+            return declared, lineno, pos + len(line)
+        lineno += 1
+        pos += len(line)
+    return None, lineno, pos
 
-    def labels() -> Iterator[list[int]]:
-        nonlocal stop
-        lineno = 0
-        for lines in _pieces(text):
-            flat: list[int] = []
-            error = None
-            for lineno, line in enumerate(lines, lineno + 1):
-                tokens = line.split()
-                if not tokens or tokens[0][0] == "#" or lineno == first:
-                    continue
-                if len(tokens) != 2 and not (ordered and len(tokens) == 3 and tokens[1] == "<"):
-                    error = f"expected two {noun} labels, got {line.strip()!r}"
-                    break
-                try:
-                    u, v = int(tokens[0]), int(tokens[-1])
-                except ValueError:
-                    error = _too_long(f"{noun} label", tokens[0], tokens[-1])
-                    error = error or f"expected two {noun} labels, got {line.strip()!r}"
-                    break
-                if u < 0 or v < 0:
-                    error = f"{noun} labels must be non-negative"
-                elif u == v:
-                    error = f"{'reflexive relation' if ordered else 'self-loop'} {u}{sep}{v}"
-                elif declared is not None and (u >= declared or v >= declared):
-                    error = f"{noun} {max(u, v)} outside declared order {declared}"
-                else:
-                    flat += u, v
-                    continue
-                break
-            yield flat
-            if error is not None:
-                stop = lineno, error
-                return
 
-    try:
-        read = _rows(labels(), declared, ordered, len(text))
-    except (OverflowError, MemoryError):
-        if declared is None:
-            raise
-        raise ParseError(first, f"declared order {declared} is too large") from None
-    if read is None:
-        seen = set()
-        for lineno, line in enumerate(chain.from_iterable(_pieces(text)), 1):
-            tokens = line.split()
-            if tokens and tokens[0][0] != "#" and lineno != first:
-                u, v = int(tokens[0]), int(tokens[-1])
-                key = (u, v) if ordered or u < v else (v, u)
-                if key in seen:
-                    raise ParseError(lineno, f"duplicate {pair} {u}{sep}{v}")
-                seen.add(key)
-    if stop is not None:
-        raise ParseError(*stop)
-    return (*read, first)
+def _read_lines(
+    piece: str, lineno: int, declared: int | None, ordered: bool
+) -> tuple[list[int], int, str | None]:
+    """The labels ``u, v, u, v, ...`` of the lines of ``piece``, the first
+    of them line ``lineno + 1``, as one flat list, the number of the last
+    line read, and the error of that line when it fails a check, or None.
+
+    Blank lines and comments are skipped.  Each other line takes every
+    check in turn: its shape, the conversion of its labels, their signs,
+    a self-loop or reflexive pair, and the declared range; no line skips
+    a check because its labels were seen before.  The labels stop at the
+    first line that fails one.
+    """
+    noun, sep = ("element", " < ") if ordered else ("vertex", " ")
+    flat: list[int] = []
+    for lineno, line in enumerate(piece.splitlines(), lineno + 1):
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        if len(tokens) != 2 and not (ordered and len(tokens) == 3 and tokens[1] == "<"):
+            return flat, lineno, f"expected two {noun} labels, got {line.strip()!r}"
+        try:
+            u, v = int(tokens[0]), int(tokens[-1])
+        except ValueError:
+            error = _too_long(f"{noun} label", tokens[0], tokens[-1])
+            return flat, lineno, error or f"expected two {noun} labels, got {line.strip()!r}"
+        if u < 0 or v < 0:
+            return flat, lineno, f"{noun} labels must be non-negative"
+        if u == v:
+            return flat, lineno, f"{'reflexive relation' if ordered else 'self-loop'} {u}{sep}{v}"
+        if declared is not None and (u >= declared or v >= declared):
+            return flat, lineno, f"{noun} {max(u, v)} outside declared order {declared}"
+        flat += u, v
+    return flat, lineno, None
+
+
+def _duplicate(text: str, pos: int, lineno: int, ordered: bool) -> ParseError:
+    """The error of the first line of the text from ``pos`` on (line
+    ``lineno + 1``) whose pair repeats one before it, in either
+    orientation for a graph.  The lines before it must pass every check
+    of :func:`_read_lines`, as they do when the rows of their pairs came
+    up short."""
+    pair, sep = ("relation", " < ") if ordered else ("edge", " ")
+    seen = set()
+    lines = chain.from_iterable(map(str.splitlines, _pieces(text, pos)))
+    for lineno, line in enumerate(lines, lineno + 1):
+        tokens = line.split()
+        if tokens and tokens[0][0] != "#":
+            u, v = int(tokens[0]), int(tokens[-1])
+            key = (u, v) if ordered or u < v else (v, u)
+            if key in seen:
+                return ParseError(lineno, f"duplicate {pair} {u}{sep}{v}")
+            seen.add(key)
 
 
 def _write_pairs(

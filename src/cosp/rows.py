@@ -1,4 +1,4 @@
-"""Rows of masks: the bulk text reader, the mask helpers and the closure.
+"""Rows of masks: the pair text reader, the mask helpers and the closure.
 
 A graph or an order is held as rows, one mask per id: bit j of
 ``adj[i]`` is set exactly when {i, j} is an edge, and bit j of
@@ -18,6 +18,7 @@ from a mask is its :func:`lowest`.
 """
 
 import json
+import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, compress
 from operator import eq, not_
@@ -98,80 +99,110 @@ def _read_pairs(
     ``rows[i]`` is set for each line ``i j``, and for graphs also for each
     line ``j i``) and the table mapping dense id to original label.
     With a header, both are sized by the declared order, so running out
-    of memory while making them is a ParseError on the header line.
+    of memory while making them, or while reading, is a ParseError on the
+    header line.
 
-    One of two tokenizers turns the text into flat labels, and
-    :func:`_rows` builds the rows from them.  A plain text (see
-    :func:`_read_plain`) is tokenized in bulk; any other text, and a plain
-    one that fails a check, by :func:`cosp.pairtext._read_lines`, which
-    checks every line in turn and reports one error, the first: a line
-    that fails a check, or a duplicate of a pair before it.  Its module is
-    imported only then.
+    The header is line 1 when it reads ``n <digits>``, and there is none
+    when line 1 starts as no blank line, comment or header can; only any
+    other text has its first lines read by
+    :func:`cosp.pairtext._header`.  The lines after them go piece by
+    piece (:func:`_pieces`) into :func:`_rows`, each plain piece converted
+    in bulk (:func:`_bulk`) and any other by
+    :func:`cosp.pairtext._read_lines`, which stops at the first line that
+    fails a check.  When that pass finds a fault, the same loop runs again
+    with every piece read line by line, and the first error is raised: a
+    line that fails a check, or a duplicate of a pair before it,
+    whichever comes first.  So a text whose pieces are all plain never
+    imports :mod:`cosp.pairtext`.
     """
-    read = _read_plain(text, ordered)
-    if read is None:
-        from .pairtext import _read_lines
+    declared, lineno, start = None, 0, 0
+    header = _HEADER.match(text)
+    if header:
+        declared, lineno, start = int(header[1]), 1, header.end()
+    elif text[:1] in ("#", "n") or text[:1].isspace():
+        from .pairtext import _header
 
-        read = _read_lines(text, ordered)
-    rows, labels, header = read
+        declared, lineno, start = _header(text)
+
+    def labels(bulk: bool) -> Iterator[list[int]]:
+        # The flat labels u, v, u, v, ... of each piece; the number and
+        # error of a line that fails a check go to ``stop``, and end them.
+        # Lines are counted in the pieces read line by line only, so a
+        # number is right only with bulk off: with bulk allowed, any fault
+        # sends the text to the pass that reads every line.
+        nonlocal stop
+        number = lineno
+        for piece in _pieces(text, start):
+            flat = bulk and _bulk(piece, ordered)
+            if not flat:
+                from .pairtext import _read_lines
+
+                flat, number, error = _read_lines(piece, number, declared, ordered)
+                if error:
+                    stop = number, error
+                    yield flat
+                    return
+            yield flat
+
     try:
-        return build(rows), tuple(labels)
-    except MemoryError:
-        if header is None:
+        for bulk in (True, False):
+            stop = None
+            try:
+                read = _rows(labels(bulk), declared, ordered, len(text))
+            except (ValueError, IndexError):
+                # Raised for a piece read in bulk only: a label that
+                # json.loads refuses, or one outside the declared order.
+                continue
+            if read and not stop:
+                return build(read[0]), tuple(read[1])
+    except (OverflowError, MemoryError):
+        if declared is None:
             raise
-        raise ParseError(header, f"declared order {len(rows)} is too large") from None
+        raise ParseError(lineno, f"declared order {declared} is too large") from None
+    if read:
+        raise ParseError(*stop)
+    from .pairtext import _duplicate
+
+    raise _duplicate(text, start, lineno, ordered)
 
 
 _CHUNK = 1 << 16
+_HEADER = re.compile(r"n ([0-9]{1,20})\n")  # at most 20 digits: int() takes them under any limit
 _NOT_DIGITS = str.maketrans("", "", "0123456789")
 
 
-def _read_plain(text: str, ordered: bool) -> tuple[list[int], Sequence[int], int | None] | None:
-    """The rows, the label table and the header's line number (None
-    without a header) of a plain text, or None for any other text.
-
-    A text is plain when every line is ``<digits> <digits>``, or for an
-    order also ``<digits> < <digits>``, ended by a newline, with ASCII
-    digits and single spaces, after an optional first line ``n <digits>``:
-    the form :func:`cosp.pairtext.format_graph` and
-    :func:`cosp.pairtext.format_poset` write.  The
-    shape of the whole text is checked first by C-level string operations,
-    after an order's ``" < "`` become spaces, so that any other text costs
-    little here.  The labels are then converted by one ``json.loads`` per
-    chunk of at least 64 KiB cut at a newline.  With a header the chunks
-    stream into :func:`_rows` one by one; without one all labels are held
-    at once, to be relabelled.
-
-    A failed check, a label with leading zeros, a failed check of
-    :func:`_rows` or running out of memory gives None.
-    """
-    pos = text.find("\n") + 1 if text[:2] == "n " else 0
-    # Taken before the " < " go, which would make "n < 5" read "n 5".
-    header = text[2 : pos - 1]
-    if ordered:
-        text = text.replace(" < ", " ")
-    # Deleting the digits must leave one space and one newline per line,
-    # after the "n \n" of a header; the digits of a last line with no
-    # newline would not show.
-    shape = text.translate(_NOT_DIGITS)
-    head = "n \n" if pos else ""
-    if text[-1:] not in ("", "\n") or shape != head + " \n" * ((len(shape) - len(head)) // 2):
-        return None
-    try:
-        declared = int(header) if pos else None
-        read = _rows(_chunks(text, pos), declared, ordered, len(text))
-    except (ValueError, IndexError, OverflowError, MemoryError):
-        return None
-    return read and (*read, 1 if pos else None)
-
-
-def _chunks(text: str, pos: int) -> Iterator[list[int]]:
-    """The labels of the plain lines from ``pos`` on, one flat list per
-    chunk of at least 64 KiB, or the rest, cut at a newline."""
+def _pieces(text: str, pos: int) -> Iterator[str]:
+    """The text from ``pos`` on in pieces of at least 64 KiB, or the rest,
+    each cut after a newline, so that no line spans two pieces and only
+    one piece's lines or labels are held at a time."""
     while pos < len(text):
         end = text.find("\n", pos + _CHUNK) + 1 or len(text)
-        yield json.loads("[" + text[pos : end - 1].replace("\n", ",").replace(" ", ",") + "]")
+        yield text[pos:end]
         pos = end
+
+
+def _bulk(piece: str, ordered: bool) -> list[int] | None:
+    """The labels of a plain piece as one flat list, by one
+    ``json.loads``, or None for any other piece.
+
+    A piece is plain when every line is ``<digits> <digits>``, or for an
+    order also ``<digits> < <digits>``, ended by a newline, with ASCII
+    digits and single spaces: the form :func:`cosp.pairtext.format_graph`
+    and :func:`cosp.pairtext.format_poset` write after their header.  Its
+    shape is checked by C-level string operations, after an order's
+    ``" < "`` become spaces, so that any other piece costs little here.
+    A label with leading zeros, which json.loads refuses, raises
+    ValueError.  The labels take no other check here: :func:`_rows` finds
+    a label out of range, a self-loop and a pair ``u u``.
+    """
+    if ordered:
+        piece = piece.replace(" < ", " ")
+    # Deleting the digits must leave one space and one newline per line;
+    # the digits of a last line with no newline would not show.
+    shape = piece.translate(_NOT_DIGITS)
+    if piece[-1] != "\n" or shape != " \n" * (len(shape) // 2):
+        return None
+    return json.loads("[" + piece[:-1].replace("\n", ",").replace(" ", ",") + "]")
 
 
 def _rows(

@@ -439,6 +439,18 @@ def test_internal_errors_exit_2(tmp_path, capsys, monkeypatch):
         assert err == "internal error: RuntimeError('broken engine')\n"
 
 
+def test_a_forged_endpoint_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # poset ... endpoint prints its witness only after validate passes it:
+    # in the N, element 1 is maximal but misses its incomparable 3.
+    import cosp.lemmas
+    from cosp import EndpointWitness
+
+    monkeypatch.setattr(cosp.lemmas, "endpoint_witness", lambda p, x: EndpointWitness(x, x, "up"))
+    code, out, err = run(capsys, "poset", write(tmp_path, "n.txt", N_TEXT), "endpoint", "--x", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("internal error: RuntimeError(") and err.count("\n") == 1
+
+
 def swap_leaves(signature):
     # The ids of the first two leaves in the signature trade places.
     i, j = [k for k, (kind, _, _) in enumerate(signature) if kind == "leaf"][:2]
@@ -604,10 +616,11 @@ def test_requests_import_only_the_modules_they_run(tmp_path):
     # included, reads rows and runs the split engine on them: it loads
     # neither argparse (nor its gettext and locale) nor the modules of the
     # Graph and Poset records, and no request loads the oracles, the
-    # lemmas, the tree converters or the line reader.
-    from cosp.rows import _read_plain
+    # lemmas, the tree converters or the reader's line checks.
+    from cosp.rows import _bulk
 
-    assert _read_plain(DIAMOND_TEXT, False) and _read_plain(DIAMOND_POSET_TEXT, True)
+    # Each text is one piece, which converts in bulk.
+    assert _bulk(DIAMOND_TEXT, False) and _bulk(DIAMOND_POSET_TEXT, True)
     graph = write(tmp_path, "diamond.txt", DIAMOND_TEXT)
     order = write(tmp_path, "diamond-order.txt", DIAMOND_POSET_TEXT)
     closed = write(tmp_path, "diamond-closed.txt", DIAMOND_POSET_TEXT + "0 3\n")

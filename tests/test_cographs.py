@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from cosp import (
     Cotree,
     DisconnectedError,
+    EndpointWitness,
     Graph,
     JoinWitness,
     LinearSplit,
@@ -570,13 +571,16 @@ def test_lemma_witnesses_reject_ids_out_of_range():
 # reject that case too; only on a malformed record, such as LOOP, where 0 lies
 # below itself, does the check that the parts are disjoint decide.  Likewise
 # JoinWitness's check that x is not among its universal neighbors decides only
-# where x is its own neighbor, as 1 is in LOOPED.  Every id is taken by the
+# where x is its own neighbor, as 1 is in LOOPED, and EndpointWitness's check
+# that the endpoint lies on x's side decides only where it lies below itself,
+# as 1 does in SKEW's rows ``below`` alone.  Every id is taken by the
 # rule of a tree's leaf ids, an int that is not a bool, below n: neither
 # False, although False == 0, nor 0.0 is an id.
 V = Poset.from_relations(3, [(0, 1), (0, 2)])
 CHAIN = Poset.from_relations(3, [(0, 1), (1, 2)])
 LOOP = Poset(below=(1, 1), above=(2, 0))
 LOOPED = Graph((0b10, 0b11))
+SKEW = Poset(below=(0, 0b10), above=(0, 0))
 TURN = Graph((0b010, 0b100, 0b001))  # rows of the directed cycle 0 -> 1 -> 2 -> 0
 N = Poset.from_relations(4, [(0, 1), (2, 1), (2, 3)])
 WITNESS_CASES = [
@@ -630,6 +634,22 @@ WITNESS_CASES = [
     (NeighborSplit((), (1, 2), ()), (PAW, 0), False),  # an empty block
     (NeighborSplit((2,), (1,), (2,)), (PAW, 0), False),  # the block holds 0's neighbor 2
     (NeighborSplit((3,), (1,), ()), (PAW, 3), False),  # the block holds x
+    (EndpointWitness(1, 0, "down"), (V,), True),  # 1's incomparable 2 lies above 0
+    (EndpointWitness(0, 0, "down"), (V,), True),  # x itself, minimal, with no incomparables
+    (EndpointWitness(0, 2, "up"), (CHAIN,), True),
+    (EndpointWitness(2, 2, "up"), (CHAIN,), True),  # x itself, maximal, comparable to all
+    (EndpointWitness(1, 0, "up"), (V,), False),  # 0 lies below 1, not above it
+    (EndpointWitness(1, 1, "up"), (V,), False),  # x is maximal but misses 2
+    (EndpointWitness(1, 2, "down"), (V,), False),  # 2 does not lie below 1
+    (EndpointWitness(0, 1, "up"), (CHAIN,), False),  # 1 is not maximal
+    (EndpointWitness(2, 1, "down"), (CHAIN,), False),  # 1 is not minimal
+    (EndpointWitness(1, 0, "left"), (V,), False),  # no such side
+    (EndpointWitness(1, 0, ["down"]), (V,), False),  # a side that is not a string
+    (EndpointWitness(False, 0, "down"), (V,), False),  # x a bool
+    (EndpointWitness(1, 0.0, "down"), (V,), False),  # the endpoint a float
+    (EndpointWitness(1, -1, "down"), (V,), False),  # -1 would read the last row
+    (EndpointWitness(1, 3, "down"), (V,), False),  # out of range
+    (EndpointWitness(0, 1, "up"), (SKEW,), False),  # 1 does not lie above 0
 ]
 
 
@@ -698,13 +718,39 @@ def test_select_universal_neighbor():
     # only 3 sees {1}, so the smaller side is {3}.
     g = Graph.from_edges(5, [(0, 2), (0, 3), (2, 3), (1, 3), (2, 4), (3, 4)])
     assert select_universal_neighbor(g, 0) == 3
-    assert select_universal_neighbor(K2, 0) == 1
+    assert select_universal_neighbor(K2, 0) == 1 and select_universal_neighbor(K2, 1) == 0
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     assert select_universal_neighbor(star, 1) == 0
     with pytest.raises(ValueError, match="^vertex 0 has no neighbors$"):
         select_universal_neighbor(Graph.from_edges(2, []), 0)
     with pytest.raises(DisconnectedError, match="^no neighbor of 0 reaches the block containing 2$"):
         select_universal_neighbor(Graph.from_edges(3, [(0, 1)]), 0)
+    # 0's blocks {3} and {4} are seen by 1 alone and by 2 alone: neither
+    # side lies inside the other, no neighbor is universal, and 3-1-2-4 is
+    # an induced path.
+    crossed = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])
+    assert not crossed.universal_neighbors(0)
+    with pytest.raises(P4Error) as exc:
+        select_universal_neighbor(crossed, 0)
+    assert exc.value.path == (3, 1, 2, 4) and exc.value.witness.validate(crossed)
+
+
+def test_unjoined_sides_pin_the_lowest_pair_from_either_side():
+    # The join check of a neighbor split reads the rows of its thinner side.
+    # x = 0: the side that sees none of the block is thinner in the first
+    # graph, the side that sees it in the second.  Either way two members of
+    # the first side miss part of the second, and the lowest of them, with
+    # its lowest miss, gives the path.
+    thin_none = Graph.from_edges(
+        6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5), (3, 5), (1, 4)]
+    )
+    thin_all = Graph.from_edges(
+        7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (2, 6), (1, 3), (1, 4), (2, 4), (2, 5)]
+    )
+    for g, block, path in ((thin_none, (5,), (5, 2, 0, 4)), (thin_all, (6,), (6, 1, 0, 5))):
+        with pytest.raises(P4Error) as exc:
+            neighbor_split(g, 0, block)
+        assert exc.value.path == path and exc.value.witness.validate(g)
 
 
 def test_parity_split_graph_edges():

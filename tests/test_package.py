@@ -99,3 +99,17 @@ def test_loc_counts_code_lines_and_nodes(tmp_path):
     assert {"commands", "graphs", "lemmas"} <= set(tool) and "cographs" not in tool
     # cli counts once more only if commands compiled a second copy of it.
     assert tool.count("cli") == 1
+
+
+def test_loc_refuses_a_path_that_is_no_package_directory(tmp_path):
+    # One module's file, a directory with no __init__.py or no cli.py, and a
+    # second path each get the usage line and exit status 2, before any count.
+    root = Path(__file__).parents[1]
+    package = Path(cosp.__file__).parent
+    (tmp_path / "__init__.py").write_text("")
+    for argv in ([str(package / "cli.py")], [str(root / "tools")], [str(tmp_path)], [str(package)] * 2):
+        proc = subprocess.run(
+            [sys.executable, str(root / "tools" / "loc.py"), *argv], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
+        assert proc.stderr.startswith("usage: python tools/loc.py ") and proc.stderr.count("\n") == 1

@@ -1,7 +1,8 @@
 """The shared pair text format of graphs and orders: every rejected input
 with its exact message and line, the accepted oddities, random
-well-formed files written in every accepted spelling, and the bulk read
-of plain files against the line reader."""
+well-formed files written in every accepted spelling, and the one reader
+with bulk allowed against the same loop with every piece read line by
+line."""
 
 import random
 import subprocess
@@ -25,7 +26,7 @@ from cosp import (
     parse_poset,
 )
 from cosp import pairtext
-from cosp.rows import _closure, _read_pairs, _read_plain, _transpose
+from cosp.rows import _closure, _pieces, _read_pairs, _transpose
 from cosp.rows import iter_bits, lowest, mask_components
 
 CYCLE = "cycle"
@@ -135,7 +136,56 @@ REJECTED = [
     ("n 3\n0 -1\n", (2, "vertex labels must be non-negative"), (2, "element labels must be non-negative")),
     # a comment line is not counted when a duplicate's line is found
     ("n 3\n0 1\n#c d\n0 1\n", (4, "duplicate edge 0 1"), (4, "duplicate relation 0 < 1")),
+    # a header with no digits is no header read at a glance
+    ("n \n0 1\n", (1, "malformed header, expected 'n <order>'"), (1, "malformed header, expected 'n <order>'")),
 ]
+
+
+def line_checks(text, ordered):
+    """The rows and labels of ``text`` read with bulk allowed, and the
+    number of pieces that went through the line checks."""
+    checks = pairtext._read_lines
+    calls = []
+    pairtext._read_lines = lambda *args: calls.append(args) or checks(*args)
+    try:
+        return _read_pairs(text, ordered, list), len(calls)
+    finally:
+        pairtext._read_lines = checks
+
+
+def in_bulk(text, ordered):
+    """Whether reading ``text`` converts every piece in bulk."""
+    return line_checks(text, ordered)[1] == 0
+
+
+def lines_only(call, *args):
+    """``call(*args)`` with bulk off: the read takes every piece through
+    the line checks."""
+    bulk = cosp.rows._bulk
+    cosp.rows._bulk = lambda piece, ordered: None
+    try:
+        return call(*args)
+    finally:
+        cosp.rows._bulk = bulk
+
+
+def read_outcome(text, ordered):
+    """What the reader makes of ``text``: its rows and labels and its
+    header's line (None without a header), or the error it raises."""
+
+    def fail(rows):
+        raise MemoryError
+
+    try:
+        read = _read_pairs(text, ordered, list)
+    except ParseError as exc:
+        return str(exc)
+    try:
+        _read_pairs(text, ordered, fail)
+    except ParseError as exc:
+        return read, exc.line
+    except MemoryError:
+        return read, None
 
 
 def test_row_helpers_finish_on_small_rows(within):
@@ -158,35 +208,33 @@ def test_row_helpers_finish_on_small_rows(within):
     assert within(2, lambda: _closure([0b110, 0b100, 0], "full")) == chain
     with pytest.raises(CycleError):
         within(2, lambda: _closure([0b10, 0b01], "covers"))
-    rows, labels, header = within(2, lambda: _read_plain("n 3\n0 1\n2 1\n", False))
-    assert (rows, list(labels), header) == ([0b010, 0b101, 0b010], [0, 1, 2], 1)
-    rows, labels, header = within(2, lambda: _read_plain("5 < 9\n9 7\n", True))
-    assert (rows, list(labels), header) == ([0b100, 0, 0b010], [5, 7, 9], None)
+    for read in (_read_pairs, lambda *args: lines_only(_read_pairs, *args)):
+        rows, labels = within(2, lambda: read("n 3\n0 1\n2 1\n", False, list))
+        assert (rows, labels) == ([0b010, 0b101, 0b010], (0, 1, 2))
+        rows, labels = within(2, lambda: read("5 < 9\n9 7\n", True, list))
+        assert (rows, labels) == ([0b100, 0, 0b010], (5, 7, 9))
 
 
 def test_line_reader_pieces_read_as_the_whole_text(monkeypatch, within):
-    # The line reader splits the text a piece at a time, cut after a
-    # newline: with pieces of a few characters, every prefix of a text with
-    # each kind of line break splits as the whole, and every rejected input
-    # fails as before.  A cut that stopped moving forward would loop
-    # forever, so this test comes first and each split has a time limit.
+    # The reader takes the text a piece at a time, cut after a newline:
+    # with pieces of a few characters, every prefix of a text with each
+    # kind of line break, from each start, splits into the same lines as
+    # the whole, and every rejected input fails as before.  A cut that
+    # stopped moving forward would loop forever, so this test comes first
+    # and each split has a time limit.
     text = "n 3\r\n0 1\r\n\n# c\r1  2\x0b\x85 2 0\n\n\n0 1"
-
-    class Spied(str):
-        # Keeps each piece that the reader cuts from the text.
-        def __getitem__(self, key):
-            pieces.append(piece := super().__getitem__(key))
-            return piece
-
     for chunk in (1, 2, 3, 5):
-        monkeypatch.setattr(pairtext, "_CHUNK", chunk)
+        monkeypatch.setattr(cosp.rows, "_CHUNK", chunk)
         for end in range(len(text) + 1):
-            split = within(2, lambda: list(chain.from_iterable(pairtext._pieces(text[:end]))))
-            assert split == text[:end].splitlines()
-        # A piece is at most one chunk, or else one line and its newline.
-        pieces = []
-        within(2, lambda: list(pairtext._pieces(Spied(text))))
-        assert all(len(piece) <= chunk or piece.count("\n") <= 1 for piece in pieces)
+            for pos in (0, 1, 5):
+                pieces = within(2, lambda: list(_pieces(text[:end], pos)))
+                assert "".join(pieces) == text[pos:end]
+                lines = chain.from_iterable(map(str.splitlines, pieces))
+                assert list(lines) == text[pos:end].splitlines()
+                # Each piece ends at the first newline past its first chunk
+                # characters, or at the end of the text.
+                assert all(piece[-1] == "\n" for piece in pieces[:-1])
+                assert all(piece[chunk:-1].count("\n") == 0 for piece in pieces)
     for case in REJECTED:
         test_rejected_inputs(*case)
 
@@ -258,13 +306,13 @@ def test_a_label_at_the_digit_limit_is_not_too_long():
 @pytest.mark.memory
 def test_line_reader_memory_follows_the_labels():
     # One string per line of the whole text costs about eight times the
-    # text for lines of eight characters; the line reader holds the flat
-    # labels (two pointers a line) and one 64 KiB piece's lines.
+    # text for lines of eight characters; the read with bulk off holds the
+    # flat labels (two pointers a line) and one 64 KiB piece's lines.
     n = 360
     text = f"n {n}\n" + "".join(f"{u} {v}\n" for u in range(n) for v in range(u + 1, n)) + "#\n"
     tracemalloc.start()
     try:
-        g, _ = parse_graph(text)
+        g, _ = lines_only(parse_graph, text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -309,11 +357,14 @@ def test_header_beyond_memory_is_a_parse_error(tmp_path, command, text):
     assert proc.stderr == f"line 1: declared order {text.split()[1]} is too large\n"
 
 
-@pytest.mark.parametrize("text, line", [("n 3\n0 1\n", 1), ("# c\nn 3\n0 1\n", 2), ("0 1\n", None)])
+@pytest.mark.parametrize(
+    "text, line", [("n 3\n0 1\n", 1), ("# c\nn 3\n0 1\n", 2), ("0 1\n", None), ("n 3\r\n0 1\r\n", 1)]
+)
 def test_a_failed_build_names_the_header(text, line):
     # The test above runs out of memory for real, in a process of its own;
-    # here the build fails at once.  The plain reader and the line reader
-    # each give the header's line, and without a header the error stands.
+    # here the build fails at once.  A header read at a glance and one that
+    # the line scan finds each give its line, and without a header the
+    # error stands.
     def build(rows):
         raise MemoryError
 
@@ -354,9 +405,10 @@ def test_large_header_over_a_short_plain_text_keeps_the_shifts(tmp_path):
     script = (
         "import sys\n"
         "from cosp import parse_graph, parse_poset\n"
-        "from cosp.rows import _read_plain\n"
+        "import cosp.pairtext\n"
         "text = open(sys.argv[1]).read()\n"
-        "assert _read_plain(text, False) is not None\n"
+        "# Every piece converts in bulk: a line check would call None.\n"
+        "cosp.pairtext._read_lines = None\n"
         "g, _ = parse_graph(text)\n"
         "p, _ = parse_poset(text, mode='covers')\n"
         "print(g.order, g.edge_count(), p.order, len(p.relations()))\n"
@@ -367,17 +419,18 @@ def test_large_header_over_a_short_plain_text_keeps_the_shifts(tmp_path):
 
 def test_label_far_out_of_range_is_never_shifted():
     # Read with shifts, a label of 10**8 would make a 12 MB int before the
-    # rows could show it: the bulk read checks each chunk's largest label.
+    # rows could show it: the bulk read checks each piece's largest label,
+    # and the line by line read that follows names it.
     text = "n 300\n0 1\n0 100000000\n"
     tracemalloc.start()
     try:
-        assert _read_plain(text, False) is None and _read_plain(text, True) is None
+        for ordered, noun in ((False, "vertex"), (True, "element")):
+            with pytest.raises(ParseError, match=f"^line 3: {noun} 100000000 outside declared order 300$"):
+                _read_pairs(text, ordered, list)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    with pytest.raises(ParseError, match="^line 3: vertex 100000000 outside declared order 300$"):
-        parse_graph(text)
 
 
 def test_header_less_labels_are_relabelled_before_any_shift():
@@ -387,7 +440,7 @@ def test_header_less_labels_are_relabelled_before_any_shift():
     text = f"0 {big}\n3 {big}\n0 3\n3 7\n"
     tracemalloc.start()
     try:
-        assert _read_plain(text, False) is not None and _read_plain(text, True) is not None
+        assert in_bulk(text, False) and in_bulk(text, True)
         graph, order = parse_graph(text), parse_poset(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -548,10 +601,11 @@ def far_apart(declared):
 
 
 def test_far_apart_duplicate_names_its_line():
-    # The two copies of 0 1 sit in different 64 KiB chunks of a plain text:
-    # the bulk read sees too few row bits and the line reader names the line.
+    # The two copies of 0 1 sit in different 64 KiB pieces of a plain text:
+    # the bulk read sees too few row bits and the line by line read names
+    # the line.
     clean = far_apart(300)
-    assert _read_plain(clean, False) is not None and _read_plain(clean, True) is not None
+    assert in_bulk(clean, False) and in_bulk(clean, True)
     line = clean.count("\n") + 1
     for parse, message in ((parse_graph, "duplicate edge 0 1"), (parse_poset, "duplicate relation 0 < 1")):
         with pytest.raises(ParseError) as exc:
@@ -562,15 +616,16 @@ def test_far_apart_duplicate_names_its_line():
 @pytest.mark.parametrize("declared", [300, 1000], ids=["dense", "sparse"])
 def test_far_apart_flipped_duplicate(declared):
     # 0 1, and 1 0 more than 128 KiB later: a graph's rows miss a bit only
-    # once the transpose is ORed in, and the line reader names the line; an
-    # order holds both pairs and has the cycle the line reader finds.
+    # once the transpose is ORed in, and the line by line read names the
+    # line; an order holds both pairs and has the cycle that a read line by
+    # line finds too.
     clean = far_apart(declared)
     assert dense(clean) == (declared == 300)
-    assert _read_plain(clean, False) is not None and _read_plain(clean, True) is not None
+    assert in_bulk(clean, False) and in_bulk(clean, True)
     text = clean + "1 0\n"
     line = clean.count("\n") + 1
     assert outcome(parse_graph, text) == (ParseError, f"line {line}: duplicate edge 1 0")
-    assert _read_plain(text, True) is not None
+    assert in_bulk(text, True)
     cycle = outcome(parse_poset, text)
     assert cycle[0] is CycleError and cycle == outcome(parse_poset, text + "#\n")
 
@@ -709,7 +764,7 @@ def outcome(parse, text):
 def test_plain_graph_files(dense_case, sparse_case):
     for is_dense, (g, labels, text) in ((True, dense_case), (False, sparse_case)):
         assert dense(text) == is_dense
-        assert _read_plain(text, False) is not None
+        assert in_bulk(text, False)
         assert parse_graph(text) == (g, labels)
 
 
@@ -718,7 +773,7 @@ def test_plain_graph_files(dense_case, sparse_case):
 def test_plain_order_files(dense_case, sparse_case):
     for is_dense, (p, labels, text) in ((True, dense_case), (False, sparse_case)):
         assert dense(text) == is_dense
-        assert _read_plain(text, True) is not None
+        assert in_bulk(text, True)
         assert parse_poset(text) == (p, labels)
 
 
@@ -740,23 +795,38 @@ COPIES = (
 @SETTINGS
 @given(st.booleans(), st.booleans(), st.data())
 def test_spelled_copies_read_as_the_plain_text(ordered, is_dense, data):
-    # The bulk read of a plain text and the line reader's read of each copy
-    # give the same rows and labels (a comment line moves the header).
+    # The bulk read of a plain text and the read of each copy, with bulk
+    # allowed and line by line, give the same rows and labels (a comment
+    # line moves the header).
     _, _, text = data.draw(plain(ordered, is_dense))
-    rows, labels, _ = _read_plain(text, ordered)
+    assert in_bulk(text, ordered)
+    read = _read_pairs(text, ordered, list)
     for copy in COPIES + (less_lines,) * ordered:
-        again, relabels, _ = pairtext._read_lines(copy(text), ordered)
-        assert (again, tuple(relabels)) == (rows, tuple(labels))
+        assert _read_pairs(copy(text), ordered, list) == read
+        assert lines_only(_read_pairs, copy(text), ordered, list) == read
 
 
 @SETTINGS
 @given(st.booleans(), st.sampled_from(FAULTS), st.data())
 def test_bulk_read_agrees_with_the_line_reader(ordered, fault, data):
     # Each fault goes into a dense and a sparse text, with or without a
-    # header.  A last line '#' makes any text one that only the line
-    # reader reads.
+    # header, beside a text in every accepted spelling.  The loop with bulk
+    # allowed and with it off gives the same rows, labels, header line or
+    # error, and a last line '#', which sends the last piece through the
+    # line checks, changes no parse outcome.
     parse = parse_poset if ordered else parse_graph
-    for is_dense in (True, False):
-        _, _, text = data.draw(plain(ordered, is_dense))
-        text = inject(data.draw, text, fault)
+    texts = [inject(data.draw, data.draw(plain(ordered, is_dense))[2], fault) for is_dense in (True, False)]
+    texts.append(data.draw(written(ordered))[3])
+    for text in texts:
+        assert read_outcome(text, ordered) == lines_only(read_outcome, text, ordered)
         assert outcome(parse, text) == outcome(parse, text + "\n#")
+
+
+def test_only_the_pieces_that_are_not_plain_are_read_line_by_line():
+    # A comment above the header is read by the header scan, and a last
+    # line '#' goes with its own piece: every other piece converts in bulk.
+    clean = far_apart(300)
+    for ordered in (False, True):
+        read = _read_pairs(clean, ordered, list)
+        assert line_checks("# comment\n" + clean, ordered) == (read, 0)
+        assert line_checks(clean + "#\n", ordered) == (read, 1)

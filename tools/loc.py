@@ -14,7 +14,9 @@ on a small plain file, whose graph side is ``check`` and ``cotree`` and
 whose order side is ``poset ... nfree`` and ``poset ... sptree``, and
 three that argparse reads: ``check -h``, ``gen parity-split 3`` and
 ``join``.  It only reports: the exit status is 0 whatever the counts are,
-and also when the reader of its output stops early.
+and also when the reader of its output stops early.  A path that is not a
+package directory with ``__init__.py`` and ``cli.py``, such as one
+module's file, gets the usage line and exit status 2.
 """
 
 from __future__ import annotations
@@ -99,9 +101,15 @@ def request_modules(package: Path, argv: list[str]) -> list[str]:
     return sorted(stems)
 
 
+USAGE = "usage: python tools/loc.py [package directory with __init__.py and cli.py]"
+
+
 def main(argv: list[str]) -> None:
     package = Path(argv[1]) if len(argv) > 1 else Path(__file__).parents[1] / "src" / "cosp"
     package = package.resolve()
+    if len(argv) > 2 or not all((package / name).is_file() for name in ("__init__.py", "cli.py")):
+        print(USAGE, file=sys.stderr)
+        sys.exit(2)
     sizes = {
         path.stem: measure(path.read_text(encoding="utf-8"))
         for path in sorted(package.glob("*.py"))
